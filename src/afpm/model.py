@@ -22,6 +22,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
 from .errors import ConfigError, DataError, NumericError
@@ -235,8 +236,8 @@ def _extract_patches_batch(x: np.ndarray, cfg: FPEConfig,
     span = (g - 1) * cfg.frame_stride + cfg.frame_window
     padded = np.zeros((b, m, span), dtype=x.dtype)
     padded[:, :, :t_prime] = x
-    idx = (np.arange(g)[:, None] * cfg.frame_stride + np.arange(cfg.frame_window)[None, :])
-    windows = padded[:, :, idx]                      # [B, M, G, m]
+    windows = sliding_window_view(padded, cfg.frame_window, axis=-1)[
+        :, :, ::cfg.frame_stride, :]                 # [B, M, G, m], a view
     if per_channel:
         return windows.reshape(b, m * g, cfg.frame_window)
     return windows.transpose(0, 2, 1, 3).reshape(b, g, m * cfg.frame_window)
@@ -341,6 +342,11 @@ def _block_forward(x, p, prefix, t_cfg, cache):
     return x2
 
 
+def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gradient of ``y = a @ w``: sum over all leading axes of a^T dy, as one GEMM."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+
+
 def _block_backward(dx2, p, prefix, t_cfg, c, grads):
     scale = 1.0 / math.sqrt(t_cfg.dim_head)
     u, q, k, v, att, ctx = c["u"], c["q"], c["k"], c["v"], c["att"], c["ctx"]
@@ -348,11 +354,11 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
 
     # MLP sub-block
     dm2 = dx2
-    grads[f"{prefix}.mlp.w2"] = np.einsum("bsd,bse->de", g1, dm2)
+    grads[f"{prefix}.mlp.w2"] = _weight_grad(g1, dm2)
     grads[f"{prefix}.mlp.b2"] = dm2.sum(axis=(0, 1))
     dg1 = dm2 @ p[f"{prefix}.mlp.w2"].T
     dm1 = dg1 * dgelu(m1)
-    grads[f"{prefix}.mlp.w1"] = np.einsum("bsl,bsd->ld", u2, dm1)
+    grads[f"{prefix}.mlp.w1"] = _weight_grad(u2, dm1)
     grads[f"{prefix}.mlp.b1"] = dm1.sum(axis=(0, 1))
     du2 = dm1 @ p[f"{prefix}.mlp.w1"].T
     dx1_ln, dg, db = _layernorm_backward(du2, c["ln2c"], p[f"{prefix}.ln2.g"])
@@ -362,7 +368,7 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
 
     # attention sub-block
     do = dx1
-    grads[f"{prefix}.attn.wo"] = np.einsum("bsf,bsl->fl", ctx, do)
+    grads[f"{prefix}.attn.wo"] = _weight_grad(ctx, do)
     grads[f"{prefix}.attn.bo"] = do.sum(axis=(0, 1))
     dctx = _split_heads(do @ p[f"{prefix}.attn.wo"].T, t_cfg.heads)
     datt = dctx @ v.transpose(0, 1, 3, 2)
@@ -371,11 +377,11 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
     dq = (dsc @ k) * scale
     dk = (dsc.transpose(0, 1, 3, 2) @ q) * scale
     dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    grads[f"{prefix}.attn.wq"] = np.einsum("bsl,bsf->lf", u, dq_m)
+    grads[f"{prefix}.attn.wq"] = _weight_grad(u, dq_m)
     grads[f"{prefix}.attn.bq"] = dq_m.sum(axis=(0, 1))
-    grads[f"{prefix}.attn.wk"] = np.einsum("bsl,bsf->lf", u, dk_m)
+    grads[f"{prefix}.attn.wk"] = _weight_grad(u, dk_m)
     grads[f"{prefix}.attn.bk"] = dk_m.sum(axis=(0, 1))
-    grads[f"{prefix}.attn.wv"] = np.einsum("bsl,bsf->lf", u, dv_m)
+    grads[f"{prefix}.attn.wv"] = _weight_grad(u, dv_m)
     grads[f"{prefix}.attn.bv"] = dv_m.sum(axis=(0, 1))
     du = dq_m @ p[f"{prefix}.attn.wq"].T + dk_m @ p[f"{prefix}.attn.wk"].T \
         + dv_m @ p[f"{prefix}.attn.wv"].T
@@ -489,7 +495,7 @@ def backward_cached(dlogits: np.ndarray, model: Model,
     grads["cls"] = dxs[:, 0, :].sum(axis=0)
     dtok = dxs[:, 1:, :]
     tilde = cache["tilde"]
-    grads["proj.e0"] = np.einsum("bkl,bkp->lp", tilde, dtok)
+    grads["proj.e0"] = _weight_grad(tilde, dtok)
     dtilde = dtok @ p["proj.e0"].T
 
     # averaging (scatter the window means back to embeddings)
@@ -511,11 +517,11 @@ def backward_cached(dlogits: np.ndarray, model: Model,
 
     # patch MLP
     a1, h1, patches = cache["a1"], cache["h1"], cache["patches"]
-    grads["patch.w2"] = np.einsum("bgh,bgl->hl", a1, de)
+    grads["patch.w2"] = _weight_grad(a1, de)
     grads["patch.b2"] = de.sum(axis=(0, 1))
     da1 = de @ p["patch.w2"].T
     dh1 = da1 * dgelu(h1)
-    grads["patch.w1"] = np.einsum("bgf,bgh->fh", patches, dh1)
+    grads["patch.w1"] = _weight_grad(patches, dh1)
     grads["patch.b1"] = dh1.sum(axis=(0, 1))
     return grads
 
@@ -588,15 +594,23 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None, dict]:
         raise DataError(f"malformed checkpoint header in {path}: {e}") from e
     if header.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unsupported checkpoint format {header.get('format')!r}")
+    missing = [key for key in ("config", "entries", "opt") if key not in header]
+    if missing:
+        raise DataError(f"checkpoint header in {path} lacks {', '.join(missing)}")
     cfg = _cfg_from_dict(header["config"])
     params: dict[str, np.ndarray] = {}
     opt_state = None
     if header["opt"] is not None:
         opt_state = {"step": int(header["opt"]["step"]), "m": {}, "v": {}}
+    shapes = [tuple(entry["shape"]) for entry in header["entries"]]
+    counts = [math.prod(shape) for shape in shapes]
+    if 4 * sum(counts) != len(blob):
+        raise DataError(
+            f"checkpoint payload size mismatch: {len(blob)} bytes, "
+            f"expected {4 * sum(counts)}"
+        )
     offset = 0
-    for entry in header["entries"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for entry, shape, count in zip(header["entries"], shapes, counts):
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
         arr = arr.reshape(shape).copy()
@@ -606,10 +620,6 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None, dict]:
             if opt_state is None:
                 raise DataError("optimizer payload present without opt header")
             opt_state[entry["kind"]][entry["name"]] = arr
-    if offset != len(blob):
-        raise DataError(
-            f"checkpoint payload size mismatch: {len(blob)} bytes, expected {offset}"
-        )
     expected = param_shapes(cfg)
     if set(params.keys()) != set(expected):
         raise DataError("checkpoint parameter set does not match its config")

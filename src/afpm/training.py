@@ -229,13 +229,12 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     else:
         batches = shuffled_batches(n, cfg.batch_size, cfg.seed, cfg.epochs)
 
-    prev_params = None
     for step, idx in enumerate(batches):
         lr = onecycle_lr(step, total_steps, cfg)
-        prev_params = {k: v.copy() for k, v in model.params.items()}
+        # parameters change only in adamw_step, so a failed step leaves them
+        # as the last good update wrote them
         loss, grads = _loss_and_grads_guarded(x[idx], labels[idx], model)
         if loss is None:
-            model.params.update(prev_params)
             result.diverged = True
             break
         adamw_step(model.params, grads, state, lr, cfg)

@@ -314,6 +314,7 @@ def mi_bandpower_oracle(manifest):
 # criterion 6: calibration-free cross-dataset generalization
 
 
+@pytest.mark.slow
 def test_criterion_6_mi_generalization(mi_suite):
     oracle = mi_bandpower_oracle(mi_suite["pp_eval"])
     scores = [primary_of(mi_suite, "FULL", i) for i in range(len(SEEDS))]
@@ -325,6 +326,7 @@ def test_criterion_6_mi_generalization(mi_suite):
            f"runtime {runtime:.0f}s (< 900s)")
 
 
+@pytest.mark.slow
 def test_criterion_6_erp_generalization(erp_suite):
     scores = [primary_of(erp_suite, "FULL", i) for i in range(len(SEEDS))]
     runtime = erp_suite["gen_seconds"] + erp_suite["full_seconds"]
@@ -340,6 +342,7 @@ def test_criterion_6_erp_generalization(erp_suite):
 # criterion 7: ablation directionality
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("task_fixture", ["mi_suite", "erp_suite"])
 def test_criterion_7_ablation_direction(task_fixture, request):
     suite = request.getfixturevalue(task_fixture)
@@ -361,6 +364,7 @@ def test_criterion_7_ablation_direction(task_fixture, request):
 # criterion 8: fine-tuning does not hurt
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("task_fixture", ["mi_suite", "erp_suite"])
 def test_criterion_8_finetune_direction(task_fixture, request):
     from afpm.alignment import align_dataset

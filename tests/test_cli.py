@@ -127,6 +127,32 @@ class TestPipeline:
         assert len(doc["subjects"]) == 2
         assert "mean_before" in doc and "mean_after" in doc
 
+    def test_readme_finetune_example(self, pipeline_dirs, tmp_path):
+        root, raw, pre, ali, ckpt = pipeline_dirs
+        assert main(["finetune", "--ckpt", ckpt, "--data", ali,
+                     "--fraction", "0.3", "--out", str(tmp_path / "ft"),
+                     "--epochs", "10", "--lr-max", "1e-4", "--lr-init", "5e-5"]) == 0
+
+
+def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
+    if defect == "truncated":
+        return blob[:-10]
+    header_line, payload = blob.split(b"\n", 1)
+    header = json.loads(header_line)
+    del header[defect]
+    return json.dumps(header).encode("utf-8") + b"\n" + payload
+
+
+@pytest.mark.parametrize("defect", ["truncated", "config", "entries", "opt"])
+def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, capsys):
+    _, _, _, ali, ckpt = pipeline_dirs
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt_checkpoint(open(ckpt, "rb").read(), defect))
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(bad), "--data", ali]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: checkpoint"), err
+
 
 def test_cli_determinism_bit_identical(tmp_path):
     """Same seed, --threads 1: checkpoints and reports match byte for byte."""

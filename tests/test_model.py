@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import afpm.model
 from afpm.errors import ConfigError, DataError
 from afpm.model import (
-    FPEConfig, Model, ModelConfig, TransformerConfig, assemble_tokens,
-    average_embeddings, averaged_count, classify, decayed_param,
-    extract_patches, embed_patches, forward, forward_cached, init_model,
-    load_checkpoint, model_dims, param_shapes, patch_count, save_checkpoint,
-    transformer_forward,
+    FPEConfig, Model, ModelConfig, TransformerConfig, _extract_patches_batch,
+    assemble_tokens, average_embeddings, averaged_count, backward_cached,
+    classify, decayed_param, extract_patches, embed_patches, forward,
+    forward_cached, init_model, load_checkpoint, model_dims, param_shapes,
+    patch_count, save_checkpoint, transformer_forward,
 )
 
 
@@ -82,6 +83,35 @@ class TestExtractPatches:
         assert np.array_equal(patches[0], [1.0, 2.0])
         assert np.array_equal(patches[2], [0.0, 0.0])
         assert np.array_equal(patches[3], [5.0, 6.0])
+
+
+def windows_by_slicing(x, m, d):
+    """Reference patch extraction: one explicit slice per window, zero-padded."""
+    b, ch, t_prime = x.shape
+    g = patch_count(t_prime, d)
+    out = np.zeros((b, ch, g, m), dtype=x.dtype)
+    for j in range(g):
+        piece = x[:, :, j * d:j * d + m]
+        out[:, :, j, :piece.shape[-1]] = piece
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(t_prime=st.integers(1, 90), m=st.integers(1, 16), d=st.integers(1, 24),
+       channels=st.integers(1, 3), batch=st.integers(1, 3))
+def test_batch_extraction_matches_explicit_slices(t_prime, m, d, channels, batch):
+    fpe = FPEConfig(embed_dim=1, frame_window=m, frame_stride=d, avg_window=1,
+                    avg_shift=1, token_dim=1, mlp_hidden=1)
+    rng = np.random.default_rng(t_prime * 1000 + m * 31 + d)
+    x = rng.standard_normal((batch, channels, t_prime))
+    ref = windows_by_slicing(x, m, d)
+    g = ref.shape[2]
+    # the last window always runs past the template and is zero-padded
+    assert (g - 1) * d + m > t_prime
+    std = _extract_patches_batch(x, fpe, per_channel=False)
+    assert np.array_equal(std, ref.transpose(0, 2, 1, 3).reshape(batch, g, channels * m))
+    per = _extract_patches_batch(x, fpe, per_channel=True)
+    assert np.array_equal(per, ref.reshape(batch, channels * g, m))
 
 
 def erf_gelu(x: float) -> float:
@@ -336,6 +366,41 @@ def test_shape_chain_property(t_prime, d, m, p, h, channels):
     assert model_dims(cfg).n_tokens == k + 1
     logits = forward(x, model)
     assert logits.shape == (2,)
+
+
+@pytest.mark.parametrize("per_channel", [False, True])
+@pytest.mark.parametrize("stride", [5, 8, 11])
+def test_weight_gradients_match_einsum_reference(per_channel, stride, rng, monkeypatch):
+    fpe = FPEConfig(embed_dim=4, frame_window=8, frame_stride=stride, avg_window=2,
+                    avg_shift=2, token_dim=8, mlp_hidden=8)
+    t_cfg = TransformerConfig(depth=2, heads=2, dim_head=3, dim_mlp=6, n_classes=3)
+    cfg = ModelConfig(task="mi", template_channels=("C0", "C1", "C2"),
+                      template_len=64, fpe=fpe, transformer=t_cfg,
+                      per_channel_patches=per_channel)
+    model = init_model(cfg, seed=4, dtype=np.float64)
+    for name, arr in model.params.items():
+        model.params[name] = arr + 0.3 * rng.standard_normal(arr.shape)
+    x = rng.standard_normal((4, 3, 64))
+    dlogits = rng.standard_normal((4, 3))
+    _, cache = forward_cached(x, model)
+    grads = backward_cached(dlogits, model, cache)
+
+    calls = []
+
+    def reference(a, b):
+        calls.append(a.shape)
+        return np.einsum("bsi,bsj->ij", a, b)
+
+    monkeypatch.setattr(afpm.model, "_weight_grad", reference)
+    ref = backward_cached(dlogits, model, cache)
+    # patch.w1, patch.w2, proj.e0, and wq/wk/wv/wo/mlp.w1/mlp.w2 per block
+    assert len(calls) == 3 + 6 * t_cfg.depth
+    assert ref.keys() == grads.keys()
+    for name in ref:
+        assert grads[name].shape == model.params[name].shape
+        scale = np.abs(ref[name]).max()
+        assert scale > 0.0, name
+        assert np.abs(grads[name] - ref[name]).max() <= 1e-12 * scale, name
 
 
 class TestCheckpoint:

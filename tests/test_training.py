@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import afpm.training
 from afpm.errors import ConfigError, DataError
 from afpm.model import (FPEConfig, ModelConfig, TransformerConfig, forward,
                         init_model)
@@ -233,19 +234,28 @@ class TestTrain:
         for k in r1.model.params:
             assert np.array_equal(r1.model.params[k], r2.model.params[k])
 
-    def test_divergence_guard_restores_last_good(self, rng):
+    def test_divergence_guard_restores_last_good(self, rng, monkeypatch):
         x, y = separable_toy(rng, n=32)
         cfg = tiny_cfg(m=2, t_prime=64)
         model = init_model(cfg, seed=0)
+        snapshots = []
+
+        def adamw_then_snapshot(params, *args):
+            adamw_step(params, *args)
+            snapshots.append({k: v.copy() for k, v in params.items()})
+
+        monkeypatch.setattr(afpm.training, "adamw_step", adamw_then_snapshot)
         # an absurd learning rate explodes the parameters after one step, so a
         # later step hits non-finite activations and trips the guard
         tc = TrainConfig(epochs=2, batch_size=8, lr_init=1e18, lr_max=1e18,
                          weight_decay=0.0, seed=0)
         result = train(x, y, model, tc)
         assert result.diverged
-        assert len(result.history) >= 1
-        for v in result.model.params.values():
+        assert len(result.history) == len(snapshots) >= 1
+        last_good = snapshots[-1]
+        for k, v in result.model.params.items():
             assert np.all(np.isfinite(v))
+            assert np.array_equal(v, last_good[k]), k
 
     def test_epoch_zero_returns_input(self, rng):
         x, y = separable_toy(rng, n=8)
