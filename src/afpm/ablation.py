@@ -20,7 +20,7 @@ from .alignment import align_dataset
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate_arrays, positive_class_index, primary_metric
 from .model import init_model
-from .pipeline import active_rms_scale, stack_aligned
+from .pipeline import active_rms_scale, require_task, stack_aligned
 from .training import TrainResult, train
 
 VARIANTS = ("FULL", "NO_SELECT", "NO_EA", "NO_MAP", "NO_FPE")
@@ -140,6 +140,7 @@ def run_ablation(plan: AblationPlan, train_paths: list[str], eval_paths: list[st
     """Train and evaluate every planned variant with identical seeds and budgets."""
     train_manifests = [load_manifest(p) for p in train_paths]
     eval_manifests = [load_manifest(p) for p in eval_paths]
+    require_task(train_manifests + eval_manifests, plan.run_cfg.task)
     results = {}
     for variant in plan.variants:
         results[variant] = run_variant(variant, plan, train_manifests,

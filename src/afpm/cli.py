@@ -256,13 +256,14 @@ def _cmd_train(args) -> int:
     from .config import echo_config, resolve_config
     from .data_model import load_manifest
     from .model import init_model, save_checkpoint
-    from .pipeline import active_rms_scale, stack_aligned
+    from .pipeline import active_rms_scale, require_task, stack_aligned
     from .training import train
     from dataclasses import replace
 
     cfg = resolve_config(args.task, args.config, _overrides_from(args),
                          seed=args.seed, threads=args.threads)
     manifests = [load_manifest(_data_path(p)) for p in args.data]
+    require_task(manifests, cfg.task)
     x, y, _, layout = stack_aligned(manifests)
     if layout["mapped"]:
         model_cfg = replace(

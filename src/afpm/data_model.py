@@ -7,6 +7,7 @@ Channel lists are stored once in the manifest and referenced per trial.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -40,6 +41,24 @@ ERP_TEMPLATE_CHANNELS = (
 # training trial), 1 s for ERP.
 MI_TEMPLATE_LEN = 1280
 ERP_TEMPLATE_LEN = 256
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "w"):
+    """Write through a temp file beside ``path``, moved over it when the block ends.
+
+    If the block raises, the temp file is removed and an existing ``path``
+    keeps its previous content, so no reader ever sees a partial file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def canonical_channel(name: str) -> str:
@@ -389,7 +408,7 @@ class DatasetWriter:
         if self.alignment is not None:
             doc["alignment"] = self.alignment
         path = os.path.join(self.out_dir, MANIFEST_NAME)
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_open(path) as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
         return load_manifest(path)

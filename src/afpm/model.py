@@ -25,6 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
+from .data_model import atomic_open
 from .errors import ConfigError, DataError, NumericError
 
 LN_EPS = 1e-5
@@ -576,11 +577,24 @@ def save_checkpoint(model: Model, path: str, opt_state: dict | None = None,
         "opt": opt_header,
         "extra": extra or {},
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for a in payloads:
             fh.write(a.tobytes())
+
+
+def _entry_shape(index: int, entry, path: str) -> tuple[int, ...]:
+    """Shape of one checkpoint entry, after checking the entry's fields."""
+    if not (isinstance(entry, dict) and {"name", "kind", "shape"} <= entry.keys()
+            and isinstance(entry["name"], str) and entry["kind"] in ("param", "m", "v")
+            and isinstance(entry["shape"], list)
+            and all(isinstance(n, int) and n >= 0 for n in entry["shape"])):
+        raise DataError(
+            f"checkpoint entry {index} in {path} needs a name, a kind (param, m or v) "
+            f"and a shape of non-negative integers"
+        )
+    return tuple(entry["shape"])
 
 
 def load_checkpoint(path: str) -> tuple[Model, dict | None, dict]:
@@ -592,17 +606,29 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None, dict]:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"malformed checkpoint header in {path}: {e}") from e
+    if not isinstance(header, dict):
+        raise DataError(f"checkpoint header in {path} is not a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
         raise DataError(f"unsupported checkpoint format {header.get('format')!r}")
     missing = [key for key in ("config", "entries", "opt") if key not in header]
     if missing:
         raise DataError(f"checkpoint header in {path} lacks {', '.join(missing)}")
-    cfg = _cfg_from_dict(header["config"])
+    try:
+        cfg = _cfg_from_dict(header["config"])
+    except (ConfigError, KeyError, TypeError, ValueError) as e:
+        raise DataError(
+            f"checkpoint config in {path} is malformed ({type(e).__name__}: {e})"
+        ) from e
     params: dict[str, np.ndarray] = {}
     opt_state = None
-    if header["opt"] is not None:
-        opt_state = {"step": int(header["opt"]["step"]), "m": {}, "v": {}}
-    shapes = [tuple(entry["shape"]) for entry in header["entries"]]
+    opt = header["opt"]
+    if opt is not None:
+        if not (isinstance(opt, dict) and isinstance(opt.get("step"), int)):
+            raise DataError(f"checkpoint opt header in {path} needs an integer step")
+        opt_state = {"step": opt["step"], "m": {}, "v": {}}
+    if not isinstance(header["entries"], list):
+        raise DataError(f"checkpoint entries in {path} are not a list")
+    shapes = [_entry_shape(i, entry, path) for i, entry in enumerate(header["entries"])]
     counts = [math.prod(shape) for shape in shapes]
     if 4 * sum(counts) != len(blob):
         raise DataError(

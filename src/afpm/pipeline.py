@@ -14,6 +14,21 @@ from .data_model import DatasetManifest, load_trial
 from .errors import DataError
 
 
+def require_task(manifests: list[DatasetManifest], task: str) -> None:
+    """Reject a dataset laid out for another task than ``task``.
+
+    An aligned dataset is laid out for the task of the template it was aligned
+    to; any other dataset for the task of its manifest.
+    """
+    for m in manifests:
+        found = m.alignment.get("task", m.task) if m.alignment else m.task
+        if found != task:
+            how = "aligned" if m.alignment else "recorded"
+            raise DataError(
+                f"dataset {m.name!r} is {how} for task {found!r}, not for task {task!r}"
+            )
+
+
 def stack_aligned(manifests: list[DatasetManifest]
                   ) -> tuple[np.ndarray, np.ndarray, list[str], dict]:
     """Stack aligned datasets into (x [N x M x T], labels, domain_ids, layout).

@@ -1,3 +1,5 @@
+import builtins
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,33 @@ def write_toy_dataset(path, task="mi", n_trials=3, channels=("C3", "CZ", "C4"),
 def random_spd(rng, n, scale=1.0):
     a = rng.standard_normal((n, n))
     return scale * (a @ a.T + n * np.eye(n))
+
+
+class FailingWriter:
+    """File stand-in whose second write raises, as a crash mid-write would."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("simulated crash mid-write")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fail_writes_in(monkeypatch, *modules):
+    """Make every file a module opens for writing fail on its second write."""
+    real_open = builtins.open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        return FailingWriter(fh) if "w" in mode else fh
+    for module in modules:
+        monkeypatch.setattr(module, "open", failing_open, raising=False)

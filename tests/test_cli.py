@@ -139,11 +139,21 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
         return blob[:-10]
     header_line, payload = blob.split(b"\n", 1)
     header = json.loads(header_line)
-    del header[defect]
+    if defect == "list":
+        header = [header]
+    elif defect == "config.fpe":
+        del header["config"]["fpe"]
+    elif defect.startswith("entry."):
+        del header["entries"][3][defect.split(".")[1]]
+    else:
+        del header[defect]
     return json.dumps(header).encode("utf-8") + b"\n" + payload
 
 
-@pytest.mark.parametrize("defect", ["truncated", "config", "entries", "opt"])
+@pytest.mark.parametrize("defect", [
+    "truncated", "config", "entries", "opt", "list", "config.fpe",
+    "entry.shape", "entry.name", "entry.kind",
+])
 def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, capsys):
     _, _, _, ali, ckpt = pipeline_dirs
     bad = tmp_path / "bad.ckpt"
@@ -152,6 +162,21 @@ def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, 
     assert main(["eval", "--ckpt", str(bad), "--data", ali]) == EXIT_DATA
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error: checkpoint"), err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_data_aligned_for_other_task_is_data_error(command, pipeline_dirs, tmp_path, capsys):
+    _, _, _, ali, _ = pipeline_dirs
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", "--data", ali, "--task", "erp", "--out", out + "/m.ckpt"]
+    else:
+        argv = ["ablate", "--train", ali, "--eval", ali, "--task", "erp", "--out", out]
+    capsys.readouterr()
+    assert main(argv + ["--epochs", "1", "--depth", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "'mi'" in err[0] and "'erp'" in err[0], err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_determinism_bit_identical(tmp_path):

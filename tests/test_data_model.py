@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
+import afpm.data_model
 from afpm.data_model import (
     DatasetWriter, EEGTrial, canonical_channel, canonical_channels,
     group_by_domain, load_manifest, load_trial, task_template,
 )
 from afpm.errors import DataError
 
-from conftest import write_toy_dataset
+from conftest import fail_writes_in, write_toy_dataset
 
 
 def test_canonical_channel_uppercases_and_strips():
@@ -155,3 +156,16 @@ def test_writer_deduplicates_channel_sets(tmp_path):
     writer.add_trial(np.zeros((2, 4)), ("c3", "c4"), 1, "d0")
     manifest = writer.finish()
     assert len(manifest.channel_sets) == 1
+
+
+def test_interrupted_manifest_write_keeps_previous(tmp_path, monkeypatch):
+    write_toy_dataset(tmp_path, n_trials=2)
+    before = (tmp_path / "manifest.json").read_bytes()
+    writer = DatasetWriter(out_dir=str(tmp_path), name="other", task="mi",
+                           rate_hz=128.0, class_names=("a", "b"))
+    writer.add_trial(np.zeros((1, 8)), ("CZ",), 0, "d0")
+    fail_writes_in(monkeypatch, afpm.data_model)
+    with pytest.raises(OSError, match="mid-write"):
+        writer.finish()
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))

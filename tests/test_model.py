@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import afpm.data_model
 import afpm.model
 from afpm.errors import ConfigError, DataError
 from afpm.model import (
@@ -13,6 +14,8 @@ from afpm.model import (
     forward_cached, init_model, load_checkpoint, model_dims, param_shapes,
     patch_count, save_checkpoint, transformer_forward,
 )
+
+from conftest import fail_writes_in
 
 
 def small_cfg(m=3, t_prime=64, depth=1, heads=2, dim_head=3, per_channel=False,
@@ -429,6 +432,16 @@ class TestCheckpoint:
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_interrupted_save_keeps_previous(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_model(small_cfg(), seed=1), str(path))
+        before = path.read_bytes()
+        fail_writes_in(monkeypatch, afpm.model, afpm.data_model)
+        with pytest.raises(OSError, match="mid-write"):
+            save_checkpoint(init_model(small_cfg(), seed=2), str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_parameter_count_stable(self):
         m1 = init_model(small_cfg(), seed=0)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from afpm.data_model import EEGTrial, load_manifest, load_trial
+from afpm import preprocessing
+from afpm.data_model import DatasetWriter, load_manifest, load_trial
 from afpm.errors import ConfigError, DataError
 from afpm.preprocessing import (
     PreprocessConfig, bandpass, default_config, preprocess_dataset, resample,
@@ -26,10 +27,8 @@ def fitted_amplitude(x, freq, rate):
     return float(np.hypot(*coef))
 
 
-def trial_of(data, rate=RATE):
-    data = np.atleast_2d(data)
-    channels = tuple(f"C{i + 1}" for i in range(data.shape[0]))
-    return EEGTrial(data, channels, rate, 0, "d0")
+def rows_of(data):
+    return np.atleast_2d(np.asarray(data, dtype=np.float64))
 
 
 MI_CFG = PreprocessConfig(band_lo_hz=4.0, band_hi_hz=30.0)
@@ -37,35 +36,35 @@ MI_CFG = PreprocessConfig(band_lo_hz=4.0, band_hi_hz=30.0)
 
 class TestBandpass:
     def test_passband_tone_amplitude_preserved(self):
-        out = bandpass(trial_of(tone(10.0)), MI_CFG)
+        out = bandpass(rows_of(tone(10.0)), RATE, MI_CFG)
         trim = int(0.5 * RATE)
-        interior = out.data[0, trim:-trim]
+        interior = out[0, trim:-trim]
         amp = fitted_amplitude(interior, 10.0, RATE)
         assert abs(amp - 1.0) < 0.01
 
     def test_stopband_tone_suppressed(self):
-        out = bandpass(trial_of(tone(50.0)), MI_CFG)
+        out = bandpass(rows_of(tone(50.0)), RATE, MI_CFG)
         trim = int(0.5 * RATE)
-        residual = np.abs(out.data[0, trim:-trim]).max()
+        residual = np.abs(out[0, trim:-trim]).max()
         assert residual < 0.05
 
     def test_zero_signal_stays_zero(self):
-        out = bandpass(trial_of(np.zeros(512)), MI_CFG)
-        assert np.allclose(out.data, 0.0)
+        out = bandpass(rows_of(np.zeros(512)), RATE, MI_CFG)
+        assert np.allclose(out, 0.0)
 
     def test_linearity(self, rng):
         x = rng.standard_normal(512)
         y = rng.standard_normal(512)
         a, b = 1.7, -0.4
-        lhs = bandpass(trial_of(a * x + b * y), MI_CFG).data[0]
-        rhs = a * bandpass(trial_of(x), MI_CFG).data[0] \
-            + b * bandpass(trial_of(y), MI_CFG).data[0]
+        lhs = bandpass(rows_of(a * x + b * y), RATE, MI_CFG)[0]
+        rhs = a * bandpass(rows_of(x), RATE, MI_CFG)[0] \
+            + b * bandpass(rows_of(y), RATE, MI_CFG)[0]
         scale = np.abs(lhs).max()
         assert np.abs(lhs - rhs).max() < 1e-9 * max(scale, 1.0)
 
     def test_zero_phase_no_lag(self):
         x = tone(12.0, seconds=4.0)
-        out = bandpass(trial_of(x), MI_CFG).data[0]
+        out = bandpass(rows_of(x), RATE, MI_CFG)[0]
         trim = int(0.5 * RATE)
         corr = np.correlate(out[trim:-trim], x[trim:-trim], mode="full")
         lag = int(np.argmax(corr)) - (len(x) - 2 * trim - 1)
@@ -73,63 +72,61 @@ class TestBandpass:
 
     def test_nyquist_violation_rejected(self):
         with pytest.raises(DataError, match="Nyquist"):
-            bandpass(trial_of(tone(10.0, rate=50.0), rate=50.0), MI_CFG)
+            bandpass(rows_of(tone(10.0, rate=50.0)), 50.0, MI_CFG)
 
     def test_too_short_trial_rejected(self):
         with pytest.raises(DataError, match="too short"):
-            bandpass(trial_of(np.zeros(10)), MI_CFG)
+            bandpass(rows_of(np.zeros(10)), RATE, MI_CFG)
 
 
 class TestResample:
     def test_downsample_tone_preserves_amplitude(self):
         x = tone(10.0, rate=512.0, seconds=4.0)
-        out = resample(trial_of(x, rate=512.0), 256.0)
-        assert out.rate_hz == 256.0
-        assert out.n_samples == x.size // 2
-        interior = out.data[0, 128:-128]
+        out = resample(rows_of(x), 512.0, 256.0)
+        assert out.shape[1] == x.size // 2
+        interior = out[0, 128:-128]
         amp = fitted_amplitude(interior, 10.0, 256.0)
         assert abs(amp - 1.0) < 0.01
 
     def test_same_rate_is_identity(self, rng):
         x = rng.standard_normal(300)
-        out = resample(trial_of(x), RATE)
-        assert out.n_samples == 300
-        assert np.abs(out.data[0] - x).max() < 1e-6 * np.abs(x).max()
+        out = resample(rows_of(x), RATE, RATE)
+        assert out.shape[1] == 300
+        assert np.abs(out[0] - x).max() < 1e-6 * np.abs(x).max()
 
     def test_length_arithmetic(self):
-        out = resample(trial_of(np.zeros(1024)), 128.0)
-        assert out.n_samples == 512
-        assert out.rate_hz == 128.0
+        out = resample(rows_of(np.zeros(1024)), RATE, 128.0)
+        assert out.shape == (1, 512)
 
     def test_duration_preserved_within_one_sample(self, rng):
         x = rng.standard_normal(777)
-        out = resample(trial_of(x), 200.0)
+        out = resample(rows_of(x), RATE, 200.0)
         in_dur = 777 / RATE
-        out_dur = out.n_samples / 200.0
+        out_dur = out.shape[1] / 200.0
         assert abs(in_dur - out_dur) <= 1.0 / 200.0
 
     def test_bad_target_rate(self):
         with pytest.raises(DataError, match="positive"):
-            resample(trial_of(np.zeros(64)), 0.0)
+            resample(rows_of(np.zeros(64)), RATE, 0.0)
 
 
 class TestRescale:
     def test_volts_to_tenth_millivolt(self):
-        out = rescale(trial_of(np.array([50e-6])), 1e4)
-        assert out.data[0, 0] == pytest.approx(0.5)
+        out = rescale(rows_of(np.array([50e-6])), 1e4)
+        assert out[0, 0] == pytest.approx(0.5)
 
     def test_identity(self, rng):
         x = rng.standard_normal(16)
-        out = rescale(trial_of(x), 1.0)
-        assert np.array_equal(out.data[0], x)
+        out = rescale(rows_of(x), 1.0)
+        assert np.array_equal(out[0], x)
 
     def test_millivolt_scale(self):
-        out = rescale(trial_of(np.array([-0.02])), 10.0)
-        assert out.data[0, 0] == pytest.approx(-0.2)
+        out = rescale(rows_of(np.array([-0.02])), 10.0)
+        assert out[0, 0] == pytest.approx(-0.2)
 
     def test_negative_scale_rejected(self):
         with pytest.raises(DataError):
-            rescale(trial_of(np.zeros(4)), -1.0)
+            rescale(rows_of(np.zeros(4)), -1.0)
 
 
 class TestPreprocessDataset:
@@ -156,6 +153,53 @@ class TestPreprocessDataset:
         amp_fast = fitted_amplitude(trial.data[0, 128:-128].astype(np.float64), 10.0, 256.0)
         assert amp_fast > 0.9
         assert amp_slow < 0.35
+
+    @pytest.mark.parametrize("rate", [512.0, 250.0, 256.0])
+    @pytest.mark.parametrize("budget", [3 * 96, None])
+    def test_chunked_bytes_equal_per_trial_loop(self, tmp_path, monkeypatch, rng,
+                                                rate, budget):
+        # Two channel sets and two lengths, interleaved: runs of 1-4 equal
+        # lengths, so chunks break on length and, at the small budget (three
+        # 2-channel trials of 48 samples), on size too.
+        sets = (("C3", "CZ"), ("FC1", "C1", "CP1"))
+        lengths = (48, 48, 48, 48, 90, 48, 90, 90, 48, 48, 90, 48)
+        writer = DatasetWriter(out_dir=str(tmp_path / "raw"), name="mixed",
+                               task="mi", rate_hz=rate, class_names=("a", "b"),
+                               unit_scale=1e3)
+        for i, n in enumerate(lengths):
+            chans = sets[(i // 2) % 2]
+            writer.add_trial(1e-3 * rng.standard_normal((len(chans), n)), chans,
+                             i % 2, f"toy:s{i % 3}")
+        raw = writer.finish()
+        if budget is not None:
+            monkeypatch.setattr(preprocessing, "CHUNK_SAMPLES", budget)
+        chunks = list(preprocessing._chunks(raw))
+        assert max(len(c) for c in chunks) > 1
+        assert all(len({raw.trials[i].n_samples for i in c}) == 1 for c in chunks)
+        # 7 runs of equal length; the small budget splits some of them.
+        assert len(chunks) > 7 if budget is not None else len(chunks) == 7
+
+        cfg = PreprocessConfig(band_lo_hz=4.0, band_hi_hz=30.0, unit_scale=1e3)
+        out = preprocess_dataset(raw, cfg, str(tmp_path / "out"))
+        assert out.rate_hz == cfg.target_rate_hz and len(out.trials) == len(lengths)
+        for i, (rec, got) in enumerate(zip(raw.trials, out.trials)):
+            trial = load_trial(raw, i)
+            x = bandpass(trial.data, rate, cfg)
+            x = resample(x, rate, cfg.target_rate_hz)
+            x = rescale(x, cfg.unit_scale)
+            want = np.ascontiguousarray(x, dtype="<f4").tobytes()
+            assert (tmp_path / "out" / got.path).read_bytes() == want, f"trial {i}"
+            assert out.channels_of(got) == raw.channels_of(rec)
+            assert (got.label, got.domain_id) == (rec.label, rec.domain_id)
+
+    def test_short_trial_mid_dataset_rejected(self, tmp_path):
+        data = [np.zeros((3, n)) for n in (64, 64, 10, 64)]
+        writer = DatasetWriter(out_dir=str(tmp_path / "raw"), name="short", task="mi",
+                               rate_hz=RATE, class_names=("a", "b"))
+        for i, x in enumerate(data):
+            writer.add_trial(x, ("C3", "CZ", "C4"), i % 2, "toy:s0")
+        with pytest.raises(DataError, match="too short"):
+            preprocess_dataset(writer.finish(), MI_CFG, str(tmp_path / "out"))
 
     def test_empty_dataset_ok(self, tmp_path):
         write_toy_dataset(tmp_path / "raw", n_trials=0)
