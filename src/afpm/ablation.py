@@ -20,7 +20,7 @@ from .alignment import align_dataset
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate_arrays, positive_class_index, primary_metric
 from .model import init_model
-from .pipeline import active_rms_scale, require_task, stack_aligned
+from .pipeline import require_task, stack_aligned, stacked_model_config
 from .training import TrainResult, train
 
 VARIANTS = ("FULL", "NO_SELECT", "NO_EA", "NO_MAP", "NO_FPE")
@@ -93,17 +93,7 @@ def run_variant(variant: str, plan: AblationPlan,
     n_train = sum(len(m.trials) for m in aligned_train)
     x_tr, y_tr = x_all[:n_train], y_all[:n_train]
 
-    if layout["mapped"]:
-        channels = layout["template_channels"]
-        t_len = layout["template_len"]
-    else:
-        channels = tuple(f"ROW{i:02d}" for i in range(x_all.shape[1]))
-        t_len = layout["template_len"]
-    model_cfg = replace(
-        cfg.model_config(per_channel_patches=stages["per_channel"]),
-        template_channels=tuple(channels), template_len=int(t_len),
-        input_scale=active_rms_scale(x_tr),
-    )
+    model_cfg = stacked_model_config(cfg, x_tr, layout, stages["per_channel"])
     model = init_model(model_cfg, seed=plan.seed)
     train_cfg = replace(cfg.train, seed=plan.seed)
     result = train(x_tr, y_tr, model, train_cfg)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import (
-    DatasetManifest, DatasetWriter, DomainGroup, EEGTrial, TaskTemplateSpec,
+    DatasetManifest, DatasetWriter, EEGTrial, TaskTemplateSpec, atomic_open,
     group_by_domain, load_all_trials, task_template,
 )
 from .errors import DataError, NumericError
@@ -46,25 +46,6 @@ class SelectedTrial:
     @property
     def n_samples(self) -> int:
         return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class AlignmentMatrix:
-    """Domain-mean covariance and its inverse square root."""
-
-    r_bar: np.ndarray
-    r_inv_sqrt: np.ndarray
-    domain_id: str
-    d_count: int
-
-
-@dataclass(frozen=True)
-class TemplateInput:
-    """Zero-padded model input: template channels x template length."""
-
-    x_tem: np.ndarray
-    label: int
-    domain_id: str
 
 
 def select_channels(trial: EEGTrial, spec: TaskTemplateSpec,
@@ -141,12 +122,13 @@ def inv_sqrt_psd(r_bar: np.ndarray, eps_rel: float = EPS_REL_DEFAULT) -> np.ndar
     return (evecs * (evals ** -0.5)) @ evecs.T
 
 
-def align_domain(group: list[SelectedTrial] | DomainGroup,
-                 eps_rel: float = EPS_REL_DEFAULT
-                 ) -> tuple[list[SelectedTrial], AlignmentMatrix]:
-    """Whiten every trial of one domain by the shared inverse-sqrt covariance."""
-    if isinstance(group, DomainGroup):
-        raise TypeError("align_domain expects channel-selected trials")
+def align_domain(group: list[SelectedTrial], eps_rel: float = EPS_REL_DEFAULT
+                 ) -> tuple[list[SelectedTrial], tuple[np.ndarray, np.ndarray]]:
+    """Whiten every trial of one domain by the shared inverse-sqrt covariance.
+
+    Returns the aligned trials and ``(r_bar, r_inv_sqrt)``: the domain-mean
+    covariance and its inverse square root.
+    """
     if not group:
         raise DataError("empty trial group")
     domain_id = group[0].domain_id
@@ -162,12 +144,10 @@ def align_domain(group: list[SelectedTrial] | DomainGroup,
                       domain_id=t.domain_id, label=t.label)
         for t in group
     ]
-    stats = AlignmentMatrix(r_bar=r_bar, r_inv_sqrt=w,
-                            domain_id=domain_id, d_count=len(group))
-    return aligned, stats
+    return aligned, (r_bar, w)
 
 
-def map_to_template(aligned: SelectedTrial, spec: TaskTemplateSpec) -> TemplateInput:
+def map_to_template(aligned: SelectedTrial, spec: TaskTemplateSpec) -> np.ndarray:
     """Write aligned rows into their template rows; everything else stays zero."""
     t = aligned.n_samples
     if t > spec.template_len:
@@ -177,7 +157,7 @@ def map_to_template(aligned: SelectedTrial, spec: TaskTemplateSpec) -> TemplateI
     x_tem = np.zeros((spec.n_channels, spec.template_len), dtype=np.float64)
     for local, (_, row) in enumerate(aligned.selected):
         x_tem[row, :t] = aligned.data[local]
-    return TemplateInput(x_tem=x_tem, label=aligned.label, domain_id=aligned.domain_id)
+    return x_tem
 
 
 def _array_digest(arrays) -> str:
@@ -234,20 +214,20 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
     for domain_id in sorted(selected_by_domain):
         sel = selected_by_domain[domain_id]
         if ea:
-            aligned, stats = align_domain(sel, eps_rel=eps_rel)
+            aligned, (r_bar, r_inv_sqrt) = align_domain(sel, eps_rel=eps_rel)
             doc = {
                 "domain_id": domain_id,
-                "d_count": stats.d_count,
-                "n_channels": int(stats.r_bar.shape[0]),
+                "d_count": len(sel),
+                "n_channels": int(r_bar.shape[0]),
                 "channels": [ch for ch, _ in sel[0].selected],
-                "r_bar": stats.r_bar.tolist(),
-                "r_inv_sqrt": stats.r_inv_sqrt.tolist(),
+                "r_bar": r_bar.tolist(),
+                "r_inv_sqrt": r_inv_sqrt.tolist(),
             }
         else:
             aligned = sel
             doc = {"domain_id": domain_id, "d_count": len(sel), "skipped": True}
         fname = hashlib.sha256(domain_id.encode()).hexdigest()[:16] + ".json"
-        with open(os.path.join(stats_dir, fname), "w", encoding="utf-8") as f:
+        with atomic_open(os.path.join(stats_dir, fname)) as f:
             json.dump(doc, f, indent=1, sort_keys=True)
         aligned_by_domain[domain_id] = aligned
     stage_hashes["aligned"] = _array_digest(
@@ -266,16 +246,16 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
         },
     )
     # Preserve the manifest's trial order on disk: within-domain order is
-    # stable, so re-interleave by popping from each domain's queue.
-    queues = {d: list(ts) for d, ts in aligned_by_domain.items()}
-    ordered = [queues[t.domain_id].pop(0) for t in trials]
+    # stable, so re-interleave by drawing from each domain's trials in turn.
+    runs = {d: iter(ts) for d, ts in aligned_by_domain.items()}
+    ordered = [next(runs[t.domain_id]) for t in trials]
 
     mapped_hash_parts = []
     for t in ordered:
         if mapping:
-            tem = map_to_template(t, spec)
-            writer.add_trial(tem.x_tem, spec.target_channels, tem.label, tem.domain_id)
-            mapped_hash_parts.append(tem.x_tem)
+            x_tem = map_to_template(t, spec)
+            writer.add_trial(x_tem, spec.target_channels, t.label, t.domain_id)
+            mapped_hash_parts.append(x_tem)
         else:
             writer.add_trial(t.data, [ch for ch, _ in t.selected], t.label, t.domain_id)
             mapped_hash_parts.append(t.data)

@@ -254,31 +254,17 @@ def _cmd_align(args) -> int:
 
 def _cmd_train(args) -> int:
     from .config import echo_config, resolve_config
-    from .data_model import load_manifest
+    from .data_model import atomic_open, load_manifest
     from .model import init_model, save_checkpoint
-    from .pipeline import active_rms_scale, require_task, stack_aligned
+    from .pipeline import require_task, stack_aligned, stacked_model_config
     from .training import train
-    from dataclasses import replace
 
     cfg = resolve_config(args.task, args.config, _overrides_from(args),
                          seed=args.seed, threads=args.threads)
     manifests = [load_manifest(_data_path(p)) for p in args.data]
     require_task(manifests, cfg.task)
     x, y, _, layout = stack_aligned(manifests)
-    if layout["mapped"]:
-        model_cfg = replace(
-            cfg.model_config(per_channel_patches=args.per_channel_patches),
-            template_channels=tuple(layout["template_channels"]),
-            template_len=int(layout["template_len"]),
-            input_scale=active_rms_scale(x),
-        )
-    else:
-        model_cfg = replace(
-            cfg.model_config(per_channel_patches=args.per_channel_patches),
-            template_channels=tuple(f"ROW{i:02d}" for i in range(x.shape[1])),
-            template_len=int(x.shape[2]),
-            input_scale=active_rms_scale(x),
-        )
+    model_cfg = stacked_model_config(cfg, x, layout, args.per_channel_patches)
     model = init_model(model_cfg, seed=cfg.seed)
 
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
@@ -299,7 +285,7 @@ def _cmd_train(args) -> int:
                     opt_state=result.opt_state.as_dict(),
                     extra={"task": cfg.task, "diverged": result.diverged,
                            "n_train_trials": int(x.shape[0])})
-    with open(os.path.join(out_dir, "history.csv"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(out_dir, "history.csv")) as f:
         f.write(result.history_csv())
     echo_config(cfg, out_dir, "train", _public_args(args))
     final = result.history[-1]["loss"] if result.history else float("nan")
@@ -308,7 +294,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .data_model import load_manifest
+    from .data_model import atomic_open, load_manifest
     from .errors import ConfigError
     from .evaluation import evaluate_dataset
     from .model import load_checkpoint
@@ -327,9 +313,9 @@ def _cmd_eval(args) -> int:
     print(doc)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as f:
+        with atomic_open(os.path.join(args.out, "report.json")) as f:
             f.write(doc + "\n")
-        with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as f:
+        with atomic_open(os.path.join(args.out, "report.txt")) as f:
             f.write(report.table() + "\n")
     return EXIT_OK
 
@@ -337,6 +323,7 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     from .ablation import (AblationPlan, VARIANTS, ablation_csv, run_ablation)
     from .config import echo_config, resolve_config
+    from .data_model import atomic_open
 
     cfg = resolve_config(args.task, args.config, _overrides_from(args),
                          seed=args.seed, threads=args.threads)
@@ -350,13 +337,13 @@ def _cmd_ablate(args) -> int:
                            os.path.join(args.out, "work"))
     os.makedirs(args.out, exist_ok=True)
     csv = ablation_csv(results, args.task)
-    with open(os.path.join(args.out, "ablation.csv"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(args.out, "ablation.csv")) as f:
         f.write(csv)
     table = {
         variant: {name: rep.to_dict() for name, rep in res.reports.items()}
         for variant, res in results.items()
     }
-    with open(os.path.join(args.out, "ablation.json"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(args.out, "ablation.json")) as f:
         json.dump(table, f, indent=1, sort_keys=True)
         f.write("\n")
     echo_config(cfg, args.out, "ablate", _public_args(args))
@@ -368,7 +355,7 @@ def _cmd_finetune(args) -> int:
     import numpy as np
 
     from .config import echo_config, resolve_config
-    from .data_model import load_manifest
+    from .data_model import atomic_open, load_manifest
     from .evaluation import (
         compute_metrics, positive_class_index, subject_of, task_metrics,
     )
@@ -414,7 +401,7 @@ def _cmd_finetune(args) -> int:
                        for m in task_metrics(task)},
     }
     doc = json.dumps(summary, indent=1, sort_keys=True)
-    with open(os.path.join(args.out, "finetune.json"), "w", encoding="utf-8") as f:
+    with atomic_open(os.path.join(args.out, "finetune.json")) as f:
         f.write(doc + "\n")
     echo_config(cfg, args.out, "finetune", _public_args(args))
     print(doc)

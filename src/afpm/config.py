@@ -13,7 +13,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 
-from .data_model import TaskTemplateSpec, task_template
+from .data_model import TaskTemplateSpec, atomic_open, task_template
 from .errors import ConfigError
 from .model import FPEConfig, ModelConfig, TransformerConfig
 from .preprocessing import PreprocessConfig
@@ -180,7 +180,7 @@ def echo_config(cfg: RunConfig, out_dir: str, command: str, args: dict) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "run_config.json")
     doc = {"command": command, "args": args, "resolved": cfg.to_dict()}
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_open(path) as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
     return path

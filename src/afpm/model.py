@@ -1,18 +1,18 @@
 """Frame-patch encoder and transformer classifier: forward ops, analytic backward, checkpoints.
 
-The forward chain for one template input [M x T']:
+The forward chain for a batch of template inputs [B x M x T']:
 
     patches (G windows over all channels, flattened channel-major)
     -> shared two-layer MLP to per-patch embeddings (length L)
-    -> sliding-window averaging (P window, h shift) to K embeddings
+    -> sliding-window averaging (P window, h shift) to K embeddings, one
+       product with a K x G window matrix
     -> projection to token width L', class token, positional embeddings
     -> pre-norm transformer encoder (depth blocks)
     -> final layer norm, linear head on the class token.
 
 Everything is plain numpy in the parameter dtype (float32 for training,
 float64 for gradient checks). ``forward_cached``/``backward_cached`` are the
-batched core used by the training loop; the public per-sample operations wrap
-the same code paths.
+one batched path; ``forward`` wraps it for a single template or a batch.
 """
 
 from __future__ import annotations
@@ -214,24 +214,16 @@ def decayed_param(name: str, arr: np.ndarray) -> bool:
 # forward pieces
 
 
-def extract_patches(x_tem: np.ndarray, cfg: FPEConfig,
+def extract_patches(x: np.ndarray, cfg: FPEConfig,
                     per_channel: bool = False) -> np.ndarray:
-    """Slice a template [M x T'] into G flattened frame windows.
+    """Slice templates [B x M x T'] into G flattened frame windows each.
 
     Window g (0-based) covers columns [g*d, g*d + m); columns beyond T'-1 read
     as zero. Standard mode flattens all channels of a window channel-major
-    into one row of length M*m; per-channel mode yields M*G rows of length m,
-    ordered channel-major (all windows of channel 0 first).
+    into one row of length M*m ([B x G x M*m]); per-channel mode yields M*G
+    rows of length m, ordered channel-major: all windows of channel 0 first
+    ([B x M*G x m]).
     """
-    x_tem = np.asarray(x_tem)
-    if x_tem.ndim != 2:
-        raise DataError(f"template input must be 2-D, got shape {x_tem.shape}")
-    out = _extract_patches_batch(x_tem[None], cfg, per_channel)
-    return out[0]
-
-
-def _extract_patches_batch(x: np.ndarray, cfg: FPEConfig,
-                           per_channel: bool) -> np.ndarray:
     b, m, t_prime = x.shape
     g = patch_count(t_prime, cfg.frame_stride)
     span = (g - 1) * cfg.frame_stride + cfg.frame_window
@@ -244,46 +236,40 @@ def _extract_patches_batch(x: np.ndarray, cfg: FPEConfig,
     return windows.transpose(0, 2, 1, 3).reshape(b, g, m * cfg.frame_window)
 
 
-def embed_patches(patches: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Apply the shared patch MLP (affine -> GELU -> affine) to each patch row."""
-    patches = np.asarray(patches, dtype=params["patch.w1"].dtype)
-    if patches.shape[-1] != params["patch.w1"].shape[0]:
-        raise DataError(
-            f"patch length {patches.shape[-1]} does not match MLP input "
-            f"{params['patch.w1'].shape[0]}"
-        )
-    h1 = patches @ params["patch.w1"] + params["patch.b1"]
-    return gelu(h1) @ params["patch.w2"] + params["patch.b2"]
+def window_matrix(n_patches: int, window: int, shift: int,
+                  dtype=np.float64) -> np.ndarray:
+    """K x G 0/1 matrix whose row j marks embeddings [j*h, j*h + P).
+
+    Window averaging is ``(W @ e) / P`` and its gradient ``W.T @ (d / P)``.
+    Dividing outside the product, not putting 1/P in W, rounds as a sum
+    followed by one division, as the mean over a window does.
+    """
+    k = averaged_count(n_patches, window, shift)
+    start = shift * np.arange(k)[:, None]
+    col = np.arange(n_patches)
+    return ((col >= start) & (col < start + window)).astype(dtype)
 
 
-def average_embeddings(e: np.ndarray, window: int, shift: int) -> np.ndarray:
-    """Mean-pool windows of ``window`` adjacent embeddings every ``shift`` steps."""
-    e = np.asarray(e)
-    n = e.shape[-2]
-    k = averaged_count(n, window, shift)
-    out = np.empty(e.shape[:-2] + (k, e.shape[-1]), dtype=e.dtype)
-    for j in range(k):
-        out[..., j, :] = e[..., j * shift:j * shift + window, :].mean(axis=-2)
-    return out
+def _window_map(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``mat`` [R x N] applied to each run of N rows of ``v`` [B x c*N x L].
+
+    Standard patches form one run; per-channel patches one run per channel.
+    """
+    b, rows, width = v.shape
+    n = mat.shape[1]
+    return (mat @ v.reshape(b, rows // n, n, width)).reshape(b, -1, width)
 
 
 def assemble_tokens(tilde_e: np.ndarray, params: dict[str, np.ndarray]) -> np.ndarray:
-    """Project embeddings to token width, prepend the class token, add positions."""
-    tilde_e = np.asarray(tilde_e, dtype=params["proj.e0"].dtype)
+    """Project embeddings [B x K x L] to token width, prepend the class token, add positions."""
     pos = params["pos"]
-    k = tilde_e.shape[-2]
+    b, k, _ = tilde_e.shape
     if k + 1 != pos.shape[0]:
         raise DataError(
             f"{k} embeddings do not fit positional table with {pos.shape[0]} rows"
         )
-    tok = tilde_e @ params["proj.e0"]
-    if tilde_e.ndim == 2:
-        rows = np.concatenate([params["cls"][None, :], tok], axis=0)
-    else:
-        b = tilde_e.shape[0]
-        cls = np.broadcast_to(params["cls"], (b, 1, pos.shape[1]))
-        rows = np.concatenate([cls, tok], axis=1)
-    return rows + pos
+    cls = np.broadcast_to(params["cls"], (b, 1, pos.shape[1]))
+    return np.concatenate([cls, tilde_e @ params["proj.e0"]], axis=1) + pos
 
 
 def _layernorm(x, g, b):
@@ -362,9 +348,8 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
     grads[f"{prefix}.mlp.w1"] = _weight_grad(u2, dm1)
     grads[f"{prefix}.mlp.b1"] = dm1.sum(axis=(0, 1))
     du2 = dm1 @ p[f"{prefix}.mlp.w1"].T
-    dx1_ln, dg, db = _layernorm_backward(du2, c["ln2c"], p[f"{prefix}.ln2.g"])
-    grads[f"{prefix}.ln2.g"] = dg
-    grads[f"{prefix}.ln2.b"] = db
+    dx1_ln, grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"] = _layernorm_backward(
+        du2, c["ln2c"], p[f"{prefix}.ln2.g"])
     dx1 = dx2 + dx1_ln
 
     # attention sub-block
@@ -386,31 +371,9 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
     grads[f"{prefix}.attn.bv"] = dv_m.sum(axis=(0, 1))
     du = dq_m @ p[f"{prefix}.attn.wq"].T + dk_m @ p[f"{prefix}.attn.wk"].T \
         + dv_m @ p[f"{prefix}.attn.wv"].T
-    dx_ln, dg, db = _layernorm_backward(du, c["ln1c"], p[f"{prefix}.ln1.g"])
-    grads[f"{prefix}.ln1.g"] = dg
-    grads[f"{prefix}.ln1.b"] = db
+    dx_ln, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = _layernorm_backward(
+        du, c["ln1c"], p[f"{prefix}.ln1.g"])
     return dx1 + dx_ln
-
-
-def transformer_forward(tokens: np.ndarray, params: dict[str, np.ndarray],
-                        t_cfg: TransformerConfig) -> np.ndarray:
-    """Pre-norm encoder stack. The optional final norm is applied by ``forward``,
-    not here, so zeroed output projections make this an exact identity."""
-    tokens = np.asarray(tokens, dtype=params["head.w"].dtype)
-    single = tokens.ndim == 2
-    x = tokens[None] if single else tokens
-    for i in range(t_cfg.depth):
-        x = _block_forward(x, params, f"block{i}", t_cfg, cache=None)
-        if not np.all(np.isfinite(x)):
-            raise NumericError(f"non-finite activations after transformer block {i}")
-    return x[0] if single else x
-
-
-def classify(contextualized: np.ndarray, head_w: np.ndarray) -> np.ndarray:
-    """Linear head on the class-token row (row 0)."""
-    contextualized = np.asarray(contextualized)
-    cls_out = contextualized[..., 0, :]
-    return cls_out @ head_w
 
 
 def forward(x_tem: np.ndarray, model: Model) -> np.ndarray:
@@ -434,21 +397,17 @@ def forward_cached(x_batch: np.ndarray, model: Model,
     if cfg.input_scale != 1.0:
         x = x * np.asarray(cfg.input_scale, dtype=model.dtype)
     f = cfg.fpe
-    patches = _extract_patches_batch(x, f, cfg.per_channel_patches)
+    patches = extract_patches(x, f, cfg.per_channel_patches)
     h1 = patches @ p["patch.w1"] + p["patch.b1"]
     a1 = gelu(h1)
     e = a1 @ p["patch.w2"] + p["patch.b2"]
-    if cfg.per_channel_patches:
-        b = x.shape[0]
-        dims = model_dims(cfg)
-        e_win = e.reshape(b, cfg.n_channels, dims.n_patches, f.embed_dim)
-        tilde = average_embeddings(e_win, f.avg_window, f.avg_shift)
-        tilde = tilde.reshape(b, dims.n_seq, f.embed_dim)
-    else:
-        tilde = average_embeddings(e, f.avg_window, f.avg_shift)
+    win = window_matrix(model_dims(cfg).n_patches, f.avg_window, f.avg_shift,
+                        dtype=model.dtype)
+    tilde = _window_map(win, e) / f.avg_window
     tokens = assemble_tokens(tilde, p)
 
-    cache: dict = {"patches": patches, "h1": h1, "a1": a1, "tilde": tilde} if want_cache else {}
+    cache: dict = ({"patches": patches, "h1": h1, "a1": a1, "win": win, "tilde": tilde}
+                   if want_cache else {})
     xs = tokens
     for i in range(cfg.transformer.depth):
         xs = _block_forward(xs, p, f"block{i}", cfg.transformer,
@@ -470,22 +429,14 @@ def backward_cached(dlogits: np.ndarray, model: Model,
                     cache: dict) -> dict[str, np.ndarray]:
     """Gradients of every parameter given d(loss)/d(logits) for the cached batch."""
     cfg, p = model.cfg, model.params
-    f = cfg.fpe
     grads: dict[str, np.ndarray] = {}
 
     grads["head.w"] = cache["normed_cls"].T @ dlogits
-    dcls_out = dlogits @ p["head.w"].T
-
-    xs = cache["x_blocks_out"]
-    dxs = np.zeros_like(xs)
+    dxs = np.zeros_like(cache["x_blocks_out"])
+    dxs[:, 0, :] = dlogits @ p["head.w"].T
     if cfg.transformer.final_norm:
-        dnormed = np.zeros_like(xs)
-        dnormed[:, 0, :] = dcls_out
-        dxs, dg, db = _layernorm_backward(dnormed, cache["final_lnc"], p["final_ln.g"])
-        grads["final_ln.g"] = dg
-        grads["final_ln.b"] = db
-    else:
-        dxs[:, 0, :] = dcls_out
+        dxs, grads["final_ln.g"], grads["final_ln.b"] = _layernorm_backward(
+            dxs, cache["final_lnc"], p["final_ln.g"])
 
     for i in reversed(range(cfg.transformer.depth)):
         dxs = _block_backward(dxs, p, f"block{i}", cfg.transformer,
@@ -495,26 +446,11 @@ def backward_cached(dlogits: np.ndarray, model: Model,
     grads["pos"] = dxs.sum(axis=0)
     grads["cls"] = dxs[:, 0, :].sum(axis=0)
     dtok = dxs[:, 1:, :]
-    tilde = cache["tilde"]
-    grads["proj.e0"] = _weight_grad(tilde, dtok)
+    grads["proj.e0"] = _weight_grad(cache["tilde"], dtok)
     dtilde = dtok @ p["proj.e0"].T
 
-    # averaging (scatter the window means back to embeddings)
-    dims = model_dims(cfg)
-    b = dtilde.shape[0]
-    if cfg.per_channel_patches:
-        dtilde_w = dtilde.reshape(b, cfg.n_channels, dims.n_avg, f.embed_dim)
-        de_w = np.zeros((b, cfg.n_channels, dims.n_patches, f.embed_dim),
-                        dtype=dtilde.dtype)
-        for j in range(dims.n_avg):
-            de_w[:, :, j * f.avg_shift:j * f.avg_shift + f.avg_window, :] += \
-                dtilde_w[:, :, j:j + 1, :] / f.avg_window
-        de = de_w.reshape(b, cfg.n_channels * dims.n_patches, f.embed_dim)
-    else:
-        de = np.zeros((b, dims.n_patches, f.embed_dim), dtype=dtilde.dtype)
-        for j in range(dims.n_avg):
-            de[:, j * f.avg_shift:j * f.avg_shift + f.avg_window, :] += \
-                dtilde[:, j:j + 1, :] / f.avg_window
+    # averaging: scatter each window's gradient back onto its embeddings
+    de = _window_map(cache["win"].T, dtilde / cfg.fpe.avg_window)
 
     # patch MLP
     a1, h1, patches = cache["a1"], cache["h1"], cache["patches"]
@@ -635,17 +571,21 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None, dict]:
             f"checkpoint payload size mismatch: {len(blob)} bytes, "
             f"expected {4 * sum(counts)}"
         )
+    finite = np.isfinite(np.frombuffer(blob, dtype="<f4"))
+    if not finite.all():
+        bad = header["entries"][np.searchsorted(np.cumsum(counts), np.argmin(finite), "right")]
+        raise DataError(f"checkpoint {bad['kind']} tensor {bad['name']!r} in {path} is not finite")
     offset = 0
     for entry, shape, count in zip(header["entries"], shapes, counts):
+        name, kind = entry["name"], entry["kind"]
+        if kind != "param" and opt_state is None:
+            raise DataError("optimizer payload present without opt header")
+        target = params if kind == "param" else opt_state[kind]
+        if name in target:
+            raise DataError(f"checkpoint {path} lists {kind} tensor {name!r} twice")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
-        arr = arr.reshape(shape).copy()
-        if entry["kind"] == "param":
-            params[entry["name"]] = arr
-        else:
-            if opt_state is None:
-                raise DataError("optimizer payload present without opt header")
-            opt_state[entry["kind"]][entry["name"]] = arr
+        target[name] = arr.reshape(shape).copy()
     expected = param_shapes(cfg)
     if set(params.keys()) != set(expected):
         raise DataError("checkpoint parameter set does not match its config")

@@ -8,10 +8,14 @@ collection, original row order preserved.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from .config import RunConfig
 from .data_model import DatasetManifest, load_trial
 from .errors import DataError
+from .model import ModelConfig
 
 
 def require_task(manifests: list[DatasetManifest], task: str) -> None:
@@ -88,3 +92,19 @@ def active_rms_scale(x: np.ndarray) -> float:
         return 1.0
     rms = float(np.sqrt(np.mean(active.astype(np.float64) ** 2)))
     return 1.0 / rms if rms > 0 else 1.0
+
+
+def stacked_model_config(cfg: RunConfig, x_train: np.ndarray, layout: dict,
+                         per_channel: bool) -> ModelConfig:
+    """Model configuration for training trials stacked by ``stack_aligned``.
+
+    Mapped data keeps the template's channel names; unmapped rows are named
+    ``ROW00``, ``ROW01``, ... The input scale is measured on ``x_train``.
+    """
+    if layout["mapped"]:
+        channels = tuple(layout["template_channels"])
+    else:
+        channels = tuple(f"ROW{i:02d}" for i in range(x_train.shape[1]))
+    return replace(cfg.model_config(per_channel_patches=per_channel),
+                   template_channels=channels, template_len=int(layout["template_len"]),
+                   input_scale=active_rms_scale(x_train))

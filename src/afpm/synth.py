@@ -316,14 +316,3 @@ def generate_dataset(spec: SynthSpec, seed: int, out_dir: str) -> DatasetManifes
             writer.add_trial(transform @ x, channels, int(labels[i]), domain_id)
     return writer.finish()
 
-
-def gen_mi_dataset(spec: SynthSpec, seed: int, out_dir: str) -> DatasetManifest:
-    if spec.task != "mi":
-        raise ConfigError("gen_mi_dataset needs an MI spec")
-    return generate_dataset(spec, seed, out_dir)
-
-
-def gen_erp_dataset(spec: SynthSpec, seed: int, out_dir: str) -> DatasetManifest:
-    if spec.task != "erp":
-        raise ConfigError("gen_erp_dataset needs an ERP spec")
-    return generate_dataset(spec, seed, out_dir)

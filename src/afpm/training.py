@@ -46,22 +46,6 @@ class TrainConfig:
             raise ConfigError("betas must lie in [0, 1)")
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
-    """Stabilized softmax cross-entropy for one logit vector.
-
-    Returns the loss and its gradient w.r.t. the logits.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[-1]:
-        raise DataError(f"label {label} out of range for {logits.shape[-1]} classes")
-    z = logits - logits.max()
-    lse = math.log(np.exp(z).sum())
-    loss = lse - z[label]
-    grad = np.exp(z - lse)
-    grad[label] -= 1.0
-    return float(loss), grad
-
-
 def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray
                         ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over a batch and d(mean loss)/d(logits)."""

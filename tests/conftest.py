@@ -35,14 +35,14 @@ def random_spd(rng, n, scale=1.0):
 
 
 class FailingWriter:
-    """File stand-in whose second write raises, as a crash mid-write would."""
+    """File stand-in whose ``fail_at``-th write raises, as a crash mid-write would."""
 
-    def __init__(self, fh):
-        self.fh, self.writes = fh, 0
+    def __init__(self, fh, fail_at=2):
+        self.fh, self.writes, self.fail_at = fh, 0, fail_at
 
     def write(self, data):
         self.writes += 1
-        if self.writes > 1:
+        if self.writes >= self.fail_at:
             raise OSError("simulated crash mid-write")
         return self.fh.write(data)
 
@@ -53,12 +53,12 @@ class FailingWriter:
         self.fh.close()
 
 
-def fail_writes_in(monkeypatch, *modules):
-    """Make every file a module opens for writing fail on its second write."""
+def fail_writes_in(monkeypatch, *modules, fail_at=2):
+    """Make every file a module opens for writing fail on its ``fail_at``-th write."""
     real_open = builtins.open
 
     def failing_open(path, mode="r", *args, **kwargs):
         fh = real_open(path, mode, *args, **kwargs)
-        return FailingWriter(fh) if "w" in mode else fh
+        return FailingWriter(fh, fail_at) if "w" in mode else fh
     for module in modules:
         monkeypatch.setattr(module, "open", failing_open, raising=False)

@@ -21,8 +21,8 @@ from afpm.config import resolve_config
 from afpm.data_model import MI_TEMPLATE_CHANNELS, load_all_trials
 from afpm.evaluation import auc_pr, auroc, balanced_accuracy, cohens_kappa
 from afpm.model import (FPEConfig, Model, ModelConfig, TransformerConfig,
-                        average_embeddings, extract_patches, forward,
-                        init_model, patch_count)
+                        extract_patches, forward,
+                        init_model, patch_count, window_matrix)
 from afpm.preprocessing import default_config, preprocess_dataset
 from afpm.synth import (ERP_EVAL_SUBSETS, ERP_TRAIN_SUBSETS, MI_EVAL_SUBSETS,
                         MI_TRAIN_SUBSETS, SynthSpec, generate_dataset,
@@ -156,7 +156,7 @@ def test_criterion_4_index_formulas(rng):
         x = rng.standard_normal((n_ch, t_prime))
         fpe = FPEConfig(embed_dim=1, frame_window=m, frame_stride=d, avg_window=p,
                         avg_shift=h, token_dim=1, mlp_hidden=1)
-        patches = extract_patches(x, fpe)
+        patches = extract_patches(x[None], fpe)[0]
         assert patches.shape == (g_formula, n_ch * m)
         padded = np.zeros((n_ch, (g_formula - 1) * d + m))
         padded[:, :t_prime] = x
@@ -164,7 +164,7 @@ def test_criterion_4_index_formulas(rng):
         manual = padded[:, g_probe * d:g_probe * d + m].reshape(-1)
         assert np.array_equal(patches[g_probe], manual)
         e = rng.standard_normal((g_formula, 2))
-        assert average_embeddings(e, p, h).shape == (k_formula, 2)
+        assert (window_matrix(g_formula, p, h) @ e).shape == (k_formula, 2)
         checked += 1
     report("criterion 4 (index formulas)", checked >= 600,
            f"G and K formulas match exhaustive enumeration on {checked} "

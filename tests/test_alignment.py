@@ -106,16 +106,17 @@ class TestInvSqrtPsd:
 class TestAlignDomain:
     def test_single_trial_whitens_exactly(self, rng):
         x = rng.standard_normal((3, 64))
-        aligned, stats = align_domain([selected_of(x)])
+        aligned, _ = align_domain([selected_of(x)])
         w = aligned[0].data
         assert np.linalg.norm(w @ w.T - np.eye(3), "fro") < 1e-8
 
     def test_mean_aligned_covariance_is_identity(self, rng):
         group = [selected_of(rng.standard_normal((4, 128))) for _ in range(6)]
-        aligned, stats = align_domain(group)
+        aligned, (r_bar, r_inv_sqrt) = align_domain(group)
         acc = sum(t.data @ t.data.T for t in aligned) / len(aligned)
         assert np.linalg.norm(acc - np.eye(4), "fro") < 1e-8
-        assert stats.d_count == 6
+        assert np.array_equal(r_bar, mean_covariance(group))
+        assert np.linalg.norm(r_inv_sqrt @ r_bar @ r_inv_sqrt - np.eye(4), "fro") < 1e-8
 
     def test_zero_trials_rejected(self):
         with pytest.raises(NumericError):
@@ -152,10 +153,10 @@ class TestMapToTemplate:
             selected=(("FC3", 0), ("FCZ", 2)), domain_id="d", label=1,
         )
         out = map_to_template(sel, spec)
-        assert out.x_tem.shape == (3, 4)
-        assert np.array_equal(out.x_tem[0], [1.0, 2.0, 0.0, 0.0])
-        assert np.array_equal(out.x_tem[1], np.zeros(4))  # FC1 absent
-        assert np.array_equal(out.x_tem[2], [3.0, 4.0, 0.0, 0.0])
+        assert out.shape == (3, 4)
+        assert np.array_equal(out[0], [1.0, 2.0, 0.0, 0.0])
+        assert np.array_equal(out[1], np.zeros(4))  # FC1 absent
+        assert np.array_equal(out[2], [3.0, 4.0, 0.0, 0.0])
 
     def test_full_set_full_length_no_padding(self, rng):
         spec = TaskTemplateSpec("mi", ("C3", "C4"), 8)
@@ -163,7 +164,7 @@ class TestMapToTemplate:
         sel = SelectedTrial(data=x, selected=(("C3", 0), ("C4", 1)),
                             domain_id="d", label=0)
         out = map_to_template(sel, spec)
-        assert np.array_equal(out.x_tem, x)
+        assert np.array_equal(out, x)
 
     def test_too_long_trial_rejected(self):
         spec = TaskTemplateSpec("mi", ("C3",), 4)
@@ -178,7 +179,7 @@ class TestMapToTemplate:
         sel = SelectedTrial(data=x, selected=(("C3", 0), ("C4", 2)),
                             domain_id="d", label=0)
         out = map_to_template(sel, spec)
-        assert np.count_nonzero(out.x_tem) <= 2 * 6
+        assert np.count_nonzero(out) <= 2 * 6
 
 
 class TestAlignDataset:

@@ -1,10 +1,17 @@
 import json
+import math
+import struct
 
 import pytest
 
+import afpm.cli
+import afpm.config
+import afpm.data_model
 from afpm.cli import EXIT_CONFIG, EXIT_DATA, main
-from afpm.config import load_config_file, resolve_config
+from afpm.config import echo_config, load_config_file, resolve_config
 from afpm.errors import ConfigError
+
+from conftest import fail_writes_in
 
 
 class TestResolveConfig:
@@ -139,7 +146,14 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
         return blob[:-10]
     header_line, payload = blob.split(b"\n", 1)
     header = json.loads(header_line)
-    if defect == "list":
+    if defect == "nan":
+        payload = struct.pack("<f", math.nan) + payload[4:]
+    elif defect == "duplicate":
+        # the first tensor listed again at the end, with its own payload
+        first = header["entries"][0]
+        header["entries"].append(dict(first))
+        payload += bytes(4 * math.prod(first["shape"]))
+    elif defect == "list":
         header = [header]
     elif defect == "config.fpe":
         del header["config"]["fpe"]
@@ -152,7 +166,7 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
 
 @pytest.mark.parametrize("defect", [
     "truncated", "config", "entries", "opt", "list", "config.fpe",
-    "entry.shape", "entry.name", "entry.kind",
+    "entry.shape", "entry.name", "entry.kind", "duplicate", "nan",
 ])
 def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, capsys):
     _, _, _, ali, ckpt = pipeline_dirs
@@ -162,6 +176,26 @@ def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, 
     assert main(["eval", "--ckpt", str(bad), "--data", ali]) == EXIT_DATA
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error: checkpoint"), err
+
+
+def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeypatch):
+    _, _, _, ali, ckpt = pipeline_dirs
+    run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
+    echo_config(resolve_config("mi"), str(run_dir), "train", {"seed": 0})
+    assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir)]) == 0
+    files = [run_dir / "run_config.json", eval_dir / "report.json", eval_dir / "report.txt"]
+    before = [f.read_bytes() for f in files]
+
+    fail_writes_in(monkeypatch, afpm.config, afpm.data_model)
+    with pytest.raises(OSError, match="mid-write"):
+        echo_config(resolve_config("erp"), str(run_dir), "train", {"seed": 1})
+    # the report is one write: fail on the first
+    fail_writes_in(monkeypatch, afpm.cli, afpm.data_model, fail_at=1)
+    with pytest.raises(OSError, match="mid-write"):
+        main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir), "--folds", "2"])
+    assert [f.read_bytes() for f in files] == before
+    assert sorted(p.name for p in run_dir.iterdir()) == ["run_config.json"]
+    assert sorted(p.name for p in eval_dir.iterdir()) == ["report.json", "report.txt"]
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])

@@ -8,11 +8,10 @@ import afpm.data_model
 import afpm.model
 from afpm.errors import ConfigError, DataError
 from afpm.model import (
-    FPEConfig, Model, ModelConfig, TransformerConfig, _extract_patches_batch,
-    assemble_tokens, average_embeddings, averaged_count, backward_cached,
-    classify, decayed_param, extract_patches, embed_patches, forward,
-    forward_cached, init_model, load_checkpoint, model_dims, param_shapes,
-    patch_count, save_checkpoint, transformer_forward,
+    FPEConfig, Model, ModelConfig, TransformerConfig, _block_forward, _window_map,
+    assemble_tokens, averaged_count, backward_cached, decayed_param,
+    extract_patches, forward, forward_cached, init_model, load_checkpoint,
+    model_dims, param_shapes, patch_count, save_checkpoint, window_matrix,
 )
 
 from conftest import fail_writes_in
@@ -51,15 +50,15 @@ class TestExtractPatches:
     def test_direct_index_evaluation(self):
         cfg = FPEConfig(embed_dim=1, frame_window=2, frame_stride=2, avg_window=1,
                         avg_shift=1, token_dim=1, mlp_hidden=1)
-        patches = extract_patches(np.array([[1.0, 2.0, 3.0, 4.0]]), cfg)
+        patches = extract_patches(np.array([[[1.0, 2.0, 3.0, 4.0]]]), cfg)[0]
         assert patches.shape == (3, 2)
         assert np.array_equal(patches, [[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
 
     def test_last_patch_beyond_template_is_zero(self):
         cfg = FPEConfig(embed_dim=1, frame_window=25, frame_stride=25, avg_window=1,
                         avg_shift=1, token_dim=1, mlp_hidden=1)
-        x = np.ones((1, 1024))
-        patches = extract_patches(x, cfg)
+        x = np.ones((1, 1, 1024))
+        patches = extract_patches(x, cfg)[0]
         assert patches.shape == (42, 25)
         # patch 41 (0-based) starts at column 1025 > 1023
         assert np.all(patches[-1] == 0.0)
@@ -67,21 +66,21 @@ class TestExtractPatches:
     def test_zero_template_zero_patches(self):
         cfg = FPEConfig(embed_dim=1, frame_window=4, frame_stride=3, avg_window=1,
                         avg_shift=1, token_dim=1, mlp_hidden=1)
-        patches = extract_patches(np.zeros((2, 10)), cfg)
+        patches = extract_patches(np.zeros((1, 2, 10)), cfg)
         assert np.all(patches == 0.0)
 
     def test_channel_major_flattening(self):
         cfg = FPEConfig(embed_dim=1, frame_window=2, frame_stride=2, avg_window=1,
                         avg_shift=1, token_dim=1, mlp_hidden=1)
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        patches = extract_patches(x, cfg)
+        x = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        patches = extract_patches(x, cfg)[0]
         assert np.array_equal(patches[0], [1.0, 2.0, 3.0, 4.0])
 
     def test_per_channel_mode_orders_channel_major(self):
         cfg = FPEConfig(embed_dim=1, frame_window=2, frame_stride=2, avg_window=1,
                         avg_shift=1, token_dim=1, mlp_hidden=1)
-        x = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-        patches = extract_patches(x, cfg, per_channel=True)
+        x = np.array([[[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]])
+        patches = extract_patches(x, cfg, per_channel=True)[0]
         assert patches.shape == (6, 2)  # 2 channels x 3 windows
         assert np.array_equal(patches[0], [1.0, 2.0])
         assert np.array_equal(patches[2], [0.0, 0.0])
@@ -111,9 +110,9 @@ def test_batch_extraction_matches_explicit_slices(t_prime, m, d, channels, batch
     g = ref.shape[2]
     # the last window always runs past the template and is zero-padded
     assert (g - 1) * d + m > t_prime
-    std = _extract_patches_batch(x, fpe, per_channel=False)
+    std = extract_patches(x, fpe, per_channel=False)
     assert np.array_equal(std, ref.transpose(0, 2, 1, 3).reshape(batch, g, channels * m))
-    per = _extract_patches_batch(x, fpe, per_channel=True)
+    per = extract_patches(x, fpe, per_channel=True)
     assert np.array_equal(per, ref.reshape(batch, channels * g, m))
 
 
@@ -121,60 +120,105 @@ def erf_gelu(x: float) -> float:
     return 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
+def patch_model(w1, b1, w2, b2, m=1, t_prime=4, window=2):
+    """float64 model with the given patch MLP, disjoint frames and no averaging."""
+    fpe = FPEConfig(embed_dim=w2.shape[1], frame_window=window, frame_stride=window,
+                    avg_window=1, avg_shift=1, token_dim=4, mlp_hidden=w1.shape[1])
+    t_cfg = TransformerConfig(depth=1, heads=1, dim_head=2, dim_mlp=2, n_classes=2)
+    cfg = ModelConfig(task="mi", template_channels=tuple(f"C{i}" for i in range(m)),
+                      template_len=t_prime, fpe=fpe, transformer=t_cfg)
+    model = init_model(cfg, seed=0, dtype=np.float64)
+    model.params.update({"patch.w1": w1, "patch.b1": b1, "patch.w2": w2, "patch.b2": b2})
+    return model
+
+
 class TestEmbedPatches:
     def test_zero_weights_give_second_layer_bias(self):
-        params = {"patch.w1": np.zeros((3, 2)), "patch.b1": np.array([0.5, -0.5]),
-                  "patch.w2": np.zeros((2, 2)), "patch.b2": np.array([1.0, 2.0])}
-        out = embed_patches(np.ones((5, 3)), params)
-        assert np.allclose(out, np.tile([1.0, 2.0], (5, 1)))
+        model = patch_model(np.zeros((3, 2)), np.array([0.5, -0.5]),
+                            np.zeros((2, 2)), np.array([1.0, 2.0]), t_prime=6, window=3)
+        _, cache = forward_cached(np.ones((5, 1, 6)), model)
+        assert cache["tilde"].shape == (5, 3, 2)
+        assert np.allclose(cache["tilde"], [1.0, 2.0])
 
     def test_identical_patches_identical_embeddings(self, rng):
-        params = {"patch.w1": rng.standard_normal((4, 3)),
-                  "patch.b1": rng.standard_normal(3),
-                  "patch.w2": rng.standard_normal((3, 2)),
-                  "patch.b2": rng.standard_normal(2)}
+        model = patch_model(rng.standard_normal((4, 3)), rng.standard_normal(3),
+                            rng.standard_normal((3, 2)), rng.standard_normal(2),
+                            t_prime=8, window=4)
         p = rng.standard_normal(4)
-        out = embed_patches(np.stack([p, p]), params)
-        assert np.array_equal(out[0], out[1])
+        _, cache = forward_cached(np.concatenate([p, p])[None, None], model)
+        assert np.array_equal(cache["a1"][0, 0], cache["a1"][0, 1])
+        assert np.array_equal(cache["tilde"][0, 0], cache["tilde"][0, 1])
 
     def test_hand_computed_toy(self):
         # patch [1, 0]; W1 = [[1, 2], [3, 4]], b1 = [0.1, -0.2];
         # W2 = [[1, 0], [0, 1]], b2 = [0, 0]
-        params = {"patch.w1": np.array([[1.0, 2.0], [3.0, 4.0]]),
-                  "patch.b1": np.array([0.1, -0.2]),
-                  "patch.w2": np.eye(2), "patch.b2": np.zeros(2)}
-        out = embed_patches(np.array([1.0, 0.0]), params)
+        model = patch_model(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.1, -0.2]),
+                            np.eye(2), np.zeros(2), t_prime=2)
+        _, cache = forward_cached(np.array([[[1.0, 0.0]]]), model)
+        assert np.allclose(cache["h1"][0, 0], [1.1, 1.8], atol=1e-12)
         expected = np.array([erf_gelu(1.1), erf_gelu(1.8)])
-        assert np.allclose(out, expected, atol=1e-12)
+        assert np.allclose(cache["tilde"][0, 0], expected, atol=1e-12)
 
     def test_wrong_patch_length_rejected(self):
-        params = {"patch.w1": np.zeros((3, 2)), "patch.b1": np.zeros(2),
-                  "patch.w2": np.zeros((2, 2)), "patch.b2": np.zeros(2)}
-        with pytest.raises(DataError, match="patch length"):
-            embed_patches(np.zeros((1, 4)), params)
+        # one channel too many would make every patch one frame too long
+        model = patch_model(np.zeros((3, 2)), np.zeros(2), np.zeros((2, 2)), np.zeros(2),
+                            t_prime=6, window=3)
+        with pytest.raises(DataError, match="expected batch"):
+            forward_cached(np.zeros((1, 2, 6)), model)
+
+
+def window_mean(e, window, shift):
+    """Window averaging as the model does it: (W @ e) / P."""
+    return window_matrix(e.shape[0], window, shift) @ e / window
 
 
 class TestAverageEmbeddings:
     def test_index_arithmetic(self, rng):
-        e = rng.standard_normal((42, 3))
-        out = average_embeddings(e, 25, 5)
-        assert out.shape == (4, 3)
+        w = window_matrix(42, 25, 5)
+        assert w.shape == (4, 42)
+        assert [np.flatnonzero(row).tolist() for row in w] == \
+            [list(range(5 * j, 5 * j + 25)) for j in range(4)]
+        assert window_mean(rng.standard_normal((42, 3)), 25, 5).shape == (4, 3)
 
     def test_identity_case(self, rng):
         e = rng.standard_normal((7, 2))
-        out = average_embeddings(e, 1, 1)
-        assert np.array_equal(out, e)
+        assert np.array_equal(window_mean(e, 1, 1), e)
 
     def test_hand_evaluation(self):
         e = np.arange(1.0, 6.0)[:, None]  # embeddings 1..5, scalar
-        out = average_embeddings(e, 2, 2)
+        out = window_mean(e, 2, 2)
         assert np.allclose(out[:, 0], [1.5, 3.5])
 
     def test_contraction_bound(self, rng):
         e = rng.standard_normal((10, 4))
-        out = average_embeddings(e, 3, 2)
+        out = window_mean(e, 3, 2)
         max_norm = np.linalg.norm(e, axis=1).max()
         assert np.all(np.linalg.norm(out, axis=1) <= max_norm + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=st.integers(1, 60), p=st.integers(1, 60), h=st.integers(1, 10),
+       batch=st.integers(1, 3), channels=st.integers(1, 3), per_channel=st.booleans())
+def test_window_matrix_matches_window_loops(g, p, h, batch, channels, per_channel):
+    """(W @ e) / P is the mean over each window and W.T @ (d / P) scatters it
+    back, one run of rows per channel in per-channel mode."""
+    p = min(p, g)
+    k = averaged_count(g, p, h)
+    runs = channels if per_channel else 1
+    rng = np.random.default_rng(g * 10007 + p * 101 + h)
+    e = rng.standard_normal((batch, runs * g, 5))
+    d = rng.standard_normal((batch, runs * k, 5))
+    mean_ref = np.zeros_like(d)
+    scatter_ref = np.zeros_like(e)
+    for c in range(runs):
+        for j in range(k):
+            rows = slice(c * g + j * h, c * g + j * h + p)
+            mean_ref[:, c * k + j] = e[:, rows].mean(axis=1)
+            scatter_ref[:, rows] += d[:, c * k + j:c * k + j + 1] / p
+    w = window_matrix(g, p, h)
+    mean, scatter = _window_map(w, e) / p, _window_map(w.T, d / p)
+    assert np.abs(mean - mean_ref).max() <= 1e-12
+    assert np.abs(scatter - scatter_ref).max() <= 1e-12
 
 
 class TestAssembleTokens:
@@ -183,7 +227,7 @@ class TestAssembleTokens:
         tilde = rng.standard_normal((k, dim))
         params = {"proj.e0": np.eye(dim), "cls": rng.standard_normal(dim),
                   "pos": np.zeros((k + 1, dim))}
-        out = assemble_tokens(tilde, params)
+        out = assemble_tokens(tilde[None], params)[0]
         assert np.allclose(out[0], params["cls"])
         assert np.allclose(out[1:], tilde)
 
@@ -192,9 +236,9 @@ class TestAssembleTokens:
         pos = rng.standard_normal((k + 1, dim))
         cls = rng.standard_normal(dim)
         params = {"proj.e0": rng.standard_normal((dim, dim)), "cls": cls, "pos": pos}
-        out = assemble_tokens(np.zeros((k, dim)), params)
-        assert np.allclose(out[0], cls + pos[0])
-        assert np.allclose(out[1:], pos[1:])
+        out = assemble_tokens(np.zeros((2, k, dim)), params)
+        assert np.allclose(out[:, 0], cls + pos[0])
+        assert np.allclose(out[:, 1:], pos[1:])
 
     def test_mi_default_token_shape(self):
         cfg = ModelConfig(task="mi", template_channels=tuple(f"C{i}" for i in range(17)),
@@ -212,33 +256,46 @@ class TestAssembleTokens:
     def test_k_mismatch_rejected(self, rng):
         params = {"proj.e0": np.eye(2), "cls": np.zeros(2), "pos": np.zeros((3, 2))}
         with pytest.raises(DataError, match="positional"):
-            assemble_tokens(rng.standard_normal((4, 2)), params)
+            assemble_tokens(rng.standard_normal((1, 4, 2)), params)
+
+
+def zero_residual_branches(model):
+    """Zero every block's output projections, so each block passes its input on."""
+    for name in model.params:
+        if name.endswith((".attn.wo", ".attn.bo", ".mlp.w2", ".mlp.b2")):
+            model.params[name][:] = 0.0
 
 
 class TestTransformerForward:
     def test_zeroed_output_projections_make_identity(self, rng):
         cfg = small_cfg(depth=3)
         model = init_model(cfg, seed=0, dtype=np.float64)
-        for name in model.params:
-            if ".attn.wo" in name or ".mlp.w2" in name:
-                model.params[name][:] = 0.0
-            if ".attn.bo" in name or ".mlp.b2" in name:
-                model.params[name][:] = 0.0
-        tokens = rng.standard_normal((5, 8))
-        out = transformer_forward(tokens, model.params, cfg.transformer)
-        assert np.allclose(out, tokens)
+        zero_residual_branches(model)
+        _, cache = forward_cached(rng.standard_normal((2, 3, 64)), model)
+        tokens = assemble_tokens(cache["tilde"], model.params)
+        assert np.allclose(cache["x_blocks_out"], tokens)
 
     def test_permutation_equivariance_without_positions(self, rng):
-        cfg = small_cfg(depth=2)
+        # disjoint frames and no averaging: token 1 + j is frame j, and the last
+        # frame is the zero-padded one past the template
+        fpe = FPEConfig(embed_dim=4, frame_window=8, frame_stride=8, avg_window=1,
+                        avg_shift=1, token_dim=8, mlp_hidden=8)
+        t_cfg = TransformerConfig(depth=2, heads=2, dim_head=3, dim_mlp=6, n_classes=2)
+        cfg = ModelConfig(task="mi", template_channels=("C0", "C1", "C2"),
+                          template_len=40, fpe=fpe, transformer=t_cfg)
         model = init_model(cfg, seed=1, dtype=np.float64)
         for name, arr in model.params.items():
             if arr.ndim >= 1 and not name.endswith(".g"):
                 model.params[name] = arr + 0.3 * rng.standard_normal(arr.shape)
-        tokens = rng.standard_normal((5, 8))
-        out = transformer_forward(tokens, model.params, cfg.transformer)
-        perm = np.array([0, 3, 1, 4, 2])  # keep class row 0 fixed
-        out_perm = transformer_forward(tokens[perm], model.params, cfg.transformer)
-        assert np.allclose(out_perm, out[perm], atol=1e-10)
+        model.params["pos"][:] = 0.0
+        x = rng.standard_normal((2, 3, 40))
+        perm = np.array([3, 0, 4, 1, 2])
+        x_perm = x.reshape(2, 3, 5, 8)[:, :, perm, :].reshape(2, 3, 40)
+        _, cache = forward_cached(x, model)
+        _, cache_perm = forward_cached(x_perm, model)
+        out, out_perm = cache["x_blocks_out"], cache_perm["x_blocks_out"]
+        assert np.allclose(out_perm[:, 1:6], out[:, 1 + perm], atol=1e-10)
+        assert np.allclose(out_perm[:, [0, 6]], out[:, [0, 6]], atol=1e-10)
 
     def test_hand_computed_single_head_attention(self):
         # depth=1, heads=1, dim_head=2, token dim 2, two tokens; MLP disabled
@@ -251,7 +308,6 @@ class TestTransformerForward:
         wv = np.array([[0.7, 0.0], [-0.1, 0.3]])
         wo = np.array([[1.0, 0.0], [0.0, 1.0]])
         params = {
-            "head.w": np.zeros((2, 2)),
             "block0.ln1.g": np.ones(2), "block0.ln1.b": np.zeros(2),
             "block0.attn.wq": wq, "block0.attn.bq": np.zeros(2),
             "block0.attn.wk": wk, "block0.attn.bk": np.zeros(2),
@@ -261,7 +317,7 @@ class TestTransformerForward:
             "block0.mlp.w1": np.zeros((2, 2)), "block0.mlp.b1": np.zeros(2),
             "block0.mlp.w2": np.zeros((2, 2)), "block0.mlp.b2": np.zeros(2),
         }
-        out = transformer_forward(tokens, params, t_cfg)
+        out = _block_forward(tokens[None], params, "block0", t_cfg, cache=None)[0]
 
         # independent spreadsheet-style computation
         def ln(v):
@@ -277,23 +333,41 @@ class TestTransformerForward:
         assert np.allclose(out, expected, atol=1e-12)
 
 
+def class_token_model(cls, head_w):
+    """float64 model whose blocks pass tokens on unchanged and whose class
+    token enters the head as ``cls`` (no positions, no final norm)."""
+    fpe = FPEConfig(embed_dim=2, frame_window=4, frame_stride=4, avg_window=1,
+                    avg_shift=1, token_dim=cls.size, mlp_hidden=3)
+    t_cfg = TransformerConfig(depth=2, heads=1, dim_head=2, dim_mlp=3,
+                              n_classes=head_w.shape[1], final_norm=False)
+    cfg = ModelConfig(task="mi", template_channels=("C0", "C1"), template_len=8,
+                      fpe=fpe, transformer=t_cfg)
+    model = init_model(cfg, seed=5, dtype=np.float64)
+    zero_residual_branches(model)
+    model.params.update({"pos": np.zeros_like(model.params["pos"]), "cls": cls,
+                         "head.w": head_w})
+    return model
+
+
 class TestClassify:
     def test_zero_head_zero_logits(self, rng):
-        out = classify(rng.standard_normal((3, 4)), np.zeros((4, 2)))
-        assert np.array_equal(out, np.zeros(2))
+        model = init_model(small_cfg(), seed=0, dtype=np.float64)
+        model.params["head.w"][:] = 0.0
+        assert np.array_equal(forward(rng.standard_normal((4, 3, 64)), model),
+                              np.zeros((4, 2)))
 
-    def test_aligned_and_antialigned_columns(self):
-        cls_out = np.array([[3.0, 4.0]])  # norm 5
-        direction = np.array([3.0, 4.0]) / 5.0
-        head = np.stack([direction, -direction], axis=1)
-        logits = classify(cls_out, head)
+    def test_aligned_and_antialigned_columns(self, rng):
+        direction = np.array([3.0, 4.0]) / 5.0  # class token [3, 4] has norm 5
+        model = class_token_model(np.array([3.0, 4.0]),
+                                  np.stack([direction, -direction], axis=1))
+        logits = forward(rng.standard_normal((2, 8)), model)
         assert logits[0] == pytest.approx(5.0)
         assert logits[1] == pytest.approx(-5.0)
 
     def test_zero_class_token_output(self, rng):
-        contextualized = np.zeros((4, 6))
-        logits = classify(contextualized, rng.standard_normal((6, 3)))
-        assert np.array_equal(logits, np.zeros(3))
+        model = class_token_model(np.zeros(6), rng.standard_normal((6, 3)))
+        logits = forward(rng.standard_normal((4, 2, 8)), model)
+        assert np.array_equal(logits, np.zeros((4, 3)))
 
 
 class TestForward:
@@ -363,8 +437,8 @@ def test_shape_chain_property(t_prime, d, m, p, h, channels):
                       template_len=t_prime, fpe=fpe, transformer=t_cfg)
     model = init_model(cfg, seed=0)
     x = np.random.default_rng(0).standard_normal((channels, t_prime)).astype(np.float32)
-    patches = extract_patches(x, fpe)
-    assert patches.shape == (g, channels * m)
+    patches = extract_patches(x[None], fpe)
+    assert patches.shape == (1, g, channels * m)
     k = averaged_count(g, p, h)
     assert model_dims(cfg).n_tokens == k + 1
     logits = forward(x, model)

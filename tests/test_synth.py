@@ -8,8 +8,7 @@ from afpm.data_model import MI_TEMPLATE_CHANNELS, load_all_trials
 from afpm.errors import ConfigError
 from afpm.synth import (
     ERP_EVAL_SUBSETS, ERP_SIGNAL_CHANNELS, ERP_TRAIN_SUBSETS, MI_EVAL_SUBSETS,
-    MI_TRAIN_SUBSETS, SynthSpec, default_subsets, gen_erp_dataset,
-    gen_mi_dataset, generate_dataset, hemisphere,
+    MI_TRAIN_SUBSETS, SynthSpec, default_subsets, generate_dataset, hemisphere,
 )
 
 
@@ -56,7 +55,7 @@ class TestMiGenerator:
         # expected power ratio (a/(2-a))^2 at high snr
         a = 0.5
         spec = self._clean_spec(erd_attenuation=a)
-        manifest = gen_mi_dataset(spec, seed=5, out_dir=str(tmp_path / "mi"))
+        manifest = generate_dataset(spec, seed=5, out_dir=str(tmp_path / "mi"))
         trials = [t for t in load_all_trials(manifest) if t.label == 0]
         assert len(trials) >= 90
         p_c3 = np.mean([band_power(t.data[0], 256.0, 8, 12) for t in trials])
@@ -66,8 +65,8 @@ class TestMiGenerator:
 
     def test_determinism_same_seed(self, tmp_path):
         spec = self._clean_spec(trials_per_domain=5)
-        m1 = gen_mi_dataset(spec, seed=9, out_dir=str(tmp_path / "a"))
-        m2 = gen_mi_dataset(spec, seed=9, out_dir=str(tmp_path / "b"))
+        m1 = generate_dataset(spec, seed=9, out_dir=str(tmp_path / "a"))
+        m2 = generate_dataset(spec, seed=9, out_dir=str(tmp_path / "b"))
         for r1, r2 in zip(m1.trials, m2.trials):
             b1 = open(os.path.join(m1.root, r1.path), "rb").read()
             b2 = open(os.path.join(m2.root, r2.path), "rb").read()
@@ -75,15 +74,15 @@ class TestMiGenerator:
 
     def test_different_seed_different_data(self, tmp_path):
         spec = self._clean_spec(trials_per_domain=2)
-        m1 = gen_mi_dataset(spec, seed=1, out_dir=str(tmp_path / "a"))
-        m2 = gen_mi_dataset(spec, seed=2, out_dir=str(tmp_path / "b"))
+        m1 = generate_dataset(spec, seed=1, out_dir=str(tmp_path / "a"))
+        m2 = generate_dataset(spec, seed=2, out_dir=str(tmp_path / "b"))
         b1 = open(os.path.join(m1.root, m1.trials[0].path), "rb").read()
         b2 = open(os.path.join(m2.root, m2.trials[0].path), "rb").read()
         assert b1 != b2
 
     def test_noise_only_has_no_class_contrast(self, tmp_path):
         spec = self._clean_spec(snr_db=-np.inf, trials_per_domain=100)
-        manifest = gen_mi_dataset(spec, seed=3, out_dir=str(tmp_path / "mi"))
+        manifest = generate_dataset(spec, seed=3, out_dir=str(tmp_path / "mi"))
         trials = load_all_trials(manifest)
         contrast = []
         labels = []
@@ -96,12 +95,6 @@ class TestMiGenerator:
         _, p = ttest_ind(contrast[labels == 0], contrast[labels == 1])
         assert p > 0.05
 
-    def test_wrong_task_rejected(self, tmp_path):
-        spec = SynthSpec(task="erp", n_domains=1, trials_per_domain=6,
-                         channel_subsets=(("PZ", "CZ"),), trial_len_s=1.0)
-        with pytest.raises(ConfigError):
-            gen_mi_dataset(spec, 0, str(tmp_path / "x"))
-
 
 class TestErpGenerator:
     def test_target_minus_nontarget_peaks_near_300ms(self, tmp_path):
@@ -109,7 +102,7 @@ class TestErpGenerator:
                          channel_subsets=(("PZ", "F3"),), trial_len_s=1.0,
                          snr_db=10.0, domain_gain=0.0, domain_scale=0.0,
                          domain_mixing=0.0, name="erp")
-        manifest = gen_erp_dataset(spec, seed=11, out_dir=str(tmp_path / "erp"))
+        manifest = generate_dataset(spec, seed=11, out_dir=str(tmp_path / "erp"))
         trials = load_all_trials(manifest)
         tgt = np.mean([t.data[0] for t in trials if t.label == 1], axis=0)
         non = np.mean([t.data[0] for t in trials if t.label == 0], axis=0)
@@ -121,7 +114,7 @@ class TestErpGenerator:
         spec = SynthSpec(task="erp", n_domains=2, trials_per_domain=120,
                          channel_subsets=(("PZ",), ("CZ",)), trial_len_s=0.5,
                          name="erp")
-        manifest = gen_erp_dataset(spec, seed=2, out_dir=str(tmp_path / "erp"))
+        manifest = generate_dataset(spec, seed=2, out_dir=str(tmp_path / "erp"))
         labels = np.array([t.label for t in manifest.trials])
         per_domain = 120
         n_targets = int(round(per_domain / 6.0))
@@ -133,7 +126,7 @@ class TestErpGenerator:
                          channel_subsets=(("PZ",),), trial_len_s=0.5,
                          snr_db=-np.inf, domain_gain=0.0, domain_scale=0.0,
                          domain_mixing=0.0, name="erp")
-        manifest = gen_erp_dataset(spec, seed=7, out_dir=str(tmp_path / "erp"))
+        manifest = generate_dataset(spec, seed=7, out_dir=str(tmp_path / "erp"))
         trials = load_all_trials(manifest)
         # window-mean amplitude as a score: should carry no information
         scores = [t.data[0, 64:90].mean() for t in trials]
@@ -176,7 +169,7 @@ class TestHeterogeneityAndSpec:
                              channel_subsets=(("C3", "C4"),), trial_len_s=1.5,
                              snr_db=snr, domain_gain=0.0, domain_scale=0.0,
                              domain_mixing=0.0, name="snr")
-            manifest = gen_mi_dataset(spec, seed=21,
+            manifest = generate_dataset(spec, seed=21,
                                       out_dir=str(tmp_path / f"snr{snr}"))
             trials = load_all_trials(manifest)
             score = [float(np.log(band_power(t.data[1], 256, 8, 12))

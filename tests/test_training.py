@@ -9,7 +9,7 @@ from afpm.model import (FPEConfig, ModelConfig, TransformerConfig, forward,
                         init_model)
 from afpm.training import (
     OptimizerState, TrainConfig, adamw_step, backward, balanced_batches,
-    batch_cross_entropy, chronological_split, cross_entropy, finetune,
+    batch_cross_entropy, chronological_split, finetune,
     onecycle_lr, train,
 )
 
@@ -23,32 +23,52 @@ def tiny_cfg(m=2, t_prime=32, n_classes=2, final_norm=True):
                        template_len=t_prime, fpe=fpe, transformer=t)
 
 
+def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    """Per-sample oracle: stabilized softmax cross-entropy and its logit gradient."""
+    logits = np.asarray(logits, dtype=np.float64)
+    z = logits - logits.max()
+    lse = math.log(np.exp(z).sum())
+    grad = np.exp(z - lse)
+    grad[label] -= 1.0
+    return float(lse - z[label]), grad
+
+
+def one_row(logits, label):
+    """``batch_cross_entropy`` on a batch of one: the loss and its logit gradient."""
+    loss, grad = batch_cross_entropy(np.asarray(logits, dtype=np.float64)[None],
+                                     np.array([label]))
+    return loss, grad[0]
+
+
 class TestCrossEntropy:
     def test_uniform_two_class(self):
-        loss, grad = cross_entropy(np.array([0.0, 0.0]), 0)
+        loss, grad = one_row([0.0, 0.0], 0)
         assert loss == pytest.approx(math.log(2.0))
         assert np.allclose(grad, [-0.5, 0.5])
 
     def test_extreme_logits_no_overflow(self):
-        loss, _ = cross_entropy(np.array([1000.0, 0.0]), 0)
+        loss, _ = one_row([1000.0, 0.0], 0)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_three_class_hand_value(self):
-        loss, _ = cross_entropy(np.array([1.0, 2.0, 3.0]), 2)
+        loss, _ = one_row([1.0, 2.0, 3.0], 2)
         assert loss == pytest.approx(math.log(1 + math.e ** -1 + math.e ** -2))
         assert loss == pytest.approx(0.40760596444438, abs=1e-10)
 
     def test_gradient_is_softmax_minus_onehot(self):
         logits = np.array([0.3, -0.2, 1.1])
-        loss, grad = cross_entropy(logits, 1)
+        loss, grad = one_row(logits, 1)
         z = np.exp(logits - logits.max())
         soft = z / z.sum()
         soft[1] -= 1.0
         assert np.allclose(grad, soft)
 
     def test_label_out_of_range(self):
-        with pytest.raises(DataError):
-            cross_entropy(np.zeros(2), 2)
+        # labels reach the loss only through train, which checks them against the head
+        model = init_model(tiny_cfg(), seed=0)
+        with pytest.raises(DataError, match="label out of range"):
+            train(np.zeros((2, 2, 32), dtype=np.float32), np.array([0, 2]), model,
+                  TrainConfig(epochs=1, batch_size=2))
 
 
 class TestBackward:
