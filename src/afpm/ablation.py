@@ -12,13 +12,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .config import RunConfig
 from .data_model import DatasetManifest, TaskTemplateSpec, load_manifest
 from .alignment import align_dataset
 from .errors import ConfigError
-from .evaluation import EvalReport, evaluate_arrays, positive_class_index, primary_metric
+from .evaluation import EvalReport, evaluate_arrays, positive_class_index
 from .model import init_model
 from .pipeline import require_task, stack_aligned, stacked_model_config
 from .training import TrainResult, train
@@ -162,9 +160,3 @@ def ablation_csv(results: dict[str, AblationResult], task: str) -> str:
             for c in cols
         ))
     return "\n".join(lines) + "\n"
-
-
-def mean_primary(res: AblationResult, task: str) -> float:
-    metric = primary_metric(task)
-    vals = [rep.mean(metric) for rep in res.reports.values()]
-    return float(np.mean(vals))

@@ -282,7 +282,6 @@ def _cmd_train(args) -> int:
         if result.diverged:
             log("training diverged; kept last finite checkpoint")
     save_checkpoint(result.model, args.out,
-                    opt_state=result.opt_state.as_dict(),
                     extra={"task": cfg.task, "diverged": result.diverged,
                            "n_train_trials": int(x.shape[0])})
     with atomic_open(os.path.join(out_dir, "history.csv")) as f:
@@ -364,7 +363,7 @@ def _cmd_finetune(args) -> int:
     from .training import finetune
     from .evaluation import check_template_match, pad_to_model
 
-    model, opt_state, extra = load_checkpoint(args.ckpt)
+    model, _, _ = load_checkpoint(args.ckpt)
     manifest = load_manifest(_data_path(args.data))
     check_template_match(model, manifest)
     task = model.cfg.task

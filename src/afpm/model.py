@@ -25,12 +25,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
-from .data_model import atomic_open
+from .data_model import TASKS, atomic_open
 from .errors import ConfigError, DataError, NumericError
 
 LN_EPS = 1e-5
 INIT_SIGMA = 0.02
-CHECKPOINT_FORMAT = "afpm-checkpoint-v1"
+CHECKPOINT_FORMAT = "afpm-checkpoint-v2"
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -97,6 +97,10 @@ class ModelConfig:
     transformer: TransformerConfig
     per_channel_patches: bool = False  # ablation: one channel per patch
     input_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.task not in TASKS:
+            raise ConfigError(f"unknown model task {self.task!r}, expected one of {TASKS}")
 
     @property
     def n_channels(self) -> int:
@@ -467,101 +471,92 @@ def backward_cached(dlogits: np.ndarray, model: Model,
 # checkpoints: one JSON header line, then raw little-endian float32 payload
 
 
-def _cfg_to_dict(cfg: ModelConfig) -> dict:
+def _cfg_to_json(cfg: ModelConfig) -> dict:
     d = asdict(cfg)
     d["template_channels"] = list(cfg.template_channels)
     return d
 
 
-def _cfg_from_dict(d: dict) -> ModelConfig:
-    return ModelConfig(
-        task=d["task"],
-        template_channels=tuple(d["template_channels"]),
-        template_len=int(d["template_len"]),
-        fpe=FPEConfig(**d["fpe"]),
-        transformer=TransformerConfig(**d["transformer"]),
-        per_channel_patches=bool(d.get("per_channel_patches", False)),
-        input_scale=float(d.get("input_scale", 1.0)),
-    )
+def _cfg_from_json(d: dict) -> ModelConfig:
+    """Rebuild a config from its JSON form. Fields of the wrong type raise
+    rather than coerce: a damaged header must not load as a different model."""
+    fpe, transformer = FPEConfig(**d["fpe"]), TransformerConfig(**d["transformer"])
+    channels, scale = d["template_channels"], d.get("input_scale", 1.0)
+    per_channel = d.get("per_channel_patches", False)
+    if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)
+            and len(set(channels)) == len(channels) and isinstance(d["template_len"], int)
+            and isinstance(per_channel, bool) and isinstance(transformer.final_norm, bool)):
+        raise TypeError("template_channels must be distinct strings, template_len "
+                        "an integer and the flags booleans")
+    if not (type(scale) in (int, float) and math.isfinite(scale) and scale > 0):
+        raise ValueError("input_scale must be a finite positive number")
+    return ModelConfig(task=d["task"], template_channels=tuple(channels),
+                       template_len=d["template_len"], fpe=fpe, transformer=transformer,
+                       per_channel_patches=per_channel, input_scale=float(scale))
 
 
-def save_checkpoint(model: Model, path: str, opt_state: dict | None = None,
-                    extra: dict | None = None) -> None:
+def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
     """Write config + named parameter manifest + float32 payload in manifest order.
 
-    ``opt_state`` (optimizer moments and step counter) rides along so training
-    can resume bit-exactly.
+    A checkpoint holds no optimizer state: fine-tuning starts fresh AdamW
+    moments on the stored parameters.
     """
-    entries = []
-    payloads = []
-    for name, arr in model.params.items():
-        a = np.ascontiguousarray(arr, dtype="<f4")
-        entries.append({"name": name, "kind": "param", "shape": list(a.shape)})
-        payloads.append(a)
-    opt_header = None
-    if opt_state is not None:
-        opt_header = {"step": int(opt_state["step"])}
-        for kind in ("m", "v"):
-            for name, arr in opt_state[kind].items():
-                a = np.ascontiguousarray(arr, dtype="<f4")
-                entries.append({"name": name, "kind": kind, "shape": list(a.shape)})
-                payloads.append(a)
+    arrays = [np.ascontiguousarray(arr, dtype="<f4") for arr in model.params.values()]
     header = {
         "format": CHECKPOINT_FORMAT,
-        "config": _cfg_to_dict(model.cfg),
-        "entries": entries,
-        "opt": opt_header,
+        "config": _cfg_to_json(model.cfg),
+        "entries": [{"name": name, "kind": "param", "shape": list(a.shape)}
+                    for name, a in zip(model.params, arrays)],
         "extra": extra or {},
     }
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for a in payloads:
+        for a in arrays:
             fh.write(a.tobytes())
 
 
 def _entry_shape(index: int, entry, path: str) -> tuple[int, ...]:
     """Shape of one checkpoint entry, after checking the entry's fields."""
     if not (isinstance(entry, dict) and {"name", "kind", "shape"} <= entry.keys()
-            and isinstance(entry["name"], str) and entry["kind"] in ("param", "m", "v")
+            and isinstance(entry["name"], str) and entry["kind"] == "param"
             and isinstance(entry["shape"], list)
             and all(isinstance(n, int) and n >= 0 for n in entry["shape"])):
         raise DataError(
-            f"checkpoint entry {index} in {path} needs a name, a kind (param, m or v) "
+            f"checkpoint entry {index} in {path} needs a name, kind param "
             f"and a shape of non-negative integers"
         )
     return tuple(entry["shape"])
 
 
-def load_checkpoint(path: str) -> tuple[Model, dict | None, dict]:
-    """Read a checkpoint; returns (model, optimizer state or None, extra dict)."""
+def load_checkpoint(path: str) -> tuple[Model, None, dict]:
+    """Read a checkpoint; returns (model, None, extra dict).
+
+    The middle element is always None: a checkpoint holds parameters only.
+    The 3-tuple stays so callers that unpack ``model, opt, extra`` keep working.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"malformed checkpoint header in {path}: {e}") from e
+        raise DataError(f"checkpoint header in {path} is malformed: {e}") from e
     if not isinstance(header, dict):
         raise DataError(f"checkpoint header in {path} is not a JSON object")
     if header.get("format") != CHECKPOINT_FORMAT:
-        raise DataError(f"unsupported checkpoint format {header.get('format')!r}")
-    missing = [key for key in ("config", "entries", "opt") if key not in header]
+        raise DataError(f"checkpoint format {header.get('format')!r} in {path} "
+                        f"is not {CHECKPOINT_FORMAT}")
+    missing = [key for key in ("config", "entries") if key not in header]
     if missing:
         raise DataError(f"checkpoint header in {path} lacks {', '.join(missing)}")
     try:
-        cfg = _cfg_from_dict(header["config"])
+        cfg = _cfg_from_json(header["config"])
+        expected = param_shapes(cfg)
     except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise DataError(
             f"checkpoint config in {path} is malformed ({type(e).__name__}: {e})"
         ) from e
-    params: dict[str, np.ndarray] = {}
-    opt_state = None
-    opt = header["opt"]
-    if opt is not None:
-        if not (isinstance(opt, dict) and isinstance(opt.get("step"), int)):
-            raise DataError(f"checkpoint opt header in {path} needs an integer step")
-        opt_state = {"step": opt["step"], "m": {}, "v": {}}
     if not isinstance(header["entries"], list):
         raise DataError(f"checkpoint entries in {path} are not a list")
     shapes = [_entry_shape(i, entry, path) for i, entry in enumerate(header["entries"])]
@@ -574,19 +569,16 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None, dict]:
     finite = np.isfinite(np.frombuffer(blob, dtype="<f4"))
     if not finite.all():
         bad = header["entries"][np.searchsorted(np.cumsum(counts), np.argmin(finite), "right")]
-        raise DataError(f"checkpoint {bad['kind']} tensor {bad['name']!r} in {path} is not finite")
+        raise DataError(f"checkpoint tensor {bad['name']!r} in {path} is not finite")
+    params: dict[str, np.ndarray] = {}
     offset = 0
     for entry, shape, count in zip(header["entries"], shapes, counts):
-        name, kind = entry["name"], entry["kind"]
-        if kind != "param" and opt_state is None:
-            raise DataError("optimizer payload present without opt header")
-        target = params if kind == "param" else opt_state[kind]
-        if name in target:
-            raise DataError(f"checkpoint {path} lists {kind} tensor {name!r} twice")
+        name = entry["name"]
+        if name in params:
+            raise DataError(f"checkpoint {path} lists tensor {name!r} twice")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
-        target[name] = arr.reshape(shape).copy()
-    expected = param_shapes(cfg)
+        params[name] = arr.reshape(shape).copy()
     if set(params.keys()) != set(expected):
         raise DataError("checkpoint parameter set does not match its config")
     for name, shape in expected.items():
@@ -595,4 +587,7 @@ def load_checkpoint(path: str) -> tuple[Model, dict | None, dict]:
                 f"checkpoint tensor {name!r} has shape {params[name].shape}, "
                 f"config implies {shape}"
             )
-    return Model(cfg=cfg, params=params), opt_state, header.get("extra", {})
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise DataError(f"checkpoint extra in {path} is not a JSON object")
+    return Model(cfg=cfg, params=params), None, extra

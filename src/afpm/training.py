@@ -86,33 +86,35 @@ class OptimizerState:
                    v={k: np.zeros_like(p) for k, p in params.items()},
                    step=0)
 
-    def as_dict(self) -> dict:
-        return {"m": self.m, "v": self.v, "step": self.step}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OptimizerState":
-        return cls(m=dict(d["m"]), v=dict(d["v"]), step=int(d["step"]))
-
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
-    """One in-place AdamW update with bias correction and decoupled decay."""
+    """One AdamW update with bias correction and decoupled decay. Every new
+    parameter is computed before any is stored: if one is not finite,
+    NumericError names its tensor, the parameters stay as they were, and the
+    moments in ``state`` are spent."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1 ** t
     bc2 = 1.0 - cfg.beta2 ** t
-    for name, p in params.items():
-        g = grads[name].astype(p.dtype, copy=False)
-        m = state.m[name]
-        v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_adam)
-        if cfg.weight_decay and decayed_param(name, p):
-            update = update + cfg.weight_decay * p
-        p -= (lr * update).astype(p.dtype, copy=False)
+    new = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = grads[name].astype(p.dtype, copy=False)
+            m = state.m[name]
+            v = state.v[name]
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_adam)
+            if cfg.weight_decay and decayed_param(name, p):
+                update = update + cfg.weight_decay * p
+            new.append(p - (lr * update).astype(p.dtype, copy=False))
+            if not np.isfinite(new[-1]).all():
+                raise NumericError(f"non-finite AdamW update for tensor {name!r}")
+    for name, p_new in zip(list(params), new):
+        params[name] = p_new
 
 
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -169,7 +171,6 @@ def shuffled_batches(n: int, batch_size: int, seed: int, epochs: int):
 @dataclass
 class TrainResult:
     model: Model
-    opt_state: OptimizerState
     history: list[dict] = field(default_factory=list)
     diverged: bool = False
 
@@ -181,13 +182,12 @@ class TrainResult:
 
 
 def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
-          opt_state: OptimizerState | None = None,
           log=None) -> TrainResult:
     """Train on pooled template inputs [N x M x T'] with integer labels.
 
-    One epoch is ceil(N / batch_size) steps. On a non-finite loss the loop
-    aborts and returns the parameters from before the failing step, flagged
-    as diverged.
+    AdamW starts from fresh moments; one epoch is ceil(N / batch_size) steps.
+    On a non-finite loss, gradient or update the loop aborts and returns the
+    parameters from before the failing step, flagged as diverged.
     """
     x = np.asarray(x)
     labels = np.asarray(labels, dtype=np.int64)
@@ -202,8 +202,8 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
 
     steps_per_epoch = -(-n // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    state = opt_state if opt_state is not None else OptimizerState.zeros_like(model.params)
-    result = TrainResult(model=model, opt_state=state)
+    state = OptimizerState.zeros_like(model.params)
+    result = TrainResult(model=model)
     if total_steps == 0:
         return result
 
@@ -215,13 +215,10 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
 
     for step, idx in enumerate(batches):
         lr = onecycle_lr(step, total_steps, cfg)
-        # parameters change only in adamw_step, so a failed step leaves them
-        # as the last good update wrote them
-        loss, grads = _loss_and_grads_guarded(x[idx], labels[idx], model)
+        loss = _guarded_step(x[idx], labels[idx], model, state, lr, cfg)
         if loss is None:
             result.diverged = True
             break
-        adamw_step(model.params, grads, state, lr, cfg)
         epoch = step // steps_per_epoch
         result.history.append({"step": step, "epoch": epoch, "lr": lr, "loss": loss})
         if log is not None and (step % steps_per_epoch == steps_per_epoch - 1):
@@ -230,16 +227,20 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     return result
 
 
-def _loss_and_grads_guarded(xb, yb, model):
+def _guarded_step(xb, yb, model, state, lr, cfg):
+    """Loss of one training step, or None if the loss, a gradient or the update
+    is not finite. Parameters change only in a successful ``adamw_step``, so a
+    failed step leaves them as the last good update wrote them."""
     # overflow here is handled by the divergence guard, not surfaced as noise
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             loss, grads = backward(xb, yb, model)
+        if not math.isfinite(loss):
+            return None
+        adamw_step(model.params, grads, state, lr, cfg)
     except NumericError:
-        return None, None
-    if not math.isfinite(loss):
-        return None, None
-    return loss, grads
+        return None
+    return loss
 
 
 def chronological_split(n: int, fraction: float) -> tuple[np.ndarray, np.ndarray]:
@@ -254,14 +255,12 @@ def chronological_split(n: int, fraction: float) -> tuple[np.ndarray, np.ndarray
 
 
 def finetune(model: Model, x: np.ndarray, labels: np.ndarray, fraction: float,
-             cfg: TrainConfig, opt_state: OptimizerState | None = None
-             ) -> tuple[TrainResult, np.ndarray, np.ndarray]:
+             cfg: TrainConfig) -> tuple[TrainResult, np.ndarray, np.ndarray]:
     """Subject-specific fine-tuning: tune on the chronologically first
     ``fraction`` of trials, return the held-out evaluation indices.
 
-    Continues AdamW from ``opt_state`` when provided (e.g. restored from a
-    checkpoint); otherwise starts fresh moments on the pretrained weights.
+    AdamW starts fresh moments on the pretrained weights.
     """
     tune_idx, eval_idx = chronological_split(x.shape[0], fraction)
-    result = train(x[tune_idx], labels[tune_idx], model, cfg, opt_state=opt_state)
+    result = train(x[tune_idx], labels[tune_idx], model, cfg)
     return result, tune_idx, eval_idx

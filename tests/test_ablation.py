@@ -1,14 +1,16 @@
 """Tiny-scale ablation machinery tests; directional claims live in acceptance."""
 
+import numpy as np
 import pytest
 
 from afpm.ablation import (
-    AblationPlan, VARIANTS, ablation_csv, mean_primary, run_ablation,
+    AblationPlan, AblationResult, VARIANTS, ablation_csv, run_ablation,
     run_variant, union_template,
 )
 from afpm.config import resolve_config
 from afpm.data_model import task_template
 from afpm.errors import ConfigError
+from afpm.evaluation import primary_metric
 from afpm.model import model_dims
 from afpm.preprocessing import default_config, preprocess_dataset
 from afpm.synth import SynthSpec, generate_dataset
@@ -39,6 +41,11 @@ def tiny_run_cfg():
         "template": {"len": 256},
     }
     return resolve_config("mi", overrides=overrides, seed=0)
+
+
+def mean_primary(res: AblationResult, task: str) -> float:
+    metric = primary_metric(task)
+    return float(np.mean([rep.mean(metric) for rep in res.reports.values()]))
 
 
 def test_plan_requires_full_baseline():

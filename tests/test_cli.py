@@ -2,14 +2,16 @@ import json
 import math
 import struct
 
+import numpy as np
 import pytest
 
 import afpm.cli
 import afpm.config
 import afpm.data_model
-from afpm.cli import EXIT_CONFIG, EXIT_DATA, main
+from afpm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from afpm.config import echo_config, load_config_file, resolve_config
 from afpm.errors import ConfigError
+from afpm.model import load_checkpoint
 
 from conftest import fail_writes_in
 
@@ -76,12 +78,16 @@ def pipeline_dirs(tmp_path_factory):
                  "--trial-len", "1.0", "--out", raw, "--seed", "3"]) == 0
     assert main(["preprocess", "--in", raw, "--out", pre]) == 0
     assert main(["align", "--in", pre, "--out", ali, "--task", "mi"]) == 0
-    assert main(["train", "--data", ali, "--task", "mi", "--out", ckpt,
-                 "--epochs", "2", "--batch-size", "8", "--depth", "1",
-                 "--heads", "2", "--dim-head", "4", "--seed", "3",
-                 "--frame-window", "16", "--frame-stride", "16",
-                 "--avg-window", "2", "--avg-shift", "2"]) == 0
+    assert main(toy_train(ali, ckpt) + ["--epochs", "2"]) == 0
     return root, raw, pre, ali, ckpt
+
+
+def toy_train(ali: str, ckpt: str) -> list[str]:
+    """`train` arguments of the toy pipeline, without --epochs."""
+    return ["train", "--data", ali, "--task", "mi", "--out", ckpt,
+            "--batch-size", "8", "--depth", "1", "--heads", "2", "--dim-head", "4",
+            "--seed", "3", "--frame-window", "16", "--frame-stride", "16",
+            "--avg-window", "2", "--avg-shift", "2"]
 
 
 class TestPipeline:
@@ -157,6 +163,18 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
         header = [header]
     elif defect == "config.fpe":
         del header["config"]["fpe"]
+    elif defect == "config.avg_window":
+        header["config"]["fpe"]["avg_window"] = 999
+    elif defect == "config.template_len":
+        header["config"]["template_len"] = 0
+    elif defect == "config.task":
+        header["config"]["task"] = "xx"
+    elif defect == "v1":
+        # the previous format: AdamW moments m and v after the parameters
+        header.update(format="afpm-checkpoint-v1", opt={"step": 1})
+        header["entries"] += [dict(e, kind=kind) for kind in ("m", "v")
+                              for e in header["entries"]]
+        payload *= 3
     elif defect.startswith("entry."):
         del header["entries"][3][defect.split(".")[1]]
     else:
@@ -165,7 +183,8 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
 
 
 @pytest.mark.parametrize("defect", [
-    "truncated", "config", "entries", "opt", "list", "config.fpe",
+    "truncated", "config", "entries", "v1", "list", "config.fpe",
+    "config.avg_window", "config.template_len", "config.task",
     "entry.shape", "entry.name", "entry.kind", "duplicate", "nan",
 ])
 def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, capsys):
@@ -176,6 +195,24 @@ def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, 
     assert main(["eval", "--ckpt", str(bad), "--data", ali]) == EXIT_DATA
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error: checkpoint"), err
+
+
+@pytest.mark.filterwarnings("error")
+def test_diverged_train_saves_last_finite_parameters(pipeline_dirs, tmp_path, capsys):
+    _, _, _, ali, _ = pipeline_dirs
+    diverged, initial = str(tmp_path / "div" / "m.ckpt"), str(tmp_path / "init" / "m.ckpt")
+    capsys.readouterr()
+    # the first update overflows float32, so the run keeps its initial weights
+    assert main(toy_train(ali, diverged) + ["--epochs", "2", "--lr-init", "1e39",
+                                            "--lr-max", "1e39"]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == ""
+    assert main(toy_train(ali, initial) + ["--epochs", "0"]) == 0
+    (model, _, extra), (model0, _, _) = load_checkpoint(diverged), load_checkpoint(initial)
+    assert extra["diverged"] is True
+    assert model.params.keys() == model0.params.keys()
+    for name, arr in model.params.items():
+        assert np.array_equal(arr, model0.params[name]), name
+    assert main(["eval", "--ckpt", diverged, "--data", ali]) == 0
 
 
 def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -481,24 +483,23 @@ def test_weight_gradients_match_einsum_reference(per_channel, stride, rng, monke
 
 
 class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path, rng):
+    def test_round_trip_bit_exact(self, tmp_path):
         cfg = small_cfg()
         model = init_model(cfg, seed=7)
-        opt = {"step": 12,
-               "m": {k: rng.standard_normal(v.shape).astype(np.float32)
-                     for k, v in model.params.items()},
-               "v": {k: np.abs(rng.standard_normal(v.shape)).astype(np.float32)
-                     for k, v in model.params.items()}}
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(model, path, opt_state=opt, extra={"task": "mi"})
-        loaded, opt2, extra = load_checkpoint(path)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path), extra={"task": "mi"})
+        loaded, opt, extra = load_checkpoint(str(path))
         assert loaded.cfg == cfg
+        assert opt is None
         assert extra == {"task": "mi"}
-        assert opt2["step"] == 12
+        assert list(loaded.params) == list(model.params)
         for k in model.params:
+            assert loaded.params[k].dtype == np.float32
             assert np.array_equal(loaded.params[k], model.params[k])
-            assert np.array_equal(opt2["m"][k], opt["m"][k])
-            assert np.array_equal(opt2["v"][k], opt["v"][k])
+        # parameters only: the header line, then 4 bytes per parameter
+        header_line = path.read_bytes().split(b"\n", 1)[0]
+        assert {e["kind"] for e in json.loads(header_line)["entries"]} == {"param"}
+        assert path.stat().st_size == len(header_line) + 1 + 4 * model.n_params()
 
     def test_double_save_identical_bytes(self, tmp_path):
         model = init_model(small_cfg(), seed=1)
@@ -523,6 +524,88 @@ class TestCheckpoint:
         assert m1.n_params() == m2.n_params()
         shapes = param_shapes(small_cfg())
         assert m1.n_params() == sum(int(np.prod(s)) for s in shapes.values())
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """Bytes of one small-config checkpoint, and a scratch path to write variants to."""
+    path = tmp_path_factory.mktemp("fuzz") / "model.ckpt"
+    save_checkpoint(init_model(small_cfg(), seed=0), str(path), extra={"task": "mi"})
+    return path.read_bytes(), path.with_name("bad.ckpt")
+
+
+def _load_or_data_error(path, blob: bytes) -> Model | None:
+    """The loader's whole contract: a model, or DataError and nothing else."""
+    path.write_bytes(blob)
+    try:
+        model, _, _ = load_checkpoint(str(path))
+    except DataError:
+        return None
+    assert model.n_params() == sum(math.prod(s) for s in param_shapes(model.cfg).values())
+    return model
+
+
+def _header_keys(blob: bytes) -> list[tuple[str, ...]]:
+    header = json.loads(blob.split(b"\n", 1)[0])
+    sections = {(): header, ("config",): header["config"],
+                ("config", "fpe"): header["config"]["fpe"],
+                ("config", "transformer"): header["config"]["transformer"]}
+    return [where + (key,) for where, doc in sections.items() for key in doc]
+
+
+def _edit_header(blob: bytes, key_path: tuple[str, ...], value=None, delete=False) -> bytes:
+    line, payload = blob.split(b"\n", 1)
+    header = json.loads(line)
+    doc = header
+    for key in key_path[:-1]:
+        doc = doc[key]
+    if delete:
+        del doc[key_path[-1]]
+    else:
+        doc[key_path[-1]] = value
+    return json.dumps(header).encode("utf-8") + b"\n" + payload
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated(self, saved_checkpoint, data):
+        blob, path = saved_checkpoint
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        path.write_bytes(blob[:cut])
+        with pytest.raises(DataError):
+            load_checkpoint(str(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), byte=st.integers(0, 255))
+    def test_header_byte_replaced(self, saved_checkpoint, data, byte):
+        blob, path = saved_checkpoint
+        at = data.draw(st.integers(0, blob.index(b"\n")))
+        _load_or_data_error(path, blob[:at] + bytes([byte]) + blob[at + 1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_key_deleted(self, saved_checkpoint, data):
+        blob, path = saved_checkpoint
+        key_path = data.draw(st.sampled_from(_header_keys(blob)))
+        model = _load_or_data_error(path, _edit_header(blob, key_path, delete=True))
+        # only keys with a default may go, and the default is what was saved
+        assert model is None or model.cfg == small_cfg()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), value=st.one_of(
+        st.text(max_size=6),
+        st.lists(st.one_of(st.integers(-2, 300), st.text(max_size=3)), max_size=4)))
+    def test_value_replaced(self, saved_checkpoint, data, value):
+        blob, path = saved_checkpoint
+        key_path = data.draw(st.sampled_from(_header_keys(blob)))
+        model = _load_or_data_error(path, _edit_header(blob, key_path, value))
+        # a string or list loads only where it spells the saved value, or as
+        # another set of distinct channel names
+        expected = small_cfg()
+        if key_path == ("config", "template_channels") and isinstance(value, list):
+            expected = dataclasses.replace(expected, template_channels=tuple(value))
+        assert model is None or model.cfg == expected
 
 
 def test_decay_mask_exempts_embeddings_norms_biases():

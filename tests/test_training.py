@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import afpm.training
-from afpm.errors import ConfigError, DataError
+from afpm.errors import ConfigError, DataError, NumericError
 from afpm.model import (FPEConfig, ModelConfig, TransformerConfig, forward,
                         init_model)
 from afpm.training import (
@@ -135,20 +136,40 @@ class TestAdamW:
     def test_determinism_and_state_round_trip(self, rng, tmp_path):
         from afpm.model import load_checkpoint, save_checkpoint
         cfg = tiny_cfg()
-        model = init_model(cfg, seed=0)
-        state = OptimizerState.zeros_like(model.params)
+        init = init_model(cfg, seed=0).params
         grads = {k: rng.standard_normal(v.shape).astype(np.float32)
-                 for k, v in model.params.items()}
-        tc = TrainConfig(seed=0)
-        adamw_step(model.params, grads, state, lr=1e-3, cfg=tc)
+                 for k, v in init.items()}
+        stepped = []
+        for _ in range(2):
+            model = init_model(cfg, seed=0)
+            adamw_step(model.params, grads, OptimizerState.zeros_like(model.params),
+                       lr=1e-3, cfg=TrainConfig(seed=0))
+            stepped.append(model)
         path = str(tmp_path / "c.ckpt")
-        save_checkpoint(model, path, opt_state=state.as_dict())
+        save_checkpoint(stepped[0], path)
         loaded, opt, _ = load_checkpoint(path)
-        for k in model.params:
-            assert np.array_equal(loaded.params[k], model.params[k])
-            assert np.array_equal(opt["m"][k], state.m[k])
-            assert np.array_equal(opt["v"][k], state.v[k])
-        assert opt["step"] == 1
+        assert opt is None
+        for k in init:
+            assert not np.array_equal(stepped[0].params[k], init[k]), k
+            assert np.array_equal(stepped[0].params[k], stepped[1].params[k]), k
+            assert np.array_equal(loaded.params[k], stepped[0].params[k]), k
+
+    def test_overflowing_update_raises_and_keeps_params(self):
+        # finite gradients; at this rate only the decayed matrix's update
+        # (1 + 0.5 x 1) overflows float32, and it comes after the bias
+        params = {"b": np.ones(2, dtype=np.float32),
+                  "w": np.ones((2, 2), dtype=np.float32)}
+        state = OptimizerState.zeros_like(params)
+        grads = {k: np.ones_like(v) for k, v in params.items()}
+        cfg = TrainConfig(weight_decay=0.5, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="'w'"):
+                adamw_step(params, grads, state, lr=3e38, cfg=cfg)
+        for k, v in params.items():
+            assert np.array_equal(v, np.ones_like(v)), k
+        adamw_step(params, grads, OptimizerState.zeros_like(params), lr=1e-3, cfg=cfg)
+        assert np.all(params["w"] < 1.0)
 
 
 class TestOneCycle:
