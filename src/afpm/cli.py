@@ -255,6 +255,7 @@ def _cmd_align(args) -> int:
 def _cmd_train(args) -> int:
     from .config import echo_config, resolve_config
     from .data_model import atomic_open, load_manifest
+    from .errors import NumericError
     from .model import init_model, save_checkpoint
     from .pipeline import require_task, stack_aligned, stacked_model_config
     from .training import train
@@ -279,8 +280,10 @@ def _cmd_train(args) -> int:
             f"({x.shape[1]} channels x {x.shape[2]} samples), "
             f"{model.n_params()} parameters")
         result = train(x, y, model, cfg.train, log=log)
+        divergence = (f"training diverged at step {len(result.history) + 1}; "
+                      f"kept last finite checkpoint")
         if result.diverged:
-            log("training diverged; kept last finite checkpoint")
+            log(divergence)
     save_checkpoint(result.model, args.out,
                     extra={"task": cfg.task, "diverged": result.diverged,
                            "n_train_trials": int(x.shape[0])})
@@ -289,7 +292,9 @@ def _cmd_train(args) -> int:
     echo_config(cfg, out_dir, "train", _public_args(args))
     final = result.history[-1]["loss"] if result.history else float("nan")
     print(f"saved checkpoint to {args.out} (final loss {final:.4f})")
-    return EXIT_OK if not result.diverged else EXIT_NUMERIC
+    if result.diverged:
+        raise NumericError(divergence)
+    return EXIT_OK
 
 
 def _cmd_eval(args) -> int:

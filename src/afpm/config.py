@@ -161,7 +161,7 @@ def resolve_config(task: str | None = None, config_file: str | dict | None = Non
     if threads is None:
         threads = overrides.get("threads", file_doc.get("threads", 1))
     train_kwargs = dict(sections["train"])
-    train_kwargs["seed"] = int(seed)
+    train_kwargs["seed"] = seed  # TrainConfig rejects a non-integer seed
 
     return RunConfig(
         task=task,
@@ -170,7 +170,7 @@ def resolve_config(task: str | None = None, config_file: str | dict | None = Non
         train=TrainConfig(**train_kwargs),
         preprocess=PreprocessConfig(**sections["preprocess"]),
         template=template,
-        seed=int(seed),
+        seed=seed,
         threads=int(threads),
     )
 

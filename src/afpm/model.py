@@ -31,6 +31,12 @@ from .errors import ConfigError, DataError, NumericError
 LN_EPS = 1e-5
 INIT_SIGMA = 0.02
 CHECKPOINT_FORMAT = "afpm-checkpoint-v2"
+# Above this many bytes of q, k, v, ctx and attention weights over all blocks
+# of one batch, blocks cache only ``u`` and ``att`` and backward recomputes the
+# rest. The 7-token MI preset needs about 23 MB at batch 64 (181 MB at 512)
+# and keeps the full cache; with per-channel patches (103 tokens) it needs
+# about 454 MB at batch 64 and goes lean.
+LEAN_CACHE_BYTES = 256 * 2**20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -43,6 +49,16 @@ def gelu(x: np.ndarray) -> np.ndarray:
 def dgelu(x: np.ndarray) -> np.ndarray:
     phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+
+
+def require_int(config, name: str, minimum: int) -> None:
+    """ConfigError unless field ``name`` of ``config`` is an int (not a bool) >= ``minimum``."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{type(config).__name__}.{name} must be an integer, "
+                          f"got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{type(config).__name__}.{name} must be at least {minimum}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +76,7 @@ class FPEConfig:
     def __post_init__(self):
         for name in ("embed_dim", "frame_window", "frame_stride",
                      "avg_window", "avg_shift", "token_dim", "mlp_hidden"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"FPEConfig.{name} must be positive")
+            require_int(self, name, 1)
 
 
 @dataclass(frozen=True)
@@ -75,8 +90,7 @@ class TransformerConfig:
 
     def __post_init__(self):
         for name in ("depth", "heads", "dim_head", "dim_mlp", "n_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"TransformerConfig.{name} must be positive")
+            require_int(self, name, 1)
 
 
 @dataclass(frozen=True)
@@ -297,9 +311,11 @@ def _layernorm_backward(dy, cache, g):
 
 
 def _softmax(x):
-    z = x - x.max(axis=-1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=-1, keepdims=True)
+    """Row softmax computed in place: ``x`` must be a fresh array nothing else reads."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _split_heads(x, heads):
@@ -312,14 +328,23 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
 
 
-def _block_forward(x, p, prefix, t_cfg, cache):
-    """One pre-norm block: x += attention(LN(x)); x += mlp(LN(x))."""
-    scale = 1.0 / math.sqrt(t_cfg.dim_head)
+def _qkv(u, p, prefix, heads):
+    """Per-head queries, keys and values of the normed block input ``u``."""
+    return tuple(_split_heads(u @ p[f"{prefix}.attn.w{n}"] + p[f"{prefix}.attn.b{n}"], heads)
+                 for n in "qkv")
+
+
+def _block_forward(x, p, prefix, t_cfg, cache, lean=False):
+    """One pre-norm block: x += attention(LN(x)); x += mlp(LN(x)).
+
+    A lean cache leaves out q, k, v and ctx; ``_block_backward`` recomputes
+    them from ``u`` and ``att`` with the same ops, so gradients do not change.
+    """
     u, ln1c = _layernorm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    q = _split_heads(u @ p[f"{prefix}.attn.wq"] + p[f"{prefix}.attn.bq"], t_cfg.heads)
-    k = _split_heads(u @ p[f"{prefix}.attn.wk"] + p[f"{prefix}.attn.bk"], t_cfg.heads)
-    v = _split_heads(u @ p[f"{prefix}.attn.wv"] + p[f"{prefix}.attn.bv"], t_cfg.heads)
-    att = _softmax((q @ k.transpose(0, 1, 3, 2)) * scale)
+    q, k, v = _qkv(u, p, prefix, t_cfg.heads)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= 1.0 / math.sqrt(t_cfg.dim_head)
+    att = _softmax(scores)
     ctx = _merge_heads(att @ v)
     x1 = x + ctx @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
 
@@ -328,8 +353,9 @@ def _block_forward(x, p, prefix, t_cfg, cache):
     g1 = gelu(m1)
     x2 = x1 + g1 @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
     if cache is not None:
-        cache[prefix] = dict(u=u, ln1c=ln1c, q=q, k=k, v=v, att=att, ctx=ctx,
-                             u2=u2, ln2c=ln2c, m1=m1, g1=g1)
+        cache[prefix] = dict(u=u, ln1c=ln1c, att=att, u2=u2, ln2c=ln2c, m1=m1, g1=g1)
+        if not lean:
+            cache[prefix].update(q=q, k=k, v=v, ctx=ctx)
     return x2
 
 
@@ -340,8 +366,7 @@ def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _block_backward(dx2, p, prefix, t_cfg, c, grads):
     scale = 1.0 / math.sqrt(t_cfg.dim_head)
-    u, q, k, v, att, ctx = c["u"], c["q"], c["k"], c["v"], c["att"], c["ctx"]
-    u2, m1, g1 = c["u2"], c["m1"], c["g1"]
+    u, att, u2, m1, g1 = c["u"], c["att"], c["u2"], c["m1"], c["g1"]
 
     # MLP sub-block
     dm2 = dx2
@@ -356,17 +381,32 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
         du2, c["ln2c"], p[f"{prefix}.ln2.g"])
     dx1 = dx2 + dx1_ln
 
-    # attention sub-block
+    # attention sub-block; every buffer written in place below is fresh
+    if "q" in c:
+        q, k, v, ctx = c["q"], c["k"], c["v"], c["ctx"]
+    else:
+        q, k, v = _qkv(u, p, prefix, t_cfg.heads)
+        ctx = _merge_heads(att @ v)
     do = dx1
     grads[f"{prefix}.attn.wo"] = _weight_grad(ctx, do)
     grads[f"{prefix}.attn.bo"] = do.sum(axis=(0, 1))
+    del ctx
     dctx = _split_heads(do @ p[f"{prefix}.attn.wo"].T, t_cfg.heads)
     datt = dctx @ v.transpose(0, 1, 3, 2)
-    dv = att.transpose(0, 1, 3, 2) @ dctx
-    dsc = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
-    dq = (dsc @ k) * scale
-    dk = (dsc.transpose(0, 1, 3, 2) @ q) * scale
-    dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+    dv_m = _merge_heads(att.transpose(0, 1, 3, 2) @ dctx)
+    del dctx
+    # softmax backward, built in the datt buffer: dsc = att * (datt - rowsum(datt * att))
+    datt -= np.sum(datt * att, axis=-1, keepdims=True)
+    datt *= att
+    dq = datt @ k
+    dq *= scale
+    dq_m = _merge_heads(dq)
+    del dq
+    dk = datt.transpose(0, 1, 3, 2) @ q
+    del datt
+    dk *= scale
+    dk_m = _merge_heads(dk)
+    del dk
     grads[f"{prefix}.attn.wq"] = _weight_grad(u, dq_m)
     grads[f"{prefix}.attn.bq"] = dq_m.sum(axis=(0, 1))
     grads[f"{prefix}.attn.wk"] = _weight_grad(u, dk_m)
@@ -378,6 +418,14 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
     dx_ln, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = _layernorm_backward(
         du, c["ln1c"], p[f"{prefix}.ln1.g"])
     return dx1 + dx_ln
+
+
+def full_cache_bytes(batch: int, n_tokens: int, t_cfg: TransformerConfig,
+                     itemsize: int) -> int:
+    """Bytes of q, k, v, ctx and attention weights that a full cache keeps over all blocks."""
+    width = t_cfg.heads * t_cfg.dim_head
+    per_block = batch * n_tokens * 4 * width + batch * t_cfg.heads * n_tokens ** 2
+    return per_block * itemsize * t_cfg.depth
 
 
 def forward(x_tem: np.ndarray, model: Model) -> np.ndarray:
@@ -412,13 +460,15 @@ def forward_cached(x_batch: np.ndarray, model: Model,
 
     cache: dict = ({"patches": patches, "h1": h1, "a1": a1, "win": win, "tilde": tilde}
                    if want_cache else {})
+    t = cfg.transformer
+    lean = full_cache_bytes(tokens.shape[0], tokens.shape[1], t,
+                            tokens.itemsize) > LEAN_CACHE_BYTES
     xs = tokens
-    for i in range(cfg.transformer.depth):
-        xs = _block_forward(xs, p, f"block{i}", cfg.transformer,
-                            cache if want_cache else None)
+    for i in range(t.depth):
+        xs = _block_forward(xs, p, f"block{i}", t, cache if want_cache else None, lean)
         if not np.all(np.isfinite(xs)):
             raise NumericError(f"non-finite activations after transformer block {i}")
-    if cfg.transformer.final_norm:
+    if t.final_norm:
         normed, lnfc = _layernorm(xs, p["final_ln.g"], p["final_ln.b"])
     else:
         normed, lnfc = xs, None

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .model import (
-    Model, backward_cached, decayed_param, forward_cached,
+    Model, backward_cached, decayed_param, forward_cached, require_int,
 )
 
 WARMUP_FRACTION = 0.3
@@ -38,8 +38,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        require_int(self, "epochs", 0)
+        require_int(self, "batch_size", 1)
+        require_int(self, "seed", 0)
         if not 0 < self.lr_init <= self.lr_max:
             raise ConfigError("need 0 < lr_init <= lr_max")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):

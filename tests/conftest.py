@@ -1,9 +1,15 @@
 import builtins
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads: the acceptance suites train in this
+# process, and their figures must not depend on the machine's core count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from afpm.data_model import DatasetWriter
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from afpm.data_model import DatasetWriter  # noqa: E402
 
 
 @pytest.fixture

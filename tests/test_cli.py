@@ -63,6 +63,15 @@ class TestResolveConfig:
         with pytest.raises(ConfigError, match="optimizer"):
             load_config_file(str(file_path))
 
+    @pytest.mark.parametrize("doc", [
+        {"fpe": {"embed_dim": 20.0}}, {"fpe": {"frame_window": "25"}},
+        {"transformer": {"depth": True}}, {"transformer": {"heads": 8.0}},
+        {"train": {"epochs": 2.5}}, {"train": {"batch_size": False}}, {"seed": 1.5},
+    ])
+    def test_non_integer_sizes_rejected(self, doc):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            resolve_config("mi", config_file=doc)
+
     def test_no_task_rejected(self):
         with pytest.raises(ConfigError, match="task"):
             resolve_config(None)
@@ -129,6 +138,21 @@ class TestPipeline:
         code = main(["train", "--data", ali, "--task", "mi",
                      "--out", str(tmp_path / "m.ckpt"), "--config", str(bad)])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("doc", [{"fpe": {"embed_dim": 20.0}},
+                                     {"transformer": {"depth": True}},
+                                     {"train": {"epochs": 2.5}}])
+    def test_non_integer_size_is_one_line_config_error(self, doc, pipeline_dirs,
+                                                        tmp_path, capsys):
+        _, _, _, ali, _ = pipeline_dirs
+        cfg_file = tmp_path / "sizes.json"
+        cfg_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["train", "--data", ali, "--task", "mi", "--out",
+                     str(tmp_path / "out" / "m.ckpt"), "--config", str(cfg_file)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "must be an integer" in err[0], err
+        assert not (tmp_path / "out").exists()
 
     def test_finetune_cli(self, pipeline_dirs, tmp_path):
         root, raw, pre, ali, ckpt = pipeline_dirs
@@ -205,7 +229,8 @@ def test_diverged_train_saves_last_finite_parameters(pipeline_dirs, tmp_path, ca
     # the first update overflows float32, so the run keeps its initial weights
     assert main(toy_train(ali, diverged) + ["--epochs", "2", "--lr-init", "1e39",
                                             "--lr-max", "1e39"]) == EXIT_NUMERIC
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == ("numeric error: training diverged at step 1; "
+                                       "kept last finite checkpoint\n")
     assert main(toy_train(ali, initial) + ["--epochs", "0"]) == 0
     (model, _, extra), (model0, _, _) = load_checkpoint(diverged), load_checkpoint(initial)
     assert extra["diverged"] is True

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 import afpm.data_model
 import afpm.model
+from afpm.config import resolve_config
 from afpm.errors import ConfigError, DataError
 from afpm.model import (
     FPEConfig, Model, ModelConfig, TransformerConfig, _block_forward, _window_map,
     assemble_tokens, averaged_count, backward_cached, decayed_param,
-    extract_patches, forward, forward_cached, init_model, load_checkpoint,
-    model_dims, param_shapes, patch_count, save_checkpoint, window_matrix,
+    LEAN_CACHE_BYTES, extract_patches, forward, forward_cached, full_cache_bytes,
+    init_model, load_checkpoint, model_dims, param_shapes, patch_count, save_checkpoint,
+    window_matrix,
 )
 
 from conftest import fail_writes_in
@@ -380,7 +382,6 @@ class TestForward:
         assert np.array_equal(forward(x, model), forward(x, model))
 
     def test_mi_default_shapes(self):
-        from afpm.config import resolve_config
         run = resolve_config("mi")
         model = init_model(run.model_config(), seed=0)
         x = np.zeros((17, 1280), dtype=np.float32)
@@ -606,6 +607,90 @@ class TestCheckpointFuzz:
         if key_path == ("config", "template_channels") and isinstance(value, list):
             expected = dataclasses.replace(expected, template_channels=tuple(value))
         assert model is None or model.cfg == expected
+
+
+def perturbed_model(cfg, dtype, rng):
+    """Model whose biases, norms and embeddings are all nonzero and distinct."""
+    model = init_model(cfg, seed=4, dtype=dtype)
+    for name, arr in model.params.items():
+        model.params[name] = (arr + 0.3 * rng.standard_normal(arr.shape)).astype(dtype)
+    return model
+
+
+def cache_arrays(cache) -> dict:
+    """Every array a forward cache holds, keyed by its path."""
+    out = {}
+    for key, value in cache.items():
+        if isinstance(value, dict):
+            out.update({f"{key}.{k}": v for k, v in cache_arrays(value).items()})
+        elif isinstance(value, tuple):
+            out.update({f"{key}.{i}": v for i, v in enumerate(value)})
+        elif value is not None:
+            out[key] = value
+    return out
+
+
+class TestLeanCache:
+    """Above LEAN_CACHE_BYTES a block caches u and att only; backward recomputes
+    q, k, v and ctx with the same ops, so the gradients stay bit-identical."""
+
+    @pytest.mark.parametrize("per_channel", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_lean_gradients_equal_full_gradients(self, per_channel, dtype, rng,
+                                                 monkeypatch):
+        model = perturbed_model(small_cfg(depth=2, per_channel=per_channel), dtype, rng)
+        x = rng.standard_normal((4, 3, 64)).astype(dtype)
+        dlogits = rng.standard_normal((4, 2)).astype(dtype)
+        logits, full = forward_cached(x, model)
+        monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
+        lean_logits, lean = forward_cached(x, model)
+        assert {"q", "k", "v", "ctx"} <= full["block1"].keys()
+        assert not {"q", "k", "v", "ctx"} & lean["block1"].keys()
+        assert np.array_equal(logits, lean_logits)
+        grads, lean_grads = backward_cached(dlogits, model, full), \
+            backward_cached(dlogits, model, lean)
+        assert grads.keys() == lean_grads.keys() == model.params.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype and np.array_equal(g, lean_grads[name]), name
+
+    def test_lean_attention_rows_sum_to_one(self, rng, monkeypatch):
+        monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
+        cfg = small_cfg(depth=2, per_channel=True)
+        model = init_model(cfg, seed=2, dtype=np.float64)
+        _, cache = forward_cached(rng.standard_normal((2, 3, 64)), model)
+        for i in range(cfg.transformer.depth):
+            assert "q" not in cache[f"block{i}"]
+            assert np.abs(cache[f"block{i}"]["att"].sum(axis=-1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("lean", [False, True])
+    def test_backward_never_writes_into_the_cache(self, lean, rng, monkeypatch):
+        if lean:
+            monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
+        model = perturbed_model(small_cfg(depth=2, per_channel=True), np.float32, rng)
+        dlogits = rng.standard_normal((4, 2)).astype(np.float32)
+        _, cache = forward_cached(rng.standard_normal((4, 3, 64)), model)
+        before = {k: v.copy() for k, v in cache_arrays(cache).items()}
+        first = backward_cached(dlogits, model, cache)
+        second = backward_cached(dlogits, model, cache)
+        for name, g in first.items():
+            assert np.array_equal(g, second[name]), name
+        after = cache_arrays(cache)
+        assert after.keys() == before.keys()
+        for key, arr in before.items():
+            assert np.array_equal(arr, after[key]), key
+
+    def test_presets_keep_the_full_cache_and_mi_per_channel_goes_lean(self):
+        def cache_mb(task, per_channel, batch):
+            run = resolve_config(task)
+            n_tokens = model_dims(run.model_config(per_channel)).n_tokens
+            return full_cache_bytes(batch, n_tokens, run.transformer, 4) / 2**20
+
+        budget = LEAN_CACHE_BYTES / 2**20
+        # the 7-token MI and 5-token ERP presets stay full up to the paper's batch 512
+        assert cache_mb("mi", False, 64) < 25 and cache_mb("mi", False, 512) < budget
+        assert cache_mb("erp", False, 512) < budget
+        # MI per-channel patches: 103 tokens, about 454 MB over 6 blocks at batch 64
+        assert cache_mb("mi", True, 64) > 400 > budget
 
 
 def test_decay_mask_exempts_embeddings_norms_biases():
