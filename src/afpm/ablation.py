@@ -10,7 +10,7 @@ training budget; only the flagged stage differs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import RunConfig
 from .data_model import DatasetManifest, TaskTemplateSpec, load_manifest
@@ -24,20 +24,6 @@ from .training import TrainResult, train
 VARIANTS = ("FULL", "NO_SELECT", "NO_EA", "NO_MAP", "NO_FPE")
 
 
-@dataclass(frozen=True)
-class AblationPlan:
-    run_cfg: RunConfig
-    variants: tuple[str, ...] = VARIANTS
-    seed: int = 0
-
-    def __post_init__(self):
-        unknown = set(self.variants) - set(VARIANTS)
-        if unknown:
-            raise ConfigError(f"unknown ablation variants {sorted(unknown)}")
-        if "FULL" not in self.variants:
-            raise ConfigError("ablation plan must include the FULL baseline")
-
-
 def union_template(manifests: list[DatasetManifest],
                    base: TaskTemplateSpec) -> TaskTemplateSpec:
     """Widened target set for NO_SELECT: every channel seen in training."""
@@ -49,7 +35,6 @@ def union_template(manifests: list[DatasetManifest],
 
 def _variant_stages(variant: str) -> dict:
     return {
-        "select": variant != "NO_SELECT",  # NO_SELECT widens the target set instead
         "ea": variant != "NO_EA",
         "mapping": variant != "NO_MAP",
         "per_channel": variant == "NO_FPE",
@@ -65,11 +50,11 @@ class AblationResult:
     stage_hashes: dict[str, dict]
 
 
-def run_variant(variant: str, plan: AblationPlan,
+def run_variant(variant: str, cfg: RunConfig,
                 train_manifests: list[DatasetManifest],
                 eval_manifests: list[DatasetManifest],
                 workdir: str) -> AblationResult:
-    cfg = plan.run_cfg
+    """Align, train and evaluate one variant; ``cfg.train.seed`` seeds all three."""
     stages = _variant_stages(variant)
     spec = cfg.template
     if variant == "NO_SELECT":
@@ -82,7 +67,7 @@ def run_variant(variant: str, plan: AblationPlan,
                                     ("eval", eval_manifests, aligned_eval)):
         for m in manifests:
             out = os.path.join(vdir, kind, m.name)
-            aligned = align_dataset(m, out, spec, select=True,
+            aligned = align_dataset(m, out, spec,
                                     ea=stages["ea"], mapping=stages["mapping"])
             bucket.append(aligned)
             stage_hashes[f"{kind}:{m.name}"] = aligned.alignment["stage_hashes"]
@@ -92,9 +77,8 @@ def run_variant(variant: str, plan: AblationPlan,
     x_tr, y_tr = x_all[:n_train], y_all[:n_train]
 
     model_cfg = stacked_model_config(cfg, x_tr, layout, stages["per_channel"])
-    model = init_model(model_cfg, seed=plan.seed)
-    train_cfg = replace(cfg.train, seed=plan.seed)
-    result = train(x_tr, y_tr, model, train_cfg)
+    model = init_model(model_cfg, seed=cfg.train.seed)
+    result = train(x_tr, y_tr, model, cfg.train)
 
     reports: dict[str, EvalReport] = {}
     offset = n_train
@@ -105,7 +89,7 @@ def run_variant(variant: str, plan: AblationPlan,
         positive = positive_class_index(m.class_names, cfg.task)
         reports[m.name] = evaluate_arrays(
             model, x_all[sl], y_all[sl], dom_all[sl], m.name,
-            seed=plan.seed, positive=positive,
+            seed=cfg.train.seed, positive=positive,
         )
     digest = raw_digest(train_manifests + eval_manifests)
     return AblationResult(variant=variant, reports=reports, train_result=result,
@@ -123,20 +107,22 @@ def raw_digest(manifests: list[DatasetManifest]) -> str:
     return h.hexdigest()
 
 
-def run_ablation(plan: AblationPlan, train_paths: list[str], eval_paths: list[str],
-                 workdir: str) -> dict[str, AblationResult]:
-    """Train and evaluate every planned variant with identical seeds and budgets."""
+def run_ablation(cfg: RunConfig, variants: tuple[str, ...], train_paths: list[str],
+                 eval_paths: list[str], workdir: str) -> dict[str, AblationResult]:
+    """Train and evaluate every variant with identical seeds and budgets."""
+    unknown = set(variants) - set(VARIANTS)
+    if unknown:
+        raise ConfigError(f"unknown ablation variants {sorted(unknown)}")
+    if "FULL" not in variants:
+        raise ConfigError("ablation must include the FULL baseline")
     train_manifests = [load_manifest(p) for p in train_paths]
     eval_manifests = [load_manifest(p) for p in eval_paths]
-    require_task(train_manifests + eval_manifests, plan.run_cfg.task)
-    results = {}
-    for variant in plan.variants:
-        results[variant] = run_variant(variant, plan, train_manifests,
-                                       eval_manifests, workdir)
-    return results
+    require_task(train_manifests + eval_manifests, cfg.task)
+    return {variant: run_variant(variant, cfg, train_manifests, eval_manifests, workdir)
+            for variant in variants}
 
 
-def ablation_table(results: dict[str, AblationResult], task: str) -> list[dict]:
+def ablation_table(results: dict[str, AblationResult]) -> list[dict]:
     """Flat rows: variant, dataset, and the task's metric means."""
     rows = []
     for variant, res in results.items():
@@ -148,8 +134,8 @@ def ablation_table(results: dict[str, AblationResult], task: str) -> list[dict]:
     return rows
 
 
-def ablation_csv(results: dict[str, AblationResult], task: str) -> str:
-    rows = ablation_table(results, task)
+def ablation_csv(results: dict[str, AblationResult]) -> str:
+    rows = ablation_table(results)
     if not rows:
         return ""
     cols = list(rows[0].keys())

@@ -22,7 +22,8 @@ from .data_model import (
 )
 from .errors import DataError, NumericError
 
-EPS_REL_DEFAULT = 1e-10
+# Eigenvalue floor of the whitening, relative to the mean eigenvalue.
+EPS_REL = 1e-10
 SYMMETRY_TOL = 1e-8
 
 
@@ -98,10 +99,10 @@ def mean_covariance(group: list[SelectedTrial]) -> np.ndarray:
     return (r_bar + r_bar.T) / 2
 
 
-def inv_sqrt_psd(r_bar: np.ndarray, eps_rel: float = EPS_REL_DEFAULT) -> np.ndarray:
+def inv_sqrt_psd(r_bar: np.ndarray) -> np.ndarray:
     """Inverse square root of a symmetric PSD matrix via eigendecomposition.
 
-    Eigenvalues are clamped from below at ``eps_rel`` times the mean
+    Eigenvalues are clamped from below at ``EPS_REL`` times the mean
     eigenvalue, which keeps rank-deficient covariance matrices (short trials,
     few trials per domain) invertible.
     """
@@ -115,14 +116,14 @@ def inv_sqrt_psd(r_bar: np.ndarray, eps_rel: float = EPS_REL_DEFAULT) -> np.ndar
     if asym > SYMMETRY_TOL * max(scale, 1.0):
         raise NumericError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
     evals, evecs = np.linalg.eigh((r_bar + r_bar.T) / 2)
-    floor = eps_rel * float(np.mean(evals))
+    floor = EPS_REL * float(np.mean(evals))
     if floor <= 0:
-        floor = eps_rel * scale
+        floor = EPS_REL * scale
     evals = np.maximum(evals, floor)
     return (evecs * (evals ** -0.5)) @ evecs.T
 
 
-def align_domain(group: list[SelectedTrial], eps_rel: float = EPS_REL_DEFAULT
+def align_domain(group: list[SelectedTrial]
                  ) -> tuple[list[SelectedTrial], tuple[np.ndarray, np.ndarray]]:
     """Whiten every trial of one domain by the shared inverse-sqrt covariance.
 
@@ -138,7 +139,7 @@ def align_domain(group: list[SelectedTrial], eps_rel: float = EPS_REL_DEFAULT
                 f"mixed domains in one alignment group: {t.domain_id!r} vs {domain_id!r}"
             )
     r_bar = mean_covariance(group)
-    w = inv_sqrt_psd(r_bar, eps_rel=eps_rel)
+    w = inv_sqrt_psd(r_bar)
     aligned = [
         SelectedTrial(data=w @ t.data, selected=t.selected,
                       domain_id=t.domain_id, label=t.label)
@@ -169,16 +170,14 @@ def _array_digest(arrays) -> str:
 
 def align_dataset(manifest: DatasetManifest, out_dir: str,
                   spec: TaskTemplateSpec | None = None, *,
-                  select: bool = True, ea: bool = True, mapping: bool = True,
-                  eps_rel: float = EPS_REL_DEFAULT) -> DatasetManifest:
+                  ea: bool = True, mapping: bool = True) -> DatasetManifest:
     """Run the selection -> alignment -> mapping pipeline over a whole dataset.
 
     Writes a new dataset directory plus per-domain alignment statistics under
-    ``alignment/``. The three stage switches drive the ablation variants:
+    ``alignment/``. Selection keeps the channels of ``spec`` (the task
+    template by default; the no-selection ablation passes a widened target
+    set). The two stage switches drive the other ablation variants:
 
-    * ``select=False``: the target set is widened to the union of all channels
-      in this dataset (callers coordinating several datasets should pass a
-      shared union ``spec`` instead).
     * ``ea=False``: whitening is skipped; trials pass through unchanged.
     * ``mapping=False``: trials keep their selected channels in original order
       and their own length; no template placement happens.
@@ -188,8 +187,6 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
     """
     if spec is None:
         spec = task_template(manifest.task)
-    if not select:
-        spec = TaskTemplateSpec(spec.task, manifest.all_channels(), spec.template_len)
     order = "template" if mapping else "original"
 
     trials = load_all_trials(manifest)
@@ -214,7 +211,7 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
     for domain_id in sorted(selected_by_domain):
         sel = selected_by_domain[domain_id]
         if ea:
-            aligned, (r_bar, r_inv_sqrt) = align_domain(sel, eps_rel=eps_rel)
+            aligned, (r_bar, r_inv_sqrt) = align_domain(sel)
             doc = {
                 "domain_id": domain_id,
                 "d_count": len(sel),
@@ -241,7 +238,7 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
             "task": spec.task,
             "template_channels": list(spec.target_channels),
             "template_len": spec.template_len,
-            "selected": select, "ea": ea, "mapped": mapping,
+            "ea": ea, "mapped": mapping,
             "stage_hashes": stage_hashes,
         },
     )

@@ -61,6 +61,7 @@ _OVERRIDE_FLAGS = {
     "--lr-init": ("train", "lr_init", float),
     "--lr-max": ("train", "lr_max", float),
     "--weight-decay": ("train", "weight_decay", float),
+    "--seed": ("train", "seed", int),
 }
 
 
@@ -83,8 +84,10 @@ def _overrides_from(args: argparse.Namespace) -> dict:
     return ov
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+def _common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    """``--threads``, and ``--seed`` where no model flag overrides ``train.seed``."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
                    help="BLAS thread count; 1 gives bit-deterministic runs")
 
@@ -141,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-channel-patches", action="store_true",
                    help="one channel per patch (frame-encoding ablation)")
     _add_model_flags(p)
-    _common(p)
+    _common(p, seed=False)
 
     p = sub.add_parser("eval", help="calibration-free evaluation of a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -161,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'all' or comma list of FULL,NO_SELECT,NO_EA,NO_MAP,NO_FPE")
     p.add_argument("--out", required=True)
     _add_model_flags(p)
-    _common(p)
+    _common(p, seed=False)
 
     p = sub.add_parser("finetune", help="subject-specific fine-tuning of a checkpoint")
     p.add_argument("--ckpt", required=True)
@@ -169,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", type=float, default=0.3)
     p.add_argument("--out", required=True)
     _add_model_flags(p)
-    _common(p)
+    _common(p, seed=False)
 
     return ap
 
@@ -179,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
-    from .config import echo_config, resolve_config
+    from dataclasses import asdict
+
+    from .config import echo_config
     from .synth import (SynthSpec, MI_EVAL_SUBSETS, MI_TRAIN_SUBSETS,
                         ERP_EVAL_SUBSETS, ERP_TRAIN_SUBSETS, generate_dataset)
 
@@ -202,32 +207,32 @@ def _cmd_synth(args) -> int:
         name=args.name or f"synth_{args.task}",
     )
     manifest = generate_dataset(spec, args.seed, args.out)
-    cfg = resolve_config(args.task, seed=args.seed, threads=args.threads)
-    echo_config(cfg, args.out, "synth", _public_args(args))
+    echo_config(args.out, "synth", _public_args(args), asdict(spec))
     print(f"wrote {len(manifest.trials)} trials in {spec.n_domains} domains to {args.out}")
     return EXIT_OK
 
 
 def _cmd_preprocess(args) -> int:
-    from .config import echo_config, resolve_config
-    from .data_model import load_manifest
-    from .preprocessing import PreprocessConfig, preprocess_dataset
+    from dataclasses import asdict, replace
 
-    manifest = load_manifest(_data_path(args.in_dir))
+    from .config import echo_config
+    from .data_model import load_manifest
+    from .errors import ConfigError
+    from .preprocessing import default_config, preprocess_dataset
+
+    edges = {}
     if args.band:
-        lo, hi = (float(v) for v in args.band.split(":"))
-    else:
-        lo = 4.0 if manifest.task == "mi" else 1.0
-        hi = 30.0
+        try:
+            lo, hi = (float(v) for v in args.band.split(":"))
+        except ValueError:
+            raise ConfigError(f"--band takes LO:HI in Hz, got {args.band!r}") from None
+        edges = {"band_lo_hz": lo, "band_hi_hz": hi}
+    manifest = load_manifest(_data_path(args.in_dir))
     unit_scale = args.unit_scale if args.unit_scale is not None else manifest.unit_scale
-    pp = PreprocessConfig(band_lo_hz=lo, band_hi_hz=hi,
-                          target_rate_hz=args.rate, unit_scale=unit_scale)
+    pp = replace(default_config(manifest.task, unit_scale),
+                 target_rate_hz=args.rate, **edges)
     out = preprocess_dataset(manifest, pp, args.out)
-    cfg = resolve_config(manifest.task, overrides={"preprocess": {
-        "band_lo_hz": lo, "band_hi_hz": hi,
-        "target_rate_hz": args.rate, "unit_scale": unit_scale,
-    }}, seed=args.seed, threads=args.threads)
-    echo_config(cfg, args.out, "preprocess", _public_args(args))
+    echo_config(args.out, "preprocess", _public_args(args), asdict(pp))
     print(f"preprocessed {len(out.trials)} trials to {args.out}")
     return EXIT_OK
 
@@ -235,7 +240,7 @@ def _cmd_preprocess(args) -> int:
 def _cmd_align(args) -> int:
     from .ablation import union_template
     from .alignment import align_dataset
-    from .config import echo_config, resolve_config
+    from .config import echo_config
     from .data_model import load_manifest, task_template
 
     manifest = load_manifest(_data_path(args.in_dir))
@@ -244,10 +249,12 @@ def _cmd_align(args) -> int:
         source = [load_manifest(_data_path(p))
                   for p in (args.union_from or [args.in_dir])]
         spec = union_template(source, spec)
-    out = align_dataset(manifest, args.out, spec, select=True,
+    out = align_dataset(manifest, args.out, spec,
                         ea=not args.no_ea, mapping=not args.no_map)
-    cfg = resolve_config(args.task, seed=args.seed, threads=args.threads)
-    echo_config(cfg, args.out, "align", _public_args(args))
+    echo_config(args.out, "align", _public_args(args), {
+        "template": {"channels": list(spec.target_channels), "len": spec.template_len},
+        "ea": not args.no_ea, "mapping": not args.no_map,
+    })
     print(f"aligned {len(out.trials)} trials to {args.out}")
     return EXIT_OK
 
@@ -260,13 +267,12 @@ def _cmd_train(args) -> int:
     from .pipeline import require_task, stack_aligned, stacked_model_config
     from .training import train
 
-    cfg = resolve_config(args.task, args.config, _overrides_from(args),
-                         seed=args.seed, threads=args.threads)
+    cfg = resolve_config(args.task, args.config, _overrides_from(args))
     manifests = [load_manifest(_data_path(p)) for p in args.data]
     require_task(manifests, cfg.task)
     x, y, _, layout = stack_aligned(manifests)
     model_cfg = stacked_model_config(cfg, x, layout, args.per_channel_patches)
-    model = init_model(model_cfg, seed=cfg.seed)
+    model = init_model(model_cfg, seed=cfg.train.seed)
 
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -289,7 +295,7 @@ def _cmd_train(args) -> int:
                            "n_train_trials": int(x.shape[0])})
     with atomic_open(os.path.join(out_dir, "history.csv")) as f:
         f.write(result.history_csv())
-    echo_config(cfg, out_dir, "train", _public_args(args))
+    echo_config(out_dir, "train", _public_args(args), cfg.to_dict())
     final = result.history[-1]["loss"] if result.history else float("nan")
     print(f"saved checkpoint to {args.out} (final loss {final:.4f})")
     if result.diverged:
@@ -325,22 +331,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    from .ablation import (AblationPlan, VARIANTS, ablation_csv, run_ablation)
+    from .ablation import VARIANTS, ablation_csv, run_ablation
     from .config import echo_config, resolve_config
     from .data_model import atomic_open
 
-    cfg = resolve_config(args.task, args.config, _overrides_from(args),
-                         seed=args.seed, threads=args.threads)
+    cfg = resolve_config(args.task, args.config, _overrides_from(args))
     if args.variants == "all":
         variants = VARIANTS
     else:
         variants = tuple(v.strip().upper() for v in args.variants.split(","))
-    plan = AblationPlan(run_cfg=cfg, variants=variants, seed=args.seed)
-    results = run_ablation(plan, [_data_path(p) for p in args.train_dirs],
+    results = run_ablation(cfg, variants, [_data_path(p) for p in args.train_dirs],
                            [_data_path(p) for p in args.eval_dirs],
                            os.path.join(args.out, "work"))
     os.makedirs(args.out, exist_ok=True)
-    csv = ablation_csv(results, args.task)
+    csv = ablation_csv(results)
     with atomic_open(os.path.join(args.out, "ablation.csv")) as f:
         f.write(csv)
     table = {
@@ -350,7 +354,7 @@ def _cmd_ablate(args) -> int:
     with atomic_open(os.path.join(args.out, "ablation.json")) as f:
         json.dump(table, f, indent=1, sort_keys=True)
         f.write("\n")
-    echo_config(cfg, args.out, "ablate", _public_args(args))
+    echo_config(args.out, "ablate", _public_args(args), cfg.to_dict())
     print(csv, end="")
     return EXIT_OK
 
@@ -372,8 +376,7 @@ def _cmd_finetune(args) -> int:
     manifest = load_manifest(_data_path(args.data))
     check_template_match(model, manifest)
     task = model.cfg.task
-    cfg = resolve_config(task, args.config, _overrides_from(args),
-                         seed=args.seed, threads=args.threads)
+    cfg = resolve_config(task, args.config, _overrides_from(args))
     x, y, domains, _ = stack_aligned([manifest])
     x = pad_to_model(x, model)
     positive = positive_class_index(manifest.class_names, task)
@@ -407,7 +410,7 @@ def _cmd_finetune(args) -> int:
     doc = json.dumps(summary, indent=1, sort_keys=True)
     with atomic_open(os.path.join(args.out, "finetune.json")) as f:
         f.write(doc + "\n")
-    echo_config(cfg, args.out, "finetune", _public_args(args))
+    echo_config(args.out, "finetune", _public_args(args), cfg.to_dict())
     print(doc)
     return EXIT_OK
 

@@ -3,8 +3,9 @@
 The two task presets carry the model hyper-parameters (MI: averaging window
 25 shift 5, head width 64, feed-forward 40; ERP: window 5 shift 2, head
 width 10, feed-forward 20; both: embedding 20, frame 25, depth 6, 8 heads)
-plus desk-scale training defaults. Every resolved run is echoed to
-``run_config.json`` next to its outputs so it can be reproduced exactly.
+plus desk-scale training defaults, including the run seed ``train.seed``.
+Every command echoes what it used to ``run_config.json`` next to its
+outputs so the run can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .data_model import TaskTemplateSpec, atomic_open, task_template
 from .errors import ConfigError
-from .model import FPEConfig, ModelConfig, TransformerConfig
-from .preprocessing import PreprocessConfig
+from .model import FPEConfig, TransformerConfig
 from .training import TrainConfig
 
 PRESETS: dict[str, dict] = {
@@ -28,8 +28,6 @@ PRESETS: dict[str, dict] = {
         "train": {"epochs": 30, "batch_size": 64, "lr_init": 2.5e-4, "lr_max": 5e-4,
                   "weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999,
                   "eps_adam": 1e-8, "balanced_sampling": True, "seed": 0},
-        "preprocess": {"band_lo_hz": 4.0, "band_hi_hz": 30.0,
-                       "target_rate_hz": 256.0, "unit_scale": 1.0},
     },
     "erp": {
         "fpe": {"embed_dim": 20, "frame_window": 25, "frame_stride": 25,
@@ -39,13 +37,11 @@ PRESETS: dict[str, dict] = {
         "train": {"epochs": 30, "batch_size": 64, "lr_init": 2.5e-4, "lr_max": 5e-4,
                   "weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999,
                   "eps_adam": 1e-8, "balanced_sampling": True, "seed": 0},
-        "preprocess": {"band_lo_hz": 1.0, "band_hi_hz": 30.0,
-                       "target_rate_hz": 256.0, "unit_scale": 1.0},
     },
 }
 
-_SECTIONS = ("fpe", "transformer", "train", "preprocess")
-_TOP_KEYS = set(_SECTIONS) | {"task", "seed", "threads", "template"}
+_SECTIONS = ("fpe", "transformer", "train")
+_TOP_KEYS = set(_SECTIONS) | {"template"}
 
 
 @dataclass(frozen=True)
@@ -54,19 +50,7 @@ class RunConfig:
     fpe: FPEConfig
     transformer: TransformerConfig
     train: TrainConfig
-    preprocess: PreprocessConfig
     template: TaskTemplateSpec
-    seed: int = 0
-    threads: int = 1
-
-    def model_config(self, per_channel_patches: bool = False) -> ModelConfig:
-        return ModelConfig(
-            task=self.task,
-            template_channels=self.template.target_channels,
-            template_len=self.template.template_len,
-            fpe=self.fpe, transformer=self.transformer,
-            per_channel_patches=per_channel_patches,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -74,11 +58,8 @@ class RunConfig:
             "fpe": asdict(self.fpe),
             "transformer": asdict(self.transformer),
             "train": asdict(self.train),
-            "preprocess": asdict(self.preprocess),
             "template": {"channels": list(self.template.target_channels),
                          "len": self.template.template_len},
-            "seed": self.seed,
-            "threads": self.threads,
         }
 
 
@@ -111,9 +92,8 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
-def resolve_config(task: str | None = None, config_file: str | dict | None = None,
-                   overrides: dict | None = None, seed: int | None = None,
-                   threads: int | None = None) -> RunConfig:
+def resolve_config(task: str, config_file: str | dict | None = None,
+                   overrides: dict | None = None) -> RunConfig:
     """Merge preset, config file, and override dict; precedence rightmost wins.
 
     ``overrides`` maps section names to partial dicts, e.g.
@@ -131,9 +111,6 @@ def resolve_config(task: str | None = None, config_file: str | dict | None = Non
     if unknown:
         raise ConfigError(f"unknown override keys {sorted(unknown)}")
 
-    task = task or overrides.get("task") or file_doc.get("task")
-    if task is None:
-        raise ConfigError("no task given (and none in the config file)")
     task = str(task).lower()
     if task not in PRESETS:
         raise ConfigError(f"unknown task {task!r}, expected one of {sorted(PRESETS)}")
@@ -156,30 +133,26 @@ def resolve_config(task: str | None = None, config_file: str | dict | None = Non
             int(tmpl_doc.get("len", template.template_len)),
         )
 
-    if seed is None:
-        seed = overrides.get("seed", file_doc.get("seed", 0))
-    if threads is None:
-        threads = overrides.get("threads", file_doc.get("threads", 1))
-    train_kwargs = dict(sections["train"])
-    train_kwargs["seed"] = seed  # TrainConfig rejects a non-integer seed
-
     return RunConfig(
         task=task,
         fpe=FPEConfig(**sections["fpe"]),
         transformer=TransformerConfig(**sections["transformer"]),
-        train=TrainConfig(**train_kwargs),
-        preprocess=PreprocessConfig(**sections["preprocess"]),
+        train=TrainConfig(**sections["train"]),
         template=template,
-        seed=seed,
-        threads=int(threads),
     )
 
 
-def echo_config(cfg: RunConfig, out_dir: str, command: str, args: dict) -> str:
-    """Write the fully resolved configuration next to the run's outputs."""
+def echo_config(out_dir: str, command: str, args: dict, resolved: dict) -> str:
+    """Write what a command used next to its outputs, as ``run_config.json``.
+
+    ``resolved`` is the command's own settings: the resolved ``RunConfig``
+    for ``train``, ``ablate`` and ``finetune``, the ``SynthSpec`` for
+    ``synth``, the ``PreprocessConfig`` for ``preprocess``, and the template
+    and stage switches for ``align``.
+    """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "run_config.json")
-    doc = {"command": command, "args": args, "resolved": cfg.to_dict()}
+    doc = {"command": command, "args": args, "resolved": resolved}
     with atomic_open(path) as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")

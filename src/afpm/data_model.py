@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -215,12 +216,38 @@ def _require(cond: bool, where: str, msg: str):
         raise DataError(f"{where}: {msg}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _positive(value, where: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and 0 < value < math.inf, where, f"must be a positive number, got {value!r}")
+    return float(value)
+
+
+def _check_alignment(align) -> None:
+    """The alignment section's fields that loading and stacking read."""
+    _require(isinstance(align, dict), "manifest.alignment", "must be an object")
+    for key, ok in (("task", align.get("task") in TASKS),
+                    ("template_channels", _is_strings(align.get("template_channels"))),
+                    ("template_len", _is_int(align.get("template_len"))
+                     and align.get("template_len") > 0),
+                    ("mapped", isinstance(align.get("mapped"), bool))):
+        _require(ok, f"manifest.alignment.{key}",
+                 f"missing or invalid, got {align.get(key)!r}")
+
+
 def load_manifest(path: str) -> DatasetManifest:
     """Load and fully validate a dataset manifest.
 
     ``path`` may point at the manifest file itself or at its directory.
-    Every referenced trial file must exist with exactly
-    ``4 * n_channels * n_samples`` bytes.
+    Every field must have its documented JSON type, and every referenced
+    trial file must exist with exactly ``4 * n_channels * n_samples`` bytes.
     """
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
@@ -229,7 +256,7 @@ def load_manifest(path: str) -> DatasetManifest:
     with open(path, "r", encoding="utf-8") as f:
         try:
             raw = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise DataError(f"malformed manifest {path}: {e}") from e
     root = os.path.dirname(os.path.abspath(path))
 
@@ -240,22 +267,32 @@ def load_manifest(path: str) -> DatasetManifest:
         _require(key in raw, "manifest", f"missing key {key!r}")
     fmt = raw.get("format", DATASET_FORMAT)
     _require(fmt == DATASET_FORMAT, "manifest.format", f"unsupported format {fmt!r}")
-    task = str(raw["task"]).lower()
-    _require(task in TASKS, "manifest.task", f"unknown task {raw['task']!r}")
-    rate_hz = float(raw["rate_hz"])
-    _require(rate_hz > 0, "manifest.rate_hz", "must be positive")
-    unit_scale = float(raw.get("unit_scale", 1.0))
-    _require(unit_scale > 0, "manifest.unit_scale", "must be positive")
-    class_names = tuple(str(c) for c in raw["class_names"])
+    _require(isinstance(raw["name"], str), "manifest.name", "must be a string")
+    task = raw["task"]
+    _require(isinstance(task, str) and task.lower() in TASKS, "manifest.task",
+             f"unknown task {task!r}")
+    task = task.lower()
+    rate_hz = _positive(raw["rate_hz"], "manifest.rate_hz")
+    unit_scale = _positive(raw.get("unit_scale", 1.0), "manifest.unit_scale")
+    _require(_is_strings(raw["class_names"]), "manifest.class_names",
+             "must be a list of strings")
+    class_names = tuple(raw["class_names"])
     _require(len(class_names) >= 2, "manifest.class_names", "need at least 2 classes")
+    if raw.get("alignment") is not None:
+        _check_alignment(raw["alignment"])
 
+    _require(isinstance(raw["channel_sets"], dict), "manifest.channel_sets",
+             "must be an object")
     channel_sets: dict[str, tuple[str, ...]] = {}
     for set_id, names in raw["channel_sets"].items():
+        where = f"manifest.channel_sets[{set_id!r}]"
+        _require(_is_strings(names), where, "must be a list of channel names")
         try:
-            channel_sets[str(set_id)] = canonical_channels(names)
+            channel_sets[set_id] = canonical_channels(names)
         except DataError as e:
-            raise DataError(f"manifest.channel_sets[{set_id!r}]: {e}") from e
+            raise DataError(f"{where}: {e}") from e
 
+    _require(isinstance(raw["trials"], list), "manifest.trials", "must be a list")
     trials: list[TrialRecord] = []
     for i, t in enumerate(raw["trials"]):
         where = f"manifest.trials[{i}]"
@@ -264,25 +301,29 @@ def load_manifest(path: str) -> DatasetManifest:
         _require(not unknown, where, f"unknown keys {sorted(unknown)}")
         for key in _TRIAL_KEYS:
             _require(key in t, where, f"missing key {key!r}")
-        set_id = str(t["channels"])
+        for key in ("path", "channels", "domain_id"):
+            _require(isinstance(t[key], str), f"{where}.{key}", "must be a string")
+        set_id = t["channels"]
         _require(set_id in channel_sets, f"{where}.channels",
                  f"unknown channel set {set_id!r}")
-        label = int(t["label"])
+        label = t["label"]
+        _require(_is_int(label), f"{where}.label", f"must be an integer, got {label!r}")
         _require(0 <= label < len(class_names), f"{where}.label",
                  f"label {label} out of range for {len(class_names)} classes")
-        n_samples = int(t["n_samples"])
-        _require(n_samples > 0, f"{where}.n_samples", "must be positive")
-        rel = str(t["path"])
+        n_samples = t["n_samples"]
+        _require(_is_int(n_samples) and n_samples > 0, f"{where}.n_samples",
+                 f"must be a positive integer, got {n_samples!r}")
+        rel = t["path"]
         file_path = os.path.join(root, rel)
         _require(os.path.isfile(file_path), f"{where}.path", f"missing file {rel!r}")
         expect = 4 * len(channel_sets[set_id]) * n_samples
         actual = os.path.getsize(file_path)
         _require(actual == expect, f"{where}.path",
                  f"size mismatch: {rel!r} has {actual} bytes, expected {expect}")
-        trials.append(TrialRecord(rel, set_id, label, str(t["domain_id"]), n_samples))
+        trials.append(TrialRecord(rel, set_id, label, t["domain_id"], n_samples))
 
     return DatasetManifest(
-        root=root, name=str(raw["name"]), task=task, rate_hz=rate_hz,
+        root=root, name=raw["name"], task=task, rate_hz=rate_hz,
         class_names=class_names, channel_sets=channel_sets,
         trials=tuple(trials), unit_scale=unit_scale,
         alignment=raw.get("alignment"),

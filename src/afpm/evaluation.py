@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.stats import rankdata
 
 from .data_model import DatasetManifest
 from .errors import DataError
@@ -46,16 +47,7 @@ def auroc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC needs both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    ranks = rankdata(scores, method="average")  # midranks, 1-based
     rank_sum = float(ranks[labels].sum())
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -70,25 +62,13 @@ def auc_pr(scores, labels) -> float:
         raise DataError("AUC-PR needs at least one positive")
     order = np.argsort(-scores, kind="mergesort")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        group_tp = int(sorted_labels[i:j + 1].sum())
-        tp += group_tp
-        seen += j - i + 1
-        if group_tp:
-            precision = tp / seen
-            delta_recall = group_tp / n_pos
-            ap += precision * delta_recall
-        i = j + 1
-    return float(ap)
+    # one threshold per run of equal scores: ``seen`` trials lie at or above it
+    seen = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1,
+                     scores.size)
+    tp = np.cumsum(labels[order])[seen - 1]
+    group_tp = np.diff(tp, prepend=0)
+    # accumulate left to right, in the order of the per-group sweep
+    return float(np.cumsum(tp / seen * (group_tp / n_pos))[-1])
 
 
 def cohens_kappa(preds, labels) -> float:

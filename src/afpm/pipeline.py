@@ -8,8 +8,6 @@ collection, original row order preserved.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .config import RunConfig
@@ -105,6 +103,9 @@ def stacked_model_config(cfg: RunConfig, x_train: np.ndarray, layout: dict,
         channels = tuple(layout["template_channels"])
     else:
         channels = tuple(f"ROW{i:02d}" for i in range(x_train.shape[1]))
-    return replace(cfg.model_config(per_channel_patches=per_channel),
-                   template_channels=channels, template_len=int(layout["template_len"]),
-                   input_scale=active_rms_scale(x_train))
+    return ModelConfig(
+        task=cfg.task, template_channels=channels,
+        template_len=int(layout["template_len"]), fpe=cfg.fpe,
+        transformer=cfg.transformer, per_channel_patches=per_channel,
+        input_scale=active_rms_scale(x_train),
+    )

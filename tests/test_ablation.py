@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from afpm.ablation import (
-    AblationPlan, AblationResult, VARIANTS, ablation_csv, run_ablation,
-    run_variant, union_template,
+    AblationResult, VARIANTS, ablation_csv, run_ablation, run_variant, union_template,
 )
 from afpm.config import resolve_config
 from afpm.data_model import task_template
@@ -37,10 +36,10 @@ def tiny_run_cfg():
         "fpe": {"embed_dim": 4, "frame_window": 16, "frame_stride": 16,
                 "avg_window": 2, "avg_shift": 2, "token_dim": 8, "mlp_hidden": 6},
         "transformer": {"depth": 1, "heads": 2, "dim_head": 3, "dim_mlp": 6},
-        "train": {"epochs": 2, "batch_size": 8},
+        "train": {"epochs": 2, "batch_size": 8, "seed": 0},
         "template": {"len": 256},
     }
-    return resolve_config("mi", overrides=overrides, seed=0)
+    return resolve_config("mi", overrides=overrides)
 
 
 def mean_primary(res: AblationResult, task: str) -> float:
@@ -48,11 +47,15 @@ def mean_primary(res: AblationResult, task: str) -> float:
     return float(np.mean([rep.mean(metric) for rep in res.reports.values()]))
 
 
-def test_plan_requires_full_baseline():
+def test_plan_requires_full_baseline(tmp_path):
+    # the variants are checked before any dataset is read
+    missing = [str(tmp_path / "missing")]
     with pytest.raises(ConfigError, match="FULL"):
-        AblationPlan(run_cfg=tiny_run_cfg(), variants=("NO_EA",))
+        run_ablation(tiny_run_cfg(), ("NO_EA",), missing, missing, str(tmp_path / "w"))
     with pytest.raises(ConfigError, match="unknown"):
-        AblationPlan(run_cfg=tiny_run_cfg(), variants=("FULL", "NO_THING"))
+        run_ablation(tiny_run_cfg(), ("FULL", "NO_THING"), missing, missing,
+                     str(tmp_path / "w"))
+    assert not (tmp_path / "w").exists()
 
 
 def test_union_template_covers_all_channels(tiny_sets):
@@ -65,21 +68,21 @@ def test_union_template_covers_all_channels(tiny_sets):
 
 def test_full_only_plan_single_row(tiny_sets):
     root, tr, ev = tiny_sets
-    plan = AblationPlan(run_cfg=tiny_run_cfg(), variants=("FULL",), seed=0)
-    results = run_ablation(plan, [tr.root], [ev.root], str(root / "w1"))
+    results = run_ablation(tiny_run_cfg(), ("FULL",), [tr.root], [ev.root],
+                           str(root / "w1"))
     assert list(results) == ["FULL"]
-    csv = ablation_csv(results, "mi")
+    csv = ablation_csv(results)
     assert csv.count("\n") == 2  # header + one row
     assert 0.0 <= mean_primary(results["FULL"], "mi") <= 1.0
 
 
 def test_variants_share_upstream_bytes_and_differ_only_at_flagged_stage(tiny_sets):
     root, tr, ev = tiny_sets
-    plan = AblationPlan(run_cfg=tiny_run_cfg(), seed=0)
-    full = run_variant("FULL", plan, [tr], [ev], str(root / "w2"))
-    no_ea = run_variant("NO_EA", plan, [tr], [ev], str(root / "w2"))
-    no_map = run_variant("NO_MAP", plan, [tr], [ev], str(root / "w2"))
-    no_fpe = run_variant("NO_FPE", plan, [tr], [ev], str(root / "w2"))
+    cfg = tiny_run_cfg()
+    full = run_variant("FULL", cfg, [tr], [ev], str(root / "w2"))
+    no_ea = run_variant("NO_EA", cfg, [tr], [ev], str(root / "w2"))
+    no_map = run_variant("NO_MAP", cfg, [tr], [ev], str(root / "w2"))
+    no_fpe = run_variant("NO_FPE", cfg, [tr], [ev], str(root / "w2"))
 
     assert full.raw_input_digest == no_ea.raw_input_digest == no_map.raw_input_digest
     for key in full.stage_hashes:
@@ -93,8 +96,7 @@ def test_variants_share_upstream_bytes_and_differ_only_at_flagged_stage(tiny_set
 
 def test_no_fpe_token_count_formula(tiny_sets):
     root, tr, ev = tiny_sets
-    plan = AblationPlan(run_cfg=tiny_run_cfg(), seed=0)
-    res = run_variant("NO_FPE", plan, [tr], [ev], str(root / "w3"))
+    res = run_variant("NO_FPE", tiny_run_cfg(), [tr], [ev], str(root / "w3"))
     cfg = res.train_result.model.cfg
     assert cfg.per_channel_patches
     dims = model_dims(cfg)
@@ -106,8 +108,7 @@ def test_no_fpe_token_count_formula(tiny_sets):
 
 def test_no_map_pads_to_max_channels(tiny_sets):
     root, tr, ev = tiny_sets
-    plan = AblationPlan(run_cfg=tiny_run_cfg(), seed=0)
-    res = run_variant("NO_MAP", plan, [tr], [ev], str(root / "w4"))
+    res = run_variant("NO_MAP", tiny_run_cfg(), [tr], [ev], str(root / "w4"))
     assert res.train_result.model.cfg.template_channels[0] == "ROW00"
     assert res.reports["ev"].n_trials == 10
 

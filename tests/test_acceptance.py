@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afpm.ablation import AblationPlan, run_variant
+from afpm.ablation import run_variant
 from afpm.alignment import align_domain, inv_sqrt_psd
 from afpm.config import resolve_config
 from afpm.data_model import MI_TEMPLATE_CHANNELS, load_all_trials
@@ -241,15 +241,15 @@ def build_task_suite(task, tmp, budget_epochs, train_trials, eval_trials,
     pp_ft = gen(f"{task}_ft", 2, ft_trials, eval_subsets, 300, ft_snr)
     gen_seconds = time.time() - t0
 
-    run_cfg = resolve_config(task, overrides={"train": {"epochs": budget_epochs}})
+    run_cfgs = {seed: resolve_config(task, overrides={
+        "train": {"epochs": budget_epochs, "seed": seed}}) for seed in SEEDS}
     results = {}
     full_seconds = 0.0
     for variant in ("FULL", "NO_SELECT", "NO_EA", "NO_MAP"):
         per_seed = []
         for seed in SEEDS:
-            plan = AblationPlan(run_cfg=run_cfg, seed=seed)
             t1 = time.time()
-            res = run_variant(variant, plan, [pp_train], [pp_eval],
+            res = run_variant(variant, run_cfgs[seed], [pp_train], [pp_eval],
                               str(tmp / f"work_s{seed}"))
             if variant == "FULL":
                 full_seconds += time.time() - t1
@@ -258,7 +258,7 @@ def build_task_suite(task, tmp, budget_epochs, train_trials, eval_trials,
     return {
         "task": task,
         "pp_train": pp_train, "pp_eval": pp_eval, "pp_ft": pp_ft,
-        "results": results, "run_cfg": run_cfg,
+        "results": results,
         "ft_lr": ft_lr, "ft_epochs": ft_epochs,
         "gen_seconds": gen_seconds, "full_seconds": full_seconds,
     }

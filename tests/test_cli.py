@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,7 +67,8 @@ class TestResolveConfig:
     @pytest.mark.parametrize("doc", [
         {"fpe": {"embed_dim": 20.0}}, {"fpe": {"frame_window": "25"}},
         {"transformer": {"depth": True}}, {"transformer": {"heads": 8.0}},
-        {"train": {"epochs": 2.5}}, {"train": {"batch_size": False}}, {"seed": 1.5},
+        {"train": {"epochs": 2.5}}, {"train": {"batch_size": False}},
+        {"train": {"seed": 1.5}},
     ])
     def test_non_integer_sizes_rejected(self, doc):
         with pytest.raises(ConfigError, match="must be an integer"):
@@ -75,6 +77,18 @@ class TestResolveConfig:
     def test_no_task_rejected(self):
         with pytest.raises(ConfigError, match="task"):
             resolve_config(None)
+
+    def test_readme_config_block_resolves_for_both_tasks(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.json"
+        path.write_text(block)
+        doc = load_config_file(str(path))
+        for task in ("mi", "erp"):
+            resolved = resolve_config(task, str(path)).to_dict()
+            for section_name, values in doc.items():
+                assert resolved[section_name] == values, (task, section_name)
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +129,21 @@ class TestPipeline:
         assert doc["command"] == "train"
         assert doc["resolved"]["transformer"]["depth"] == 1
         assert doc["resolved"]["train"]["epochs"] == 2
+        assert doc["resolved"]["train"]["seed"] == 3
         assert (root / "run" / "history.csv").exists()
         assert (root / "run" / "train.log").exists()
+        # every other command records the settings it used, not a model preset
+        echoed = {d: json.loads((root / d / "run_config.json").read_text())
+                  for d in ("raw", "pre", "ali")}
+        assert echoed["raw"]["command"] == "synth"
+        assert echoed["raw"]["resolved"]["trials_per_domain"] == 12
+        assert echoed["raw"]["resolved"]["trial_len_s"] == 1.0
+        assert echoed["pre"]["resolved"] == {"band_lo_hz": 4.0, "band_hi_hz": 30.0,
+                                             "target_rate_hz": 256.0, "unit_scale": 1.0}
+        assert echoed["ali"]["resolved"]["template"]["len"] == 1280
+        assert echoed["ali"]["resolved"]["template"]["channels"][:2] == ["FC3", "FC1"]
+        assert (echoed["ali"]["resolved"]["ea"], echoed["ali"]["resolved"]["mapping"]) == (
+            True, True)
 
     def test_eval_with_wrong_task_checkpoint_is_data_error(self, pipeline_dirs, tmp_path):
         root, raw, pre, ali, ckpt = pipeline_dirs
@@ -153,6 +180,49 @@ class TestPipeline:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "must be an integer" in err[0], err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", [{"seed": 1}, {"threads": 2}, {"task": "erp"},
+                                     {"preprocess": {}}])
+    def test_config_key_that_sets_nothing_is_one_line_config_error(
+            self, doc, pipeline_dirs, tmp_path, capsys):
+        _, _, _, ali, _ = pipeline_dirs
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["train", "--data", ali, "--task", "mi", "--out",
+                     str(tmp_path / "out" / "m.ckpt"), "--config", str(cfg_file)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and repr(next(iter(doc))) in err[0], err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_precedence_cli_over_file_over_preset(self, pipeline_dirs, tmp_path):
+        _, _, _, ali, _ = pipeline_dirs
+        cfg_file = tmp_path / "seed.json"
+        cfg_file.write_text(json.dumps({"train": {"seed": 5}}))
+
+        def checkpoint(name, *flags):
+            ckpt = tmp_path / name / "m.ckpt"
+            argv = toy_train(ali, str(ckpt))
+            at = argv.index("--seed")
+            assert main(argv[:at] + argv[at + 2:] + ["--epochs", "1", *flags]) == 0
+            return ckpt.read_bytes()
+
+        from_file = checkpoint("file", "--config", str(cfg_file))
+        assert from_file == checkpoint("flag5", "--seed", "5")
+        flag3 = checkpoint("flag3", "--seed", "3")
+        assert flag3 != from_file
+        assert checkpoint("both", "--config", str(cfg_file), "--seed", "3") == flag3
+
+    @pytest.mark.parametrize("band", ["abc", "4:30:50"])
+    def test_malformed_band_is_one_line_config_error(self, band, pipeline_dirs,
+                                                     tmp_path, capsys):
+        _, raw, _, _, _ = pipeline_dirs
+        capsys.readouterr()
+        assert main(["preprocess", "--in", raw, "--out", str(tmp_path / "pp"),
+                     "--band", band]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and repr(band) in err[0], err
+        assert not (tmp_path / "pp").exists()
 
     def test_finetune_cli(self, pipeline_dirs, tmp_path):
         root, raw, pre, ali, ckpt = pipeline_dirs
@@ -243,14 +313,14 @@ def test_diverged_train_saves_last_finite_parameters(pipeline_dirs, tmp_path, ca
 def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeypatch):
     _, _, _, ali, ckpt = pipeline_dirs
     run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
-    echo_config(resolve_config("mi"), str(run_dir), "train", {"seed": 0})
+    echo_config(str(run_dir), "train", {"seed": 0}, resolve_config("mi").to_dict())
     assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir)]) == 0
     files = [run_dir / "run_config.json", eval_dir / "report.json", eval_dir / "report.txt"]
     before = [f.read_bytes() for f in files]
 
     fail_writes_in(monkeypatch, afpm.config, afpm.data_model)
     with pytest.raises(OSError, match="mid-write"):
-        echo_config(resolve_config("erp"), str(run_dir), "train", {"seed": 1})
+        echo_config(str(run_dir), "train", {"seed": 1}, resolve_config("erp").to_dict())
     # the report is one write: fail on the first
     fail_writes_in(monkeypatch, afpm.cli, afpm.data_model, fail_at=1)
     with pytest.raises(OSError, match="mid-write"):

@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import afpm.data_model
+from afpm.alignment import align_dataset
 from afpm.data_model import (
-    DatasetWriter, EEGTrial, canonical_channel, canonical_channels,
+    DatasetWriter, EEGTrial, TaskTemplateSpec, canonical_channel, canonical_channels,
     group_by_domain, load_manifest, load_trial, task_template,
 )
 from afpm.errors import DataError
+from afpm.pipeline import stack_aligned
 
 from conftest import fail_writes_in, write_toy_dataset
 
@@ -169,3 +172,83 @@ def test_interrupted_manifest_write_keeps_previous(tmp_path, monkeypatch):
         writer.finish()
     assert (tmp_path / "manifest.json").read_bytes() == before
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.fixture(scope="module")
+def aligned_manifest(tmp_path_factory):
+    """Text of one aligned dataset's manifest, and the dataset directory."""
+    root = tmp_path_factory.mktemp("manifest_fuzz")
+    raw = write_toy_dataset(root / "raw", n_trials=4, n_samples=16)
+    align_dataset(raw, str(root / "al"), TaskTemplateSpec("mi", ("C3", "CZ", "C4"), 16))
+    path = root / "al" / "manifest.json"
+    return path.read_text(encoding="utf-8"), path
+
+
+def _load_or_data_error(path, text: str):
+    """The loader's whole contract: a usable manifest, or DataError and nothing else."""
+    path.write_text(text, encoding="utf-8")
+    try:
+        manifest = load_manifest(str(path))
+    except DataError:
+        return None
+    assert isinstance(manifest.name, str) and manifest.rate_hz > 0
+    assert all(isinstance(c, str) for c in manifest.class_names)
+    for rec in manifest.trials:
+        assert isinstance(rec.label, int) and 0 <= rec.label < manifest.n_classes
+        assert isinstance(rec.domain_id, str) and rec.channel_set in manifest.channel_sets
+    try:  # what loads also stacks, or is refused as data
+        stack_aligned([manifest])
+    except DataError:
+        pass
+    return manifest
+
+
+def _manifest_keys(text: str) -> list[tuple]:
+    doc = json.loads(text)
+    sections = {(): doc, ("trials", 0): doc["trials"][0], ("alignment",): doc["alignment"]}
+    return [where + (key,) for where, part in sections.items() for key in part]
+
+
+def _edit(text: str, key_path: tuple, value=None, delete=False) -> str:
+    doc = json.loads(text)
+    part = doc
+    for key in key_path[:-1]:
+        part = part[key]
+    if delete:
+        del part[key_path[-1]]
+    else:
+        part[key_path[-1]] = value
+    return json.dumps(doc)
+
+
+class TestManifestFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_truncated(self, aligned_manifest, data):
+        text, path = aligned_manifest
+        cut = data.draw(st.integers(0, len(text) - 1))
+        _load_or_data_error(path, text[:cut])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_key_deleted(self, aligned_manifest, data):
+        text, path = aligned_manifest
+        key_path = data.draw(st.sampled_from(_manifest_keys(text)))
+        _load_or_data_error(path, _edit(text, key_path, delete=True))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), value=st.one_of(
+        st.text(max_size=6),
+        st.lists(st.one_of(st.integers(-2, 300), st.text(max_size=3)), max_size=4)))
+    def test_value_replaced(self, aligned_manifest, data, value):
+        text, path = aligned_manifest
+        key_path = data.draw(st.sampled_from(_manifest_keys(text)))
+        _load_or_data_error(path, _edit(text, key_path, value))
+
+    @pytest.mark.parametrize("key_path, value", [
+        (("rate_hz",), "abc"), (("channel_sets",), [["C3"]]), (("trials", 0, "label"), None),
+    ])
+    def test_type_errors_seen_before_are_data_errors(self, aligned_manifest,
+                                                     key_path, value):
+        text, path = aligned_manifest
+        assert _load_or_data_error(path, _edit(text, key_path, value)) is None

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from afpm.errors import DataError
 from afpm.evaluation import (
@@ -43,6 +43,59 @@ def sweep_auc_pr(scores, labels):
         ap += (recall - prev_recall) * precision
         prev_recall = recall
     return ap
+
+
+def loop_auc_pr(scores, labels):
+    """The per-group loop ``auc_pr`` replaced, kept as its reference."""
+    scores = np.asarray(scores)
+    labels = np.asarray(labels).astype(bool)
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    ap = 0.0
+    tp = 0
+    seen = 0
+    i = 0
+    n = scores.size
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        group_tp = int(sorted_labels[i:j + 1].sum())
+        tp += group_tp
+        seen += j - i + 1
+        if group_tp:
+            ap += tp / seen * (group_tp / n_pos)
+        i = j + 1
+    return float(ap)
+
+
+@st.composite
+def tied_scores(draw):
+    """Scores from a few distinct values, so most trials tie with another."""
+    n = draw(st.integers(2, 80))
+    values = draw(st.lists(st.floats(-3, 3, width=32), min_size=1, max_size=5))
+    scores = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return scores, labels
+
+
+class TestTiedRankOracles:
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_scores())
+    def test_auroc_is_the_pairwise_win_count(self, case):
+        scores, labels = case
+        assume(labels.any() and not labels.all())
+        assert auroc(scores, labels) == pairwise_auroc(scores, labels)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=tied_scores())
+    def test_auc_pr_matches_the_group_loop(self, case):
+        scores, labels = case
+        assume(labels.any())
+        assert auc_pr(scores, labels) == pytest.approx(loop_auc_pr(scores, labels),
+                                                       rel=0, abs=1e-12)
 
 
 class TestBalancedAccuracy:

@@ -17,6 +17,7 @@ from afpm.model import (
     init_model, load_checkpoint, model_dims, param_shapes, patch_count, save_checkpoint,
     window_matrix,
 )
+from afpm.pipeline import stacked_model_config
 
 from conftest import fail_writes_in
 
@@ -30,6 +31,16 @@ def small_cfg(m=3, t_prime=64, depth=1, heads=2, dim_head=3, per_channel=False,
     channels = tuple(f"C{i}" for i in range(m))
     return ModelConfig(task="mi", template_channels=channels, template_len=t_prime,
                        fpe=fpe, transformer=t, per_channel_patches=per_channel)
+
+
+def preset_model_config(task, per_channel=False):
+    """A task preset's model on its own template, built as training builds it."""
+    run = resolve_config(task)
+    spec = run.template
+    layout = {"mapped": True, "template_channels": spec.target_channels,
+              "template_len": spec.template_len}
+    x = np.zeros((1, spec.n_channels, spec.template_len), dtype=np.float32)
+    return stacked_model_config(run, x, layout, per_channel)
 
 
 class TestPatchCount:
@@ -382,8 +393,7 @@ class TestForward:
         assert np.array_equal(forward(x, model), forward(x, model))
 
     def test_mi_default_shapes(self):
-        run = resolve_config("mi")
-        model = init_model(run.model_config(), seed=0)
+        model = init_model(preset_model_config("mi"), seed=0)
         x = np.zeros((17, 1280), dtype=np.float32)
         logits = forward(x, model)
         assert logits.shape == (2,)
@@ -681,9 +691,9 @@ class TestLeanCache:
 
     def test_presets_keep_the_full_cache_and_mi_per_channel_goes_lean(self):
         def cache_mb(task, per_channel, batch):
-            run = resolve_config(task)
-            n_tokens = model_dims(run.model_config(per_channel)).n_tokens
-            return full_cache_bytes(batch, n_tokens, run.transformer, 4) / 2**20
+            cfg = preset_model_config(task, per_channel)
+            n_tokens = model_dims(cfg).n_tokens
+            return full_cache_bytes(batch, n_tokens, cfg.transformer, 4) / 2**20
 
         budget = LEAN_CACHE_BYTES / 2**20
         # the 7-token MI and 5-token ERP presets stay full up to the paper's batch 512
