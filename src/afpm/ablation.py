@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .config import RunConfig
-from .data_model import DatasetManifest, TaskTemplateSpec, load_manifest
+from .data_model import DatasetManifest, TaskTemplateSpec, load_manifest, task_template
 from .alignment import align_dataset
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate_arrays, positive_class_index
@@ -56,7 +56,7 @@ def run_variant(variant: str, cfg: RunConfig,
                 workdir: str) -> AblationResult:
     """Align, train and evaluate one variant; ``cfg.train.seed`` seeds all three."""
     stages = _variant_stages(variant)
-    spec = cfg.template
+    spec = task_template(cfg.task)
     if variant == "NO_SELECT":
         spec = union_template(train_manifests, spec)
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data_model import (
-    DatasetManifest, DatasetWriter, EEGTrial, TaskTemplateSpec, atomic_open,
-    group_by_domain, load_all_trials, task_template,
+    DatasetManifest, DatasetWriter, TaskTemplateSpec, atomic_open, load_trial,
+    task_template,
 )
 from .errors import DataError, NumericError
 
@@ -27,75 +26,41 @@ EPS_REL = 1e-10
 SYMMETRY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SelectedTrial:
-    """Trial restricted to task-relevant channels, with template row bookkeeping.
+def select_channels(channels: tuple[str, ...], spec: TaskTemplateSpec
+                    ) -> list[tuple[int, int]]:
+    """Rows of the task channels among ``channels``, paired with their template rows.
 
-    ``selected`` pairs each kept channel with its row index in the template;
-    row order of ``data`` follows ``selected``.
+    Returns ``(row in channels, row in the template)`` pairs in template
+    order; sorted, they follow the order of ``channels``. Raises when no
+    channel belongs to the task target set.
     """
-
-    data: np.ndarray
-    selected: tuple[tuple[str, int], ...]
-    domain_id: str
-    label: int
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
-
-def select_channels(trial: EEGTrial, spec: TaskTemplateSpec,
-                    order: str = "template") -> SelectedTrial:
-    """Keep the intersection of trial channels with the task target set.
-
-    ``order`` is "template" (rows reordered to template order, the default)
-    or "original" (trial's own order preserved; used by the no-mapping
-    ablation). Raises when the intersection is empty.
-    """
-    present = {ch: i for i, ch in enumerate(trial.channels)}
-    if order == "template":
-        picked = [(ch, spec.row_index(ch)) for ch in spec.target_channels if ch in present]
-    elif order == "original":
-        targets = set(spec.target_channels)
-        picked = [(ch, spec.row_index(ch)) for ch in trial.channels if ch in targets]
-    else:
-        raise ValueError(f"order must be 'template' or 'original', got {order!r}")
-    if not picked:
+    present = {ch: i for i, ch in enumerate(channels)}
+    pairs = [(present[ch], row) for row, ch in enumerate(spec.target_channels)
+             if ch in present]
+    if not pairs:
         raise DataError(
-            f"no task-relevant channels: trial has {list(trial.channels)}, "
+            f"no task-relevant channels: trial has {list(channels)}, "
             f"target set is {list(spec.target_channels)}"
         )
-    rows = [present[ch] for ch, _ in picked]
-    return SelectedTrial(
-        data=np.asarray(trial.data, dtype=np.float64)[rows, :],
-        selected=tuple(picked), domain_id=trial.domain_id, label=trial.label,
-    )
+    return pairs
 
 
-def mean_covariance(group: list[SelectedTrial]) -> np.ndarray:
+def mean_covariance(xs: list[np.ndarray]) -> np.ndarray:
     """Arithmetic mean of per-trial spatial Gram matrices X X^T, symmetrized.
 
     No 1/T normalization: the downstream whitening is invariant to any
     positive constant scaling of the mean.
     """
-    if not group:
+    if not xs:
         raise DataError("empty trial group")
-    m = group[0].n_channels
+    m = xs[0].shape[0]
     acc = np.zeros((m, m), dtype=np.float64)
-    for t in group:
-        if t.n_channels != m:
-            raise DataError(
-                f"channel count mismatch inside domain {group[0].domain_id!r}: "
-                f"{t.n_channels} != {m}"
-            )
-        x = np.asarray(t.data, dtype=np.float64)
+    for x in xs:
+        if x.shape[0] != m:
+            raise DataError(f"channel count mismatch inside one domain: {x.shape[0]} != {m}")
+        x = np.asarray(x, dtype=np.float64)
         acc += x @ x.T
-    r_bar = acc / len(group)
+    r_bar = acc / len(xs)
     return (r_bar + r_bar.T) / 2
 
 
@@ -123,41 +88,27 @@ def inv_sqrt_psd(r_bar: np.ndarray) -> np.ndarray:
     return (evecs * (evals ** -0.5)) @ evecs.T
 
 
-def align_domain(group: list[SelectedTrial]
-                 ) -> tuple[list[SelectedTrial], tuple[np.ndarray, np.ndarray]]:
+def align_domain(xs: list[np.ndarray]
+                 ) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Whiten every trial of one domain by the shared inverse-sqrt covariance.
 
     Returns the aligned trials and ``(r_bar, r_inv_sqrt)``: the domain-mean
     covariance and its inverse square root.
     """
-    if not group:
-        raise DataError("empty trial group")
-    domain_id = group[0].domain_id
-    for t in group:
-        if t.domain_id != domain_id:
-            raise DataError(
-                f"mixed domains in one alignment group: {t.domain_id!r} vs {domain_id!r}"
-            )
-    r_bar = mean_covariance(group)
+    r_bar = mean_covariance(xs)
     w = inv_sqrt_psd(r_bar)
-    aligned = [
-        SelectedTrial(data=w @ t.data, selected=t.selected,
-                      domain_id=t.domain_id, label=t.label)
-        for t in group
-    ]
-    return aligned, (r_bar, w)
+    return [w @ x for x in xs], (r_bar, w)
 
 
-def map_to_template(aligned: SelectedTrial, spec: TaskTemplateSpec) -> np.ndarray:
-    """Write aligned rows into their template rows; everything else stays zero."""
-    t = aligned.n_samples
+def map_to_template(x: np.ndarray, rows: list[int], spec: TaskTemplateSpec) -> np.ndarray:
+    """Write the rows of ``x`` into template ``rows``; everything else stays zero."""
+    t = x.shape[1]
     if t > spec.template_len:
         raise DataError(
             f"trial exceeds template length: {t} > {spec.template_len} samples"
         )
     x_tem = np.zeros((spec.n_channels, spec.template_len), dtype=np.float64)
-    for local, (_, row) in enumerate(aligned.selected):
-        x_tem[row, :t] = aligned.data[local]
+    x_tem[rows, :t] = x
     return x_tem
 
 
@@ -187,49 +138,55 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
     """
     if spec is None:
         spec = task_template(manifest.task)
-    order = "template" if mapping else "original"
+    trials = manifest.trials
+    xs = [load_trial(manifest, i) for i in range(len(trials))]
+    by_domain: dict[str, list[int]] = {}
+    for i, rec in enumerate(trials):
+        by_domain.setdefault(rec.domain_id, []).append(i)
+    domains = sorted(by_domain)
 
-    trials = load_all_trials(manifest)
-    if trials:
-        groups = group_by_domain(trials)
-    else:
-        groups = []
-
-    selected_by_domain = {
-        g.domain_id: [select_channels(t, spec, order=order) for t in g.trials]
-        for g in groups
-    }
+    # A domain has one channel set, so its rows are selected once: in
+    # template order, or in the trial's own order when nothing is placed.
+    tem_rows: dict[str, list[int]] = {}
+    for domain_id in domains:
+        idx = by_domain[domain_id]
+        channels = manifest.channels_of(trials[idx[0]])
+        if any(manifest.channels_of(trials[i]) != channels for i in idx):
+            raise DataError(f"domain {domain_id!r}: heterogeneous channel lists")
+        pairs = select_channels(channels, spec)
+        if not mapping:
+            pairs.sort()
+        src = [s for s, _ in pairs]
+        tem_rows[domain_id] = [row for _, row in pairs]
+        for i in idx:
+            xs[i] = np.asarray(xs[i], dtype=np.float64)[src, :]
+    names = {d: [spec.target_channels[row] for row in rows] for d, rows in tem_rows.items()}
     stage_hashes = {
-        "selected": _array_digest(
-            t.data for d in sorted(selected_by_domain) for t in selected_by_domain[d]
-        ),
+        "selected": _array_digest(xs[i] for d in domains for i in by_domain[d]),
     }
 
     stats_dir = os.path.join(out_dir, "alignment")
     os.makedirs(stats_dir, exist_ok=True)
-    aligned_by_domain: dict[str, list[SelectedTrial]] = {}
-    for domain_id in sorted(selected_by_domain):
-        sel = selected_by_domain[domain_id]
+    for domain_id in domains:
+        idx = by_domain[domain_id]
         if ea:
-            aligned, (r_bar, r_inv_sqrt) = align_domain(sel)
+            aligned, (r_bar, r_inv_sqrt) = align_domain([xs[i] for i in idx])
+            for i, x in zip(idx, aligned):
+                xs[i] = x
             doc = {
                 "domain_id": domain_id,
-                "d_count": len(sel),
+                "d_count": len(idx),
                 "n_channels": int(r_bar.shape[0]),
-                "channels": [ch for ch, _ in sel[0].selected],
+                "channels": names[domain_id],
                 "r_bar": r_bar.tolist(),
                 "r_inv_sqrt": r_inv_sqrt.tolist(),
             }
         else:
-            aligned = sel
-            doc = {"domain_id": domain_id, "d_count": len(sel), "skipped": True}
+            doc = {"domain_id": domain_id, "d_count": len(idx), "skipped": True}
         fname = hashlib.sha256(domain_id.encode()).hexdigest()[:16] + ".json"
         with atomic_open(os.path.join(stats_dir, fname)) as f:
             json.dump(doc, f, indent=1, sort_keys=True)
-        aligned_by_domain[domain_id] = aligned
-    stage_hashes["aligned"] = _array_digest(
-        t.data for d in sorted(aligned_by_domain) for t in aligned_by_domain[d]
-    )
+    stage_hashes["aligned"] = _array_digest(xs[i] for d in domains for i in by_domain[d])
 
     writer = DatasetWriter(
         out_dir=out_dir, name=manifest.name, task=manifest.task,
@@ -242,19 +199,13 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
             "stage_hashes": stage_hashes,
         },
     )
-    # Preserve the manifest's trial order on disk: within-domain order is
-    # stable, so re-interleave by drawing from each domain's trials in turn.
-    runs = {d: iter(ts) for d, ts in aligned_by_domain.items()}
-    ordered = [next(runs[t.domain_id]) for t in trials]
-
-    mapped_hash_parts = []
-    for t in ordered:
+    outputs = []
+    for x, rec in zip(xs, trials):
+        channels = names[rec.domain_id]
         if mapping:
-            x_tem = map_to_template(t, spec)
-            writer.add_trial(x_tem, spec.target_channels, t.label, t.domain_id)
-            mapped_hash_parts.append(x_tem)
-        else:
-            writer.add_trial(t.data, [ch for ch, _ in t.selected], t.label, t.domain_id)
-            mapped_hash_parts.append(t.data)
-    writer.alignment["stage_hashes"]["output"] = _array_digest(mapped_hash_parts)
+            x = map_to_template(x, tem_rows[rec.domain_id], spec)
+            channels = spec.target_channels
+        writer.add_trial(x, channels, rec.label, rec.domain_id)
+        outputs.append(x)
+    writer.alignment["stage_hashes"]["output"] = _array_digest(outputs)
     return writer.finish()

@@ -185,23 +185,15 @@ def _cmd_synth(args) -> int:
     from dataclasses import asdict
 
     from .config import echo_config
-    from .synth import (SynthSpec, MI_EVAL_SUBSETS, MI_TRAIN_SUBSETS,
-                        ERP_EVAL_SUBSETS, ERP_TRAIN_SUBSETS, generate_dataset)
+    from .synth import SynthSpec, default_subsets, generate_dataset
 
-    catalogues = {
-        ("mi", "train"): MI_TRAIN_SUBSETS, ("mi", "eval"): MI_EVAL_SUBSETS,
-        ("erp", "train"): ERP_TRAIN_SUBSETS, ("erp", "eval"): ERP_EVAL_SUBSETS,
-        ("mi", "default"): MI_TRAIN_SUBSETS + MI_EVAL_SUBSETS,
-        ("erp", "default"): ERP_TRAIN_SUBSETS + ERP_EVAL_SUBSETS,
-    }
-    cat = catalogues[(args.task, args.channels)]
-    subsets = tuple(cat[i % len(cat)] for i in range(args.domains))
     trial_len = args.trial_len
     if trial_len is None:
         trial_len = 3.0 if args.task == "mi" else 1.0
     spec = SynthSpec(
         task=args.task, n_domains=args.domains, trials_per_domain=args.trials,
-        channel_subsets=subsets, rate_hz=args.rate, trial_len_s=trial_len,
+        channel_subsets=default_subsets(args.task, args.domains, args.channels),
+        rate_hz=args.rate, trial_len_s=trial_len,
         snr_db=args.snr, domain_gain=args.domain_gain,
         class_ratio=args.class_ratio,
         name=args.name or f"synth_{args.task}",
@@ -364,22 +356,15 @@ def _cmd_finetune(args) -> int:
 
     from .config import echo_config, resolve_config
     from .data_model import atomic_open, load_manifest
-    from .evaluation import (
-        compute_metrics, positive_class_index, subject_of, task_metrics,
-    )
+    from .evaluation import compute_metrics, model_inputs, subject_of, task_metrics
     from .model import forward, load_checkpoint, save_checkpoint, Model
-    from .pipeline import stack_aligned
     from .training import finetune
-    from .evaluation import check_template_match, pad_to_model
 
     model, _, _ = load_checkpoint(args.ckpt)
     manifest = load_manifest(_data_path(args.data))
-    check_template_match(model, manifest)
     task = model.cfg.task
     cfg = resolve_config(task, args.config, _overrides_from(args))
-    x, y, domains, _ = stack_aligned([manifest])
-    x = pad_to_model(x, model)
-    positive = positive_class_index(manifest.class_names, task)
+    x, y, domains, positive = model_inputs(model, manifest)
 
     subjects = sorted({subject_of(d) for d in domains})
     per_subject = []

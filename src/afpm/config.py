@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import asdict, dataclass
 
-from .data_model import TaskTemplateSpec, atomic_open, task_template
+from .data_model import atomic_open
 from .errors import ConfigError
 from .model import FPEConfig, TransformerConfig
 from .training import TrainConfig
@@ -41,7 +41,7 @@ PRESETS: dict[str, dict] = {
 }
 
 _SECTIONS = ("fpe", "transformer", "train")
-_TOP_KEYS = set(_SECTIONS) | {"template"}
+_TOP_KEYS = set(_SECTIONS)
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,6 @@ class RunConfig:
     fpe: FPEConfig
     transformer: TransformerConfig
     train: TrainConfig
-    template: TaskTemplateSpec
 
     def to_dict(self) -> dict:
         return {
@@ -58,8 +57,6 @@ class RunConfig:
             "fpe": asdict(self.fpe),
             "transformer": asdict(self.transformer),
             "train": asdict(self.train),
-            "template": {"channels": list(self.template.target_channels),
-                         "len": self.template.template_len},
         }
 
 
@@ -121,24 +118,11 @@ def resolve_config(task: str, config_file: str | dict | None = None,
         for s in _SECTIONS
     }
 
-    template = task_template(task)
-    tmpl_doc = overrides.get("template") or file_doc.get("template")
-    if tmpl_doc:
-        unknown = set(tmpl_doc) - {"channels", "len"}
-        if unknown:
-            raise ConfigError(f"unknown template keys {sorted(unknown)}")
-        template = TaskTemplateSpec(
-            task,
-            tuple(tmpl_doc.get("channels", template.target_channels)),
-            int(tmpl_doc.get("len", template.template_len)),
-        )
-
     return RunConfig(
         task=task,
         fpe=FPEConfig(**sections["fpe"]),
         transformer=TransformerConfig(**sections["transformer"]),
         train=TrainConfig(**sections["train"]),
-        template=template,
     )
 
 

@@ -1,8 +1,10 @@
-"""Channel registry, trial containers, the on-disk dataset format, and domain grouping.
+"""Channel registry, task templates, and the on-disk dataset format.
 
 A dataset on disk is a directory holding ``manifest.json`` plus one raw binary
 file per trial (little-endian float32, row-major channels x time, no header).
-Channel lists are stored once in the manifest and referenced per trial.
+Channel lists are stored once in the manifest and referenced per trial. A
+trial in memory is its float32 matrix; its channels, label and domain are
+read from its manifest record.
 """
 
 from __future__ import annotations
@@ -102,9 +104,6 @@ class TaskTemplateSpec:
     def n_channels(self) -> int:
         return len(self.target_channels)
 
-    def row_index(self, channel: str) -> int:
-        return self.target_channels.index(canonical_channel(channel))
-
 
 def task_template(task: str) -> TaskTemplateSpec:
     """Built-in template for ``task``: 'mi' (17 ch, 1280 samples) or 'erp' (28 ch, 256)."""
@@ -114,56 +113,6 @@ def task_template(task: str) -> TaskTemplateSpec:
     if task == "erp":
         return TaskTemplateSpec("erp", ERP_TEMPLATE_CHANNELS, ERP_TEMPLATE_LEN)
     raise DataError(f"unknown task {task!r}, expected one of {TASKS}")
-
-
-@dataclass(frozen=True)
-class EEGTrial:
-    """One labeled trial: float matrix [channels x samples] in 0.1 mV units."""
-
-    data: np.ndarray
-    channels: tuple[str, ...]
-    rate_hz: float
-    label: int
-    domain_id: str
-
-    def __post_init__(self):
-        data = np.asarray(self.data)
-        if data.ndim != 2:
-            raise DataError(f"trial data must be 2-D, got shape {data.shape}")
-        if len(self.channels) != data.shape[0]:
-            raise DataError(
-                f"channel list length {len(self.channels)} != matrix rows {data.shape[0]}"
-            )
-        if not np.all(np.isfinite(data)):
-            raise DataError("non-finite sample in trial data")
-        if self.rate_hz <= 0:
-            raise DataError("rate_hz must be positive")
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "channels", canonical_channels(self.channels))
-        data.setflags(write=False)
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class DomainGroup:
-    """Trials sharing subject/session/device; the unit of alignment statistics."""
-
-    domain_id: str
-    trials: tuple[EEGTrial, ...]
-
-    def __post_init__(self):
-        if not self.trials:
-            raise DataError(f"domain {self.domain_id!r} has no trials")
-
-    def __len__(self) -> int:
-        return len(self.trials)
 
 
 @dataclass(frozen=True)
@@ -330,57 +279,29 @@ def load_manifest(path: str) -> DatasetManifest:
     )
 
 
-def load_trial(manifest: DatasetManifest, index: int) -> EEGTrial:
-    """Read one trial referenced by the manifest.
+def load_trial(manifest: DatasetManifest, index: int) -> np.ndarray:
+    """Read the float32 matrix [channels x samples] of trial ``index``.
 
-    The payload is raw little-endian float32, row-major channels x time; the
-    returned matrix is float32. Non-finite samples are rejected.
+    The payload is raw little-endian float32, row-major channels x time. The
+    trial's channels, label and domain are those of ``manifest.trials[index]``.
+    Non-finite samples are rejected.
     """
     if not 0 <= index < len(manifest.trials):
         raise DataError(f"trial index {index} out of range (dataset has {len(manifest.trials)})")
     rec = manifest.trials[index]
-    channels = manifest.channels_of(rec)
+    n_channels = len(manifest.channels_of(rec))
     path = os.path.join(manifest.root, rec.path)
     try:
         flat = np.fromfile(path, dtype="<f4")
     except OSError as e:
         raise DataError(f"cannot read {rec.path!r}: {e}") from e
-    expect = len(channels) * rec.n_samples
+    expect = n_channels * rec.n_samples
     if flat.size != expect:
         raise DataError(f"{rec.path!r}: size mismatch, {flat.size} values, expected {expect}")
-    data = flat.reshape(len(channels), rec.n_samples)
+    data = flat.reshape(n_channels, rec.n_samples)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{rec.path!r}: non-finite sample")
-    return EEGTrial(data=data, channels=channels, rate_hz=manifest.rate_hz,
-                    label=rec.label, domain_id=rec.domain_id)
-
-
-def load_all_trials(manifest: DatasetManifest) -> list[EEGTrial]:
-    return [load_trial(manifest, i) for i in range(len(manifest.trials))]
-
-
-def group_by_domain(trials) -> list[DomainGroup]:
-    """Partition trials by domain_id, sorted by id, order-stable within a group.
-
-    Raises if trials inside one domain disagree on channel list or rate.
-    """
-    trials = list(trials)
-    if not trials:
-        raise DataError("no trials to group")
-    by_id: dict[str, list[EEGTrial]] = {}
-    for t in trials:
-        by_id.setdefault(t.domain_id, []).append(t)
-    groups = []
-    for domain_id in sorted(by_id):
-        members = by_id[domain_id]
-        ref = members[0]
-        for t in members[1:]:
-            if t.channels != ref.channels:
-                raise DataError(f"domain {domain_id!r}: heterogeneous channel lists")
-            if t.rate_hz != ref.rate_hz:
-                raise DataError(f"domain {domain_id!r}: heterogeneous sampling rates")
-        groups.append(DomainGroup(domain_id=domain_id, trials=tuple(members)))
-    return groups
+    return data
 
 
 @dataclass

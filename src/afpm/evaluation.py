@@ -241,15 +241,25 @@ def pad_to_model(x: np.ndarray, model: Model) -> np.ndarray:
     return out
 
 
-def evaluate_dataset(model: Model, manifest: DatasetManifest, *,
-                     folds: int = 1, repeats: int = 1, seed: int = 0) -> EvalReport:
-    """Zero-calibration evaluation of one aligned dataset."""
+def model_inputs(model: Model, manifest: DatasetManifest
+                 ) -> tuple[np.ndarray, np.ndarray, list[str], int]:
+    """An aligned dataset as input to ``model``: (x, labels, domain ids, positive class).
+
+    The dataset must be aligned to the model's template; unmapped trials are
+    zero-padded to its input layout.
+    """
     from .pipeline import stack_aligned
 
     check_template_match(model, manifest)
     x, labels, domains, _ = stack_aligned([manifest])
-    x = pad_to_model(x, model)
     positive = positive_class_index(manifest.class_names, model.cfg.task)
+    return pad_to_model(x, model), labels, domains, positive
+
+
+def evaluate_dataset(model: Model, manifest: DatasetManifest, *,
+                     folds: int = 1, repeats: int = 1, seed: int = 0) -> EvalReport:
+    """Zero-calibration evaluation of one aligned dataset."""
+    x, labels, domains, positive = model_inputs(model, manifest)
     return evaluate_arrays(model, x, labels, domains, manifest.name,
                            folds=folds, repeats=repeats, seed=seed,
                            positive=positive)

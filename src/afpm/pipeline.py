@@ -67,18 +67,19 @@ def stack_aligned(manifests: list[DatasetManifest]
 
     xs, ys, domains = [], [], []
     for m in manifests:
-        for i in range(len(m.trials)):
+        for i, rec in enumerate(m.trials):
             trial = load_trial(m, i)
+            rows, n = trial.shape
             buf = np.zeros((n_rows, t_len), dtype=np.float32)
-            if trial.n_channels > n_rows or trial.n_samples > t_len:
+            if rows > n_rows or n > t_len:
                 raise DataError(
                     f"trial {i} of {m.name!r} exceeds the stacked layout "
-                    f"({trial.n_channels}x{trial.n_samples} vs {n_rows}x{t_len})"
+                    f"({rows}x{n} vs {n_rows}x{t_len})"
                 )
-            buf[:trial.n_channels, :trial.n_samples] = trial.data
+            buf[:rows, :n] = trial
             xs.append(buf)
-            ys.append(trial.label)
-            domains.append(trial.domain_id)
+            ys.append(rec.label)
+            domains.append(rec.domain_id)
     x = np.stack(xs) if xs else np.zeros((0, n_rows, t_len), dtype=np.float32)
     return x, np.asarray(ys, dtype=np.int64), domains, layout
 

@@ -150,13 +150,14 @@ def preprocess_dataset(manifest: DatasetManifest, cfg: PreprocessConfig,
         unit_scale=1.0,
     )
     for chunk in _chunks(manifest):
-        trials = [load_trial(manifest, i) for i in chunk]
-        x = np.concatenate([t.data for t in trials], dtype=np.float64)
+        x = np.concatenate([load_trial(manifest, i) for i in chunk], dtype=np.float64)
         x = bandpass(x, manifest.rate_hz, cfg)
         x = resample(x, manifest.rate_hz, cfg.target_rate_hz)
         x = rescale(x, cfg.unit_scale)
         row = 0
-        for t in trials:
-            writer.add_trial(x[row:row + t.n_channels], t.channels, t.label, t.domain_id)
-            row += t.n_channels
+        for i in chunk:
+            rec = manifest.trials[i]
+            channels = manifest.channels_of(rec)
+            writer.add_trial(x[row:row + len(channels)], channels, rec.label, rec.domain_id)
+            row += len(channels)
     return writer.finish()

@@ -76,10 +76,23 @@ ERP_EVAL_SUBSETS = (
 )
 
 
-def default_subsets(task: str, n_domains: int) -> list[tuple[str, ...]]:
-    catalogue = (MI_TRAIN_SUBSETS + MI_EVAL_SUBSETS if task == "mi"
-                 else ERP_TRAIN_SUBSETS + ERP_EVAL_SUBSETS)
-    return [catalogue[i % len(catalogue)] for i in range(n_domains)]
+_CATALOGUES = {
+    ("mi", "train"): MI_TRAIN_SUBSETS, ("mi", "eval"): MI_EVAL_SUBSETS,
+    ("mi", "default"): MI_TRAIN_SUBSETS + MI_EVAL_SUBSETS,
+    ("erp", "train"): ERP_TRAIN_SUBSETS, ("erp", "eval"): ERP_EVAL_SUBSETS,
+    ("erp", "default"): ERP_TRAIN_SUBSETS + ERP_EVAL_SUBSETS,
+}
+
+
+def default_subsets(task: str, n_domains: int,
+                    catalogue: str = "default") -> list[tuple[str, ...]]:
+    """Channel subsets of ``n_domains`` domains, cycling through a catalogue.
+
+    ``catalogue`` is "train", "eval" or "default" (the train subsets, then
+    the eval ones).
+    """
+    subsets = _CATALOGUES[(task, catalogue)]
+    return [subsets[i % len(subsets)] for i in range(n_domains)]
 
 
 def hemisphere(channel: str) -> str:

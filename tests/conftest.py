@@ -9,7 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from afpm.data_model import DatasetWriter  # noqa: E402
+from afpm.data_model import DatasetWriter, load_trial  # noqa: E402
 
 
 @pytest.fixture
@@ -33,6 +33,12 @@ def write_toy_dataset(path, task="mi", n_trials=3, channels=("C3", "CZ", "C4"),
             domain_ids[i] if domain_ids is not None else f"toy:s00:{i % 2}",
         )
     return writer.finish()
+
+
+def trials_of(manifest):
+    """(record, float32 matrix) of every trial of ``manifest``, in manifest order."""
+    for i, rec in enumerate(manifest.trials):
+        yield rec, load_trial(manifest, i)
 
 
 def random_spd(rng, n, scale=1.0):

@@ -33,11 +33,10 @@ def tiny_sets(tmp_path_factory):
 
 def tiny_run_cfg():
     overrides = {
-        "fpe": {"embed_dim": 4, "frame_window": 16, "frame_stride": 16,
+        "fpe": {"embed_dim": 4, "frame_window": 128, "frame_stride": 128,
                 "avg_window": 2, "avg_shift": 2, "token_dim": 8, "mlp_hidden": 6},
         "transformer": {"depth": 1, "heads": 2, "dim_head": 3, "dim_mlp": 6},
         "train": {"epochs": 2, "batch_size": 8, "seed": 0},
-        "template": {"len": 256},
     }
     return resolve_config("mi", overrides=overrides)
 

@@ -18,7 +18,7 @@ import pytest
 from afpm.ablation import run_variant
 from afpm.alignment import align_domain, inv_sqrt_psd
 from afpm.config import resolve_config
-from afpm.data_model import MI_TEMPLATE_CHANNELS, load_all_trials
+from afpm.data_model import MI_TEMPLATE_CHANNELS
 from afpm.evaluation import auc_pr, auroc, balanced_accuracy, cohens_kappa
 from afpm.model import (FPEConfig, Model, ModelConfig, TransformerConfig,
                         extract_patches, forward,
@@ -29,8 +29,7 @@ from afpm.synth import (ERP_EVAL_SUBSETS, ERP_TRAIN_SUBSETS, MI_EVAL_SUBSETS,
                         hemisphere)
 from afpm.training import TrainConfig, backward, finetune
 
-from conftest import random_spd
-from test_alignment import selected_of
+from conftest import random_spd, trials_of
 
 SEEDS = (0, 1, 2)
 
@@ -51,9 +50,9 @@ def test_criterion_1_whitening_exactness(rng):
         m = int(rng.integers(2, 18))
         d = int(rng.integers(1, 21))
         t = int(rng.integers(max(m, 32), 513))
-        group = [selected_of(rng.standard_normal((m, t))) for _ in range(d)]
+        group = [rng.standard_normal((m, t)) for _ in range(d)]
         aligned, _ = align_domain(group)
-        acc = sum(x.data @ x.data.T for x in aligned) / d
+        acc = sum(x @ x.T for x in aligned) / d
         worst = max(worst, float(np.linalg.norm(acc - np.eye(m), "fro")))
     elapsed = time.time() - t0
     report("criterion 1 (whitening exactness)",
@@ -297,16 +296,16 @@ def mi_bandpower_oracle(manifest):
     """Linear rule on raw trials: sign of right-minus-left log band power."""
     montage = set(MI_TEMPLATE_CHANNELS)
     preds, labels = [], []
-    for t in load_all_trials(manifest):
+    for rec, x in trials_of(manifest):
         left, right = [], []
-        for i, ch in enumerate(t.channels):
+        for i, ch in enumerate(manifest.channels_of(rec)):
             if ch not in montage:
                 continue
-            p = math.log(float(band_power(t.data[i], t.rate_hz, 8, 12)))
+            p = math.log(float(band_power(x[i], manifest.rate_hz, 8, 12)))
             (left if hemisphere(ch) == "left" else
              right if hemisphere(ch) == "right" else []).append(p)
         preds.append(0 if np.mean(right) - np.mean(left) < 0 else 1)
-        labels.append(t.label)
+        labels.append(rec.label)
     return balanced_accuracy(np.array(preds), np.array(labels))
 
 

@@ -1,78 +1,70 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from afpm.alignment import (
-    SelectedTrial, align_dataset, align_domain, inv_sqrt_psd, map_to_template,
-    mean_covariance, select_channels,
+    align_dataset, align_domain, inv_sqrt_psd, map_to_template, mean_covariance,
+    select_channels,
 )
-from afpm.data_model import EEGTrial, TaskTemplateSpec, load_manifest, task_template
+from afpm.data_model import DatasetWriter, TaskTemplateSpec, load_manifest, task_template
 from afpm.errors import DataError, NumericError
 
-from conftest import random_spd, write_toy_dataset
+from conftest import random_spd, trials_of, write_toy_dataset
 
 MI = task_template("mi")
-
-
-def trial_of(data, channels, domain="d0", label=0, rate=256.0):
-    return EEGTrial(np.asarray(data, dtype=np.float64), channels, rate, label, domain)
-
-
-def selected_of(data, domain="d0", label=0):
-    data = np.asarray(data, dtype=np.float64)
-    sel = tuple((f"C{i}", i) for i in range(data.shape[0]))
-    return SelectedTrial(data=data, selected=sel, domain_id=domain, label=label)
 
 
 class TestSelectChannels:
     def test_intersection_in_template_order(self, rng):
         x = rng.standard_normal((4, 16))
-        trial = trial_of(x, ("C3", "CZ", "C4", "F3"))
-        sel = select_channels(trial, MI)
-        assert [ch for ch, _ in sel.selected] == ["C3", "CZ", "C4"]
+        pairs = select_channels(("C3", "CZ", "C4", "F3"), MI)
         # template order: C3 (idx 6), CZ (idx 8), C4 (idx 10)
-        assert [row for _, row in sel.selected] == [6, 8, 10]
-        assert np.array_equal(sel.data, x[[0, 1, 2]])
+        assert pairs == [(0, 6), (1, 8), (2, 10)]
+        assert [MI.target_channels[row] for _, row in pairs] == ["C3", "CZ", "C4"]
+        assert np.array_equal(x[[src for src, _ in pairs]], x[[0, 1, 2]])
 
     def test_full_set_permuted_to_template_order(self, rng):
         perm = list(rng.permutation(len(MI.target_channels)))
         channels = tuple(MI.target_channels[i] for i in perm)
-        x = rng.standard_normal((17, 8))
-        sel = select_channels(trial_of(x, channels), MI)
-        assert tuple(ch for ch, _ in sel.selected) == MI.target_channels
-        for out_row, (ch, _) in enumerate(sel.selected):
-            assert np.array_equal(sel.data[out_row], x[channels.index(ch)])
+        pairs = select_channels(channels, MI)
+        assert [row for _, row in pairs] == list(range(17))
+        for src, row in pairs:
+            assert channels[src] == MI.target_channels[row]
 
-    def test_original_order_mode(self, rng):
-        x = rng.standard_normal((3, 8))
-        sel = select_channels(trial_of(x, ("C4", "CZ", "C3")), MI, order="original")
-        assert [ch for ch, _ in sel.selected] == ["C4", "CZ", "C3"]
+    def test_original_order_mode(self):
+        # sorted by trial row, the pairs follow the trial's own channel order
+        pairs = sorted(select_channels(("C4", "CZ", "C3"), MI))
+        assert [MI.target_channels[row] for _, row in pairs] == ["C4", "CZ", "C3"]
+        assert [src for src, _ in pairs] == [0, 1, 2]
 
     def test_empty_intersection_rejected(self):
-        trial = trial_of(np.zeros((2, 8)), ("O1", "O2"))
         with pytest.raises(DataError, match="no task-relevant channels"):
-            select_channels(trial, MI)
+            select_channels(("O1", "O2"), MI)
 
 
 class TestMeanCovariance:
     def test_identity_gram(self):
-        r = mean_covariance([selected_of(np.eye(2))])
+        r = mean_covariance([np.eye(2)])
         assert np.allclose(r, np.eye(2))
 
     def test_hand_computed_two_trials(self):
-        r = mean_covariance([selected_of([[1.0, 1.0]]), selected_of([[3.0, 1.0]])])
+        r = mean_covariance([np.array([[1.0, 1.0]]), np.array([[3.0, 1.0]])])
         assert r.shape == (1, 1)
         assert r[0, 0] == pytest.approx(6.0)
 
     def test_output_is_psd(self, rng):
-        group = [selected_of(rng.standard_normal((4, 3))) for _ in range(5)]
+        group = [rng.standard_normal((4, 3)) for _ in range(5)]
         r = mean_covariance(group)
         evals = np.linalg.eigvalsh(r)
         assert evals.min() >= -1e-10 * np.trace(r)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError, match="mismatch"):
-            mean_covariance([selected_of(np.zeros((2, 4))),
-                             selected_of(np.zeros((3, 4)))])
+            mean_covariance([np.zeros((2, 4)), np.zeros((3, 4))])
 
 
 class TestInvSqrtPsd:
@@ -106,53 +98,43 @@ class TestInvSqrtPsd:
 class TestAlignDomain:
     def test_single_trial_whitens_exactly(self, rng):
         x = rng.standard_normal((3, 64))
-        aligned, _ = align_domain([selected_of(x)])
-        w = aligned[0].data
+        aligned, _ = align_domain([x])
+        w = aligned[0]
         assert np.linalg.norm(w @ w.T - np.eye(3), "fro") < 1e-8
 
     def test_mean_aligned_covariance_is_identity(self, rng):
-        group = [selected_of(rng.standard_normal((4, 128))) for _ in range(6)]
+        group = [rng.standard_normal((4, 128)) for _ in range(6)]
         aligned, (r_bar, r_inv_sqrt) = align_domain(group)
-        acc = sum(t.data @ t.data.T for t in aligned) / len(aligned)
+        acc = sum(x @ x.T for x in aligned) / len(aligned)
         assert np.linalg.norm(acc - np.eye(4), "fro") < 1e-8
         assert np.array_equal(r_bar, mean_covariance(group))
         assert np.linalg.norm(r_inv_sqrt @ r_bar @ r_inv_sqrt - np.eye(4), "fro") < 1e-8
 
     def test_zero_trials_rejected(self):
         with pytest.raises(NumericError):
-            align_domain([selected_of(np.zeros((2, 8)))])
-
-    def test_mixed_domains_rejected(self, rng):
-        group = [selected_of(rng.standard_normal((2, 8)), domain="a"),
-                 selected_of(rng.standard_normal((2, 8)), domain="b")]
-        with pytest.raises(DataError, match="mixed domains"):
-            align_domain(group)
+            align_domain([np.zeros((2, 8))])
 
     def test_scaling_equivariance(self, rng):
         base = [rng.standard_normal((3, 64)) for _ in range(4)]
-        aligned1, _ = align_domain([selected_of(x) for x in base])
-        aligned2, _ = align_domain([selected_of(4.0 * x) for x in base])
-        for t1, t2 in zip(aligned1, aligned2):
-            assert np.allclose(t1.data, t2.data, atol=1e-10)
+        aligned1, _ = align_domain(base)
+        aligned2, _ = align_domain([4.0 * x for x in base])
+        for x1, x2 in zip(aligned1, aligned2):
+            assert np.allclose(x1, x2, atol=1e-10)
 
     def test_selection_then_align_equals_align_preselected(self, rng):
         xs = [rng.standard_normal((4, 32)) for _ in range(3)]
-        trials = [trial_of(x, ("C3", "CZ", "C4", "F3")) for x in xs]
-        path_a, _ = align_domain([select_channels(t, MI) for t in trials])
-        pre = [trial_of(x[:3], ("C3", "CZ", "C4")) for x in xs]
-        path_b, _ = align_domain([select_channels(t, MI) for t in pre])
+        src = [s for s, _ in select_channels(("C3", "CZ", "C4", "F3"), MI)]
+        path_a, _ = align_domain([x[src] for x in xs])
+        src = [s for s, _ in select_channels(("C3", "CZ", "C4"), MI)]
+        path_b, _ = align_domain([x[:3][src] for x in xs])
         for a, b in zip(path_a, path_b):
-            assert np.allclose(a.data, b.data)
+            assert np.allclose(a, b)
 
 
 class TestMapToTemplate:
     def test_placement_and_zero_padding(self):
         spec = TaskTemplateSpec("mi", ("FC3", "FC1", "FCZ"), 4)
-        sel = SelectedTrial(
-            data=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            selected=(("FC3", 0), ("FCZ", 2)), domain_id="d", label=1,
-        )
-        out = map_to_template(sel, spec)
+        out = map_to_template(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 2], spec)
         assert out.shape == (3, 4)
         assert np.array_equal(out[0], [1.0, 2.0, 0.0, 0.0])
         assert np.array_equal(out[1], np.zeros(4))  # FC1 absent
@@ -161,24 +143,18 @@ class TestMapToTemplate:
     def test_full_set_full_length_no_padding(self, rng):
         spec = TaskTemplateSpec("mi", ("C3", "C4"), 8)
         x = rng.standard_normal((2, 8))
-        sel = SelectedTrial(data=x, selected=(("C3", 0), ("C4", 1)),
-                            domain_id="d", label=0)
-        out = map_to_template(sel, spec)
+        out = map_to_template(x, [0, 1], spec)
         assert np.array_equal(out, x)
 
     def test_too_long_trial_rejected(self):
         spec = TaskTemplateSpec("mi", ("C3",), 4)
-        sel = SelectedTrial(data=np.zeros((1, 5)), selected=(("C3", 0),),
-                            domain_id="d", label=0)
         with pytest.raises(DataError, match="exceeds template"):
-            map_to_template(sel, spec)
+            map_to_template(np.zeros((1, 5)), [0], spec)
 
     def test_sparsity_count(self, rng):
         spec = TaskTemplateSpec("mi", ("C3", "CZ", "C4"), 10)
         x = rng.standard_normal((2, 6))
-        sel = SelectedTrial(data=x, selected=(("C3", 0), ("C4", 2)),
-                            domain_id="d", label=0)
-        out = map_to_template(sel, spec)
+        out = map_to_template(x, [0, 2], spec)
         assert np.count_nonzero(out) <= 2 * 6
 
 
@@ -206,4 +182,79 @@ class TestAlignDataset:
         out = align_dataset(manifest, str(tmp_path / "al"), spec, ea=False)
         from afpm.data_model import load_trial
         got = load_trial(out, 0)
-        assert np.allclose(got.data, data[0].astype(np.float32), atol=1e-6)
+        assert np.allclose(got, data[0].astype(np.float32), atol=1e-6)
+
+
+# Whitening fuzz: random on-disk datasets through ``align_dataset``.
+FUZZ_CHANNELS = ("C3", "CZ", "C4", "FC3", "CP4", "O1", "O2")
+FUZZ_SPEC = TaskTemplateSpec("mi", ("FC3", "C3", "CZ", "C4", "CP4"), 24)
+# Trial scales: all-zero, float32 subnormal, tiny, unit and huge.
+FUZZ_SCALES = (0.0, 1e-40, 1e-20, 1.0, 1e20, 1e36)
+
+
+@st.composite
+def fuzz_datasets(draw):
+    """Trials as (domain id, channels, label, matrix), in manifest order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    domains = []
+    for d in range(draw(st.integers(1, 3))):
+        channels = draw(st.lists(st.sampled_from(FUZZ_CHANNELS), min_size=1,
+                                 max_size=5, unique=True))
+        domains.append((f"fz:s{d}:0", tuple(channels), draw(st.booleans())))
+    trials = []
+    for _ in range(draw(st.integers(1, 8))):
+        domain_id, channels, rank_one = draw(st.sampled_from(domains))
+        n = draw(st.integers(1, FUZZ_SPEC.template_len + 2))
+        x = draw(st.sampled_from(FUZZ_SCALES)) * rng.standard_normal((len(channels), n))
+        if rank_one:
+            x[:] = x[0]
+        trials.append((domain_id, channels, draw(st.integers(0, 1)), x))
+    return trials
+
+
+class TestWhiteningFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(trials=fuzz_datasets())
+    def test_aligned_or_data_or_numeric_error(self, trials):
+        with tempfile.TemporaryDirectory() as tmp:
+            writer = DatasetWriter(out_dir=f"{tmp}/raw", name="fz", task="mi",
+                                   rate_hz=256.0, class_names=("a", "b"))
+            for domain_id, channels, label, x in trials:
+                writer.add_trial(x, channels, label, domain_id)
+            raw = writer.finish()
+            try:
+                out = align_dataset(raw, f"{tmp}/al", FUZZ_SPEC)
+            except (DataError, NumericError):
+                return
+            stats = {}
+            for path in Path(tmp, "al", "alignment").glob("*.json"):
+                doc = json.loads(path.read_text())
+                stats[doc["domain_id"]] = doc
+            check_whitened(raw, out, stats)
+
+
+def check_whitened(raw, out, stats):
+    """Order, labels and domains kept; zeros off the selected rows; mean XX^T = I."""
+    assert [(r.label, r.domain_id) for r in out.trials] == \
+        [(r.label, r.domain_id) for r in raw.trials]
+    assert {r.domain_id for r in raw.trials} == set(stats)
+    grams: dict[str, list] = {d: [] for d in stats}
+    for (rec, x), (_, y) in zip(trials_of(raw), trials_of(out)):
+        doc = stats[rec.domain_id]
+        rows = [FUZZ_SPEC.target_channels.index(ch) for ch in doc["channels"]]
+        src = [raw.channels_of(rec).index(ch) for ch in doc["channels"]]
+        assert y.shape == (FUZZ_SPEC.n_channels, FUZZ_SPEC.template_len)
+        off = np.ones(y.shape, dtype=bool)
+        off[rows, :rec.n_samples] = False
+        assert not np.any(y[off]), "unselected rows and padding must be exactly zero"
+        active = y[rows, :rec.n_samples].astype(np.float64)
+        want = np.asarray(doc["r_inv_sqrt"]) @ x[src].astype(np.float64)
+        if np.linalg.cond(np.asarray(doc["r_bar"])) < 1e8:
+            # float32 storage: relative rounding, and underflow below 1e-37
+            assert np.allclose(active, want, rtol=1e-5,
+                               atol=1e-5 * np.abs(want).max() + 1e-37)
+        grams[rec.domain_id].append(active @ active.T)
+    for domain_id, doc in stats.items():
+        if np.linalg.cond(np.asarray(doc["r_bar"])) < 1e8:
+            mean = sum(grams[domain_id]) / len(grams[domain_id])
+            assert np.abs(mean - np.eye(len(doc["channels"]))).max() < 1e-4, domain_id

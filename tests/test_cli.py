@@ -11,6 +11,7 @@ import afpm.config
 import afpm.data_model
 from afpm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from afpm.config import echo_config, load_config_file, resolve_config
+from afpm.data_model import task_template
 from afpm.errors import ConfigError
 from afpm.model import load_checkpoint
 
@@ -28,7 +29,7 @@ class TestResolveConfig:
         assert cfg.transformer.heads == 8
         assert cfg.transformer.dim_head == 64
         assert cfg.transformer.dim_mlp == 40
-        assert cfg.template.n_channels == 17
+        assert task_template(cfg.task).n_channels == 17
 
     def test_erp_preset_matches_published_hyperparameters(self):
         cfg = resolve_config("erp")
@@ -40,7 +41,7 @@ class TestResolveConfig:
         assert cfg.transformer.heads == 8
         assert cfg.transformer.dim_head == 10
         assert cfg.transformer.dim_mlp == 20
-        assert cfg.template.n_channels == 28
+        assert task_template(cfg.task).n_channels == 28
 
     def test_override_precedence_cli_over_file_over_preset(self, tmp_path):
         file_path = tmp_path / "cfg.json"
@@ -182,7 +183,7 @@ class TestPipeline:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("doc", [{"seed": 1}, {"threads": 2}, {"task": "erp"},
-                                     {"preprocess": {}}])
+                                     {"preprocess": {}}, {"template": {}}])
     def test_config_key_that_sets_nothing_is_one_line_config_error(
             self, doc, pipeline_dirs, tmp_path, capsys):
         _, _, _, ali, _ = pipeline_dirs

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 import afpm.data_model
 from afpm.alignment import align_dataset
 from afpm.data_model import (
-    DatasetWriter, EEGTrial, TaskTemplateSpec, canonical_channel, canonical_channels,
-    group_by_domain, load_manifest, load_trial, task_template,
+    DatasetWriter, TaskTemplateSpec, canonical_channel, canonical_channels,
+    load_manifest, load_trial, task_template,
 )
 from afpm.errors import DataError
 from afpm.pipeline import stack_aligned
@@ -50,13 +50,13 @@ def test_erp_template_is_the_28_channel_set_in_order():
     assert spec.template_len == 256
 
 
-def test_trial_validation():
+def test_trial_validation(tmp_path):
+    writer = DatasetWriter(out_dir=str(tmp_path), name="x", task="mi",
+                           rate_hz=256.0, class_names=("a", "b"))
     with pytest.raises(DataError, match="rows"):
-        EEGTrial(np.zeros((2, 4)), ("C3",), 256.0, 0, "d")
+        writer.add_trial(np.zeros((2, 4)), ("C3",), 0, "d")
     with pytest.raises(DataError, match="non-finite"):
-        EEGTrial(np.array([[np.nan, 0.0]]), ("C3",), 256.0, 0, "d")
-    with pytest.raises(DataError, match="rate"):
-        EEGTrial(np.zeros((1, 4)), ("C3",), 0.0, 0, "d")
+        writer.add_trial(np.array([[np.nan, 0.0]]), ("C3",), 0, "d")
 
 
 class TestManifestRoundTrip:
@@ -72,8 +72,8 @@ class TestManifestRoundTrip:
                           n_samples=2, data=data)
         manifest = load_manifest(str(tmp_path))
         trial = load_trial(manifest, 0)
-        assert np.array_equal(trial.data, data[0])
-        assert trial.channels == ("C3", "C4")
+        assert trial.dtype == np.float32 and np.array_equal(trial, data[0])
+        assert manifest.channels_of(manifest.trials[0]) == ("C3", "C4")
 
     def test_short_file_reports_size_mismatch(self, tmp_path):
         write_toy_dataset(tmp_path, n_trials=1)
@@ -121,35 +121,41 @@ class TestManifestRoundTrip:
 
 
 class TestGroupByDomain:
-    def _trial(self, domain, channels=("C3", "C4"), rate=256.0):
-        return EEGTrial(np.zeros((len(channels), 8)), channels, rate, 0, domain)
+    """``align_dataset`` groups trials by domain, one channel set per domain."""
 
-    def test_partition_by_id(self):
-        trials = [self._trial(d) for d in ("a", "a", "b", "b")]
-        groups = group_by_domain(trials)
-        assert [g.domain_id for g in groups] == ["a", "b"]
-        assert [len(g) for g in groups] == [2, 2]
+    def _align(self, tmp_path, domains, channel_sets=None):
+        writer = DatasetWriter(out_dir=str(tmp_path / "raw"), name="g", task="mi",
+                               rate_hz=256.0, class_names=("a", "b"))
+        rng = np.random.default_rng(0)
+        for i, d in enumerate(domains):
+            chans = channel_sets[i] if channel_sets else ("C3", "C4")
+            writer.add_trial(rng.standard_normal((len(chans), 8)), chans, i % 2, d)
+        raw = writer.finish()
+        out = align_dataset(raw, str(tmp_path / "al"))
+        stats = [json.loads(p.read_text())
+                 for p in (tmp_path / "al" / "alignment").glob("*.json")]
+        return raw, out, {doc["domain_id"]: doc["d_count"] for doc in stats}
 
-    def test_single_trial_single_group(self):
-        groups = group_by_domain([self._trial("only")])
-        assert len(groups) == 1 and len(groups[0]) == 1
+    def test_partition_by_id(self, tmp_path):
+        _, _, counts = self._align(tmp_path, ["a", "a", "b", "b"])
+        assert counts == {"a": 2, "b": 2}
 
-    def test_heterogeneous_channels_rejected(self):
-        trials = [self._trial("a"), self._trial("a", channels=("C3", "CZ"))]
+    def test_single_trial_single_group(self, tmp_path):
+        _, _, counts = self._align(tmp_path, ["only"])
+        assert counts == {"only": 1}
+
+    def test_heterogeneous_channels_rejected(self, tmp_path):
         with pytest.raises(DataError, match="heterogeneous channel"):
-            group_by_domain(trials)
+            self._align(tmp_path, ["a", "a"], [("C3", "C4"), ("C3", "CZ")])
+        assert not (tmp_path / "al" / "manifest.json").exists()
 
-    def test_heterogeneous_rate_rejected(self):
-        trials = [self._trial("a"), self._trial("a", rate=128.0)]
-        with pytest.raises(DataError, match="rate"):
-            group_by_domain(trials)
-
-    def test_groups_partition_the_input(self, rng):
-        trials = [self._trial(d) for d in rng.choice(list("abcd"), size=20)]
-        groups = group_by_domain(trials)
-        regrouped = [t for g in groups for t in g.trials]
-        assert len(regrouped) == len(trials)
-        assert {id(t) for t in regrouped} == {id(t) for t in trials}
+    def test_groups_partition_the_input(self, tmp_path, rng):
+        domains = [str(d) for d in rng.choice(list("abcd"), size=20)]
+        raw, out, counts = self._align(tmp_path, domains)
+        assert sum(counts.values()) == len(domains)
+        assert counts == {d: domains.count(d) for d in set(domains)}
+        assert [r.domain_id for r in out.trials] == domains
+        assert [r.label for r in out.trials] == [r.label for r in raw.trials]
 
 
 def test_writer_deduplicates_channel_sets(tmp_path):
@@ -247,6 +253,7 @@ class TestManifestFuzz:
 
     @pytest.mark.parametrize("key_path, value", [
         (("rate_hz",), "abc"), (("channel_sets",), [["C3"]]), (("trials", 0, "label"), None),
+        (("rate_hz",), 0),
     ])
     def test_type_errors_seen_before_are_data_errors(self, aligned_manifest,
                                                      key_path, value):

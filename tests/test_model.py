@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import afpm.data_model
 import afpm.model
 from afpm.config import resolve_config
+from afpm.data_model import task_template
 from afpm.errors import ConfigError, DataError
 from afpm.model import (
     FPEConfig, Model, ModelConfig, TransformerConfig, _block_forward, _window_map,
@@ -36,7 +37,7 @@ def small_cfg(m=3, t_prime=64, depth=1, heads=2, dim_head=3, per_channel=False,
 def preset_model_config(task, per_channel=False):
     """A task preset's model on its own template, built as training builds it."""
     run = resolve_config(task)
-    spec = run.template
+    spec = task_template(task)
     layout = {"mapped": True, "template_channels": spec.target_channels,
               "template_len": spec.template_len}
     x = np.zeros((1, spec.n_channels, spec.template_len), dtype=np.float32)

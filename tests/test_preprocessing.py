@@ -149,8 +149,8 @@ class TestPreprocessDataset:
         out = preprocess_dataset(manifest, cfg, str(tmp_path / "out"))
         trial = load_trial(out, 0)
         # 0.3 Hz component removed, 10 Hz survives
-        amp_slow = fitted_amplitude(trial.data[0, 128:-128].astype(np.float64), 0.3, 256.0)
-        amp_fast = fitted_amplitude(trial.data[0, 128:-128].astype(np.float64), 10.0, 256.0)
+        amp_slow = fitted_amplitude(trial[0, 128:-128].astype(np.float64), 0.3, 256.0)
+        amp_fast = fitted_amplitude(trial[0, 128:-128].astype(np.float64), 10.0, 256.0)
         assert amp_fast > 0.9
         assert amp_slow < 0.35
 
@@ -183,8 +183,7 @@ class TestPreprocessDataset:
         out = preprocess_dataset(raw, cfg, str(tmp_path / "out"))
         assert out.rate_hz == cfg.target_rate_hz and len(out.trials) == len(lengths)
         for i, (rec, got) in enumerate(zip(raw.trials, out.trials)):
-            trial = load_trial(raw, i)
-            x = bandpass(trial.data, rate, cfg)
+            x = bandpass(load_trial(raw, i), rate, cfg)
             x = resample(x, rate, cfg.target_rate_hz)
             x = rescale(x, cfg.unit_scale)
             want = np.ascontiguousarray(x, dtype="<f4").tobytes()

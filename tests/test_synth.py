@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import ttest_ind
 
-from afpm.data_model import MI_TEMPLATE_CHANNELS, load_all_trials
+from afpm.data_model import MI_TEMPLATE_CHANNELS
 from afpm.errors import ConfigError
 from afpm.synth import (
     ERP_EVAL_SUBSETS, ERP_SIGNAL_CHANNELS, ERP_TRAIN_SUBSETS, MI_EVAL_SUBSETS,
     MI_TRAIN_SUBSETS, SynthSpec, default_subsets, generate_dataset, hemisphere,
 )
+
+from conftest import trials_of
 
 
 def band_power(x, rate, lo, hi):
@@ -56,10 +58,10 @@ class TestMiGenerator:
         a = 0.5
         spec = self._clean_spec(erd_attenuation=a)
         manifest = generate_dataset(spec, seed=5, out_dir=str(tmp_path / "mi"))
-        trials = [t for t in load_all_trials(manifest) if t.label == 0]
+        trials = [x for rec, x in trials_of(manifest) if rec.label == 0]
         assert len(trials) >= 90
-        p_c3 = np.mean([band_power(t.data[0], 256.0, 8, 12) for t in trials])
-        p_c4 = np.mean([band_power(t.data[1], 256.0, 8, 12) for t in trials])
+        p_c3 = np.mean([band_power(x[0], 256.0, 8, 12) for x in trials])
+        p_c4 = np.mean([band_power(x[1], 256.0, 8, 12) for x in trials])
         expected = (a / (2.0 - a)) ** 2
         assert abs(p_c4 / p_c3 - expected) < 0.1 * expected
 
@@ -83,13 +85,12 @@ class TestMiGenerator:
     def test_noise_only_has_no_class_contrast(self, tmp_path):
         spec = self._clean_spec(snr_db=-np.inf, trials_per_domain=100)
         manifest = generate_dataset(spec, seed=3, out_dir=str(tmp_path / "mi"))
-        trials = load_all_trials(manifest)
         contrast = []
         labels = []
-        for t in trials:
-            contrast.append(np.log(band_power(t.data[1], 256.0, 8, 12))
-                            - np.log(band_power(t.data[0], 256.0, 8, 12)))
-            labels.append(t.label)
+        for rec, x in trials_of(manifest):
+            contrast.append(np.log(band_power(x[1], 256.0, 8, 12))
+                            - np.log(band_power(x[0], 256.0, 8, 12)))
+            labels.append(rec.label)
         contrast = np.array(contrast)
         labels = np.array(labels)
         _, p = ttest_ind(contrast[labels == 0], contrast[labels == 1])
@@ -103,9 +104,9 @@ class TestErpGenerator:
                          snr_db=10.0, domain_gain=0.0, domain_scale=0.0,
                          domain_mixing=0.0, name="erp")
         manifest = generate_dataset(spec, seed=11, out_dir=str(tmp_path / "erp"))
-        trials = load_all_trials(manifest)
-        tgt = np.mean([t.data[0] for t in trials if t.label == 1], axis=0)
-        non = np.mean([t.data[0] for t in trials if t.label == 0], axis=0)
+        trials = list(trials_of(manifest))
+        tgt = np.mean([x[0] for rec, x in trials if rec.label == 1], axis=0)
+        non = np.mean([x[0] for rec, x in trials if rec.label == 0], axis=0)
         diff = tgt - non
         peak_s = np.argmax(diff) / 256.0
         assert 0.260 <= peak_s <= 0.340
@@ -127,10 +128,10 @@ class TestErpGenerator:
                          snr_db=-np.inf, domain_gain=0.0, domain_scale=0.0,
                          domain_mixing=0.0, name="erp")
         manifest = generate_dataset(spec, seed=7, out_dir=str(tmp_path / "erp"))
-        trials = load_all_trials(manifest)
+        trials = list(trials_of(manifest))
         # window-mean amplitude as a score: should carry no information
-        scores = [t.data[0, 64:90].mean() for t in trials]
-        labels = [t.label for t in trials]
+        scores = [x[0, 64:90].mean() for _, x in trials]
+        labels = [rec.label for rec, _ in trials]
         assert abs(auroc(np.array(scores), np.array(labels)) - 0.5) < 0.1
 
 
@@ -160,6 +161,8 @@ class TestHeterogeneityAndSpec:
         assert len(subs) == 7
         assert subs[0] == MI_TRAIN_SUBSETS[0]
         assert subs[6] == MI_TRAIN_SUBSETS[0]
+        assert default_subsets("mi", 5, "train")[4] == MI_TRAIN_SUBSETS[0]
+        assert default_subsets("erp", 3, "eval") == [*ERP_EVAL_SUBSETS, ERP_EVAL_SUBSETS[0]]
 
     def test_separability_monotone_in_snr(self, tmp_path):
         from afpm.evaluation import auroc as auroc_fn
@@ -171,11 +174,11 @@ class TestHeterogeneityAndSpec:
                              domain_mixing=0.0, name="snr")
             manifest = generate_dataset(spec, seed=21,
                                       out_dir=str(tmp_path / f"snr{snr}"))
-            trials = load_all_trials(manifest)
-            score = [float(np.log(band_power(t.data[1], 256, 8, 12))
-                           - np.log(band_power(t.data[0], 256, 8, 12)))
-                     for t in trials]
-            labels = [t.label for t in trials]
+            trials = list(trials_of(manifest))
+            score = [float(np.log(band_power(x[1], 256, 8, 12))
+                           - np.log(band_power(x[0], 256, 8, 12)))
+                     for _, x in trials]
+            labels = [rec.label for rec, _ in trials]
             aurocs.append(auroc_fn(np.array(score), np.array(labels)))
         assert aurocs[0] < aurocs[1] <= aurocs[2]
         assert aurocs[2] > 0.95
