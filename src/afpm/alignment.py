@@ -165,28 +165,36 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
         "selected": _array_digest(xs[i] for d in domains for i in by_domain[d]),
     }
 
-    stats_dir = os.path.join(out_dir, "alignment")
-    os.makedirs(stats_dir, exist_ok=True)
+    # Whiten every domain before anything is written, so a domain that
+    # cannot be whitened leaves no partial output.
+    docs = []
     for domain_id in domains:
         idx = by_domain[domain_id]
         if ea:
-            aligned, (r_bar, r_inv_sqrt) = align_domain([xs[i] for i in idx])
+            try:
+                aligned, (r_bar, r_inv_sqrt) = align_domain([xs[i] for i in idx])
+            except NumericError as e:
+                raise NumericError(f"domain {domain_id!r}: {e}") from e
             for i, x in zip(idx, aligned):
                 xs[i] = x
-            doc = {
+            docs.append({
                 "domain_id": domain_id,
                 "d_count": len(idx),
                 "n_channels": int(r_bar.shape[0]),
                 "channels": names[domain_id],
                 "r_bar": r_bar.tolist(),
                 "r_inv_sqrt": r_inv_sqrt.tolist(),
-            }
+            })
         else:
-            doc = {"domain_id": domain_id, "d_count": len(idx), "skipped": True}
-        fname = hashlib.sha256(domain_id.encode()).hexdigest()[:16] + ".json"
+            docs.append({"domain_id": domain_id, "d_count": len(idx), "skipped": True})
+    stage_hashes["aligned"] = _array_digest(xs[i] for d in domains for i in by_domain[d])
+
+    stats_dir = os.path.join(out_dir, "alignment")
+    os.makedirs(stats_dir, exist_ok=True)
+    for doc in docs:
+        fname = hashlib.sha256(doc["domain_id"].encode()).hexdigest()[:16] + ".json"
         with atomic_open(os.path.join(stats_dir, fname)) as f:
             json.dump(doc, f, indent=1, sort_keys=True)
-    stage_hashes["aligned"] = _array_digest(xs[i] for d in domains for i in by_domain[d])
 
     writer = DatasetWriter(
         out_dir=out_dir, name=manifest.name, task=manifest.task,

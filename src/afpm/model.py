@@ -32,23 +32,31 @@ LN_EPS = 1e-5
 INIT_SIGMA = 0.02
 CHECKPOINT_FORMAT = "afpm-checkpoint-v2"
 # Above this many bytes of q, k, v, ctx and attention weights over all blocks
-# of one batch, blocks cache only ``u`` and ``att`` and backward recomputes the
-# rest. The 7-token MI preset needs about 23 MB at batch 64 (181 MB at 512)
-# and keeps the full cache; with per-channel patches (103 tokens) it needs
-# about 454 MB at batch 64 and goes lean.
+# of one batch, blocks cache only their normed input ``u`` (plus the LN and
+# MLP items) and backward recomputes the attention run by run. The 7-token MI
+# preset needs about 23 MB at batch 64 (181 MB at 512) and keeps the full
+# cache; with per-channel patches (103 tokens) it needs about 454 MB at batch
+# 64 and goes lean.
 LEAN_CACHE_BYTES = 256 * 2**20
+# The attention core (q·kᵀ, softmax, att·v and their backward) runs over runs
+# of as many samples as fit their [rows x H x S x S] scores into this many
+# bytes. The 7- and 5-token presets fit a batch of 512 into one run; the
+# 103-token per-channel model runs 3 float32 samples at a time.
+ATTENTION_RUN_BYTES = 2**20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+def _gelu_term(x: np.ndarray) -> np.ndarray:
+    """``1 + erf(x/√2)``: GELU is ``0.5 * x * term``, and ``dgelu`` reuses the term."""
+    return 1.0 + erf(x * _INV_SQRT2)
 
 
-def dgelu(x: np.ndarray) -> np.ndarray:
+def dgelu(x: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """GELU'(x) from ``x`` and its forward ``_gelu_term(x)``."""
     phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * phi
+    return 0.5 * term + x * phi
 
 
 def require_int(config, name: str, minimum: int) -> None:
@@ -318,44 +326,77 @@ def _softmax(x):
     return x
 
 
-def _split_heads(x, heads):
+def _heads(x, heads):
+    """Per-head view [B x H x S x dh] of a merged [B x S x H*dh] array."""
     b, s, hd = x.shape
     return x.reshape(b, s, heads, hd // heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
-    b, h, s, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+def _qkv(u, p, prefix):
+    """Merged queries, keys and values [B x S x H*dh] of the normed block input ``u``."""
+    out = []
+    for n in "qkv":
+        a = u @ p[f"{prefix}.attn.w{n}"]
+        a += p[f"{prefix}.attn.b{n}"]
+        out.append(a)
+    return out
 
 
-def _qkv(u, p, prefix, heads):
-    """Per-head queries, keys and values of the normed block input ``u``."""
-    return tuple(_split_heads(u @ p[f"{prefix}.attn.w{n}"] + p[f"{prefix}.attn.b{n}"], heads)
-                 for n in "qkv")
+def attention_runs(batch: int, heads: int, n_tokens: int, itemsize: int):
+    """``(start, stop)`` sample runs whose scores fit ATTENTION_RUN_BYTES (one sample at least)."""
+    rows = max(1, ATTENTION_RUN_BYTES // (heads * n_tokens * n_tokens * itemsize))
+    return [(i, min(i + rows, batch)) for i in range(0, batch, rows)]
+
+
+def _attend(q, k, v, scale, scores, ctx):
+    """softmax(q kᵀ * scale) v for head views of one run, written into ``ctx``.
+
+    ``scores`` is a fresh [r x H x S x S] buffer that ends up holding the
+    attention weights, which are returned. Every (sample, head) product is
+    one BLAS call, so a run gives the same bits as the whole batch.
+    """
+    np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
+    scores *= scale
+    att = _softmax(scores)
+    np.matmul(att, v, out=ctx)
+    return att
 
 
 def _block_forward(x, p, prefix, t_cfg, cache, lean=False):
     """One pre-norm block: x += attention(LN(x)); x += mlp(LN(x)).
 
-    A lean cache leaves out q, k, v and ctx; ``_block_backward`` recomputes
-    them from ``u`` and ``att`` with the same ops, so gradients do not change.
+    The attention core runs over runs of samples (``attention_runs``), so
+    only a full cache holds scores for the whole batch. A lean cache keeps
+    ``u``, the LN items and the MLP items: ``_block_backward`` recomputes q,
+    k, v, the attention weights and ctx run by run with the same ops, so
+    gradients do not change.
     """
+    h = t_cfg.heads
+    scale = 1.0 / math.sqrt(t_cfg.dim_head)
     u, ln1c = _layernorm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    q, k, v = _qkv(u, p, prefix, t_cfg.heads)
-    scores = q @ k.transpose(0, 1, 3, 2)
-    scores *= 1.0 / math.sqrt(t_cfg.dim_head)
-    att = _softmax(scores)
-    ctx = _merge_heads(att @ v)
+    b, s, _ = u.shape
+    ctx = np.empty((b, s, h * t_cfg.dim_head), dtype=u.dtype)
+    runs = attention_runs(b, h, s, u.itemsize)
+    full = cache is not None and not lean
+    if full:
+        q, k, v = _qkv(u, p, prefix)
+        att = np.empty((b, h, s, s), dtype=u.dtype)
+    else:
+        scores = np.empty((runs[0][1], h, s, s), dtype=u.dtype)
+    for i, j in runs:
+        qkv = (q[i:j], k[i:j], v[i:j]) if full else _qkv(u[i:j], p, prefix)
+        _attend(*(_heads(a, h) for a in qkv), scale,
+                att[i:j] if full else scores[:j - i], _heads(ctx[i:j], h))
     x1 = x + ctx @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
 
     u2, ln2c = _layernorm(x1, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     m1 = u2 @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"]
-    g1 = gelu(m1)
-    x2 = x1 + g1 @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
+    m1_term = _gelu_term(m1)
+    x2 = x1 + (0.5 * m1 * m1_term) @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
     if cache is not None:
-        cache[prefix] = dict(u=u, ln1c=ln1c, att=att, u2=u2, ln2c=ln2c, m1=m1, g1=g1)
-        if not lean:
-            cache[prefix].update(q=q, k=k, v=v, ctx=ctx)
+        cache[prefix] = dict(u=u, ln1c=ln1c, u2=u2, ln2c=ln2c, m1=m1, m1_term=m1_term)
+        if full:
+            cache[prefix].update(q=q, k=k, v=v, ctx=ctx, att=att)
     return x2
 
 
@@ -365,15 +406,16 @@ def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _block_backward(dx2, p, prefix, t_cfg, c, grads):
+    h = t_cfg.heads
     scale = 1.0 / math.sqrt(t_cfg.dim_head)
-    u, att, u2, m1, g1 = c["u"], c["att"], c["u2"], c["m1"], c["g1"]
+    u, u2, m1, m1_term = c["u"], c["u2"], c["m1"], c["m1_term"]
 
     # MLP sub-block
     dm2 = dx2
-    grads[f"{prefix}.mlp.w2"] = _weight_grad(g1, dm2)
+    grads[f"{prefix}.mlp.w2"] = _weight_grad(0.5 * m1 * m1_term, dm2)
     grads[f"{prefix}.mlp.b2"] = dm2.sum(axis=(0, 1))
     dg1 = dm2 @ p[f"{prefix}.mlp.w2"].T
-    dm1 = dg1 * dgelu(m1)
+    dm1 = dg1 * dgelu(m1, m1_term)
     grads[f"{prefix}.mlp.w1"] = _weight_grad(u2, dm1)
     grads[f"{prefix}.mlp.b1"] = dm1.sum(axis=(0, 1))
     du2 = dm1 @ p[f"{prefix}.mlp.w1"].T
@@ -381,32 +423,37 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
         du2, c["ln2c"], p[f"{prefix}.ln2.g"])
     dx1 = dx2 + dx1_ln
 
-    # attention sub-block; every buffer written in place below is fresh
-    if "q" in c:
-        q, k, v, ctx = c["q"], c["k"], c["v"], c["ctx"]
-    else:
-        q, k, v = _qkv(u, p, prefix, t_cfg.heads)
-        ctx = _merge_heads(att @ v)
+    # attention sub-block, run by run; a lean cache recomputes q, k, v, the
+    # attention weights and ctx from u. Every buffer written in place is fresh.
     do = dx1
-    grads[f"{prefix}.attn.wo"] = _weight_grad(ctx, do)
+    wo_t = p[f"{prefix}.attn.wo"].T
     grads[f"{prefix}.attn.bo"] = do.sum(axis=(0, 1))
+    full = "att" in c
+    b, s, _ = do.shape
+    ctx = c["ctx"] if full else np.empty((b, s, h * t_cfg.dim_head), dtype=do.dtype)
+    dq_m, dk_m, dv_m = (np.empty_like(ctx) for _ in "qkv")
+    runs = attention_runs(b, h, s, do.itemsize)
+    if not full:
+        scores = np.empty((runs[0][1], h, s, s), dtype=do.dtype)
+    for i, j in runs:
+        if full:
+            q, k, v = (_heads(c[n][i:j], h) for n in "qkv")
+            att = c["att"][i:j]
+        else:
+            q, k, v = (_heads(a, h) for a in _qkv(u[i:j], p, prefix))
+            att = _attend(q, k, v, scale, scores[:j - i], _heads(ctx[i:j], h))
+        dctx = _heads(do[i:j] @ wo_t, h)
+        datt = dctx @ v.transpose(0, 1, 3, 2)
+        np.matmul(att.transpose(0, 1, 3, 2), dctx, out=_heads(dv_m[i:j], h))
+        # softmax backward, built in the datt buffer: dsc = att * (datt - rowsum(datt * att))
+        datt -= np.sum(datt * att, axis=-1, keepdims=True)
+        datt *= att
+        np.matmul(datt, k, out=_heads(dq_m[i:j], h))
+        np.matmul(datt.transpose(0, 1, 3, 2), q, out=_heads(dk_m[i:j], h))
+    dq_m *= scale
+    dk_m *= scale
+    grads[f"{prefix}.attn.wo"] = _weight_grad(ctx, do)
     del ctx
-    dctx = _split_heads(do @ p[f"{prefix}.attn.wo"].T, t_cfg.heads)
-    datt = dctx @ v.transpose(0, 1, 3, 2)
-    dv_m = _merge_heads(att.transpose(0, 1, 3, 2) @ dctx)
-    del dctx
-    # softmax backward, built in the datt buffer: dsc = att * (datt - rowsum(datt * att))
-    datt -= np.sum(datt * att, axis=-1, keepdims=True)
-    datt *= att
-    dq = datt @ k
-    dq *= scale
-    dq_m = _merge_heads(dq)
-    del dq
-    dk = datt.transpose(0, 1, 3, 2) @ q
-    del datt
-    dk *= scale
-    dk_m = _merge_heads(dk)
-    del dk
     grads[f"{prefix}.attn.wq"] = _weight_grad(u, dq_m)
     grads[f"{prefix}.attn.bq"] = dq_m.sum(axis=(0, 1))
     grads[f"{prefix}.attn.wk"] = _weight_grad(u, dk_m)
@@ -451,14 +498,15 @@ def forward_cached(x_batch: np.ndarray, model: Model,
     f = cfg.fpe
     patches = extract_patches(x, f, cfg.per_channel_patches)
     h1 = patches @ p["patch.w1"] + p["patch.b1"]
-    a1 = gelu(h1)
-    e = a1 @ p["patch.w2"] + p["patch.b2"]
+    h1_term = _gelu_term(h1)
+    e = (0.5 * h1 * h1_term) @ p["patch.w2"] + p["patch.b2"]
     win = window_matrix(model_dims(cfg).n_patches, f.avg_window, f.avg_shift,
                         dtype=model.dtype)
     tilde = _window_map(win, e) / f.avg_window
     tokens = assemble_tokens(tilde, p)
 
-    cache: dict = ({"patches": patches, "h1": h1, "a1": a1, "win": win, "tilde": tilde}
+    cache: dict = ({"patches": patches, "h1": h1, "h1_term": h1_term, "win": win,
+                    "tilde": tilde}
                    if want_cache else {})
     t = cfg.transformer
     lean = full_cache_bytes(tokens.shape[0], tokens.shape[1], t,
@@ -507,11 +555,11 @@ def backward_cached(dlogits: np.ndarray, model: Model,
     de = _window_map(cache["win"].T, dtilde / cfg.fpe.avg_window)
 
     # patch MLP
-    a1, h1, patches = cache["a1"], cache["h1"], cache["patches"]
-    grads["patch.w2"] = _weight_grad(a1, de)
+    h1, h1_term, patches = cache["h1"], cache["h1_term"], cache["patches"]
+    grads["patch.w2"] = _weight_grad(0.5 * h1 * h1_term, de)
     grads["patch.b2"] = de.sum(axis=(0, 1))
     da1 = de @ p["patch.w2"].T
-    dh1 = da1 * dgelu(h1)
+    dh1 = da1 * dgelu(h1, h1_term)
     grads["patch.w1"] = _weight_grad(patches, dh1)
     grads["patch.b1"] = dh1.sum(axis=(0, 1))
     return grads

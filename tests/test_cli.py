@@ -15,7 +15,7 @@ from afpm.data_model import task_template
 from afpm.errors import ConfigError
 from afpm.model import load_checkpoint
 
-from conftest import fail_writes_in
+from conftest import fail_writes_in, write_toy_dataset
 
 
 class TestResolveConfig:
@@ -344,6 +344,22 @@ def test_data_aligned_for_other_task_is_data_error(command, pipeline_dirs, tmp_p
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "'mi'" in err[0] and "'erp'" in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+def test_flat_domain_fails_align_without_partial_output(tmp_path, capsys):
+    """A domain that cannot be whitened is named, and nothing is written for any domain."""
+    rng = np.random.default_rng(0)
+    data = [rng.standard_normal((3, 64)) for _ in range(2)] + [np.zeros((3, 64))] * 2
+    write_toy_dataset(tmp_path / "raw", n_trials=4, n_samples=64, data=data,
+                      domain_ids=["a:s0:0", "a:s0:0", "b:s1:0", "b:s1:0"])
+    out = tmp_path / "ali"
+    capsys.readouterr()
+    assert main(["align", "--in", str(tmp_path / "raw"), "--out", str(out),
+                 "--task", "mi"]) == EXIT_NUMERIC
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("numeric error:") and "b:s1:0" in err[0], err
+    assert not list(out.glob("alignment/*.json"))
+    assert not (out / "manifest.json").exists()
 
 
 def test_cli_determinism_bit_identical(tmp_path):

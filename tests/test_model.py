@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from afpm.errors import ConfigError, DataError
 from afpm.model import (
     FPEConfig, Model, ModelConfig, TransformerConfig, _block_forward, _window_map,
     assemble_tokens, averaged_count, backward_cached, decayed_param,
-    LEAN_CACHE_BYTES, extract_patches, forward, forward_cached, full_cache_bytes,
+    LEAN_CACHE_BYTES, attention_runs, extract_patches, forward, forward_cached, full_cache_bytes,
     init_model, load_checkpoint, model_dims, param_shapes, patch_count, save_checkpoint,
     window_matrix,
 )
@@ -162,7 +163,8 @@ class TestEmbedPatches:
                             t_prime=8, window=4)
         p = rng.standard_normal(4)
         _, cache = forward_cached(np.concatenate([p, p])[None, None], model)
-        assert np.array_equal(cache["a1"][0, 0], cache["a1"][0, 1])
+        for key in ("h1", "h1_term"):
+            assert np.array_equal(cache[key][0, 0], cache[key][0, 1]), key
         assert np.array_equal(cache["tilde"][0, 0], cache["tilde"][0, 1])
 
     def test_hand_computed_toy(self):
@@ -642,8 +644,10 @@ def cache_arrays(cache) -> dict:
 
 
 class TestLeanCache:
-    """Above LEAN_CACHE_BYTES a block caches u and att only; backward recomputes
-    q, k, v and ctx with the same ops, so the gradients stay bit-identical."""
+    """Above LEAN_CACHE_BYTES a block caches its normed input u (plus the LN and
+    MLP items) and no attention weights; backward recomputes q, k, v, the
+    attention and ctx run by run with the same ops, so the gradients stay
+    bit-identical."""
 
     @pytest.mark.parametrize("per_channel", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -655,8 +659,8 @@ class TestLeanCache:
         logits, full = forward_cached(x, model)
         monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
         lean_logits, lean = forward_cached(x, model)
-        assert {"q", "k", "v", "ctx"} <= full["block1"].keys()
-        assert not {"q", "k", "v", "ctx"} & lean["block1"].keys()
+        assert {"q", "k", "v", "ctx", "att"} <= full["block1"].keys()
+        assert not {"q", "k", "v", "ctx", "att"} & lean["block1"].keys()
         assert np.array_equal(logits, lean_logits)
         grads, lean_grads = backward_cached(dlogits, model, full), \
             backward_cached(dlogits, model, lean)
@@ -665,13 +669,55 @@ class TestLeanCache:
             assert g.dtype == dtype and np.array_equal(g, lean_grads[name]), name
 
     def test_lean_attention_rows_sum_to_one(self, rng, monkeypatch):
+        """Every attention run of the lean path, in forward and in backward's
+        recompute, has rows that sum to 1, and the recompute equals the forward."""
         monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
+        attend, seen = afpm.model._attend, []
+
+        def recording_attend(*args):
+            att = attend(*args)
+            seen.append(att.copy())
+            return att
+
+        monkeypatch.setattr(afpm.model, "_attend", recording_attend)
         cfg = small_cfg(depth=2, per_channel=True)
         model = init_model(cfg, seed=2, dtype=np.float64)
         _, cache = forward_cached(rng.standard_normal((2, 3, 64)), model)
-        for i in range(cfg.transformer.depth):
-            assert "q" not in cache[f"block{i}"]
-            assert np.abs(cache[f"block{i}"]["att"].sum(axis=-1) - 1.0).max() < 1e-12
+        backward_cached(rng.standard_normal((2, 2)), model, cache)
+        depth = cfg.transformer.depth
+        for i in range(depth):
+            assert not {"q", "att"} & cache[f"block{i}"].keys()
+        assert len(seen) == 2 * depth     # one run per block, forward and backward
+        for att in seen:
+            assert np.abs(att.sum(axis=-1) - 1.0).max() < 1e-12
+        for fwd, bwd in zip(seen[:depth], reversed(seen[depth:])):
+            assert np.array_equal(fwd, bwd)
+
+    @pytest.mark.parametrize("lean", [False, True])
+    @pytest.mark.parametrize("per_channel", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_runs_do_not_change_a_bit(self, lean, per_channel, dtype, rng,
+                                                monkeypatch):
+        model = perturbed_model(small_cfg(depth=2, per_channel=per_channel), dtype, rng)
+        x = rng.standard_normal((5, 3, 64)).astype(dtype)
+        dlogits = rng.standard_normal((5, 2)).astype(dtype)
+        if lean:
+            monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
+        heads, s = 2, model_dims(model.cfg).n_tokens
+        assert attention_runs(5, heads, s, x.itemsize) == [(0, 5)]
+        logits, cache = forward_cached(x, model)
+        grads = backward_cached(dlogits, model, cache)
+        monkeypatch.setattr(afpm.model, "ATTENTION_RUN_BYTES",
+                            2 * heads * s * s * x.itemsize + 1)
+        assert attention_runs(5, heads, s, x.itemsize) == [(0, 2), (2, 4), (4, 5)]
+        run_logits, run_cache = forward_cached(x, model)
+        assert ("att" in run_cache["block0"]) is not lean
+        assert np.array_equal(logits, run_logits)
+        assert np.array_equal(forward(x, model), logits)
+        run_grads = backward_cached(dlogits, model, run_cache)
+        assert run_grads.keys() == grads.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, run_grads[name]), name
 
     @pytest.mark.parametrize("lean", [False, True])
     def test_backward_never_writes_into_the_cache(self, lean, rng, monkeypatch):
@@ -689,6 +735,34 @@ class TestLeanCache:
         assert after.keys() == before.keys()
         for key, arr in before.items():
             assert np.array_equal(arr, after[key]), key
+
+    def test_lean_per_channel_cache_holds_no_scores(self, rng, monkeypatch):
+        monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
+        cfg = small_cfg(depth=2, per_channel=True)
+        s = model_dims(cfg).n_tokens
+        _, cache = forward_cached(rng.standard_normal((4, 3, 64)),
+                                  init_model(cfg, seed=0, dtype=np.float64))
+        for key, arr in cache_arrays(cache).items():
+            assert arr.shape[-2:] != (s, s), key
+
+    def test_lean_per_channel_step_peak(self, rng, monkeypatch):
+        """Traced numpy peak of one lean MI per-channel step at batch 8: about
+        24 MiB, where a lean cache that keeps the attention weights of every
+        block and scores for the whole batch peaks at about 38 MiB."""
+        monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
+        cfg = preset_model_config("mi", per_channel=True)
+        model = init_model(cfg, seed=0)
+        x = rng.standard_normal((8, cfg.n_channels, cfg.template_len)).astype(np.float32)
+        dlogits = rng.standard_normal((8, 2)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            _, cache = forward_cached(x, model)
+            backward_cached(dlogits, model, cache)
+            del cache
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_presets_keep_the_full_cache_and_mi_per_channel_goes_lean(self):
         def cache_mb(task, per_channel, batch):
