@@ -10,6 +10,15 @@ The forward chain for a batch of template inputs [B x M x T']:
     -> pre-norm transformer encoder (depth blocks)
     -> final layer norm, linear head on the class token.
 
+Attention takes one of two forms over the same parameters. Per head, a block
+projects its normed input to q, k and v. When heads are wider than tokens
+(``factored_attention``: the MI preset and its per-channel ablation, not the
+ERP preset) it runs factored instead: each head's q·kᵀ and att·v·Wo go
+through D x D products of the normed input, the QK/OV-circuit view of Elhage
+et al. 2021, "A Mathematical Framework for Transformer Circuits". Softmax
+cancels the key bias there, so its gradient is zero; it stays a parameter so
+that checkpoints keep one layout.
+
 Everything is plain numpy in the parameter dtype (float32 for training,
 float64 for gradient checks). ``forward_cached``/``backward_cached`` are the
 one batched path; ``forward`` wraps it for a single template or a batch.
@@ -32,11 +41,16 @@ LN_EPS = 1e-5
 INIT_SIGMA = 0.02
 CHECKPOINT_FORMAT = "afpm-checkpoint-v2"
 # Above this many bytes of q, k, v, ctx and attention weights over all blocks
-# of one batch, blocks cache only their normed input ``u`` (plus the LN and
-# MLP items) and backward recomputes the attention run by run. The 7-token MI
-# preset needs about 23 MB at batch 64 (181 MB at 512) and keeps the full
-# cache; with per-channel patches (103 tokens) it needs about 454 MB at batch
-# 64 and goes lean.
+# of one batch (``full_cache_bytes``), blocks cache only their normed input
+# ``u`` (plus the LN and MLP items) and backward recomputes the attention run
+# by run. The 7-token MI preset counts about 23 MB at batch 64 (181 MB at 512)
+# and keeps the full cache; with per-channel patches (103 tokens) it counts
+# about 454 MB at batch 64 and goes lean. The count is the per-head cache's for
+# both forms: the factored cache (attention weights and y) of that per-channel
+# model is 173 MiB, and counting it would keep it full and raise its peak
+# memory. Where the full cache is kept it still pays: at batch 64 on one BLAS
+# thread a lean recompute adds about 5% to the factored MI step and about 20%
+# to the per-head ERP step.
 LEAN_CACHE_BYTES = 256 * 2**20
 # The attention core (q·kᵀ, softmax, att·v and their backward) runs over runs
 # of as many samples as fit their [rows x H x S x S] scores into this many
@@ -318,11 +332,11 @@ def _layernorm_backward(dy, cache, g):
     return dx, dg, db
 
 
-def _softmax(x):
-    """Row softmax computed in place: ``x`` must be a fresh array nothing else reads."""
-    x -= x.max(axis=-1, keepdims=True)
+def _softmax(x, axis=-1):
+    """Softmax along ``axis`` computed in place: ``x`` must be a fresh array nothing else reads."""
+    x -= x.max(axis=axis, keepdims=True)
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    x /= x.sum(axis=axis, keepdims=True)
     return x
 
 
@@ -362,22 +376,76 @@ def _attend(q, k, v, scale, scores, ctx):
     return att
 
 
-def _block_forward(x, p, prefix, t_cfg, cache, lean=False):
-    """One pre-norm block: x += attention(LN(x)); x += mlp(LN(x)).
+def _attend_keys(qt, u, scores, y):
+    """softmax(qt uᵀ) u for the factored queries [r x S*H x D] of one run, written into ``y``.
 
-    The attention core runs over runs of samples (``attention_runs``), so
-    only a full cache holds scores for the whole batch. A lean cache keeps
-    ``u``, the LN items and the MLP items: ``_block_backward`` recomputes q,
-    k, v, the attention weights and ctx run by run with the same ops, so
-    gradients do not change.
+    ``scores`` is a fresh key-major [r x S x S*H] buffer, so softmax reduces
+    over its middle axis, which numpy vectorizes across the S*H queries (a
+    last-axis reduction loops over rows of only S). It ends up holding the
+    attention weights; their [r x S*H x S] view is returned.
     """
+    np.matmul(u, qt.swapaxes(1, 2), out=scores)
+    att = _softmax(scores, axis=1).swapaxes(1, 2)
+    np.matmul(att, u, out=y)
+    return att
+
+
+def factored_attention(t_cfg: TransformerConfig, token_dim: int) -> bool:
+    """Whether blocks run the factored QK/OV form: heads wider than tokens.
+
+    Each head's q·kᵀ and att·v·Wo then go through D x D products of the
+    normed input, which take fewer operations than the dh-wide ones.
+    """
+    return t_cfg.dim_head > token_dim
+
+
+def _split_heads(w, heads):
+    """Per-head view [H x D x dh] of a merged [D x H*dh] weight."""
+    d, hd = w.shape
+    return w.reshape(d, heads, hd // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(w):
+    """Merged [D x H*dh] weight of a per-head [H x D x dh] one (inverse of ``_split_heads``)."""
+    h, d, dh = w.shape
+    return w.transpose(1, 0, 2).reshape(d, h * dh)
+
+
+def _circuits(p, prefix, t_cfg):
+    """The effective QK and OV matrices of one block's heads, s = 1/√dh.
+
+    ``qk`` [D x H*D] holds M_h = s·Wq_h Wk_hᵀ in head h's columns, ``qk_bias``
+    [H*D] holds c_h = s·bq_h Wk_hᵀ, ``ov`` [H*D x D] stacks Wv_h Wo_h, and
+    ``out_bias`` = bv Wo + bo. The key bias adds a constant to each row of
+    scores, which softmax cancels, so it appears nowhere.
+    """
+    h, d = t_cfg.heads, p[f"{prefix}.ln1.g"].shape[0]
+    scale = 1.0 / math.sqrt(t_cfg.dim_head)
+    wq, wk, wv = (_split_heads(p[f"{prefix}.attn.w{n}"], h) for n in "qkv")
+    wo = p[f"{prefix}.attn.wo"]
+    wk_t = wk.transpose(0, 2, 1)
+    qk = _merge_heads((wq @ wk_t) * scale)
+    qk_bias = ((p[f"{prefix}.attn.bq"].reshape(h, 1, -1) @ wk_t) * scale).reshape(h * d)
+    ov = (wv @ wo.reshape(h, -1, d)).reshape(h * d, d)
+    out_bias = p[f"{prefix}.attn.bv"] @ wo + p[f"{prefix}.attn.bo"]
+    return qk, qk_bias, ov, out_bias
+
+
+def _factored_queries(u, qk, qk_bias, heads):
+    """Head-interleaved queries [r x S*H x D] of one run: row i*H + h is u_i M_h + c_h."""
+    qt = u @ qk
+    qt += qk_bias
+    r, s, d = u.shape
+    return qt.reshape(r, s * heads, d)
+
+
+def _head_attention(x, u, p, prefix, t_cfg, full):
+    """``x`` plus per-head attention of ``u``, and the items a full cache keeps."""
     h = t_cfg.heads
     scale = 1.0 / math.sqrt(t_cfg.dim_head)
-    u, ln1c = _layernorm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
     b, s, _ = u.shape
     ctx = np.empty((b, s, h * t_cfg.dim_head), dtype=u.dtype)
     runs = attention_runs(b, h, s, u.itemsize)
-    full = cache is not None and not lean
     if full:
         q, k, v = _qkv(u, p, prefix)
         att = np.empty((b, h, s, s), dtype=u.dtype)
@@ -388,15 +456,60 @@ def _block_forward(x, p, prefix, t_cfg, cache, lean=False):
         _attend(*(_heads(a, h) for a in qkv), scale,
                 att[i:j] if full else scores[:j - i], _heads(ctx[i:j], h))
     x1 = x + ctx @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
+    return x1, (dict(q=q, k=k, v=v, ctx=ctx, att=att) if full else {})
+
+
+def _factored_attention(x, u, p, prefix, t_cfg, full):
+    """``x`` plus factored attention of ``u``, and the items a full cache keeps.
+
+    The key of every head is ``u`` itself, so per sample the scores of all
+    heads are one product ``qt uᵀ`` [S*H x S] and their weighted keys one
+    product ``y = att u`` [S*H x D]; the output is ``y @ ov + out_bias``.
+    """
+    h = t_cfg.heads
+    qk, qk_bias, ov, out_bias = _circuits(p, prefix, t_cfg)
+    b, s, d = u.shape
+    y = np.empty((b, s, h * d), dtype=u.dtype)
+    runs = attention_runs(b, h, s, u.itemsize)
+    scores = np.empty((b if full else runs[0][1], s, s * h), dtype=u.dtype)
+    for i, j in runs:
+        u_r = u[i:j]
+        _attend_keys(_factored_queries(u_r, qk, qk_bias, h), u_r,
+                     scores[i:j] if full else scores[:j - i], y[i:j].reshape(j - i, s * h, d))
+    x1 = x + y @ ov + out_bias
+    return x1, (dict(y=y, att=scores.swapaxes(1, 2)) if full else {})
+
+
+def _block_forward(x, p, prefix, t_cfg, cache, lean=False):
+    """One pre-norm block: x += attention(LN(x)); x += mlp(LN(x)).
+
+    Attention takes one of two forms, chosen by ``factored_attention``.
+    Per head, it projects ``u`` to q, k and v and mixes ctx = att·v through
+    Wo. When heads are wider than tokens it runs factored (the QK/OV-circuit
+    view of Elhage et al. 2021): each head's scores are (u M_h + c_h) uᵀ and
+    its output att·u·(Wv_h Wo_h), with D x D matrices built once per call
+    by ``_circuits``. The two agree up to rounding; the key bias drops out
+    of the factored form, so its gradient there is exactly zero.
+
+    The attention core runs over runs of samples (``attention_runs``), so
+    only a full cache holds scores for the whole batch. A lean cache keeps
+    ``u``, the LN items and the MLP items: ``_block_backward`` recomputes the
+    attention weights (and q, k, v and ctx, or y) run by run with the same
+    ops, so gradients do not change.
+    """
+    u, ln1c = _layernorm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
+    full = cache is not None and not lean
+    attention = (_factored_attention if factored_attention(t_cfg, x.shape[-1])
+                 else _head_attention)
+    x1, kept = attention(x, u, p, prefix, t_cfg, full)
 
     u2, ln2c = _layernorm(x1, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     m1 = u2 @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"]
     m1_term = _gelu_term(m1)
     x2 = x1 + (0.5 * m1 * m1_term) @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
     if cache is not None:
-        cache[prefix] = dict(u=u, ln1c=ln1c, u2=u2, ln2c=ln2c, m1=m1, m1_term=m1_term)
-        if full:
-            cache[prefix].update(q=q, k=k, v=v, ctx=ctx, att=att)
+        cache[prefix] = dict(u=u, ln1c=ln1c, u2=u2, ln2c=ln2c, m1=m1, m1_term=m1_term,
+                             **kept)
     return x2
 
 
@@ -406,8 +519,6 @@ def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _block_backward(dx2, p, prefix, t_cfg, c, grads):
-    h = t_cfg.heads
-    scale = 1.0 / math.sqrt(t_cfg.dim_head)
     u, u2, m1, m1_term = c["u"], c["u2"], c["m1"], c["m1_term"]
 
     # MLP sub-block
@@ -423,11 +534,23 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
         du2, c["ln2c"], p[f"{prefix}.ln2.g"])
     dx1 = dx2 + dx1_ln
 
-    # attention sub-block, run by run; a lean cache recomputes q, k, v, the
-    # attention weights and ctx from u. Every buffer written in place is fresh.
-    do = dx1
+    # attention sub-block, run by run; a lean cache recomputes the attention
+    # from u. Every buffer written in place is fresh.
+    grads[f"{prefix}.attn.bo"] = dx1.sum(axis=(0, 1))
+    attention_backward = (_factored_attention_backward
+                          if factored_attention(t_cfg, dx1.shape[-1])
+                          else _head_attention_backward)
+    du = attention_backward(dx1, u, p, prefix, t_cfg, c, grads)
+    dx_ln, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = _layernorm_backward(
+        du, c["ln1c"], p[f"{prefix}.ln1.g"])
+    return dx1 + dx_ln
+
+
+def _head_attention_backward(do, u, p, prefix, t_cfg, c, grads):
+    """Per-head attention gradients into ``grads``; returns d(loss)/du."""
+    h = t_cfg.heads
+    scale = 1.0 / math.sqrt(t_cfg.dim_head)
     wo_t = p[f"{prefix}.attn.wo"].T
-    grads[f"{prefix}.attn.bo"] = do.sum(axis=(0, 1))
     full = "att" in c
     b, s, _ = do.shape
     ctx = c["ctx"] if full else np.empty((b, s, h * t_cfg.dim_head), dtype=do.dtype)
@@ -460,16 +583,73 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
     grads[f"{prefix}.attn.bk"] = dk_m.sum(axis=(0, 1))
     grads[f"{prefix}.attn.wv"] = _weight_grad(u, dv_m)
     grads[f"{prefix}.attn.bv"] = dv_m.sum(axis=(0, 1))
-    du = dq_m @ p[f"{prefix}.attn.wq"].T + dk_m @ p[f"{prefix}.attn.wk"].T \
+    return dq_m @ p[f"{prefix}.attn.wq"].T + dk_m @ p[f"{prefix}.attn.wk"].T \
         + dv_m @ p[f"{prefix}.attn.wv"].T
-    dx_ln, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = _layernorm_backward(
-        du, c["ln1c"], p[f"{prefix}.ln1.g"])
-    return dx1 + dx_ln
+
+
+def _factored_attention_backward(do, u, p, prefix, t_cfg, c, grads):
+    """Factored attention gradients into ``grads``; returns d(loss)/du.
+
+    Backpropagates to ``_circuits``' matrices, then maps their gradients
+    onto the per-head weights. The key bias gets an exact zero.
+    """
+    h, dh = t_cfg.heads, t_cfg.dim_head
+    scale = 1.0 / math.sqrt(dh)
+    qk, qk_bias, ov, _ = _circuits(p, prefix, t_cfg)
+    full = "att" in c
+    b, s, d = do.shape
+    y = c["y"] if full else np.empty((b, s, h * d), dtype=do.dtype)
+    # 2-D products: a stack times a transposed matrix takes a slower numpy loop
+    dy = (do.reshape(-1, d) @ ov.T).reshape(b, s, h * d)
+    dqt = np.empty_like(dy)
+    du = np.empty_like(u)
+    runs = attention_runs(b, h, s, do.itemsize)
+    if not full:
+        scores = np.empty((runs[0][1], s, s * h), dtype=do.dtype)
+    for i, j in runs:
+        r, u_r = j - i, u[i:j]
+        qt = _factored_queries(u_r, qk, qk_bias, h)
+        dy_r, y_r = dy[i:j].reshape(r, s * h, d), y[i:j].reshape(r, s * h, d)
+        if full:
+            att = c["att"][i:j]
+        else:
+            att = _attend_keys(qt, u_r, scores[:r], y_r)
+        # key-major [r x S x S*H], like the scores
+        att_k, datt = att.swapaxes(1, 2), u_r @ dy_r.swapaxes(1, 2)
+        np.matmul(att_k, dy_r, out=du[i:j])
+        # softmax backward, built in the datt buffer: dsc = att * (datt - rowsum(datt * att)),
+        # where rowsum(datt * att) = rowsum(dy * att u) = rowsum(dy * y), D wide not S
+        datt -= np.einsum("rqd,rqd->rq", dy_r, y_r)[:, None, :]
+        datt *= att_k
+        np.matmul(datt.swapaxes(1, 2), u_r, out=dqt[i:j].reshape(r, s * h, d))
+        du[i:j] += datt @ qt
+    du += (dqt.reshape(-1, h * d) @ qk.T).reshape(u.shape)
+
+    # circuits -> per-head weights
+    d_out = grads[f"{prefix}.attn.bo"]     # d(out_bias): do summed over samples and tokens
+    d_ov = _weight_grad(y, do).reshape(h, d, d)
+    del y
+    d_qk = _weight_grad(u, dqt).reshape(d, h, d).transpose(1, 0, 2)
+    d_qk_bias = dqt.sum(axis=(0, 1)).reshape(h, 1, d)
+    wq, wk, wv = (_split_heads(p[f"{prefix}.attn.w{n}"], h) for n in "qkv")
+    wo, bq, bv = (p[f"{prefix}.attn.{n}"] for n in ("wo", "bq", "bv"))
+    grads[f"{prefix}.attn.wo"] = (wv.transpose(0, 2, 1) @ d_ov).reshape(h * dh, d) \
+        + np.outer(bv, d_out)
+    grads[f"{prefix}.attn.wq"] = _merge_heads((d_qk @ wk) * scale)
+    grads[f"{prefix}.attn.bq"] = ((d_qk_bias @ wk) * scale).reshape(h * dh)
+    grads[f"{prefix}.attn.wk"] = _merge_heads(
+        (d_qk.transpose(0, 2, 1) @ wq + d_qk_bias.transpose(0, 2, 1) @ bq.reshape(h, 1, dh))
+        * scale)
+    grads[f"{prefix}.attn.bk"] = np.zeros_like(bq)
+    grads[f"{prefix}.attn.wv"] = _merge_heads(d_ov @ wo.reshape(h, dh, d).transpose(0, 2, 1))
+    grads[f"{prefix}.attn.bv"] = wo @ d_out
+    return du
 
 
 def full_cache_bytes(batch: int, n_tokens: int, t_cfg: TransformerConfig,
                      itemsize: int) -> int:
-    """Bytes of q, k, v, ctx and attention weights that a full cache keeps over all blocks."""
+    """Bytes of q, k, v, ctx and attention weights that a full per-head cache keeps
+    over all blocks; ``forward_cached`` sizes both attention forms by it."""
     width = t_cfg.heads * t_cfg.dim_head
     per_block = batch * n_tokens * 4 * width + batch * t_cfg.heads * n_tokens ** 2
     return per_block * itemsize * t_cfg.depth

@@ -362,6 +362,22 @@ def test_flat_domain_fails_align_without_partial_output(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_too_long_trial_fails_align_without_partial_output(tmp_path, capsys):
+    """A trial longer than the template is named by index and domain, before any write."""
+    write_toy_dataset(tmp_path / "raw", n_trials=4, n_samples=1400,
+                      domain_ids=["a:s0:0", "a:s0:0", "b:s1:0", "b:s1:0"])
+    out = tmp_path / "ali"
+    capsys.readouterr()
+    assert main(["align", "--in", str(tmp_path / "raw"), "--out", str(out),
+                 "--task", "mi"]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:"), err
+    assert "trial 0" in err[0] and "'a:s0:0'" in err[0] and "1400 > 1280" in err[0], err
+    assert not list(out.glob("alignment/*.json"))
+    assert not (out / "trials").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_determinism_bit_identical(tmp_path):
     """Same seed, --threads 1: checkpoints and reports match byte for byte."""
     outs = []

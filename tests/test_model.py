@@ -15,11 +15,14 @@ from afpm.errors import ConfigError, DataError
 from afpm.model import (
     FPEConfig, Model, ModelConfig, TransformerConfig, _block_forward, _window_map,
     assemble_tokens, averaged_count, backward_cached, decayed_param,
-    LEAN_CACHE_BYTES, attention_runs, extract_patches, forward, forward_cached, full_cache_bytes,
-    init_model, load_checkpoint, model_dims, param_shapes, patch_count, save_checkpoint,
-    window_matrix,
+    LEAN_CACHE_BYTES, attention_runs, extract_patches, factored_attention, forward,
+    forward_cached, full_cache_bytes, init_model, load_checkpoint, model_dims, param_shapes,
+    patch_count, save_checkpoint, window_matrix,
 )
 from afpm.pipeline import stacked_model_config
+from afpm.training import (
+    OptimizerState, TrainConfig, adamw_step, backward, batch_cross_entropy,
+)
 
 from conftest import fail_writes_in
 
@@ -33,6 +36,20 @@ def small_cfg(m=3, t_prime=64, depth=1, heads=2, dim_head=3, per_channel=False,
     channels = tuple(f"C{i}" for i in range(m))
     return ModelConfig(task="mi", template_channels=channels, template_len=t_prime,
                        fpe=fpe, transformer=t, per_channel_patches=per_channel)
+
+
+# What a block's full cache keeps beyond u, per attention form; a lean cache keeps none of it.
+FULL_CACHE_KEYS = {"heads": {"q", "k", "v", "ctx", "att"}, "factored": {"y", "att"}}
+ATTENTION_CORE = {"heads": "_attend", "factored": "_attend_keys"}
+
+
+def attention_forms(monkeypatch):
+    """Each attention form in turn, forced through ``factored_attention``. small_cfg's
+    heads (dim_head 3) are narrower than its tokens (8), so on its own it runs per head."""
+    for form in ("heads", "factored"):
+        monkeypatch.setattr(afpm.model, "factored_attention",
+                            lambda t_cfg, token_dim, factored=form == "factored": factored)
+        yield form
 
 
 def preset_model_config(task, per_channel=False):
@@ -422,14 +439,18 @@ class TestForward:
         with pytest.raises(DataError, match="expected batch"):
             forward(np.zeros((4, 64), dtype=np.float32), model)
 
-    def test_softmax_attention_rows_sum_to_one(self, rng):
+    def test_softmax_attention_rows_sum_to_one(self, rng, monkeypatch):
         cfg = small_cfg(depth=2)
         model = init_model(cfg, seed=2, dtype=np.float64)
         x = rng.standard_normal((2, 3, 64))
-        _, cache = forward_cached(x, model, want_cache=True)
-        for i in range(cfg.transformer.depth):
-            att = cache[f"block{i}"]["att"]
-            assert np.abs(att.sum(axis=-1) - 1.0).max() < 1e-6
+        s = model_dims(cfg).n_tokens
+        for _ in attention_forms(monkeypatch):
+            _, cache = forward_cached(x, model, want_cache=True)
+            for i in range(cfg.transformer.depth):
+                att = cache[f"block{i}"]["att"]
+                # per head [B x H x S x S]; factored, head-interleaved [B x S*H x S]
+                assert att.size == 2 * 2 * s * s and att.shape[-1] == s
+                assert np.abs(att.sum(axis=-1) - 1.0).max() < 1e-6
 
 
 @settings(max_examples=120, deadline=None)
@@ -656,42 +677,47 @@ class TestLeanCache:
         model = perturbed_model(small_cfg(depth=2, per_channel=per_channel), dtype, rng)
         x = rng.standard_normal((4, 3, 64)).astype(dtype)
         dlogits = rng.standard_normal((4, 2)).astype(dtype)
-        logits, full = forward_cached(x, model)
-        monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
-        lean_logits, lean = forward_cached(x, model)
-        assert {"q", "k", "v", "ctx", "att"} <= full["block1"].keys()
-        assert not {"q", "k", "v", "ctx", "att"} & lean["block1"].keys()
-        assert np.array_equal(logits, lean_logits)
-        grads, lean_grads = backward_cached(dlogits, model, full), \
-            backward_cached(dlogits, model, lean)
-        assert grads.keys() == lean_grads.keys() == model.params.keys()
-        for name, g in grads.items():
-            assert g.dtype == dtype and np.array_equal(g, lean_grads[name]), name
+        budget = afpm.model.LEAN_CACHE_BYTES
+        for form in attention_forms(monkeypatch):
+            monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", budget)
+            logits, full = forward_cached(x, model)
+            monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
+            lean_logits, lean = forward_cached(x, model)
+            assert FULL_CACHE_KEYS[form] <= full["block1"].keys()
+            assert not set().union(*FULL_CACHE_KEYS.values()) & lean["block1"].keys()
+            assert np.array_equal(logits, lean_logits)
+            grads, lean_grads = backward_cached(dlogits, model, full), \
+                backward_cached(dlogits, model, lean)
+            assert grads.keys() == lean_grads.keys() == model.params.keys()
+            for name, g in grads.items():
+                assert g.dtype == dtype and np.array_equal(g, lean_grads[name]), (form, name)
 
     def test_lean_attention_rows_sum_to_one(self, rng, monkeypatch):
         """Every attention run of the lean path, in forward and in backward's
         recompute, has rows that sum to 1, and the recompute equals the forward."""
         monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
-        attend, seen = afpm.model._attend, []
-
-        def recording_attend(*args):
-            att = attend(*args)
-            seen.append(att.copy())
-            return att
-
-        monkeypatch.setattr(afpm.model, "_attend", recording_attend)
         cfg = small_cfg(depth=2, per_channel=True)
         model = init_model(cfg, seed=2, dtype=np.float64)
-        _, cache = forward_cached(rng.standard_normal((2, 3, 64)), model)
-        backward_cached(rng.standard_normal((2, 2)), model, cache)
+        x, dlogits = rng.standard_normal((2, 3, 64)), rng.standard_normal((2, 2))
         depth = cfg.transformer.depth
-        for i in range(depth):
-            assert not {"q", "att"} & cache[f"block{i}"].keys()
-        assert len(seen) == 2 * depth     # one run per block, forward and backward
-        for att in seen:
-            assert np.abs(att.sum(axis=-1) - 1.0).max() < 1e-12
-        for fwd, bwd in zip(seen[:depth], reversed(seen[depth:])):
-            assert np.array_equal(fwd, bwd)
+        for form in attention_forms(monkeypatch):
+            attend, seen = getattr(afpm.model, ATTENTION_CORE[form]), []
+
+            def recording_attend(*args, attend=attend, seen=seen):
+                att = attend(*args)
+                seen.append(att.copy())
+                return att
+
+            monkeypatch.setattr(afpm.model, ATTENTION_CORE[form], recording_attend)
+            _, cache = forward_cached(x, model)
+            backward_cached(dlogits, model, cache)
+            for i in range(depth):
+                assert not FULL_CACHE_KEYS[form] & cache[f"block{i}"].keys()
+            assert len(seen) == 2 * depth     # one run per block, forward and backward
+            for att in seen:
+                assert np.abs(att.sum(axis=-1) - 1.0).max() < 1e-12
+            for fwd, bwd in zip(seen[:depth], reversed(seen[depth:])):
+                assert np.array_equal(fwd, bwd)
 
     @pytest.mark.parametrize("lean", [False, True])
     @pytest.mark.parametrize("per_channel", [False, True])
@@ -704,51 +730,60 @@ class TestLeanCache:
         if lean:
             monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
         heads, s = 2, model_dims(model.cfg).n_tokens
-        assert attention_runs(5, heads, s, x.itemsize) == [(0, 5)]
-        logits, cache = forward_cached(x, model)
-        grads = backward_cached(dlogits, model, cache)
-        monkeypatch.setattr(afpm.model, "ATTENTION_RUN_BYTES",
-                            2 * heads * s * s * x.itemsize + 1)
-        assert attention_runs(5, heads, s, x.itemsize) == [(0, 2), (2, 4), (4, 5)]
-        run_logits, run_cache = forward_cached(x, model)
-        assert ("att" in run_cache["block0"]) is not lean
-        assert np.array_equal(logits, run_logits)
-        assert np.array_equal(forward(x, model), logits)
-        run_grads = backward_cached(dlogits, model, run_cache)
-        assert run_grads.keys() == grads.keys()
-        for name, g in grads.items():
-            assert np.array_equal(g, run_grads[name]), name
+        one_run = afpm.model.ATTENTION_RUN_BYTES
+        for form in attention_forms(monkeypatch):
+            monkeypatch.setattr(afpm.model, "ATTENTION_RUN_BYTES", one_run)
+            assert attention_runs(5, heads, s, x.itemsize) == [(0, 5)]
+            logits, cache = forward_cached(x, model)
+            grads = backward_cached(dlogits, model, cache)
+            monkeypatch.setattr(afpm.model, "ATTENTION_RUN_BYTES",
+                                2 * heads * s * s * x.itemsize + 1)
+            assert attention_runs(5, heads, s, x.itemsize) == [(0, 2), (2, 4), (4, 5)]
+            run_logits, run_cache = forward_cached(x, model)
+            assert ("att" in run_cache["block0"]) is not lean
+            assert np.array_equal(logits, run_logits)
+            assert np.array_equal(forward(x, model), logits)
+            run_grads = backward_cached(dlogits, model, run_cache)
+            assert run_grads.keys() == grads.keys()
+            for name, g in grads.items():
+                assert np.array_equal(g, run_grads[name]), (form, name)
 
     @pytest.mark.parametrize("lean", [False, True])
     def test_backward_never_writes_into_the_cache(self, lean, rng, monkeypatch):
         if lean:
             monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
         model = perturbed_model(small_cfg(depth=2, per_channel=True), np.float32, rng)
+        x = rng.standard_normal((4, 3, 64))
         dlogits = rng.standard_normal((4, 2)).astype(np.float32)
-        _, cache = forward_cached(rng.standard_normal((4, 3, 64)), model)
-        before = {k: v.copy() for k, v in cache_arrays(cache).items()}
-        first = backward_cached(dlogits, model, cache)
-        second = backward_cached(dlogits, model, cache)
-        for name, g in first.items():
-            assert np.array_equal(g, second[name]), name
-        after = cache_arrays(cache)
-        assert after.keys() == before.keys()
-        for key, arr in before.items():
-            assert np.array_equal(arr, after[key]), key
+        for form in attention_forms(monkeypatch):
+            _, cache = forward_cached(x, model)
+            before = {k: v.copy() for k, v in cache_arrays(cache).items()}
+            first = backward_cached(dlogits, model, cache)
+            second = backward_cached(dlogits, model, cache)
+            for name, g in first.items():
+                assert np.array_equal(g, second[name]), (form, name)
+            after = cache_arrays(cache)
+            assert after.keys() == before.keys()
+            for key, arr in before.items():
+                assert np.array_equal(arr, after[key]), (form, key)
 
     def test_lean_per_channel_cache_holds_no_scores(self, rng, monkeypatch):
         monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
         cfg = small_cfg(depth=2, per_channel=True)
         s = model_dims(cfg).n_tokens
-        _, cache = forward_cached(rng.standard_normal((4, 3, 64)),
-                                  init_model(cfg, seed=0, dtype=np.float64))
-        for key, arr in cache_arrays(cache).items():
-            assert arr.shape[-2:] != (s, s), key
+        sh = s * cfg.transformer.heads
+        model = init_model(cfg, seed=0, dtype=np.float64)
+        x = rng.standard_normal((4, 3, 64))
+        for form in attention_forms(monkeypatch):
+            _, cache = forward_cached(x, model)
+            for key, arr in cache_arrays(cache).items():
+                assert arr.shape[-2:] not in {(s, s), (sh, s), (s, sh)}, (form, key)
 
     def test_lean_per_channel_step_peak(self, rng, monkeypatch):
         """Traced numpy peak of one lean MI per-channel step at batch 8: about
-        24 MiB, where a lean cache that keeps the attention weights of every
-        block and scores for the whole batch peaks at about 38 MiB."""
+        17 MiB in the factored form (23 MiB per head), where a lean cache that
+        keeps the attention weights of every block and scores for the whole
+        batch peaks at about 38 MiB per head."""
         monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
         cfg = preset_model_config("mi", per_channel=True)
         model = init_model(cfg, seed=0)
@@ -776,6 +811,86 @@ class TestLeanCache:
         assert cache_mb("erp", False, 512) < budget
         # MI per-channel patches: 103 tokens, about 454 MB over 6 blocks at batch 64
         assert cache_mb("mi", True, 64) > 400 > budget
+
+
+class TestFactoredAttention:
+    """Heads wider than tokens run the factored QK/OV form. small_cfg(dim_head=9)
+    has 2 heads of 9 over 8-wide tokens."""
+
+    def test_presets_pick_their_form(self):
+        for task, per_channel, factored in (("mi", False, True), ("mi", True, True),
+                                            ("erp", False, False)):
+            cfg = preset_model_config(task, per_channel)
+            assert factored_attention(cfg.transformer, cfg.fpe.token_dim) is factored
+
+    def test_finite_difference_gradients(self, rng):
+        """Criterion 3's check and tolerance on a factored model with nonzero biases."""
+        cfg = small_cfg(dim_head=9)
+        assert factored_attention(cfg.transformer, cfg.fpe.token_dim)
+        model = perturbed_model(cfg, np.float64, rng)
+        x, y = rng.standard_normal((2, 3, 64)), np.array([0, 1])
+        _, grads = backward(x, y, model)
+
+        def loss_at():
+            return batch_cross_entropy(forward(x, model), y)[0]
+
+        h, worst = 1e-4, {}
+        for name, p in model.params.items():
+            flat, errs = p.reshape(-1), []
+            for i in range(flat.size):
+                old = flat[i]
+                flat[i] = old + h
+                lp = loss_at()
+                flat[i] = old - h
+                lm = loss_at()
+                flat[i] = old
+                fd, an = (lp - lm) / (2 * h), float(grads[name].reshape(-1)[i])
+                errs.append(abs(fd - an) / max(abs(fd), abs(an), 1e-3))
+            worst[name] = max(errs)
+        assert max(worst.values()) < 1e-4, max(worst, key=worst.get)
+
+    @pytest.mark.parametrize("lean", [False, True])
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_factored_equals_per_head(self, per_channel, lean, rng, monkeypatch):
+        model = perturbed_model(small_cfg(depth=2, dim_head=9, per_channel=per_channel),
+                                np.float64, rng)
+        x, dlogits = rng.standard_normal((5, 3, 64)), rng.standard_normal((5, 2))
+        if lean:
+            monkeypatch.setattr(afpm.model, "LEAN_CACHE_BYTES", 0)
+        runs = {}
+        for form in ("factored", "heads"):
+            logits, cache = forward_cached(x, model)
+            assert FULL_CACHE_KEYS[form] & cache["block0"].keys() \
+                == (set() if lean else FULL_CACHE_KEYS[form])
+            runs[form] = logits, forward(x, model), backward_cached(dlogits, model, cache)
+            # the per-head form, forced through the one rank test
+            monkeypatch.setattr(afpm.model, "factored_attention", lambda t_cfg, token_dim: False)
+        (logits, no_cache, grads), (ref_logits, _, ref_grads) = runs["factored"], runs["heads"]
+        for out in (logits, no_cache):
+            assert np.abs(out - ref_logits).max() <= 1e-10 * np.abs(ref_logits).max()
+        assert grads.keys() == ref_grads.keys() == model.params.keys()
+        for name, ref in ref_grads.items():
+            if name.endswith(".attn.bk"):
+                continue
+            scale = np.abs(ref).max()
+            assert scale > 0.0, name
+            assert np.abs(grads[name] - ref).max() <= 1e-10 * scale, name
+
+    def test_key_bias_gradient_is_zero_and_adamw_keeps_it(self, rng):
+        """Softmax cancels the key bias, so factored blocks give it an exact zero
+        gradient and AdamW (which does not decay biases) never moves it."""
+        model = perturbed_model(small_cfg(depth=2, dim_head=9), np.float32, rng)
+        before = {name: arr.copy() for name, arr in model.params.items()}
+        x = rng.standard_normal((4, 3, 64)).astype(np.float32)
+        _, grads = backward(x, np.array([0, 1, 0, 1]), model)
+        bk = [name for name in grads if name.endswith(".attn.bk")]
+        assert len(bk) == 2
+        for name in bk:
+            assert grads[name].shape == before[name].shape and not grads[name].any(), name
+        adamw_step(model.params, grads, OptimizerState.zeros_like(model.params), 1e-3,
+                   TrainConfig())
+        for name, arr in before.items():
+            assert np.array_equal(model.params[name], arr) is (name in bk), name
 
 
 def test_decay_mask_exempts_embeddings_norms_biases():
