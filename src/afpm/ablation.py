@@ -1,10 +1,11 @@
 """Ablation matrix: full pipeline vs one disabled stage per variant.
 
 Variants: FULL, NO_SELECT (target set widened to the union of all training
-channels), NO_EA (no whitening), NO_MAP (original channel order, zero-padded
-batching), NO_FPE (per-channel temporal patches instead of all-channel
-frames). Every variant consumes the same raw inputs with the same seeds and
-training budget; only the flagged stage differs.
+channels), NO_EA (no whitening), NO_MAP (selected channels keep their
+original order in the first template rows instead of their own rows), NO_FPE
+(per-channel temporal patches instead of all-channel frames). Every variant
+consumes the same raw inputs with the same seeds and training budget; only
+the flagged stage differs. Every variant's model input is its template.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .config import RunConfig
 from .data_model import DatasetManifest, TaskTemplateSpec, load_manifest, task_template
 from .alignment import align_dataset
 from .errors import ConfigError
-from .evaluation import EvalReport, evaluate_arrays, positive_class_index
+from .evaluation import EvalReport, evaluate_dataset
 from .model import init_model
 from .pipeline import require_task, stack_aligned, stacked_model_config
 from .training import TrainResult, train
@@ -54,7 +55,11 @@ def run_variant(variant: str, cfg: RunConfig,
                 train_manifests: list[DatasetManifest],
                 eval_manifests: list[DatasetManifest],
                 workdir: str) -> AblationResult:
-    """Align, train and evaluate one variant; ``cfg.train.seed`` seeds all three."""
+    """Align, train and evaluate one variant; ``cfg.train.seed`` seeds training.
+
+    The model trains on the stacked aligned training sets. Each aligned eval
+    set is then evaluated on its own with one fold, as ``afpm eval`` does.
+    """
     stages = _variant_stages(variant)
     spec = task_template(cfg.task)
     if variant == "NO_SELECT":
@@ -72,25 +77,11 @@ def run_variant(variant: str, cfg: RunConfig,
             bucket.append(aligned)
             stage_hashes[f"{kind}:{m.name}"] = aligned.alignment["stage_hashes"]
 
-    x_all, y_all, dom_all, layout = stack_aligned(aligned_train + aligned_eval)
-    n_train = sum(len(m.trials) for m in aligned_train)
-    x_tr, y_tr = x_all[:n_train], y_all[:n_train]
-
-    model_cfg = stacked_model_config(cfg, x_tr, layout, stages["per_channel"])
+    x, y, _, layout = stack_aligned(aligned_train, cfg.task)
+    model_cfg = stacked_model_config(cfg, x, layout, stages["per_channel"])
     model = init_model(model_cfg, seed=cfg.train.seed)
-    result = train(x_tr, y_tr, model, cfg.train)
-
-    reports: dict[str, EvalReport] = {}
-    offset = n_train
-    for m in aligned_eval:
-        n = len(m.trials)
-        sl = slice(offset, offset + n)
-        offset += n
-        positive = positive_class_index(m.class_names, cfg.task)
-        reports[m.name] = evaluate_arrays(
-            model, x_all[sl], y_all[sl], dom_all[sl], m.name,
-            seed=cfg.train.seed, positive=positive,
-        )
+    result = train(x, y, model, cfg.train)
+    reports = {m.name: evaluate_dataset(result.model, m) for m in aligned_eval}
     digest = raw_digest(train_manifests + eval_manifests)
     return AblationResult(variant=variant, reports=reports, train_result=result,
                           raw_input_digest=digest, stage_hashes=stage_hashes)

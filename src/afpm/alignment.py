@@ -131,7 +131,8 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
 
     * ``ea=False``: whitening is skipped; trials pass through unchanged.
     * ``mapping=False``: trials keep their selected channels in original order
-      and their own length; no template placement happens.
+      and their own length; no template placement happens. They must still
+      fit the template length, which sizes their model input.
 
     Stage content hashes are stored in the output manifest so ablation runs
     can verify that only the toggled stage changed.
@@ -140,14 +141,14 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
         spec = task_template(manifest.task)
     trials = manifest.trials
     xs = [load_trial(manifest, i) for i in range(len(trials))]
-    if mapping:
-        # Checked before anything is written, so a long trial leaves no partial output.
-        for i, (x, rec) in enumerate(zip(xs, trials)):
-            if x.shape[1] > spec.template_len:
-                raise DataError(
-                    f"trial {i} in domain {rec.domain_id!r} exceeds template length: "
-                    f"{x.shape[1]} > {spec.template_len} samples"
-                )
+    # The template sizes the model input, mapped or not. Checked before
+    # anything is written, so a long trial leaves no partial output.
+    for i, (x, rec) in enumerate(zip(xs, trials)):
+        if x.shape[1] > spec.template_len:
+            raise DataError(
+                f"trial {i} in domain {rec.domain_id!r} exceeds template length: "
+                f"{x.shape[1]} > {spec.template_len} samples"
+            )
     by_domain: dict[str, list[int]] = {}
     for i, rec in enumerate(trials):
         by_domain.setdefault(rec.domain_id, []).append(i)

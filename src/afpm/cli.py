@@ -28,21 +28,6 @@ def _set_thread_env(n: int) -> None:
         os.environ[var] = str(n)
 
 
-def _early_threads(argv: list[str]) -> int:
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            try:
-                return max(1, int(argv[i + 1]))
-            except ValueError:
-                return 1
-        if a.startswith("--threads="):
-            try:
-                return max(1, int(a.split("=", 1)[1]))
-            except ValueError:
-                return 1
-    return 1
-
-
 _OVERRIDE_FLAGS = {
     # (argparse flag, config section, key, type)
     "--embed-dim": ("fpe", "embed_dim", int),
@@ -256,13 +241,12 @@ def _cmd_train(args) -> int:
     from .data_model import atomic_open, load_manifest
     from .errors import NumericError
     from .model import init_model, save_checkpoint
-    from .pipeline import require_task, stack_aligned, stacked_model_config
+    from .pipeline import stack_aligned, stacked_model_config
     from .training import train
 
     cfg = resolve_config(args.task, args.config, _overrides_from(args))
     manifests = [load_manifest(_data_path(p)) for p in args.data]
-    require_task(manifests, cfg.task)
-    x, y, _, layout = stack_aligned(manifests)
+    x, y, _, layout = stack_aligned(manifests, cfg.task)
     model_cfg = stacked_model_config(cfg, x, layout, args.per_channel_patches)
     model = init_model(model_cfg, seed=cfg.train.seed)
 
@@ -301,6 +285,9 @@ def _cmd_eval(args) -> int:
     from .evaluation import evaluate_dataset
     from .model import load_checkpoint
 
+    for flag, value in (("--folds", args.folds), ("--repeats", args.repeats)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     model, _, _ = load_checkpoint(args.ckpt)
     if args.task and args.task != model.cfg.task:
         raise ConfigError(
@@ -424,9 +411,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _set_thread_env(_early_threads(argv))
     args = build_parser().parse_args(argv)
+    _set_thread_env(max(1, args.threads))
 
     from .errors import ConfigError, DataError, NumericError
 

@@ -16,6 +16,7 @@ from scipy.stats import rankdata
 from .data_model import DatasetManifest
 from .errors import DataError
 from .model import Model, forward
+from .pipeline import input_channels, stack_aligned
 
 MI_METRICS = ("balanced_accuracy", "auc_pr")
 ERP_METRICS = ("auroc", "auc_pr", "cohens_kappa")
@@ -180,7 +181,7 @@ def evaluate_arrays(model: Model, x: np.ndarray, labels: np.ndarray,
     n = x.shape[0]
     logits = np.concatenate(
         [forward(x[i:i + batch_size], model) for i in range(0, n, batch_size)]
-    ) if n else np.zeros((0, model.cfg.transformer.n_classes))
+    )
 
     subjects = [subject_of(d) for d in domains]
     report = EvalReport(dataset=dataset_name, task=task, n_trials=n,
@@ -208,52 +209,26 @@ def evaluate_arrays(model: Model, x: np.ndarray, labels: np.ndarray,
     return report
 
 
-def check_template_match(model: Model, manifest: DatasetManifest) -> None:
-    """The dataset must be aligned to the checkpoint's template layout."""
-    align = manifest.alignment or {}
-    channels = tuple(align.get("template_channels", ()))
-    length = align.get("template_len")
-    if align.get("mapped") and (
-        channels != model.cfg.template_channels or length != model.cfg.template_len
-    ):
-        raise DataError(
-            f"template mismatch: checkpoint expects {len(model.cfg.template_channels)} "
-            f"channels x {model.cfg.template_len} samples ({model.cfg.task}), dataset "
-            f"is aligned to {len(channels)} x {length} ({align.get('task')})"
-        )
-    if not align:
-        raise DataError(
-            "dataset has no alignment metadata; run the alignment stage before eval"
-        )
-
-
-def pad_to_model(x: np.ndarray, model: Model) -> np.ndarray:
-    """Zero-pad stacked trials up to the model's input layout (unmapped data)."""
-    m, t = model.cfg.n_channels, model.cfg.template_len
-    if x.shape[1] > m or x.shape[2] > t:
-        raise DataError(
-            f"stacked trials {x.shape[1]}x{x.shape[2]} exceed model input {m}x{t}"
-        )
-    if x.shape[1] == m and x.shape[2] == t:
-        return x
-    out = np.zeros((x.shape[0], m, t), dtype=x.dtype)
-    out[:, :x.shape[1], :x.shape[2]] = x
-    return out
+def _layout_text(channels: tuple[str, ...], length: int) -> str:
+    return f"{len(channels)} channels ({channels[0]} ... {channels[-1]}) x {length} samples"
 
 
 def model_inputs(model: Model, manifest: DatasetManifest
                  ) -> tuple[np.ndarray, np.ndarray, list[str], int]:
     """An aligned dataset as input to ``model``: (x, labels, domain ids, positive class).
 
-    The dataset must be aligned to the model's template; unmapped trials are
-    zero-padded to its input layout.
+    The dataset must be aligned for the model's task to the template layout
+    the model was trained on, mapped or not.
     """
-    from .pipeline import stack_aligned
-
-    check_template_match(model, manifest)
-    x, labels, domains, _ = stack_aligned([manifest])
-    positive = positive_class_index(manifest.class_names, model.cfg.task)
-    return pad_to_model(x, model), labels, domains, positive
+    cfg = model.cfg
+    x, labels, domains, layout = stack_aligned([manifest], cfg.task)
+    channels, length = input_channels(layout), layout["template_len"]
+    if (channels, length) != (cfg.template_channels, cfg.template_len):
+        expected = _layout_text(cfg.template_channels, cfg.template_len)
+        raise DataError(f"template mismatch: checkpoint expects {expected}, "
+                        f"dataset is aligned to {_layout_text(channels, length)}")
+    positive = positive_class_index(manifest.class_names, cfg.task)
+    return x, labels, domains, positive
 
 
 def evaluate_dataset(model: Model, manifest: DatasetManifest, *,

@@ -1,9 +1,11 @@
 """Loading aligned datasets into model-ready arrays.
 
-Template-mapped datasets stack directly. Unmapped (no-channel-mapping
-ablation) datasets keep their own channel order and lengths; those are
-zero-padded to the maximum channel count and trial length across the
-collection, original row order preserved.
+The task template an aligned dataset records (``template_channels`` and
+``template_len``) sizes every model input. Mapped trials fill it as
+alignment placed them. Unmapped (no-channel-mapping ablation) trials keep
+their own rows, in their own order, in the first rows of the template and
+their own length from its first sample; the rest is zero, as it is for
+mapped padding.
 """
 
 from __future__ import annotations
@@ -31,56 +33,62 @@ def require_task(manifests: list[DatasetManifest], task: str) -> None:
             )
 
 
-def stack_aligned(manifests: list[DatasetManifest]
+def input_channels(layout: dict) -> tuple[str, ...]:
+    """Names of a model's input rows for a stacked layout.
+
+    Mapped data keeps the template's channel names; unmapped rows are named
+    ``ROW00``, ``ROW01``, ... one per template row.
+    """
+    channels = tuple(layout["template_channels"])
+    if layout["mapped"]:
+        return channels
+    return tuple(f"ROW{i:02d}" for i in range(len(channels)))
+
+
+def stack_aligned(manifests: list[DatasetManifest], task: str
                   ) -> tuple[np.ndarray, np.ndarray, list[str], dict]:
     """Stack aligned datasets into (x [N x M x T], labels, domain_ids, layout).
 
-    All datasets must come out of the same alignment configuration; mapped and
-    unmapped datasets cannot be mixed.
+    Every dataset must be aligned for ``task``, to one template, with one
+    mapping switch; ``layout`` records that template and switch. Trials are
+    written straight into one zero-initialized float32 array.
     """
     if not manifests:
         raise DataError("no datasets given")
-    aligns = []
+    require_task(manifests, task)
+    layouts = set()
     for m in manifests:
-        if not m.alignment:
+        a = m.alignment
+        if not a:
             raise DataError(f"dataset {m.name!r} has no alignment metadata")
-        aligns.append(m.alignment)
-    mapped = {bool(a.get("mapped")) for a in aligns}
-    if len(mapped) != 1:
-        raise DataError("cannot mix mapped and unmapped datasets")
-    mapped = mapped.pop()
+        layouts.add((tuple(a["template_channels"]), int(a["template_len"]),
+                     bool(a["mapped"])))
+    if len(layouts) != 1:
+        if len({mapped for _, _, mapped in layouts}) != 1:
+            raise DataError("cannot mix mapped and unmapped datasets")
+        raise DataError("datasets are aligned to different templates")
+    channels, t_len, mapped = layouts.pop()
+    n_trials = sum(len(m.trials) for m in manifests)
+    if n_trials == 0:
+        raise DataError("the aligned datasets hold no trials")
 
-    if mapped:
-        layouts = {(tuple(a["template_channels"]), int(a["template_len"]))
-                   for a in aligns}
-        if len(layouts) != 1:
-            raise DataError("datasets are aligned to different templates")
-        channels, t_len = layouts.pop()
-        n_rows = len(channels)
-        layout = {"mapped": True, "template_channels": channels, "template_len": t_len}
-    else:
-        n_rows = max(len(m.channel_sets[rec.channel_set])
-                     for m in manifests for rec in m.trials)
-        t_len = max(rec.n_samples for m in manifests for rec in m.trials)
-        layout = {"mapped": False, "template_channels": None, "template_len": t_len,
-                  "max_channels": n_rows}
-
-    xs, ys, domains = [], [], []
+    x = np.zeros((n_trials, len(channels), t_len), dtype=np.float32)
+    ys, domains = [], []
+    k = 0
     for m in manifests:
         for i, rec in enumerate(m.trials):
             trial = load_trial(m, i)
             rows, n = trial.shape
-            buf = np.zeros((n_rows, t_len), dtype=np.float32)
-            if rows > n_rows or n > t_len:
+            if rows > len(channels) or n > t_len:
                 raise DataError(
-                    f"trial {i} of {m.name!r} exceeds the stacked layout "
-                    f"({rows}x{n} vs {n_rows}x{t_len})"
+                    f"trial {i} of {m.name!r} exceeds the template "
+                    f"({rows}x{n} vs {len(channels)}x{t_len})"
                 )
-            buf[:rows, :n] = trial
-            xs.append(buf)
+            x[k, :rows, :n] = trial
+            k += 1
             ys.append(rec.label)
             domains.append(rec.domain_id)
-    x = np.stack(xs) if xs else np.zeros((0, n_rows, t_len), dtype=np.float32)
+    layout = {"mapped": mapped, "template_channels": channels, "template_len": t_len}
     return x, np.asarray(ys, dtype=np.int64), domains, layout
 
 
@@ -97,15 +105,11 @@ def stacked_model_config(cfg: RunConfig, x_train: np.ndarray, layout: dict,
                          per_channel: bool) -> ModelConfig:
     """Model configuration for training trials stacked by ``stack_aligned``.
 
-    Mapped data keeps the template's channel names; unmapped rows are named
-    ``ROW00``, ``ROW01``, ... The input scale is measured on ``x_train``.
+    The input rows are named by ``input_channels``; the input scale is
+    measured on ``x_train``.
     """
-    if layout["mapped"]:
-        channels = tuple(layout["template_channels"])
-    else:
-        channels = tuple(f"ROW{i:02d}" for i in range(x_train.shape[1]))
     return ModelConfig(
-        task=cfg.task, template_channels=channels,
+        task=cfg.task, template_channels=input_channels(layout),
         template_len=int(layout["template_len"]), fpe=cfg.fpe,
         transformer=cfg.transformer, per_channel_patches=per_channel,
         input_scale=active_rms_scale(x_train),

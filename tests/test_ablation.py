@@ -7,12 +7,15 @@ from afpm.ablation import (
     AblationResult, VARIANTS, ablation_csv, run_ablation, run_variant, union_template,
 )
 from afpm.config import resolve_config
-from afpm.data_model import task_template
+from afpm.data_model import load_manifest, task_template
 from afpm.errors import ConfigError
-from afpm.evaluation import primary_metric
+from afpm.evaluation import evaluate_dataset, primary_metric
 from afpm.model import model_dims
+from afpm.pipeline import stack_aligned
 from afpm.preprocessing import default_config, preprocess_dataset
 from afpm.synth import SynthSpec, generate_dataset
+
+from conftest import trials_of
 
 
 @pytest.fixture(scope="module")
@@ -105,11 +108,47 @@ def test_no_fpe_token_count_formula(tiny_sets):
     assert dims.n_tokens == cfg.n_channels * k + 1
 
 
-def test_no_map_pads_to_max_channels(tiny_sets):
+def test_no_map_pads_to_template(tiny_sets):
+    """Unmapped trials fill the first template rows, from the first sample; the rest is zero."""
     root, tr, ev = tiny_sets
     res = run_variant("NO_MAP", tiny_run_cfg(), [tr], [ev], str(root / "w4"))
-    assert res.train_result.model.cfg.template_channels[0] == "ROW00"
+    spec = task_template("mi")
+    cfg = res.train_result.model.cfg
+    assert cfg.template_channels == tuple(f"ROW{i:02d}" for i in range(spec.n_channels))
+    assert cfg.template_len == spec.template_len
     assert res.reports["ev"].n_trials == 10
+
+    aligned = load_manifest(str(root / "w4" / "no_map" / "train" / "tr"))
+    x, _, _, layout = stack_aligned([aligned], "mi")
+    assert x.shape == (32, spec.n_channels, spec.template_len)
+    assert layout == {"mapped": False, "template_channels": spec.target_channels,
+                      "template_len": spec.template_len}
+    for k, (rec, trial) in enumerate(trials_of(aligned)):
+        rows, n = trial.shape
+        assert rows < spec.n_channels and n < spec.template_len
+        assert np.array_equal(x[k, :rows, :n], trial)
+        assert not x[k, rows:].any() and not x[k, :, n:].any()
+
+
+def test_no_map_report_is_eval_of_its_aligned_eval_set(tiny_sets):
+    """NO_MAP evaluates each eval set as `eval` does, also one with more rows than
+    training, and the eval sets do not shape the model."""
+    root, tr, ev = tiny_sets
+    spec = SynthSpec(task="mi", n_domains=1, trials_per_domain=10,
+                     channel_subsets=(("C3", "C4", "CZ", "CP3", "CP4"),),
+                     trial_len_s=1.0, name="wide")
+    wide = generate_dataset(spec, seed=2, out_dir=str(root / "wide"))
+    wide = preprocess_dataset(wide, default_config("mi"), str(root / "wide_pp"))
+    res = run_variant("NO_MAP", tiny_run_cfg(), [tr], [wide], str(root / "w6"))
+    aligned = load_manifest(str(root / "w6" / "no_map" / "eval" / "wide"))
+    assert len(aligned.channel_sets[aligned.trials[0].channel_set]) == 5
+    report = evaluate_dataset(res.train_result.model, aligned)
+    assert report.to_dict() == res.reports["wide"].to_dict()
+
+    narrow = run_variant("NO_MAP", tiny_run_cfg(), [tr], [ev], str(root / "w7"))
+    model, other = res.train_result.model, narrow.train_result.model
+    assert model.cfg == other.cfg
+    assert all(np.array_equal(v, other.params[k]) for k, v in model.params.items())
 
 
 def test_all_variants_listed():

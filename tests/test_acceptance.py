@@ -375,7 +375,7 @@ def test_criterion_8_finetune_direction(task_fixture, request):
     metric = "balanced_accuracy" if task == "mi" else "auroc"
     aligned = align_dataset(suite["pp_ft"],
                             str(suite["pp_ft"].root) + "_aligned")
-    x, y, doms, _ = stack_aligned([aligned])
+    x, y, doms, _ = stack_aligned([aligned], task)
     positive = positive_class_index(aligned.class_names, task)
     ft_cfg = TrainConfig(epochs=suite["ft_epochs"], batch_size=16,
                          lr_init=suite["ft_lr"] / 2, lr_max=suite["ft_lr"],

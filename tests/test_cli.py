@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -331,19 +335,156 @@ def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeyp
     assert sorted(p.name for p in eval_dir.iterdir()) == ["report.json", "report.txt"]
 
 
-@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "finetune"])
 def test_data_aligned_for_other_task_is_data_error(command, pipeline_dirs, tmp_path, capsys):
-    _, _, _, ali, _ = pipeline_dirs
+    """MI data given to an ERP run; unmapped ERP-aligned data given to the MI checkpoint."""
+    _, _, pre, ali, ckpt = pipeline_dirs
     out = str(tmp_path / "out")
-    if command == "train":
-        argv = ["train", "--data", ali, "--task", "erp", "--out", out + "/m.ckpt"]
-    else:
-        argv = ["ablate", "--train", ali, "--eval", ali, "--task", "erp", "--out", out]
+    model = ["--epochs", "1", "--depth", "1"]
+    if command in ("eval", "finetune"):
+        ali = str(tmp_path / "erp_ali")
+        assert main(["align", "--in", pre, "--out", ali, "--task", "erp", "--no-map"]) == 0
+    argv = {
+        "train": ["train", "--data", ali, "--task", "erp", "--out", out + "/m.ckpt", *model],
+        "ablate": ["ablate", "--train", ali, "--eval", ali, "--task", "erp", "--out", out,
+                   *model],
+        "eval": ["eval", "--ckpt", ckpt, "--data", ali, "--out", out],
+        "finetune": ["finetune", "--ckpt", ckpt, "--data", ali, "--out", out, *model],
+    }[command]
     capsys.readouterr()
-    assert main(argv + ["--epochs", "1", "--depth", "1"]) == EXIT_DATA
+    assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "'mi'" in err[0] and "'erp'" in err[0], err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("flag", ["--no-map", "--no-select"])
+def test_data_of_another_layout_is_template_mismatch(command, flag, pipeline_dirs, tmp_path,
+                                                      capsys):
+    """The mapped MI checkpoint refuses MI data aligned unmapped or to a widened template."""
+    _, _, pre, _, ckpt = pipeline_dirs
+    ali, out = str(tmp_path / "ali"), str(tmp_path / "out")
+    assert main(["align", "--in", pre, "--out", ali, "--task", "mi", flag]) == 0
+    capsys.readouterr()
+    assert main([command, "--ckpt", ckpt, "--data", ali, "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: template mismatch: "
+                                               "checkpoint expects 17 channels (FC3 ... CP4)"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_no_map_chain(tmp_path):
+    """Unmapped data fills the template: a 5-row eval set runs on a model trained on 4 rows."""
+    d = {k: str(tmp_path / k) for k in ("tr", "ev", "tr_pp", "ev_pp", "tr_al", "ev_al")}
+    ckpt = str(tmp_path / "run" / "model.ckpt")
+    for kind, domains, seed in (("tr", "4", "100"), ("ev", "2", "200")):
+        catalogue = "train" if kind == "tr" else "eval"
+        assert main(["synth", "--task", "mi", "--domains", domains, "--trials", "8",
+                     "--trial-len", "1.0", "--channels", catalogue,
+                     "--out", d[kind], "--seed", seed]) == 0
+        assert main(["preprocess", "--in", d[kind], "--out", d[f"{kind}_pp"]]) == 0
+        assert main(["align", "--in", d[f"{kind}_pp"], "--out", d[f"{kind}_al"],
+                     "--task", "mi", "--no-map"]) == 0
+    aligned = {kind: afpm.data_model.load_manifest(d[f"{kind}_al"]) for kind in ("tr", "ev")}
+    rows = {kind: max(len(m.channels_of(rec)) for rec in m.trials) for kind, m in aligned.items()}
+    assert rows == {"tr": 4, "ev": 5}
+    assert main(toy_train(d["tr_al"], ckpt) + ["--epochs", "1"]) == 0
+    model, _, _ = load_checkpoint(ckpt)
+    spec = task_template("mi")
+    assert model.cfg.template_channels == tuple(f"ROW{i:02d}" for i in range(spec.n_channels))
+    assert model.cfg.template_len == spec.template_len
+    assert main(["eval", "--ckpt", ckpt, "--data", d["ev_al"],
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert json.loads((tmp_path / "eval" / "report.json").read_text())["n_trials"] == 16
+    assert main(["finetune", "--ckpt", ckpt, "--data", d["ev_al"], "--fraction", "0.3",
+                 "--out", str(tmp_path / "ft"), "--epochs", "1", "--batch-size", "4"]) == 0
+
+
+def test_train_on_unmapped_sets_of_different_templates_is_data_error(
+        pipeline_dirs, tmp_path, capsys):
+    _, _, pre, _, _ = pipeline_dirs
+    plain, union = str(tmp_path / "plain"), str(tmp_path / "union")
+    assert main(["align", "--in", pre, "--out", plain, "--task", "mi", "--no-map"]) == 0
+    assert main(["align", "--in", pre, "--out", union, "--task", "mi", "--no-map",
+                 "--no-select"]) == 0
+    capsys.readouterr()
+    argv = toy_train(plain, str(tmp_path / "out" / "m.ckpt"))
+    at = argv.index("--data")
+    assert main(argv[:at + 2] + [union] + argv[at + 2:] + ["--epochs", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["data error: datasets are aligned to different templates"], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--folds", "--repeats"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_eval_needs_a_fold_and_a_repeat(flag, value, pipeline_dirs, tmp_path, capsys):
+    _, _, _, ali, ckpt = pipeline_dirs
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(tmp_path / "ev"),
+                 flag, value]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: {flag} must be at least 1, got {value}"], err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_eval_on_a_dataset_without_trials_is_data_error(pipeline_dirs, tmp_path, capsys):
+    _, _, _, ali, ckpt = pipeline_dirs
+    doc = json.loads((Path(ali) / "manifest.json").read_text())
+    doc["trials"] = []
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "manifest.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", ckpt, "--data", str(tmp_path / "empty"),
+                 "--out", str(tmp_path / "ev")]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "no trials" in err[0], err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_threads_are_parsed_with_the_other_arguments(monkeypatch, capsys):
+    pinned = []
+    monkeypatch.setattr(afpm.cli, "_set_thread_env", pinned.append)
+    no_folds = ["eval", "--ckpt", "m.ckpt", "--data", "d", "--folds", "0"]
+    assert main(no_folds + ["--threads", "0"]) == EXIT_CONFIG
+    assert main(no_folds + ["--threads=2"]) == EXIT_CONFIG
+    with pytest.raises(SystemExit) as e:
+        main(no_folds + ["--threads", "abc"])
+    assert e.value.code == EXIT_CONFIG
+    assert pinned == [1, 2]
+
+
+def test_parsing_imports_no_numpy():
+    """The thread pools are sized after parsing, so parsing must not load numpy."""
+    code = ("import sys, afpm.cli; afpm.cli.build_parser().parse_args("
+            "['train', '--data', 'd', '--task', 'mi', '--out', 'm.ckpt', '--threads', '2']);"
+            " print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def readme_commands() -> list[str]:
+    """Every `afpm ...` command of README's bash blocks, continuation lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in readme.split("```bash\n")[1:]:
+        body = block.split("```", 1)[0].replace("\\\n", " ")
+        for line in body.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("afpm "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {shlex.split(c)[1] for c in commands} == set(afpm.cli._HANDLERS)
+    parser = afpm.cli.build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command)[1:])
 
 
 def test_flat_domain_fails_align_without_partial_output(tmp_path, capsys):
@@ -376,6 +517,20 @@ def test_too_long_trial_fails_align_without_partial_output(tmp_path, capsys):
     assert not list(out.glob("alignment/*.json"))
     assert not (out / "trials").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_too_long_unmapped_trial_fails_align_without_partial_output(tmp_path, capsys):
+    """The template bounds unmapped trials too: a long one is named before any write."""
+    write_toy_dataset(tmp_path / "raw", n_trials=4, n_samples=1400,
+                      domain_ids=["a:s0:0", "a:s0:0", "b:s1:0", "b:s1:0"])
+    out = tmp_path / "ali"
+    capsys.readouterr()
+    assert main(["align", "--in", str(tmp_path / "raw"), "--out", str(out),
+                 "--task", "mi", "--no-map"]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error:"), err
+    assert "trial 0" in err[0] and "'a:s0:0'" in err[0] and "1400 > 1280" in err[0], err
+    assert not out.exists()
 
 
 def test_cli_determinism_bit_identical(tmp_path):

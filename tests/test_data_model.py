@@ -203,7 +203,7 @@ def _load_or_data_error(path, text: str):
         assert isinstance(rec.label, int) and 0 <= rec.label < manifest.n_classes
         assert isinstance(rec.domain_id, str) and rec.channel_set in manifest.channel_sets
     try:  # what loads also stacks, or is refused as data
-        stack_aligned([manifest])
+        stack_aligned([manifest], manifest.task)
     except DataError:
         pass
     return manifest

@@ -148,7 +148,7 @@ class TestHeterogeneityAndSpec:
         sizes = {m.n_samples for m in manifest.trials}
         assert sizes == {512, 384, 768}
         aligned = align_dataset(manifest, str(tmp_path / "al"))
-        x, y, doms, layout = stack_aligned([aligned])
+        x, y, doms, layout = stack_aligned([aligned], "mi")
         assert x.shape == (18, 17, 1280)
 
     def test_subset_must_intersect_target_set(self):
