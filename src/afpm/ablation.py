@@ -18,9 +18,9 @@ from .data_model import DatasetManifest, TaskTemplateSpec, load_manifest, task_t
 from .alignment import align_dataset
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate_dataset
-from .model import init_model
+from .model import Model, init_model
 from .pipeline import require_task, stack_aligned, stacked_model_config
-from .training import TrainResult, train
+from .training import train
 
 VARIANTS = ("FULL", "NO_SELECT", "NO_EA", "NO_MAP", "NO_FPE")
 
@@ -46,7 +46,7 @@ def _variant_stages(variant: str) -> dict:
 class AblationResult:
     variant: str
     reports: dict[str, EvalReport]
-    train_result: TrainResult
+    model: Model
     raw_input_digest: str
     stage_hashes: dict[str, dict]
 
@@ -80,10 +80,10 @@ def run_variant(variant: str, cfg: RunConfig,
     x, y, _, layout = stack_aligned(aligned_train, cfg.task)
     model_cfg = stacked_model_config(cfg, x, layout, stages["per_channel"])
     model = init_model(model_cfg, seed=cfg.train.seed)
-    result = train(x, y, model, cfg.train)
-    reports = {m.name: evaluate_dataset(result.model, m) for m in aligned_eval}
+    model = train(x, y, model, cfg.train).model
+    reports = {m.name: evaluate_dataset(model, m) for m in aligned_eval}
     digest = raw_digest(train_manifests + eval_manifests)
-    return AblationResult(variant=variant, reports=reports, train_result=result,
+    return AblationResult(variant=variant, reports=reports, model=model,
                           raw_input_digest=digest, stage_hashes=stage_hashes)
 
 

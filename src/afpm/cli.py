@@ -53,8 +53,6 @@ _OVERRIDE_FLAGS = {
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
     for flag, (_, key, typ) in _OVERRIDE_FLAGS.items():
         p.add_argument(flag, type=typ, default=None, dest=f"ov_{key}")
-    p.add_argument("--no-balanced", action="store_true",
-                   help="disable class-balanced sampling")
     p.add_argument("--config", default=None, help="JSON config file")
 
 
@@ -64,8 +62,6 @@ def _overrides_from(args: argparse.Namespace) -> dict:
         val = getattr(args, f"ov_{key}", None)
         if val is not None:
             ov.setdefault(section, {})[key] = val
-    if getattr(args, "no_balanced", False):
-        ov.setdefault("train", {})["balanced_sampling"] = False
     return ov
 
 

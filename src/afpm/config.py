@@ -3,7 +3,8 @@
 The two task presets carry the model hyper-parameters (MI: averaging window
 25 shift 5, head width 64, feed-forward 40; ERP: window 5 shift 2, head
 width 10, feed-forward 20; both: embedding 20, frame 25, depth 6, 8 heads)
-plus desk-scale training defaults, including the run seed ``train.seed``.
+plus desk-scale training defaults, including the run seed ``train.seed``:
+17 values. The channel template and class names come from the aligned data.
 Every command echoes what it used to ``run_config.json`` next to its
 outputs so the run can be reproduced exactly.
 """
@@ -23,20 +24,16 @@ PRESETS: dict[str, dict] = {
     "mi": {
         "fpe": {"embed_dim": 20, "frame_window": 25, "frame_stride": 25,
                 "avg_window": 25, "avg_shift": 5, "token_dim": 40, "mlp_hidden": 40},
-        "transformer": {"depth": 6, "heads": 8, "dim_head": 64, "dim_mlp": 40,
-                        "n_classes": 2, "final_norm": True},
+        "transformer": {"depth": 6, "heads": 8, "dim_head": 64, "dim_mlp": 40},
         "train": {"epochs": 30, "batch_size": 64, "lr_init": 2.5e-4, "lr_max": 5e-4,
-                  "weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999,
-                  "eps_adam": 1e-8, "balanced_sampling": True, "seed": 0},
+                  "weight_decay": 0.01, "seed": 0},
     },
     "erp": {
         "fpe": {"embed_dim": 20, "frame_window": 25, "frame_stride": 25,
                 "avg_window": 5, "avg_shift": 2, "token_dim": 40, "mlp_hidden": 40},
-        "transformer": {"depth": 6, "heads": 8, "dim_head": 10, "dim_mlp": 20,
-                        "n_classes": 2, "final_norm": True},
+        "transformer": {"depth": 6, "heads": 8, "dim_head": 10, "dim_mlp": 20},
         "train": {"epochs": 30, "batch_size": 64, "lr_init": 2.5e-4, "lr_max": 5e-4,
-                  "weight_decay": 0.01, "beta1": 0.9, "beta2": 0.999,
-                  "eps_adam": 1e-8, "balanced_sampling": True, "seed": 0},
+                  "weight_decay": 0.01, "seed": 0},
     },
 }
 

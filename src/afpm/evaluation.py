@@ -16,10 +16,11 @@ from scipy.stats import rankdata
 from .data_model import DatasetManifest
 from .errors import DataError
 from .model import Model, forward
-from .pipeline import input_channels, stack_aligned
+from .pipeline import input_channels, require_same_classes, stack_aligned
 
 MI_METRICS = ("balanced_accuracy", "auc_pr")
 ERP_METRICS = ("auroc", "auc_pr", "cohens_kappa")
+EVAL_BATCH = 256  # trials per forward call
 
 
 def _check_lengths(a, b):
@@ -174,13 +175,13 @@ def compute_metrics(task: str, logits: np.ndarray, labels: np.ndarray,
 def evaluate_arrays(model: Model, x: np.ndarray, labels: np.ndarray,
                     domains: list[str], dataset_name: str, *,
                     folds: int = 1, repeats: int = 1, seed: int = 0,
-                    positive: int = 1, batch_size: int = 256) -> EvalReport:
+                    positive: int = 1) -> EvalReport:
     """Calibration-free inference + metrics, optionally split into subject folds."""
     task = model.cfg.task
     labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
     logits = np.concatenate(
-        [forward(x[i:i + batch_size], model) for i in range(0, n, batch_size)]
+        [forward(x[i:i + EVAL_BATCH], model) for i in range(0, n, EVAL_BATCH)]
     )
 
     subjects = [subject_of(d) for d in domains]
@@ -218,7 +219,7 @@ def model_inputs(model: Model, manifest: DatasetManifest
     """An aligned dataset as input to ``model``: (x, labels, domain ids, positive class).
 
     The dataset must be aligned for the model's task to the template layout
-    the model was trained on, mapped or not.
+    the model was trained on, mapped or not, and name the model's classes.
     """
     cfg = model.cfg
     x, labels, domains, layout = stack_aligned([manifest], cfg.task)
@@ -227,6 +228,8 @@ def model_inputs(model: Model, manifest: DatasetManifest
         expected = _layout_text(cfg.template_channels, cfg.template_len)
         raise DataError(f"template mismatch: checkpoint expects {expected}, "
                         f"dataset is aligned to {_layout_text(channels, length)}")
+    require_same_classes(cfg.class_names, layout["class_names"],
+                         f"dataset {manifest.name!r}", "the checkpoint")
     positive = positive_class_index(manifest.class_names, cfg.task)
     return x, labels, domains, positive
 

@@ -21,7 +21,7 @@ that checkpoints keep one layout.
 
 Everything is plain numpy in the parameter dtype (float32 for training,
 float64 for gradient checks). ``forward_cached``/``backward_cached`` are the
-one batched path; ``forward`` wraps it for a single template or a batch.
+one batched path; ``forward`` wraps it for inference.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .errors import ConfigError, DataError, NumericError
 
 LN_EPS = 1e-5
 INIT_SIGMA = 0.02
-CHECKPOINT_FORMAT = "afpm-checkpoint-v2"
+CHECKPOINT_FORMAT = "afpm-checkpoint-v3"
 # Above this many bytes of q, k, v, ctx and attention weights over all blocks
 # of one batch (``full_cache_bytes``), blocks cache only their normed input
 # ``u`` (plus the LN and MLP items) and backward recomputes the attention run
@@ -107,17 +107,18 @@ class TransformerConfig:
     heads: int
     dim_head: int
     dim_mlp: int
-    n_classes: int
-    final_norm: bool = True
 
     def __post_init__(self):
-        for name in ("depth", "heads", "dim_head", "dim_mlp", "n_classes"):
+        for name in ("depth", "heads", "dim_head", "dim_mlp"):
             require_int(self, name, 1)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Everything needed to build or rebuild a model deterministically.
+
+    ``class_names`` come from the training data; the head has one column per
+    name, and label ``i`` means ``class_names[i]``.
 
     ``input_scale`` multiplies inputs at forward entry. Whitened trials carry
     per-sample magnitudes near 1/sqrt(T) (the domain-mean Gram sums over
@@ -131,12 +132,21 @@ class ModelConfig:
     template_len: int
     fpe: FPEConfig
     transformer: TransformerConfig
+    class_names: tuple[str, ...]
     per_channel_patches: bool = False  # ablation: one channel per patch
     input_scale: float = 1.0
 
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown model task {self.task!r}, expected one of {TASKS}")
+        names = self.class_names
+        if not (isinstance(names, tuple) and len(names) >= 2
+                and all(isinstance(c, str) for c in names) and len(set(names)) == len(names)):
+            raise ConfigError(f"class_names must be at least 2 distinct strings, got {names!r}")
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_names)
 
     @property
     def n_channels(self) -> int:
@@ -206,10 +216,9 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
             f"{b}.mlp.w1": (f.token_dim, t.dim_mlp), f"{b}.mlp.b1": (t.dim_mlp,),
             f"{b}.mlp.w2": (t.dim_mlp, f.token_dim), f"{b}.mlp.b2": (f.token_dim,),
         })
-    if t.final_norm:
-        shapes["final_ln.g"] = (f.token_dim,)
-        shapes["final_ln.b"] = (f.token_dim,)
-    shapes["head.w"] = (f.token_dim, t.n_classes)
+    shapes["final_ln.g"] = (f.token_dim,)
+    shapes["final_ln.b"] = (f.token_dim,)
+    shapes["head.w"] = (f.token_dim, cfg.n_classes)
     return shapes
 
 
@@ -655,12 +664,9 @@ def full_cache_bytes(batch: int, n_tokens: int, t_cfg: TransformerConfig,
     return per_block * itemsize * t_cfg.depth
 
 
-def forward(x_tem: np.ndarray, model: Model) -> np.ndarray:
-    """Full forward pass; accepts one template [M x T'] or a batch [B x M x T']."""
-    x = np.asarray(x_tem, dtype=model.dtype)
-    single = x.ndim == 2
-    logits, _ = forward_cached(x[None] if single else x, model, want_cache=False)
-    return logits[0] if single else logits
+def forward(x_batch: np.ndarray, model: Model) -> np.ndarray:
+    """Logits [B x c] of a batch [B x M x T'], without a backward cache."""
+    return forward_cached(x_batch, model, want_cache=False)[0]
 
 
 def forward_cached(x_batch: np.ndarray, model: Model,
@@ -696,10 +702,7 @@ def forward_cached(x_batch: np.ndarray, model: Model,
         xs = _block_forward(xs, p, f"block{i}", t, cache if want_cache else None, lean)
         if not np.all(np.isfinite(xs)):
             raise NumericError(f"non-finite activations after transformer block {i}")
-    if t.final_norm:
-        normed, lnfc = _layernorm(xs, p["final_ln.g"], p["final_ln.b"])
-    else:
-        normed, lnfc = xs, None
+    normed, lnfc = _layernorm(xs, p["final_ln.g"], p["final_ln.b"])
     logits = normed[:, 0, :] @ p["head.w"]
     if want_cache:
         cache.update(x_blocks_out=xs, final_lnc=lnfc, normed_cls=normed[:, 0, :])
@@ -716,9 +719,8 @@ def backward_cached(dlogits: np.ndarray, model: Model,
     grads["head.w"] = cache["normed_cls"].T @ dlogits
     dxs = np.zeros_like(cache["x_blocks_out"])
     dxs[:, 0, :] = dlogits @ p["head.w"].T
-    if cfg.transformer.final_norm:
-        dxs, grads["final_ln.g"], grads["final_ln.b"] = _layernorm_backward(
-            dxs, cache["final_lnc"], p["final_ln.g"])
+    dxs, grads["final_ln.g"], grads["final_ln.b"] = _layernorm_backward(
+        dxs, cache["final_lnc"], p["final_ln.g"])
 
     for i in reversed(range(cfg.transformer.depth)):
         dxs = _block_backward(dxs, p, f"block{i}", cfg.transformer,
@@ -749,28 +751,24 @@ def backward_cached(dlogits: np.ndarray, model: Model,
 # checkpoints: one JSON header line, then raw little-endian float32 payload
 
 
-def _cfg_to_json(cfg: ModelConfig) -> dict:
-    d = asdict(cfg)
-    d["template_channels"] = list(cfg.template_channels)
-    return d
-
-
 def _cfg_from_json(d: dict) -> ModelConfig:
     """Rebuild a config from its JSON form. Fields of the wrong type raise
     rather than coerce: a damaged header must not load as a different model."""
     fpe, transformer = FPEConfig(**d["fpe"]), TransformerConfig(**d["transformer"])
     channels, scale = d["template_channels"], d.get("input_scale", 1.0)
+    classes = d["class_names"]
     per_channel = d.get("per_channel_patches", False)
     if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)
             and len(set(channels)) == len(channels) and isinstance(d["template_len"], int)
-            and isinstance(per_channel, bool) and isinstance(transformer.final_norm, bool)):
+            and isinstance(classes, list) and isinstance(per_channel, bool)):
         raise TypeError("template_channels must be distinct strings, template_len "
-                        "an integer and the flags booleans")
+                        "an integer, class_names a list and the flag a boolean")
     if not (type(scale) in (int, float) and math.isfinite(scale) and scale > 0):
         raise ValueError("input_scale must be a finite positive number")
     return ModelConfig(task=d["task"], template_channels=tuple(channels),
                        template_len=d["template_len"], fpe=fpe, transformer=transformer,
-                       per_channel_patches=per_channel, input_scale=float(scale))
+                       class_names=tuple(classes), per_channel_patches=per_channel,
+                       input_scale=float(scale))
 
 
 def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
@@ -782,7 +780,7 @@ def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
     arrays = [np.ascontiguousarray(arr, dtype="<f4") for arr in model.params.values()]
     header = {
         "format": CHECKPOINT_FORMAT,
-        "config": _cfg_to_json(model.cfg),
+        "config": asdict(model.cfg),
         "entries": [{"name": name, "kind": "param", "shape": list(a.shape)}
                     for name, a in zip(model.params, arrays)],
         "extra": extra or {},
@@ -813,9 +811,12 @@ def load_checkpoint(path: str) -> tuple[Model, None, dict]:
     The middle element is always None: a checkpoint holds parameters only.
     The 3-tuple stays so callers that unpack ``model, opt, extra`` keep working.
     """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+            blob = fh.read()
+    except OSError as e:
+        raise DataError(f"checkpoint {path} cannot be read: {e.strerror or e}") from e
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

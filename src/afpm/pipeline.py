@@ -1,5 +1,6 @@
 """Loading aligned datasets into model-ready arrays.
 
+Datasets stack only when they name the same classes in the same order.
 The task template an aligned dataset records (``template_channels`` and
 ``template_len``) sizes every model input. Mapped trials fill it as
 alignment placed them. Unmapped (no-channel-mapping ablation) trials keep
@@ -33,6 +34,14 @@ def require_task(manifests: list[DatasetManifest], task: str) -> None:
             )
 
 
+def require_same_classes(expected: tuple[str, ...], found: tuple[str, ...],
+                         what: str, against: str) -> None:
+    """Reject class names ``found`` in ``what`` that differ from ``expected`` in ``against``."""
+    if tuple(found) != tuple(expected):
+        raise DataError(f"class mismatch: {against} names {list(expected)}, "
+                        f"{what} names {list(found)}")
+
+
 def input_channels(layout: dict) -> tuple[str, ...]:
     """Names of a model's input rows for a stacked layout.
 
@@ -50,8 +59,9 @@ def stack_aligned(manifests: list[DatasetManifest], task: str
     """Stack aligned datasets into (x [N x M x T], labels, domain_ids, layout).
 
     Every dataset must be aligned for ``task``, to one template, with one
-    mapping switch; ``layout`` records that template and switch. Trials are
-    written straight into one zero-initialized float32 array.
+    mapping switch, and name the same classes; ``layout`` records that
+    template, switch and class names. Trials are written straight into one
+    zero-initialized float32 array.
     """
     if not manifests:
         raise DataError("no datasets given")
@@ -68,6 +78,10 @@ def stack_aligned(manifests: list[DatasetManifest], task: str
             raise DataError("cannot mix mapped and unmapped datasets")
         raise DataError("datasets are aligned to different templates")
     channels, t_len, mapped = layouts.pop()
+    first = manifests[0]
+    for m in manifests[1:]:
+        require_same_classes(first.class_names, m.class_names,
+                             f"dataset {m.name!r}", f"dataset {first.name!r}")
     n_trials = sum(len(m.trials) for m in manifests)
     if n_trials == 0:
         raise DataError("the aligned datasets hold no trials")
@@ -88,7 +102,8 @@ def stack_aligned(manifests: list[DatasetManifest], task: str
             k += 1
             ys.append(rec.label)
             domains.append(rec.domain_id)
-    layout = {"mapped": mapped, "template_channels": channels, "template_len": t_len}
+    layout = {"mapped": mapped, "template_channels": channels, "template_len": t_len,
+              "class_names": first.class_names}
     return x, np.asarray(ys, dtype=np.int64), domains, layout
 
 
@@ -105,12 +120,12 @@ def stacked_model_config(cfg: RunConfig, x_train: np.ndarray, layout: dict,
                          per_channel: bool) -> ModelConfig:
     """Model configuration for training trials stacked by ``stack_aligned``.
 
-    The input rows are named by ``input_channels``; the input scale is
-    measured on ``x_train``.
+    The input rows are named by ``input_channels``, the classes by the
+    layout; the input scale is measured on ``x_train``.
     """
     return ModelConfig(
         task=cfg.task, template_channels=input_channels(layout),
         template_len=int(layout["template_len"]), fpe=cfg.fpe,
-        transformer=cfg.transformer, per_channel_patches=per_channel,
-        input_scale=active_rms_scale(x_train),
+        transformer=cfg.transformer, class_names=tuple(layout["class_names"]),
+        per_channel_patches=per_channel, input_scale=active_rms_scale(x_train),
     )

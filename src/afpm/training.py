@@ -1,11 +1,12 @@
 """Loss, analytic gradients, AdamW, one-cycle schedule, balanced sampling, training loops.
 
-The optimizer is decoupled-decay AdamW with the decay applied to weight
-matrices only (biases, norm parameters, class token, and positional
-embeddings are exempt). The learning-rate schedule ramps cosine from the
-initial rate to the peak over the first 30% of steps, then decays cosine to
-1/100 of the initial rate. Training is deterministic for a fixed seed when
-run single-threaded.
+The optimizer is decoupled-decay AdamW with the constants of Loshchilov &
+Hutter (arXiv:1711.05101) and the decay applied to weight matrices only
+(biases, norm parameters, class token, and positional embeddings are
+exempt). The learning-rate schedule ramps cosine from the initial rate to
+the peak over the first 30% of steps, then decays cosine to 1/100 of the
+initial rate. Every batch is drawn class-balanced. Training is deterministic
+for a fixed seed when run single-threaded.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .model import (
 
 WARMUP_FRACTION = 0.3
 FINAL_LR_DIVISOR = 100.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -31,10 +35,6 @@ class TrainConfig:
     lr_init: float = 2.5e-4
     lr_max: float = 5e-4
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-    balanced_sampling: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -43,8 +43,6 @@ class TrainConfig:
         require_int(self, "seed", 0)
         if not 0 < self.lr_init <= self.lr_max:
             raise ConfigError("need 0 < lr_init <= lr_max")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("betas must lie in [0, 1)")
 
 
 def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray
@@ -96,19 +94,19 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     moments in ``state`` are spent."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     new = []
     with np.errstate(over="ignore", invalid="ignore"):
         for name, p in params.items():
             g = grads[name].astype(p.dtype, copy=False)
             m = state.m[name]
             v = state.v[name]
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps_adam)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             if cfg.weight_decay and decayed_param(name, p):
                 update = update + cfg.weight_decay * p
             new.append(p - (lr * update).astype(p.dtype, copy=False))
@@ -160,15 +158,6 @@ def balanced_batches(labels: np.ndarray, n_classes: int, batch_size: int,
         yield picks
 
 
-def shuffled_batches(n: int, batch_size: int, seed: int, epochs: int):
-    """Plain per-epoch shuffling into batches (final partial batch kept)."""
-    rng = np.random.default_rng(seed)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            yield order[start:start + batch_size]
-
-
 @dataclass
 class TrainResult:
     model: Model
@@ -197,7 +186,7 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     n = x.shape[0]
     if n == 0:
         raise DataError("empty training set")
-    n_classes = model.cfg.transformer.n_classes
+    n_classes = model.cfg.n_classes
     if labels.min() < 0 or labels.max() >= n_classes:
         raise DataError("label out of range for model head")
 
@@ -208,12 +197,7 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     if total_steps == 0:
         return result
 
-    if cfg.balanced_sampling:
-        batches = balanced_batches(labels, n_classes, cfg.batch_size,
-                                   cfg.seed, total_steps)
-    else:
-        batches = shuffled_batches(n, cfg.batch_size, cfg.seed, cfg.epochs)
-
+    batches = balanced_batches(labels, n_classes, cfg.batch_size, cfg.seed, total_steps)
     for step, idx in enumerate(batches):
         lr = onecycle_lr(step, total_steps, cfg)
         loss = _guarded_step(x[idx], labels[idx], model, state, lr, cfg)

@@ -19,12 +19,12 @@ def rng():
 
 def write_toy_dataset(path, task="mi", n_trials=3, channels=("C3", "CZ", "C4"),
                       n_samples=32, rate_hz=256.0, labels=None,
-                      domain_ids=None, data=None):
+                      domain_ids=None, data=None, class_names=("class_a", "class_b")):
     """Small on-disk dataset for IO and pipeline tests."""
     rng = np.random.default_rng(0)
     writer = DatasetWriter(out_dir=str(path), name="toy", task=task,
                            rate_hz=rate_hz,
-                           class_names=("class_a", "class_b"))
+                           class_names=class_names)
     for i in range(n_trials):
         x = data[i] if data is not None else rng.standard_normal((len(channels), n_samples))
         writer.add_trial(
@@ -33,6 +33,11 @@ def write_toy_dataset(path, task="mi", n_trials=3, channels=("C3", "CZ", "C4"),
             domain_ids[i] if domain_ids is not None else f"toy:s00:{i % 2}",
         )
     return writer.finish()
+
+
+def classes(n: int = 2) -> tuple[str, ...]:
+    """``n`` distinct class names for a model config."""
+    return tuple(f"class_{i}" for i in range(n))
 
 
 def trials_of(manifest):

@@ -99,7 +99,7 @@ def test_variants_share_upstream_bytes_and_differ_only_at_flagged_stage(tiny_set
 def test_no_fpe_token_count_formula(tiny_sets):
     root, tr, ev = tiny_sets
     res = run_variant("NO_FPE", tiny_run_cfg(), [tr], [ev], str(root / "w3"))
-    cfg = res.train_result.model.cfg
+    cfg = res.model.cfg
     assert cfg.per_channel_patches
     dims = model_dims(cfg)
     g = -(-cfg.template_len // cfg.fpe.frame_stride) + 1
@@ -113,7 +113,7 @@ def test_no_map_pads_to_template(tiny_sets):
     root, tr, ev = tiny_sets
     res = run_variant("NO_MAP", tiny_run_cfg(), [tr], [ev], str(root / "w4"))
     spec = task_template("mi")
-    cfg = res.train_result.model.cfg
+    cfg = res.model.cfg
     assert cfg.template_channels == tuple(f"ROW{i:02d}" for i in range(spec.n_channels))
     assert cfg.template_len == spec.template_len
     assert res.reports["ev"].n_trials == 10
@@ -122,7 +122,7 @@ def test_no_map_pads_to_template(tiny_sets):
     x, _, _, layout = stack_aligned([aligned], "mi")
     assert x.shape == (32, spec.n_channels, spec.template_len)
     assert layout == {"mapped": False, "template_channels": spec.target_channels,
-                      "template_len": spec.template_len}
+                      "template_len": spec.template_len, "class_names": aligned.class_names}
     for k, (rec, trial) in enumerate(trials_of(aligned)):
         rows, n = trial.shape
         assert rows < spec.n_channels and n < spec.template_len
@@ -142,11 +142,11 @@ def test_no_map_report_is_eval_of_its_aligned_eval_set(tiny_sets):
     res = run_variant("NO_MAP", tiny_run_cfg(), [tr], [wide], str(root / "w6"))
     aligned = load_manifest(str(root / "w6" / "no_map" / "eval" / "wide"))
     assert len(aligned.channel_sets[aligned.trials[0].channel_set]) == 5
-    report = evaluate_dataset(res.train_result.model, aligned)
+    report = evaluate_dataset(res.model, aligned)
     assert report.to_dict() == res.reports["wide"].to_dict()
 
     narrow = run_variant("NO_MAP", tiny_run_cfg(), [tr], [ev], str(root / "w7"))
-    model, other = res.train_result.model, narrow.train_result.model
+    model, other = res.model, narrow.model
     assert model.cfg == other.cfg
     assert all(np.array_equal(v, other.params[k]) for k, v in model.params.items())
 

@@ -83,9 +83,10 @@ def test_criterion_3_gradient_check(rng):
     t0 = time.time()
     fpe = FPEConfig(embed_dim=4, frame_window=8, frame_stride=8, avg_window=2,
                     avg_shift=2, token_dim=8, mlp_hidden=8)
-    t_cfg = TransformerConfig(depth=1, heads=2, dim_head=3, dim_mlp=6, n_classes=2)
+    t_cfg = TransformerConfig(depth=1, heads=2, dim_head=3, dim_mlp=6)
     cfg = ModelConfig(task="mi", template_channels=("C3", "CZ", "C4"),
-                      template_len=64, fpe=fpe, transformer=t_cfg)
+                      template_len=64, fpe=fpe, transformer=t_cfg,
+                      class_names=("left_hand", "right_hand"))
     model = init_model(cfg, seed=1, dtype=np.float64)
     for name, arr in model.params.items():
         if not name.endswith(".g"):
@@ -379,11 +380,11 @@ def test_criterion_8_finetune_direction(task_fixture, request):
     positive = positive_class_index(aligned.class_names, task)
     ft_cfg = TrainConfig(epochs=suite["ft_epochs"], batch_size=16,
                          lr_init=suite["ft_lr"] / 2, lr_max=suite["ft_lr"],
-                         weight_decay=0.01, balanced_sampling=True, seed=0)
+                         weight_decay=0.01, seed=0)
 
     befores, afters = [], []
     for seed_idx, seed in enumerate(SEEDS):
-        pretrained = suite["results"]["FULL"][seed_idx].train_result.model
+        pretrained = suite["results"]["FULL"][seed_idx].model
         for subject in sorted({subject_of(d) for d in doms}):
             idx = [i for i, d in enumerate(doms) if subject_of(d) == subject]
             xs, ys = x[idx], y[idx]

@@ -186,8 +186,13 @@ class TestPipeline:
         assert len(err) == 1 and "must be an integer" in err[0], err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("doc", [{"seed": 1}, {"threads": 2}, {"task": "erp"},
-                                     {"preprocess": {}}, {"template": {}}])
+    @pytest.mark.parametrize("doc", [
+        {"seed": 1}, {"threads": 2}, {"task": "erp"}, {"preprocess": {}}, {"template": {}},
+        # the class count comes from the data; the rest are constants
+        {"transformer": {"n_classes": 2}}, {"transformer": {"final_norm": True}},
+        {"train": {"beta1": 0.9}}, {"train": {"beta2": 0.999}}, {"train": {"eps_adam": 1e-8}},
+        {"train": {"balanced_sampling": True}},
+    ])
     def test_config_key_that_sets_nothing_is_one_line_config_error(
             self, doc, pipeline_dirs, tmp_path, capsys):
         _, _, _, ali, _ = pipeline_dirs
@@ -197,7 +202,9 @@ class TestPipeline:
         assert main(["train", "--data", ali, "--task", "mi", "--out",
                      str(tmp_path / "out" / "m.ckpt"), "--config", str(cfg_file)]) == EXIT_CONFIG
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and repr(next(iter(doc))) in err[0], err
+        key, value = next(iter(doc.items()))
+        unknown = next(iter(value)) if isinstance(value, dict) and value else key
+        assert len(err) == 1 and repr(unknown) in err[0], err
         assert not (tmp_path / "out").exists()
 
     def test_seed_precedence_cli_over_file_over_preset(self, pipeline_dirs, tmp_path):
@@ -274,6 +281,11 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
         header["entries"] += [dict(e, kind=kind) for kind in ("m", "v")
                               for e in header["entries"]]
         payload *= 3
+    elif defect == "v2":
+        # the previous format: a class count and a final-norm switch, no class names
+        config = header["config"]
+        header["format"] = "afpm-checkpoint-v2"
+        config["transformer"].update(n_classes=len(config.pop("class_names")), final_norm=True)
     elif defect.startswith("entry."):
         del header["entries"][3][defect.split(".")[1]]
     else:
@@ -282,7 +294,7 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
 
 
 @pytest.mark.parametrize("defect", [
-    "truncated", "config", "entries", "v1", "list", "config.fpe",
+    "truncated", "config", "entries", "v1", "v2", "list", "config.fpe",
     "config.avg_window", "config.template_len", "config.task",
     "entry.shape", "entry.name", "entry.kind", "duplicate", "nan",
 ])
@@ -414,6 +426,70 @@ def test_train_on_unmapped_sets_of_different_templates_is_data_error(
     assert main(argv[:at + 2] + [union] + argv[at + 2:] + ["--epochs", "1"]) == EXIT_DATA
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["data error: datasets are aligned to different templates"], err
+    assert not (tmp_path / "out").exists()
+
+
+def aligned_toy(tmp_path, name: str, class_names: tuple[str, ...], labels=None) -> str:
+    """A 12-trial MI toy dataset naming ``class_names``, aligned to the MI template."""
+    raw, ali = tmp_path / f"{name}_raw", str(tmp_path / name)
+    write_toy_dataset(raw, n_trials=12, n_samples=64, labels=labels, class_names=class_names)
+    assert main(["align", "--in", str(raw), "--out", ali, "--task", "mi"]) == 0
+    return ali
+
+
+def test_train_takes_its_classes_from_the_data(tmp_path):
+    """Three classes need no config file: the head gets one column per class name."""
+    names = ("left_hand", "right_hand", "feet")
+    ali = aligned_toy(tmp_path, "three", names, labels=[i % 3 for i in range(12)])
+    ckpt = str(tmp_path / "run" / "m.ckpt")
+    assert main(toy_train(ali, ckpt) + ["--epochs", "1"]) == 0
+    model, _, _ = load_checkpoint(ckpt)
+    assert model.cfg.class_names == names
+    assert model.params["head.w"].shape[1] == 3
+    assert main(["eval", "--ckpt", ckpt, "--data", ali]) == 0
+
+
+def test_training_sets_naming_classes_differently_is_data_error(tmp_path, capsys):
+    """Label 0 must mean one class in every stacked set: swapped names are refused."""
+    ab = aligned_toy(tmp_path, "ab", ("class_a", "class_b"))
+    ba = aligned_toy(tmp_path, "ba", ("class_b", "class_a"))
+    argv = toy_train(ab, str(tmp_path / "out" / "m.ckpt"))
+    at = argv.index("--data")
+    capsys.readouterr()
+    assert main(argv[:at + 2] + [ba] + argv[at + 2:] + ["--epochs", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: class mismatch"), err
+    assert "['class_a', 'class_b']" in err[0] and "['class_b', 'class_a']" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+def test_data_naming_other_classes_than_the_checkpoint_is_data_error(
+        command, pipeline_dirs, tmp_path, capsys):
+    _, _, _, _, ckpt = pipeline_dirs
+    ali = aligned_toy(tmp_path, "other", ("class_a", "class_b"))
+    capsys.readouterr()
+    assert main([command, "--ckpt", ckpt, "--data", ali,
+                 "--out", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: class mismatch"), err
+    assert "['left_hand', 'right_hand']" in err[0] and "['class_a', 'class_b']" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune"])
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_checkpoint_is_one_line_data_error(command, where, pipeline_dirs,
+                                                      tmp_path, capsys):
+    _, _, _, ali, _ = pipeline_dirs
+    ckpt = tmp_path / "model.ckpt"
+    if where == "directory":
+        ckpt.mkdir()
+    capsys.readouterr()
+    assert main([command, "--ckpt", str(ckpt), "--data", ali,
+                 "--out", str(tmp_path / "out")]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"data error: checkpoint {ckpt}"), err
     assert not (tmp_path / "out").exists()
 
 

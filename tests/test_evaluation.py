@@ -248,9 +248,9 @@ class TestEvaluateArrays:
         from afpm.model import FPEConfig, ModelConfig, TransformerConfig, init_model
         fpe = FPEConfig(embed_dim=3, frame_window=8, frame_stride=8, avg_window=2,
                         avg_shift=1, token_dim=6, mlp_hidden=5)
-        t = TransformerConfig(depth=1, heads=1, dim_head=3, dim_mlp=4, n_classes=2)
+        t = TransformerConfig(depth=1, heads=1, dim_head=3, dim_mlp=4)
         cfg = ModelConfig(task="mi", template_channels=("C3", "C4"), template_len=32,
-                          fpe=fpe, transformer=t)
+                          fpe=fpe, transformer=t, class_names=("class_a", "class_b"))
         return init_model(cfg, seed=0)
 
     def test_random_model_near_chance_on_balanced_set(self, rng):

@@ -24,18 +24,17 @@ from afpm.training import (
     OptimizerState, TrainConfig, adamw_step, backward, batch_cross_entropy,
 )
 
-from conftest import fail_writes_in
+from conftest import classes, fail_writes_in
 
 
-def small_cfg(m=3, t_prime=64, depth=1, heads=2, dim_head=3, per_channel=False,
-              final_norm=True, n_classes=2):
+def small_cfg(m=3, t_prime=64, depth=1, heads=2, dim_head=3, per_channel=False):
     fpe = FPEConfig(embed_dim=4, frame_window=8, frame_stride=8, avg_window=2,
                     avg_shift=2, token_dim=8, mlp_hidden=8)
-    t = TransformerConfig(depth=depth, heads=heads, dim_head=dim_head,
-                          dim_mlp=6, n_classes=n_classes, final_norm=final_norm)
+    t = TransformerConfig(depth=depth, heads=heads, dim_head=dim_head, dim_mlp=6)
     channels = tuple(f"C{i}" for i in range(m))
     return ModelConfig(task="mi", template_channels=channels, template_len=t_prime,
-                       fpe=fpe, transformer=t, per_channel_patches=per_channel)
+                       fpe=fpe, transformer=t, class_names=classes(),
+                       per_channel_patches=per_channel)
 
 
 # What a block's full cache keeps beyond u, per attention form; a lean cache keeps none of it.
@@ -57,7 +56,7 @@ def preset_model_config(task, per_channel=False):
     run = resolve_config(task)
     spec = task_template(task)
     layout = {"mapped": True, "template_channels": spec.target_channels,
-              "template_len": spec.template_len}
+              "template_len": spec.template_len, "class_names": classes()}
     x = np.zeros((1, spec.n_channels, spec.template_len), dtype=np.float32)
     return stacked_model_config(run, x, layout, per_channel)
 
@@ -158,9 +157,10 @@ def patch_model(w1, b1, w2, b2, m=1, t_prime=4, window=2):
     """float64 model with the given patch MLP, disjoint frames and no averaging."""
     fpe = FPEConfig(embed_dim=w2.shape[1], frame_window=window, frame_stride=window,
                     avg_window=1, avg_shift=1, token_dim=4, mlp_hidden=w1.shape[1])
-    t_cfg = TransformerConfig(depth=1, heads=1, dim_head=2, dim_mlp=2, n_classes=2)
+    t_cfg = TransformerConfig(depth=1, heads=1, dim_head=2, dim_mlp=2)
     cfg = ModelConfig(task="mi", template_channels=tuple(f"C{i}" for i in range(m)),
-                      template_len=t_prime, fpe=fpe, transformer=t_cfg)
+                      template_len=t_prime, fpe=fpe, transformer=t_cfg,
+                      class_names=classes())
     model = init_model(cfg, seed=0, dtype=np.float64)
     model.params.update({"patch.w1": w1, "patch.b1": b1, "patch.w2": w2, "patch.b2": b2})
     return model
@@ -282,7 +282,8 @@ class TestAssembleTokens:
                                         avg_window=25, avg_shift=5, token_dim=40,
                                         mlp_hidden=40),
                           transformer=TransformerConfig(depth=6, heads=8, dim_head=64,
-                                                        dim_mlp=40, n_classes=2))
+                                                        dim_mlp=40),
+                          class_names=classes())
         dims = model_dims(cfg)
         assert dims.n_patches == 53
         assert dims.n_avg == 6
@@ -315,9 +316,9 @@ class TestTransformerForward:
         # frame is the zero-padded one past the template
         fpe = FPEConfig(embed_dim=4, frame_window=8, frame_stride=8, avg_window=1,
                         avg_shift=1, token_dim=8, mlp_hidden=8)
-        t_cfg = TransformerConfig(depth=2, heads=2, dim_head=3, dim_mlp=6, n_classes=2)
+        t_cfg = TransformerConfig(depth=2, heads=2, dim_head=3, dim_mlp=6)
         cfg = ModelConfig(task="mi", template_channels=("C0", "C1", "C2"),
-                          template_len=40, fpe=fpe, transformer=t_cfg)
+                          template_len=40, fpe=fpe, transformer=t_cfg, class_names=classes())
         model = init_model(cfg, seed=1, dtype=np.float64)
         for name, arr in model.params.items():
             if arr.ndim >= 1 and not name.endswith(".g"):
@@ -335,8 +336,7 @@ class TestTransformerForward:
     def test_hand_computed_single_head_attention(self):
         # depth=1, heads=1, dim_head=2, token dim 2, two tokens; MLP disabled
         # (zero weights) and norms neutralized by construction below.
-        t_cfg = TransformerConfig(depth=1, heads=1, dim_head=2, dim_mlp=2,
-                                  n_classes=2, final_norm=False)
+        t_cfg = TransformerConfig(depth=1, heads=1, dim_head=2, dim_mlp=2)
         tokens = np.array([[1.0, -1.0], [-1.0, 1.0]])  # already zero-mean rows
         wq = np.array([[0.6, -0.2], [0.1, 0.4]])
         wk = np.array([[-0.3, 0.5], [0.2, 0.1]])
@@ -368,19 +368,21 @@ class TestTransformerForward:
         assert np.allclose(out, expected, atol=1e-12)
 
 
-def class_token_model(cls, head_w):
-    """float64 model whose blocks pass tokens on unchanged and whose class
-    token enters the head as ``cls`` (no positions, no final norm)."""
+def class_token_model(cls, head_w, norm_g=None, norm_b=None):
+    """float64 model whose blocks pass tokens on unchanged, so that its class
+    token ``cls`` reaches the final norm as it is (no positions). The final
+    norm's scale and shift default to their initial ones and zero."""
     fpe = FPEConfig(embed_dim=2, frame_window=4, frame_stride=4, avg_window=1,
                     avg_shift=1, token_dim=cls.size, mlp_hidden=3)
-    t_cfg = TransformerConfig(depth=2, heads=1, dim_head=2, dim_mlp=3,
-                              n_classes=head_w.shape[1], final_norm=False)
+    t_cfg = TransformerConfig(depth=2, heads=1, dim_head=2, dim_mlp=3)
     cfg = ModelConfig(task="mi", template_channels=("C0", "C1"), template_len=8,
-                      fpe=fpe, transformer=t_cfg)
+                      fpe=fpe, transformer=t_cfg, class_names=classes(head_w.shape[1]))
     model = init_model(cfg, seed=5, dtype=np.float64)
     zero_residual_branches(model)
     model.params.update({"pos": np.zeros_like(model.params["pos"]), "cls": cls,
                          "head.w": head_w})
+    if norm_g is not None:
+        model.params.update({"final_ln.g": norm_g, "final_ln.b": norm_b})
     return model
 
 
@@ -392,12 +394,17 @@ class TestClassify:
                               np.zeros((4, 2)))
 
     def test_aligned_and_antialigned_columns(self, rng):
-        direction = np.array([3.0, 4.0]) / 5.0  # class token [3, 4] has norm 5
-        model = class_token_model(np.array([3.0, 4.0]),
-                                  np.stack([direction, -direction], axis=1))
-        logits = forward(rng.standard_normal((2, 8)), model)
-        assert logits[0] == pytest.approx(5.0)
-        assert logits[1] == pytest.approx(-5.0)
+        # the head reads the class token through the final norm, computed by hand
+        cls = np.array([3.0, 4.0, -2.0, 1.0])
+        g, b = np.array([1.0, 2.0, 0.5, 1.5]), np.array([0.1, -0.2, 0.3, 0.0])
+        centred = cls - cls.mean()
+        enters = g * centred / math.sqrt(np.mean(centred ** 2) + 1e-5) + b
+        norm = float(np.linalg.norm(enters))
+        direction = enters / norm
+        model = class_token_model(cls, np.stack([direction, -direction], axis=1), g, b)
+        logits = forward(rng.standard_normal((1, 2, 8)), model)[0]
+        assert logits[0] == pytest.approx(norm, abs=1e-12)
+        assert logits[1] == pytest.approx(-norm, abs=1e-12)
 
     def test_zero_class_token_output(self, rng):
         model = class_token_model(np.zeros(6), rng.standard_normal((6, 3)))
@@ -409,35 +416,36 @@ class TestForward:
     def test_determinism(self, rng):
         cfg = small_cfg()
         model = init_model(cfg, seed=0)
-        x = rng.standard_normal((3, 64)).astype(np.float32)
+        x = rng.standard_normal((2, 3, 64)).astype(np.float32)
         assert np.array_equal(forward(x, model), forward(x, model))
 
     def test_mi_default_shapes(self):
         model = init_model(preset_model_config("mi"), seed=0)
-        x = np.zeros((17, 1280), dtype=np.float32)
+        x = np.zeros((1, 17, 1280), dtype=np.float32)
         logits = forward(x, model)
-        assert logits.shape == (2,)
+        assert logits.shape == (1, 2)
 
     def test_batch_matches_per_sample(self, rng):
         cfg = small_cfg()
         model = init_model(cfg, seed=3)
         xb = rng.standard_normal((4, 3, 64)).astype(np.float32)
         batched = forward(xb, model)
-        single = np.stack([forward(xb[i], model) for i in range(4)])
+        single = np.concatenate([forward(xb[i:i + 1], model) for i in range(4)])
         assert np.allclose(batched, single, atol=1e-6)
 
     def test_input_scale_is_applied(self, rng):
         from dataclasses import replace
         cfg = small_cfg()
         model = init_model(cfg, seed=0, dtype=np.float64)
-        x = rng.standard_normal((3, 64))
+        x = rng.standard_normal((2, 3, 64))
         scaled_model = Model(cfg=replace(cfg, input_scale=2.0), params=model.params)
         assert np.allclose(forward(x * 2.0, model), forward(x, scaled_model))
 
     def test_bad_shape_rejected(self):
         model = init_model(small_cfg(), seed=0)
-        with pytest.raises(DataError, match="expected batch"):
-            forward(np.zeros((4, 64), dtype=np.float32), model)
+        for shape in ((3, 64), (2, 4, 64), (2, 3, 63)):
+            with pytest.raises(DataError, match="expected batch"):
+                forward(np.zeros(shape, dtype=np.float32), model)
 
     def test_softmax_attention_rows_sum_to_one(self, rng, monkeypatch):
         cfg = small_cfg(depth=2)
@@ -468,18 +476,19 @@ def test_shape_chain_property(t_prime, d, m, p, h, channels):
         return
     fpe = FPEConfig(embed_dim=3, frame_window=m, frame_stride=d, avg_window=p,
                     avg_shift=h, token_dim=5, mlp_hidden=4)
-    t_cfg = TransformerConfig(depth=1, heads=1, dim_head=2, dim_mlp=3, n_classes=2)
+    t_cfg = TransformerConfig(depth=1, heads=1, dim_head=2, dim_mlp=3)
     cfg = ModelConfig(task="mi",
                       template_channels=tuple(f"C{i}" for i in range(channels)),
-                      template_len=t_prime, fpe=fpe, transformer=t_cfg)
+                      template_len=t_prime, fpe=fpe, transformer=t_cfg,
+                      class_names=classes())
     model = init_model(cfg, seed=0)
-    x = np.random.default_rng(0).standard_normal((channels, t_prime)).astype(np.float32)
-    patches = extract_patches(x[None], fpe)
+    x = np.random.default_rng(0).standard_normal((1, channels, t_prime)).astype(np.float32)
+    patches = extract_patches(x, fpe)
     assert patches.shape == (1, g, channels * m)
     k = averaged_count(g, p, h)
     assert model_dims(cfg).n_tokens == k + 1
     logits = forward(x, model)
-    assert logits.shape == (2,)
+    assert logits.shape == (1, 2)
 
 
 @pytest.mark.parametrize("per_channel", [False, True])
@@ -487,10 +496,10 @@ def test_shape_chain_property(t_prime, d, m, p, h, channels):
 def test_weight_gradients_match_einsum_reference(per_channel, stride, rng, monkeypatch):
     fpe = FPEConfig(embed_dim=4, frame_window=8, frame_stride=stride, avg_window=2,
                     avg_shift=2, token_dim=8, mlp_hidden=8)
-    t_cfg = TransformerConfig(depth=2, heads=2, dim_head=3, dim_mlp=6, n_classes=3)
+    t_cfg = TransformerConfig(depth=2, heads=2, dim_head=3, dim_mlp=6)
     cfg = ModelConfig(task="mi", template_channels=("C0", "C1", "C2"),
                       template_len=64, fpe=fpe, transformer=t_cfg,
-                      per_channel_patches=per_channel)
+                      class_names=classes(3), per_channel_patches=per_channel)
     model = init_model(cfg, seed=4, dtype=np.float64)
     for name, arr in model.params.items():
         model.params[name] = arr + 0.3 * rng.standard_normal(arr.shape)
@@ -636,10 +645,12 @@ class TestCheckpointFuzz:
         key_path = data.draw(st.sampled_from(_header_keys(blob)))
         model = _load_or_data_error(path, _edit_header(blob, key_path, value))
         # a string or list loads only where it spells the saved value, or as
-        # another set of distinct channel names
+        # another set of distinct channel names or class names
         expected = small_cfg()
         if key_path == ("config", "template_channels") and isinstance(value, list):
             expected = dataclasses.replace(expected, template_channels=tuple(value))
+        if key_path == ("config", "class_names") and model is not None:
+            expected = dataclasses.replace(expected, class_names=tuple(value))
         assert model is None or model.cfg == expected
 
 
@@ -911,5 +922,5 @@ def test_per_channel_token_count(rng):
     assert dims.n_seq == 3 * k
     assert dims.n_tokens == 3 * k + 1
     model = init_model(cfg, seed=0)
-    x = rng.standard_normal((3, 64)).astype(np.float32)
-    assert forward(x, model).shape == (2,)
+    x = rng.standard_normal((1, 3, 64)).astype(np.float32)
+    assert forward(x, model).shape == (1, 2)

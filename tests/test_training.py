@@ -14,14 +14,15 @@ from afpm.training import (
     onecycle_lr, train,
 )
 
+from conftest import classes
 
-def tiny_cfg(m=2, t_prime=32, n_classes=2, final_norm=True):
+
+def tiny_cfg(m=2, t_prime=32):
     fpe = FPEConfig(embed_dim=3, frame_window=8, frame_stride=8, avg_window=2,
                     avg_shift=1, token_dim=6, mlp_hidden=5)
-    t = TransformerConfig(depth=1, heads=2, dim_head=2, dim_mlp=4,
-                          n_classes=n_classes, final_norm=final_norm)
+    t = TransformerConfig(depth=1, heads=2, dim_head=2, dim_mlp=4)
     return ModelConfig(task="mi", template_channels=tuple(f"C{i}" for i in range(m)),
-                       template_len=t_prime, fpe=fpe, transformer=t)
+                       template_len=t_prime, fpe=fpe, transformer=t, class_names=classes())
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
@@ -127,8 +128,7 @@ class TestAdamW:
     def test_single_step_hand_value(self):
         params = {"w": np.array([[1.0]], dtype=np.float64)}
         state = OptimizerState.zeros_like(params)
-        cfg = TrainConfig(beta1=0.9, beta2=0.999, eps_adam=1e-8,
-                          weight_decay=0.0, seed=0)
+        cfg = TrainConfig(weight_decay=0.0, seed=0)
         adamw_step(params, {"w": np.array([[1.0]])}, state, lr=0.1, cfg=cfg)
         # m-hat = v-hat = 1 after bias correction; update = 1/(1 + 1e-8)
         assert params["w"][0, 0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-12)
@@ -313,9 +313,10 @@ class TestTrain:
                   model, TrainConfig(seed=0))
 
     def test_head_only_convex_probe_decreases_monotonically(self, rng):
-        # with frozen features the loss is convex in the head weights, so
-        # small-step gradient descent on the head alone cannot go up
-        cfg = tiny_cfg(m=2, t_prime=64, final_norm=False)
+        # with frozen features (the final-normed class token) the loss is
+        # convex in the head weights, so small-step gradient descent on the
+        # head alone cannot go up
+        cfg = tiny_cfg(m=2, t_prime=64)
         model = init_model(cfg, seed=0, dtype=np.float64)
         x, y = separable_toy(rng, n=32)
         x = x.astype(np.float64)
