@@ -355,7 +355,7 @@ def _cmd_finetune(args) -> int:
     for subject in subjects:
         idx = [i for i, d in enumerate(domains) if subject_of(d) == subject]
         xs, ys = x[idx], y[idx]
-        tuned = Model(cfg=model.cfg, params={k: v.copy() for k, v in model.params.items()})
+        tuned = Model(cfg=model.cfg, params=dict(model.params))
         result, tune_idx, eval_idx = finetune(tuned, xs, ys, args.fraction, cfg.train)
         before = compute_metrics(task, forward(xs[eval_idx], model), ys[eval_idx], positive)
         after = compute_metrics(task, forward(xs[eval_idx], result.model),

@@ -94,7 +94,12 @@ def softmax_scores(logits: np.ndarray) -> np.ndarray:
 
 
 def positive_class_index(class_names, task: str) -> int:
-    """The score-carrying class: 'target' for ERP when present, else class 1."""
+    """The score-carrying class: 'target' for ERP when present, else class 1.
+
+    The rank metrics score this one class against all others, so on more than
+    two classes MI's ``auc_pr`` (and ERP's ``auroc`` and ``auc_pr`` without a
+    'target' class) is class 1 against the rest, not a mean over classes.
+    """
     if task == "erp":
         lowered = [c.lower() for c in class_names]
         if "target" in lowered:
@@ -150,12 +155,15 @@ def task_metrics(task: str) -> tuple[str, ...]:
     return MI_METRICS if task == "mi" else ERP_METRICS
 
 
-def primary_metric(task: str) -> str:
-    return "balanced_accuracy" if task == "mi" else "auroc"
-
-
 def compute_metrics(task: str, logits: np.ndarray, labels: np.ndarray,
                     positive: int) -> dict[str, float]:
+    """The task's metrics of logits [N x c] against integer labels.
+
+    Balanced accuracy and kappa use the argmax over all classes. AUROC and
+    AUC-PR rank the softmax score of class ``positive`` with that class as
+    the positives and every other class as the negatives: one class against
+    the rest when there are more than two (``positive_class_index``).
+    """
     preds = np.argmax(logits, axis=1)
     out: dict[str, float] = {}
     for name in task_metrics(task):

@@ -21,7 +21,10 @@ that checkpoints keep one layout.
 
 Everything is plain numpy in the parameter dtype (float32 for training,
 float64 for gradient checks). ``forward_cached``/``backward_cached`` are the
-one batched path; ``forward`` wraps it for inference.
+one batched path, and the cache keeps every block's attention items for the
+batch it is given. ``micro_batches`` bounds that memory: it splits a batch
+into runs whose caches fit MICRO_BATCH_BYTES, which ``forward`` (inference)
+and ``training.backward`` take one at a time.
 """
 
 from __future__ import annotations
@@ -40,23 +43,15 @@ from .errors import ConfigError, DataError, NumericError
 LN_EPS = 1e-5
 INIT_SIGMA = 0.02
 CHECKPOINT_FORMAT = "afpm-checkpoint-v3"
-# Above this many bytes of q, k, v, ctx and attention weights over all blocks
-# of one batch (``full_cache_bytes``), blocks cache only their normed input
-# ``u`` (plus the LN and MLP items) and backward recomputes the attention run
-# by run. The 7-token MI preset counts about 23 MB at batch 64 (181 MB at 512)
-# and keeps the full cache; with per-channel patches (103 tokens) it counts
-# about 454 MB at batch 64 and goes lean. The count is the per-head cache's for
-# both forms: the factored cache (attention weights and y) of that per-channel
-# model is 173 MiB, and counting it would keep it full and raise its peak
-# memory. Where the full cache is kept it still pays: at batch 64 on one BLAS
-# thread a lean recompute adds about 5% to the factored MI step and about 20%
-# to the per-head ERP step.
-LEAN_CACHE_BYTES = 256 * 2**20
-# The attention core (q·kᵀ, softmax, att·v and their backward) runs over runs
-# of as many samples as fit their [rows x H x S x S] scores into this many
-# bytes. The 7- and 5-token presets fit a batch of 512 into one run; the
-# 103-token per-channel model runs 3 float32 samples at a time.
-ATTENTION_RUN_BYTES = 2**20
+# A batch runs as micro-batches whose attention caches fit into this many
+# bytes (``micro_batches``). The 7-token MI and 5-token ERP presets count about
+# 62 and 42 KiB per float32 sample, so a batch of 512 is one micro-batch; with
+# per-channel patches (103 tokens) the MI preset counts about 2.7 MiB per
+# sample and runs a batch of 64 as six micro-batches of 10 or 11. At 103
+# tokens on one BLAS thread the step time is flat from micro-batches of 8 to
+# 32 samples, so the budget is about the smallest that keeps the presets'
+# batch of 512 in one pass, bit for bit.
+MICRO_BATCH_BYTES = 32 * 2**20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -365,40 +360,6 @@ def _qkv(u, p, prefix):
     return out
 
 
-def attention_runs(batch: int, heads: int, n_tokens: int, itemsize: int):
-    """``(start, stop)`` sample runs whose scores fit ATTENTION_RUN_BYTES (one sample at least)."""
-    rows = max(1, ATTENTION_RUN_BYTES // (heads * n_tokens * n_tokens * itemsize))
-    return [(i, min(i + rows, batch)) for i in range(0, batch, rows)]
-
-
-def _attend(q, k, v, scale, scores, ctx):
-    """softmax(q kᵀ * scale) v for head views of one run, written into ``ctx``.
-
-    ``scores`` is a fresh [r x H x S x S] buffer that ends up holding the
-    attention weights, which are returned. Every (sample, head) product is
-    one BLAS call, so a run gives the same bits as the whole batch.
-    """
-    np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
-    scores *= scale
-    att = _softmax(scores)
-    np.matmul(att, v, out=ctx)
-    return att
-
-
-def _attend_keys(qt, u, scores, y):
-    """softmax(qt uᵀ) u for the factored queries [r x S*H x D] of one run, written into ``y``.
-
-    ``scores`` is a fresh key-major [r x S x S*H] buffer, so softmax reduces
-    over its middle axis, which numpy vectorizes across the S*H queries (a
-    last-axis reduction loops over rows of only S). It ends up holding the
-    attention weights; their [r x S*H x S] view is returned.
-    """
-    np.matmul(u, qt.swapaxes(1, 2), out=scores)
-    att = _softmax(scores, axis=1).swapaxes(1, 2)
-    np.matmul(att, u, out=y)
-    return att
-
-
 def factored_attention(t_cfg: TransformerConfig, token_dim: int) -> bool:
     """Whether blocks run the factored QK/OV form: heads wider than tokens.
 
@@ -441,55 +402,47 @@ def _circuits(p, prefix, t_cfg):
 
 
 def _factored_queries(u, qk, qk_bias, heads):
-    """Head-interleaved queries [r x S*H x D] of one run: row i*H + h is u_i M_h + c_h."""
+    """Head-interleaved queries [B x S*H x D]: row i*H + h is u_i M_h + c_h."""
     qt = u @ qk
     qt += qk_bias
-    r, s, d = u.shape
-    return qt.reshape(r, s * heads, d)
+    b, s, d = u.shape
+    return qt.reshape(b, s * heads, d)
 
 
-def _head_attention(x, u, p, prefix, t_cfg, full):
-    """``x`` plus per-head attention of ``u``, and the items a full cache keeps."""
+def _head_attention(x, u, p, prefix, t_cfg):
+    """``x`` plus per-head attention of ``u``, and the q, k, v, ctx and att it caches."""
     h = t_cfg.heads
-    scale = 1.0 / math.sqrt(t_cfg.dim_head)
-    b, s, _ = u.shape
-    ctx = np.empty((b, s, h * t_cfg.dim_head), dtype=u.dtype)
-    runs = attention_runs(b, h, s, u.itemsize)
-    if full:
-        q, k, v = _qkv(u, p, prefix)
-        att = np.empty((b, h, s, s), dtype=u.dtype)
-    else:
-        scores = np.empty((runs[0][1], h, s, s), dtype=u.dtype)
-    for i, j in runs:
-        qkv = (q[i:j], k[i:j], v[i:j]) if full else _qkv(u[i:j], p, prefix)
-        _attend(*(_heads(a, h) for a in qkv), scale,
-                att[i:j] if full else scores[:j - i], _heads(ctx[i:j], h))
+    q, k, v = _qkv(u, p, prefix)
+    att = _heads(q, h) @ _heads(k, h).transpose(0, 1, 3, 2)
+    att *= 1.0 / math.sqrt(t_cfg.dim_head)
+    _softmax(att)
+    ctx = np.empty_like(q)
+    np.matmul(att, _heads(v, h), out=_heads(ctx, h))
     x1 = x + ctx @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
-    return x1, (dict(q=q, k=k, v=v, ctx=ctx, att=att) if full else {})
+    return x1, dict(q=q, k=k, v=v, ctx=ctx, att=att)
 
 
-def _factored_attention(x, u, p, prefix, t_cfg, full):
-    """``x`` plus factored attention of ``u``, and the items a full cache keeps.
+def _factored_attention(x, u, p, prefix, t_cfg):
+    """``x`` plus factored attention of ``u``, and the y and att it caches.
 
     The key of every head is ``u`` itself, so per sample the scores of all
     heads are one product ``qt uᵀ`` [S*H x S] and their weighted keys one
     product ``y = att u`` [S*H x D]; the output is ``y @ ov + out_bias``.
+    The scores are built key-major [B x S x S*H], so softmax reduces over
+    their middle axis, which numpy vectorizes across the S*H queries (a
+    last-axis reduction loops over rows of only S).
     """
     h = t_cfg.heads
     qk, qk_bias, ov, out_bias = _circuits(p, prefix, t_cfg)
     b, s, d = u.shape
-    y = np.empty((b, s, h * d), dtype=u.dtype)
-    runs = attention_runs(b, h, s, u.itemsize)
-    scores = np.empty((b if full else runs[0][1], s, s * h), dtype=u.dtype)
-    for i, j in runs:
-        u_r = u[i:j]
-        _attend_keys(_factored_queries(u_r, qk, qk_bias, h), u_r,
-                     scores[i:j] if full else scores[:j - i], y[i:j].reshape(j - i, s * h, d))
+    att = _softmax(u @ _factored_queries(u, qk, qk_bias, h).swapaxes(1, 2),
+                   axis=1).swapaxes(1, 2)
+    y = (att @ u).reshape(b, s, h * d)
     x1 = x + y @ ov + out_bias
-    return x1, (dict(y=y, att=scores.swapaxes(1, 2)) if full else {})
+    return x1, dict(y=y, att=att)
 
 
-def _block_forward(x, p, prefix, t_cfg, cache, lean=False):
+def _block_forward(x, p, prefix, t_cfg, cache):
     """One pre-norm block: x += attention(LN(x)); x += mlp(LN(x)).
 
     Attention takes one of two forms, chosen by ``factored_attention``.
@@ -499,18 +452,11 @@ def _block_forward(x, p, prefix, t_cfg, cache, lean=False):
     its output att·u·(Wv_h Wo_h), with D x D matrices built once per call
     by ``_circuits``. The two agree up to rounding; the key bias drops out
     of the factored form, so its gradient there is exactly zero.
-
-    The attention core runs over runs of samples (``attention_runs``), so
-    only a full cache holds scores for the whole batch. A lean cache keeps
-    ``u``, the LN items and the MLP items: ``_block_backward`` recomputes the
-    attention weights (and q, k, v and ctx, or y) run by run with the same
-    ops, so gradients do not change.
     """
     u, ln1c = _layernorm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
-    full = cache is not None and not lean
     attention = (_factored_attention if factored_attention(t_cfg, x.shape[-1])
                  else _head_attention)
-    x1, kept = attention(x, u, p, prefix, t_cfg, full)
+    x1, kept = attention(x, u, p, prefix, t_cfg)
 
     u2, ln2c = _layernorm(x1, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
     m1 = u2 @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"]
@@ -543,8 +489,7 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
         du2, c["ln2c"], p[f"{prefix}.ln2.g"])
     dx1 = dx2 + dx1_ln
 
-    # attention sub-block, run by run; a lean cache recomputes the attention
-    # from u. Every buffer written in place is fresh.
+    # attention sub-block; every buffer written in place is fresh
     grads[f"{prefix}.attn.bo"] = dx1.sum(axis=(0, 1))
     attention_backward = (_factored_attention_backward
                           if factored_attention(t_cfg, dx1.shape[-1])
@@ -559,33 +504,20 @@ def _head_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     """Per-head attention gradients into ``grads``; returns d(loss)/du."""
     h = t_cfg.heads
     scale = 1.0 / math.sqrt(t_cfg.dim_head)
-    wo_t = p[f"{prefix}.attn.wo"].T
-    full = "att" in c
-    b, s, _ = do.shape
-    ctx = c["ctx"] if full else np.empty((b, s, h * t_cfg.dim_head), dtype=do.dtype)
+    ctx, att = c["ctx"], c["att"]
+    q, k, v = (_heads(c[n], h) for n in "qkv")
     dq_m, dk_m, dv_m = (np.empty_like(ctx) for _ in "qkv")
-    runs = attention_runs(b, h, s, do.itemsize)
-    if not full:
-        scores = np.empty((runs[0][1], h, s, s), dtype=do.dtype)
-    for i, j in runs:
-        if full:
-            q, k, v = (_heads(c[n][i:j], h) for n in "qkv")
-            att = c["att"][i:j]
-        else:
-            q, k, v = (_heads(a, h) for a in _qkv(u[i:j], p, prefix))
-            att = _attend(q, k, v, scale, scores[:j - i], _heads(ctx[i:j], h))
-        dctx = _heads(do[i:j] @ wo_t, h)
-        datt = dctx @ v.transpose(0, 1, 3, 2)
-        np.matmul(att.transpose(0, 1, 3, 2), dctx, out=_heads(dv_m[i:j], h))
-        # softmax backward, built in the datt buffer: dsc = att * (datt - rowsum(datt * att))
-        datt -= np.sum(datt * att, axis=-1, keepdims=True)
-        datt *= att
-        np.matmul(datt, k, out=_heads(dq_m[i:j], h))
-        np.matmul(datt.transpose(0, 1, 3, 2), q, out=_heads(dk_m[i:j], h))
+    dctx = _heads(do @ p[f"{prefix}.attn.wo"].T, h)
+    datt = dctx @ v.transpose(0, 1, 3, 2)
+    np.matmul(att.transpose(0, 1, 3, 2), dctx, out=_heads(dv_m, h))
+    # softmax backward, built in the datt buffer: dsc = att * (datt - rowsum(datt * att))
+    datt -= np.sum(datt * att, axis=-1, keepdims=True)
+    datt *= att
+    np.matmul(datt, k, out=_heads(dq_m, h))
+    np.matmul(datt.transpose(0, 1, 3, 2), q, out=_heads(dk_m, h))
     dq_m *= scale
     dk_m *= scale
     grads[f"{prefix}.attn.wo"] = _weight_grad(ctx, do)
-    del ctx
     grads[f"{prefix}.attn.wq"] = _weight_grad(u, dq_m)
     grads[f"{prefix}.attn.bq"] = dq_m.sum(axis=(0, 1))
     grads[f"{prefix}.attn.wk"] = _weight_grad(u, dk_m)
@@ -605,39 +537,24 @@ def _factored_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     h, dh = t_cfg.heads, t_cfg.dim_head
     scale = 1.0 / math.sqrt(dh)
     qk, qk_bias, ov, _ = _circuits(p, prefix, t_cfg)
-    full = "att" in c
     b, s, d = do.shape
-    y = c["y"] if full else np.empty((b, s, h * d), dtype=do.dtype)
+    y, att = c["y"], c["att"]
     # 2-D products: a stack times a transposed matrix takes a slower numpy loop
-    dy = (do.reshape(-1, d) @ ov.T).reshape(b, s, h * d)
-    dqt = np.empty_like(dy)
-    du = np.empty_like(u)
-    runs = attention_runs(b, h, s, do.itemsize)
-    if not full:
-        scores = np.empty((runs[0][1], s, s * h), dtype=do.dtype)
-    for i, j in runs:
-        r, u_r = j - i, u[i:j]
-        qt = _factored_queries(u_r, qk, qk_bias, h)
-        dy_r, y_r = dy[i:j].reshape(r, s * h, d), y[i:j].reshape(r, s * h, d)
-        if full:
-            att = c["att"][i:j]
-        else:
-            att = _attend_keys(qt, u_r, scores[:r], y_r)
-        # key-major [r x S x S*H], like the scores
-        att_k, datt = att.swapaxes(1, 2), u_r @ dy_r.swapaxes(1, 2)
-        np.matmul(att_k, dy_r, out=du[i:j])
-        # softmax backward, built in the datt buffer: dsc = att * (datt - rowsum(datt * att)),
-        # where rowsum(datt * att) = rowsum(dy * att u) = rowsum(dy * y), D wide not S
-        datt -= np.einsum("rqd,rqd->rq", dy_r, y_r)[:, None, :]
-        datt *= att_k
-        np.matmul(datt.swapaxes(1, 2), u_r, out=dqt[i:j].reshape(r, s * h, d))
-        du[i:j] += datt @ qt
+    dy = (do.reshape(-1, d) @ ov.T).reshape(b, s * h, d)
+    # key-major [B x S x S*H], like the scores
+    att_k, datt = att.swapaxes(1, 2), u @ dy.swapaxes(1, 2)
+    du = att_k @ dy
+    # softmax backward, built in the datt buffer: dsc = att * (datt - rowsum(datt * att)),
+    # where rowsum(datt * att) = rowsum(dy * att u) = rowsum(dy * y), D wide not S
+    datt -= np.einsum("rqd,rqd->rq", dy, y.reshape(b, s * h, d))[:, None, :]
+    datt *= att_k
+    dqt = (datt.swapaxes(1, 2) @ u).reshape(b, s, h * d)
+    du += datt @ _factored_queries(u, qk, qk_bias, h)
     du += (dqt.reshape(-1, h * d) @ qk.T).reshape(u.shape)
 
     # circuits -> per-head weights
     d_out = grads[f"{prefix}.attn.bo"]     # d(out_bias): do summed over samples and tokens
     d_ov = _weight_grad(y, do).reshape(h, d, d)
-    del y
     d_qk = _weight_grad(u, dqt).reshape(d, h, d).transpose(1, 0, 2)
     d_qk_bias = dqt.sum(axis=(0, 1)).reshape(h, 1, d)
     wq, wk, wv = (_split_heads(p[f"{prefix}.attn.w{n}"], h) for n in "qkv")
@@ -655,23 +572,39 @@ def _factored_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     return du
 
 
-def full_cache_bytes(batch: int, n_tokens: int, t_cfg: TransformerConfig,
-                     itemsize: int) -> int:
-    """Bytes of q, k, v, ctx and attention weights that a full per-head cache keeps
-    over all blocks; ``forward_cached`` sizes both attention forms by it."""
-    width = t_cfg.heads * t_cfg.dim_head
-    per_block = batch * n_tokens * 4 * width + batch * t_cfg.heads * n_tokens ** 2
-    return per_block * itemsize * t_cfg.depth
+def micro_batches(cfg: ModelConfig, batch: int, itemsize: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` runs of a batch, as even as can be, whose attention
+    caches fit MICRO_BATCH_BYTES (one sample per run at least).
+
+    A block's cache keeps, per sample, q, k, v, ctx and the attention weights
+    per head, or y and the attention weights factored; the count is that, over
+    all blocks, in items of ``itemsize`` bytes.
+    """
+    t, d = cfg.transformer, cfg.fpe.token_dim
+    s = model_dims(cfg).n_tokens
+    per_token = (t.heads * (d + s) if factored_attention(t, d)
+                 else 4 * t.heads * t.dim_head + t.heads * s)
+    size = max(1, MICRO_BATCH_BYTES // (s * per_token * itemsize * t.depth))
+    n = max(1, -(-batch // size))
+    bounds = [batch * i // n for i in range(n + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def forward(x_batch: np.ndarray, model: Model) -> np.ndarray:
-    """Logits [B x c] of a batch [B x M x T'], without a backward cache."""
-    return forward_cached(x_batch, model, want_cache=False)[0]
+    """Logits [B x c] of a batch [B x M x T'], without a backward cache, one
+    micro-batch (``micro_batches``) at a time."""
+    runs = micro_batches(model.cfg, len(x_batch), model.dtype.itemsize)
+    return np.concatenate([forward_cached(x_batch[i:j], model, want_cache=False)[0]
+                           for i, j in runs])
 
 
 def forward_cached(x_batch: np.ndarray, model: Model,
                    want_cache: bool = True) -> tuple[np.ndarray, dict | None]:
-    """Batched forward returning logits [B x c] and the backward cache."""
+    """Batched forward returning logits [B x c] and the backward cache.
+
+    The cache holds every block's attention items for the whole batch;
+    ``micro_batches`` sizes batches whose cache fits MICRO_BATCH_BYTES.
+    """
     cfg, p = model.cfg, model.params
     x = np.asarray(x_batch, dtype=model.dtype)
     if x.ndim != 3 or x.shape[1] != cfg.n_channels or x.shape[2] != cfg.template_len:
@@ -695,11 +628,9 @@ def forward_cached(x_batch: np.ndarray, model: Model,
                     "tilde": tilde}
                    if want_cache else {})
     t = cfg.transformer
-    lean = full_cache_bytes(tokens.shape[0], tokens.shape[1], t,
-                            tokens.itemsize) > LEAN_CACHE_BYTES
     xs = tokens
     for i in range(t.depth):
-        xs = _block_forward(xs, p, f"block{i}", t, cache if want_cache else None, lean)
+        xs = _block_forward(xs, p, f"block{i}", t, cache if want_cache else None)
         if not np.all(np.isfinite(xs)):
             raise NumericError(f"non-finite activations after transformer block {i}")
     normed, lnfc = _layernorm(xs, p["final_ln.g"], p["final_ln.b"])
@@ -752,12 +683,12 @@ def backward_cached(dlogits: np.ndarray, model: Model,
 
 
 def _cfg_from_json(d: dict) -> ModelConfig:
-    """Rebuild a config from its JSON form. Fields of the wrong type raise
-    rather than coerce: a damaged header must not load as a different model."""
+    """Rebuild a config from its JSON form. Every key is required (the writer
+    writes them all), and fields of the wrong type raise rather than coerce: a
+    damaged header must not load as a different model."""
     fpe, transformer = FPEConfig(**d["fpe"]), TransformerConfig(**d["transformer"])
-    channels, scale = d["template_channels"], d.get("input_scale", 1.0)
-    classes = d["class_names"]
-    per_channel = d.get("per_channel_patches", False)
+    channels, scale = d["template_channels"], d["input_scale"]
+    classes, per_channel = d["class_names"], d["per_channel_patches"]
     if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)
             and len(set(channels)) == len(channels) and isinstance(d["template_len"], int)
             and isinstance(classes, list) and isinstance(per_channel, bool)):
@@ -808,8 +739,10 @@ def _entry_shape(index: int, entry, path: str) -> tuple[int, ...]:
 def load_checkpoint(path: str) -> tuple[Model, None, dict]:
     """Read a checkpoint; returns (model, None, extra dict).
 
-    The middle element is always None: a checkpoint holds parameters only.
-    The 3-tuple stays so callers that unpack ``model, opt, extra`` keep working.
+    The parameters are read-only views of the payload: training replaces
+    them with new arrays and never writes into them. The middle element is
+    always None: a checkpoint holds parameters only. The 3-tuple stays so
+    callers that unpack ``model, opt, extra`` keep working.
     """
     try:
         with open(path, "rb") as fh:
@@ -857,7 +790,7 @@ def load_checkpoint(path: str) -> tuple[Model, None, dict]:
             raise DataError(f"checkpoint {path} lists tensor {name!r} twice")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
-        params[name] = arr.reshape(shape).copy()
+        params[name] = arr.reshape(shape)
     if set(params.keys()) != set(expected):
         raise DataError("checkpoint parameter set does not match its config")
     for name, shape in expected.items():

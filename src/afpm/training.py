@@ -5,8 +5,9 @@ Hutter (arXiv:1711.05101) and the decay applied to weight matrices only
 (biases, norm parameters, class token, and positional embeddings are
 exempt). The learning-rate schedule ramps cosine from the initial rate to
 the peak over the first 30% of steps, then decays cosine to 1/100 of the
-initial rate. Every batch is drawn class-balanced. Training is deterministic
-for a fixed seed when run single-threaded.
+initial rate. Every batch is drawn class-balanced. A batch whose cache would
+not fit ``model.MICRO_BATCH_BYTES`` runs as micro-batches whose gradients are
+summed. Training is deterministic for a fixed seed when run single-threaded.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .model import (
-    Model, backward_cached, decayed_param, forward_cached, require_int,
+    Model, backward_cached, decayed_param, forward_cached, micro_batches, require_int,
 )
 
 WARMUP_FRACTION = 0.3
@@ -62,11 +63,25 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray
 
 def backward(x_batch: np.ndarray, labels: np.ndarray, model: Model
              ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean batch loss and exact analytic gradients for every parameter tensor."""
-    labels = np.asarray(labels)
-    logits, cache = forward_cached(x_batch, model, want_cache=True)
-    loss, dlogits = batch_cross_entropy(logits.astype(np.float64), labels)
-    grads = backward_cached(dlogits.astype(model.dtype), model, cache)
+    """Mean batch loss and exact analytic gradients for every parameter tensor.
+
+    The batch runs one micro-batch (``micro_batches``) at a time, so only one
+    micro-batch's cache is alive. Each micro-batch's mean loss and logit
+    gradient are weighted by its share of the batch, which divides both by
+    the size of the whole batch, and its gradients are summed. A batch of one
+    micro-batch (the presets up to batch 512) takes a single pass.
+    """
+    x, labels = np.asarray(x_batch), np.asarray(labels)
+    n = labels.shape[0]
+    loss, grads = 0.0, {}
+    for i, j in micro_batches(model.cfg, n, model.dtype.itemsize):
+        logits, cache = forward_cached(x[i:j], model, want_cache=True)
+        part, dlogits = batch_cross_entropy(logits.astype(np.float64), labels[i:j])
+        share = (j - i) / n
+        part_grads = backward_cached((dlogits * share).astype(model.dtype), model, cache)
+        del cache           # free it before the next micro-batch's forward
+        loss += part * share
+        grads = {k: grads[k] + g for k, g in part_grads.items()} if grads else part_grads
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient for tensor {name!r}")
@@ -91,7 +106,8 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One AdamW update with bias correction and decoupled decay. Every new
     parameter is computed before any is stored: if one is not finite,
     NumericError names its tensor, the parameters stay as they were, and the
-    moments in ``state`` are spent."""
+    moments in ``state`` are spent. ``params`` gets new arrays; the old ones
+    are never written, so they may be read-only or shared with another model."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t

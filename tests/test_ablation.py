@@ -9,7 +9,7 @@ from afpm.ablation import (
 from afpm.config import resolve_config
 from afpm.data_model import load_manifest, task_template
 from afpm.errors import ConfigError
-from afpm.evaluation import evaluate_dataset, primary_metric
+from afpm.evaluation import evaluate_dataset
 from afpm.model import model_dims
 from afpm.pipeline import stack_aligned
 from afpm.preprocessing import default_config, preprocess_dataset
@@ -44,8 +44,11 @@ def tiny_run_cfg():
     return resolve_config("mi", overrides=overrides)
 
 
+PRIMARY_METRIC = {"mi": "balanced_accuracy", "erp": "auroc"}
+
+
 def mean_primary(res: AblationResult, task: str) -> float:
-    metric = primary_metric(task)
+    metric = PRIMARY_METRIC[task]
     return float(np.mean([rep.mean(metric) for rep in res.reports.values()]))
 
 

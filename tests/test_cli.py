@@ -13,6 +13,7 @@ import pytest
 import afpm.cli
 import afpm.config
 import afpm.data_model
+import afpm.model
 from afpm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
 from afpm.config import echo_config, load_config_file, resolve_config
 from afpm.data_model import task_template
@@ -253,6 +254,27 @@ class TestPipeline:
                      "--epochs", "10", "--lr-max", "1e-4", "--lr-init", "5e-5"]) == 0
 
 
+def test_eval_and_finetune_never_write_into_a_loaded_model(pipeline_dirs, tmp_path,
+                                                          monkeypatch):
+    """A loaded checkpoint's parameters are read-only views of its payload, and
+    eval and finetune, which run on them without copying, write into none."""
+    _, _, _, ali, ckpt = pipeline_dirs
+    loaded = []
+
+    def recording_load(path, load=afpm.model.load_checkpoint):
+        out = load(path)
+        loaded.append(out[0])
+        return out
+
+    monkeypatch.setattr(afpm.model, "load_checkpoint", recording_load)
+    assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(tmp_path / "ev")]) == 0
+    assert main(["finetune", "--ckpt", ckpt, "--data", ali, "--fraction", "0.3",
+                 "--out", str(tmp_path / "ft"), "--epochs", "2"]) == 0
+    assert len(loaded) == 2
+    for model in loaded:
+        assert not any(p.flags.writeable for p in model.params.values())
+
+
 def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
     if defect == "truncated":
         return blob[:-10]
@@ -267,8 +289,8 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
         payload += bytes(4 * math.prod(first["shape"]))
     elif defect == "list":
         header = [header]
-    elif defect == "config.fpe":
-        del header["config"]["fpe"]
+    elif defect in ("config.fpe", "config.input_scale", "config.per_channel_patches"):
+        del header["config"][defect.split(".")[1]]
     elif defect == "config.avg_window":
         header["config"]["fpe"]["avg_window"] = 999
     elif defect == "config.template_len":
@@ -295,7 +317,8 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
 
 @pytest.mark.parametrize("defect", [
     "truncated", "config", "entries", "v1", "v2", "list", "config.fpe",
-    "config.avg_window", "config.template_len", "config.task",
+    "config.input_scale", "config.per_channel_patches", "config.avg_window",
+    "config.template_len", "config.task",
     "entry.shape", "entry.name", "entry.kind", "duplicate", "nan",
 ])
 def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, capsys):

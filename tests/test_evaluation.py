@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from afpm.errors import DataError
 from afpm.evaluation import (
     auc_pr, auroc, balanced_accuracy, cohens_kappa, evaluate_arrays,
-    positive_class_index, primary_metric, softmax_scores, subject_folds,
+    compute_metrics, positive_class_index, softmax_scores, subject_folds,
     subject_of, task_metrics,
 )
 
@@ -219,14 +219,27 @@ def test_argmax_invariant_to_constant_logit_shift(rng):
 def test_task_metric_sets():
     assert task_metrics("mi") == ("balanced_accuracy", "auc_pr")
     assert task_metrics("erp") == ("auroc", "auc_pr", "cohens_kappa")
-    assert primary_metric("mi") == "balanced_accuracy"
-    assert primary_metric("erp") == "auroc"
 
 
 def test_positive_class_index():
     assert positive_class_index(("nontarget", "target"), "erp") == 1
     assert positive_class_index(("Target", "other"), "erp") == 0
     assert positive_class_index(("left", "right"), "mi") == 1
+
+
+def test_three_class_rank_metrics_score_class_one_against_the_rest(rng):
+    """On three MI classes ``auc_pr`` is the AP of class 1's softmax score with
+    class 1 positive and classes 0 and 2 negative; ERP without a 'target'
+    class scores class 1 the same way."""
+    logits, labels = rng.standard_normal((40, 3)), np.arange(40) % 3
+    scores, one = softmax_scores(logits)[:, 1], (labels == 1).astype(int)
+    assert positive_class_index(("left", "right", "feet"), "mi") == 1
+    mi = compute_metrics("mi", logits, labels, 1)
+    assert mi["auc_pr"] == auc_pr(scores, one)
+    assert mi["balanced_accuracy"] == balanced_accuracy(np.argmax(logits, 1), labels)
+    assert positive_class_index(("a", "b", "c"), "erp") == 1
+    erp = compute_metrics("erp", logits, labels, 1)
+    assert (erp["auroc"], erp["auc_pr"]) == (auroc(scores, one), auc_pr(scores, one))
 
 
 def test_subject_of_strips_session():
