@@ -79,8 +79,8 @@ def run_variant(variant: str, cfg: RunConfig,
 
     x, y, _, layout = stack_aligned(aligned_train, cfg.task)
     model_cfg = stacked_model_config(cfg, x, layout, stages["per_channel"])
-    model = init_model(model_cfg, seed=cfg.train.seed)
-    model = train(x, y, model, cfg.train).model
+    model = train(x, y, init_model(model_cfg, seed=cfg.train.seed), cfg.train).model
+    del x, y  # the training stack is not read again; free it before the eval sets load
     reports = {m.name: evaluate_dataset(model, m) for m in aligned_eval}
     digest = raw_digest(train_manifests + eval_manifests)
     return AblationResult(variant=variant, reports=reports, model=model,

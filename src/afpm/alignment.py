@@ -112,10 +112,15 @@ def map_to_template(x: np.ndarray, rows: list[int], spec: TaskTemplateSpec) -> n
     return x_tem
 
 
+def _digest_update(h, a: np.ndarray) -> None:
+    """Feed the little-endian float64 bytes of ``a`` into hash ``h``."""
+    h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+
+
 def _array_digest(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        _digest_update(h, a)
     return h.hexdigest()
 
 
@@ -216,13 +221,15 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
             "stage_hashes": stage_hashes,
         },
     )
-    outputs = []
+    # Each output trial is hashed as it is written and then dropped, so only
+    # one mapped float64 trial is alive at a time.
+    output = hashlib.sha256()
     for x, rec in zip(xs, trials):
         channels = names[rec.domain_id]
         if mapping:
             x = map_to_template(x, tem_rows[rec.domain_id], spec)
             channels = spec.target_channels
         writer.add_trial(x, channels, rec.label, rec.domain_id)
-        outputs.append(x)
-    writer.alignment["stage_hashes"]["output"] = _array_digest(outputs)
+        _digest_update(output, x)
+    writer.alignment["stage_hashes"]["output"] = output.hexdigest()
     return writer.finish()

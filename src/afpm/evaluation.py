@@ -20,7 +20,10 @@ from .pipeline import input_channels, require_same_classes, stack_aligned
 
 MI_METRICS = ("balanced_accuracy", "auc_pr")
 ERP_METRICS = ("auroc", "auc_pr", "cohens_kappa")
-EVAL_BATCH = 256  # trials per forward call
+# Trials per forward call. ``micro_batches`` counts only attention caches, so
+# this loop is what bounds eval's patch array (and the MLP activations beside
+# it). perfbench/checks.py runs the same loop to build its oracle logits.
+EVAL_BATCH = 256
 
 
 def _check_lengths(a, b):

@@ -258,26 +258,35 @@ def decayed_param(name: str, arr: np.ndarray) -> bool:
 # forward pieces
 
 
-def extract_patches(x: np.ndarray, cfg: FPEConfig,
-                    per_channel: bool = False) -> np.ndarray:
-    """Slice templates [B x M x T'] into G flattened frame windows each.
+def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
+                    scale: float = 1.0) -> np.ndarray:
+    """Slice templates [B x M x T'] into G flattened frame windows each, times ``scale``.
 
     Window g (0-based) covers columns [g*d, g*d + m); columns beyond T'-1 read
     as zero. Standard mode flattens all channels of a window channel-major
     into one row of length M*m ([B x G x M*m]); per-channel mode yields M*G
     rows of length m, ordered channel-major: all windows of channel 0 first
     ([B x M*G x m]).
+
+    ``scale * x`` is written straight into one zeroed output, in the dtype of
+    ``x``: the windows inside the template through a strided view of ``x``,
+    the few that run past its end one by one. No padded or scaled copy of
+    ``x`` is made.
     """
     b, m, t_prime = x.shape
-    g = patch_count(t_prime, cfg.frame_stride)
-    span = (g - 1) * cfg.frame_stride + cfg.frame_window
-    padded = np.zeros((b, m, span), dtype=x.dtype)
-    padded[:, :, :t_prime] = x
-    windows = sliding_window_view(padded, cfg.frame_window, axis=-1)[
-        :, :, ::cfg.frame_stride, :]                 # [B, M, G, m], a view
-    if per_channel:
-        return windows.reshape(b, m * g, cfg.frame_window)
-    return windows.transpose(0, 2, 1, 3).reshape(b, g, m * cfg.frame_window)
+    width, stride = cfg.frame_window, cfg.frame_stride
+    g = patch_count(t_prime, stride)
+    out = np.zeros((b, m, g, width) if per_channel else (b, g, m, width), dtype=x.dtype)
+    windows = out if per_channel else out.transpose(0, 2, 1, 3)     # [B, M, G, m], a view
+    scale = np.asarray(scale, dtype=x.dtype)
+    inside = (t_prime - width) // stride + 1 if t_prime >= width else 0
+    if inside:
+        np.multiply(sliding_window_view(x, width, axis=-1)[:, :, ::stride], scale,
+                    out=windows[:, :, :inside])
+    for j in range(inside, g):
+        piece = x[:, :, j * stride:j * stride + width]
+        np.multiply(piece, scale, out=windows[:, :, j, :piece.shape[-1]])
+    return out.reshape(b, m * g, width) if per_channel else out.reshape(b, g, m * width)
 
 
 def window_matrix(n_patches: int, window: int, shift: int,
@@ -423,7 +432,8 @@ def _head_attention(x, u, p, prefix, t_cfg):
 
 
 def _factored_attention(x, u, p, prefix, t_cfg):
-    """``x`` plus factored attention of ``u``, and the y and att it caches.
+    """``x`` plus factored attention of ``u``, and the y and att it caches,
+    with the block's ``_circuits`` matrices qk, qk_bias and ov for backward.
 
     The key of every head is ``u`` itself, so per sample the scores of all
     heads are one product ``qt uᵀ`` [S*H x S] and their weighted keys one
@@ -439,7 +449,7 @@ def _factored_attention(x, u, p, prefix, t_cfg):
                    axis=1).swapaxes(1, 2)
     y = (att @ u).reshape(b, s, h * d)
     x1 = x + y @ ov + out_bias
-    return x1, dict(y=y, att=att)
+    return x1, dict(y=y, att=att, qk=qk, qk_bias=qk_bias, ov=ov)
 
 
 def _block_forward(x, p, prefix, t_cfg, cache):
@@ -449,9 +459,10 @@ def _block_forward(x, p, prefix, t_cfg, cache):
     Per head, it projects ``u`` to q, k and v and mixes ctx = att·v through
     Wo. When heads are wider than tokens it runs factored (the QK/OV-circuit
     view of Elhage et al. 2021): each head's scores are (u M_h + c_h) uᵀ and
-    its output att·u·(Wv_h Wo_h), with D x D matrices built once per call
-    by ``_circuits``. The two agree up to rounding; the key bias drops out
-    of the factored form, so its gradient there is exactly zero.
+    its output att·u·(Wv_h Wo_h), with D x D matrices built once per forward
+    by ``_circuits`` and kept in the cache for backward. The two agree up to
+    rounding; the key bias drops out of the factored form, so its gradient
+    there is exactly zero.
     """
     u, ln1c = _layernorm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
     attention = (_factored_attention if factored_attention(t_cfg, x.shape[-1])
@@ -531,14 +542,14 @@ def _head_attention_backward(do, u, p, prefix, t_cfg, c, grads):
 def _factored_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     """Factored attention gradients into ``grads``; returns d(loss)/du.
 
-    Backpropagates to ``_circuits``' matrices, then maps their gradients
-    onto the per-head weights. The key bias gets an exact zero.
+    Backpropagates to ``_circuits``' matrices, which the forward cached,
+    then maps their gradients onto the per-head weights. The key bias gets an
+    exact zero.
     """
     h, dh = t_cfg.heads, t_cfg.dim_head
     scale = 1.0 / math.sqrt(dh)
-    qk, qk_bias, ov, _ = _circuits(p, prefix, t_cfg)
+    qk, qk_bias, ov, y, att = (c[n] for n in ("qk", "qk_bias", "ov", "y", "att"))
     b, s, d = do.shape
-    y, att = c["y"], c["att"]
     # 2-D products: a stack times a transposed matrix takes a slower numpy loop
     dy = (do.reshape(-1, d) @ ov.T).reshape(b, s * h, d)
     # key-major [B x S x S*H], like the scores
@@ -578,7 +589,8 @@ def micro_batches(cfg: ModelConfig, batch: int, itemsize: int) -> list[tuple[int
 
     A block's cache keeps, per sample, q, k, v, ctx and the attention weights
     per head, or y and the attention weights factored; the count is that, over
-    all blocks, in items of ``itemsize`` bytes.
+    all blocks, in items of ``itemsize`` bytes. The factored circuit matrices
+    it also keeps are parameter-sized, the same for any batch, and not counted.
     """
     t, d = cfg.transformer, cfg.fpe.token_dim
     s = model_dims(cfg).n_tokens
@@ -612,10 +624,8 @@ def forward_cached(x_batch: np.ndarray, model: Model,
             f"expected batch [B x {cfg.n_channels} x {cfg.template_len}], "
             f"got {x.shape}"
         )
-    if cfg.input_scale != 1.0:
-        x = x * np.asarray(cfg.input_scale, dtype=model.dtype)
     f = cfg.fpe
-    patches = extract_patches(x, f, cfg.per_channel_patches)
+    patches = extract_patches(x, f, cfg.per_channel_patches, cfg.input_scale)
     h1 = patches @ p["patch.w1"] + p["patch.b1"]
     h1_term = _gelu_term(h1)
     e = (0.5 * h1 * h1_term) @ p["patch.w2"] + p["patch.b2"]

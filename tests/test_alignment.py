@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afpm.alignment import (
-    align_dataset, align_domain, inv_sqrt_psd, map_to_template, mean_covariance,
-    select_channels,
+    _array_digest, align_dataset, align_domain, inv_sqrt_psd, map_to_template,
+    mean_covariance, select_channels,
 )
 from afpm.data_model import DatasetWriter, TaskTemplateSpec, load_manifest, task_template
 from afpm.errors import DataError, NumericError
@@ -183,6 +184,36 @@ class TestAlignDataset:
         from afpm.data_model import load_trial
         got = load_trial(out, 0)
         assert np.allclose(got, data[0].astype(np.float32), atol=1e-6)
+
+    def test_output_stage_is_hashed_as_written(self, tmp_path, rng):
+        """``align_dataset`` hashes each mapped float64 trial as it writes it:
+        its traced peak stays below the bytes of all its outputs, and its
+        ``output`` hash is ``_array_digest`` of the trials rebuilt stage by stage."""
+        channels = ("C4", "O1", "C3", "CZ")
+        domains = ["toy:s01:0", "toy:s00:0"] * 6
+        data = [rng.standard_normal((4, 100)) for _ in domains]
+        write_toy_dataset(tmp_path / "raw", channels=channels, n_trials=len(domains),
+                          n_samples=100, data=data, domain_ids=domains)
+        manifest = load_manifest(str(tmp_path / "raw"))
+        tracemalloc.start()
+        try:
+            out = align_dataset(manifest, str(tmp_path / "al"), MI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output_bytes = len(domains) * MI.n_channels * MI.template_len * 8
+        assert peak < output_bytes, f"{peak} >= {output_bytes} bytes"
+
+        pairs = select_channels(channels, MI)
+        src, rows = [s for s, _ in pairs], [r for _, r in pairs]
+        raw = [x.astype(np.float64)[src] for _, x in trials_of(manifest)]
+        rebuilt = {}
+        for d in sorted(set(domains)):
+            idx = [i for i, dom in enumerate(domains) if dom == d]
+            rebuilt.update(zip(idx, align_domain([raw[i] for i in idx])[0]))
+        expected = _array_digest(map_to_template(rebuilt[i], rows, MI)
+                                 for i in range(len(domains)))
+        assert out.alignment["stage_hashes"]["output"] == expected
 
 
 # Whitening fuzz: random on-disk datasets through ``align_dataset``.

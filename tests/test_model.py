@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import afpm.data_model
 import afpm.model
@@ -133,19 +133,30 @@ def windows_by_slicing(x, m, d):
 
 @settings(max_examples=80, deadline=None)
 @given(t_prime=st.integers(1, 90), m=st.integers(1, 16), d=st.integers(1, 24),
-       channels=st.integers(1, 3), batch=st.integers(1, 3))
-def test_batch_extraction_matches_explicit_slices(t_prime, m, d, channels, batch):
+       channels=st.integers(1, 3), batch=st.integers(1, 3),
+       scale=st.sampled_from([1.0, 0.37, 2.5, 33.3]),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@example(t_prime=40, m=8, d=3, channels=2, batch=2, scale=2.5, dtype=np.float32)  # overlapping
+@example(t_prime=40, m=3, d=8, channels=2, batch=2, scale=2.5, dtype=np.float32)  # gapped
+@example(t_prime=5, m=8, d=3, channels=2, batch=2, scale=2.5, dtype=np.float32)   # short
+def test_batch_extraction_matches_explicit_slices(t_prime, m, d, channels, batch, scale,
+                                                  dtype):
+    """Patches equal explicit slices times ``scale``, in the input's dtype: for
+    overlapping windows, gapped ones (stride > window) and templates shorter
+    than one window."""
     fpe = FPEConfig(embed_dim=1, frame_window=m, frame_stride=d, avg_window=1,
                     avg_shift=1, token_dim=1, mlp_hidden=1)
     rng = np.random.default_rng(t_prime * 1000 + m * 31 + d)
-    x = rng.standard_normal((batch, channels, t_prime))
-    ref = windows_by_slicing(x, m, d)
+    x = rng.standard_normal((batch, channels, t_prime)).astype(dtype)
+    ref = windows_by_slicing(x, m, d) * np.asarray(scale, dtype=dtype)
     g = ref.shape[2]
     # the last window always runs past the template and is zero-padded
     assert (g - 1) * d + m > t_prime
-    std = extract_patches(x, fpe, per_channel=False)
+    std = extract_patches(x, fpe, per_channel=False, scale=scale)
+    assert std.dtype == dtype
     assert np.array_equal(std, ref.transpose(0, 2, 1, 3).reshape(batch, g, channels * m))
-    per = extract_patches(x, fpe, per_channel=True)
+    per = extract_patches(x, fpe, per_channel=True, scale=scale)
+    assert per.dtype == dtype
     assert np.array_equal(per, ref.reshape(batch, channels * g, m))
 
 
@@ -850,6 +861,28 @@ class TestLeanCache:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_wide_template_forward_peak(self, rng):
+        """``forward`` reads its input once: on a 48-channel MI batch (the
+        no-selection ablation's layout) its traced peak stays under 1.25 times
+        the bytes of the patch array, on top of the input it is given. A scaled
+        and a zero-padded copy of the input would add about twice that much."""
+        run = resolve_config("mi")
+        layout = {"mapped": True, "template_channels": tuple(f"E{i:02d}" for i in range(48)),
+                  "template_len": task_template("mi").template_len, "class_names": classes()}
+        x = rng.standard_normal((64, 48, layout["template_len"])).astype(np.float32)
+        model = init_model(stacked_model_config(run, x, layout, False), seed=0)
+        assert model.cfg.input_scale != 1.0
+        dims = model_dims(model.cfg)
+        patch_bytes = 64 * dims.n_patches * dims.patch_in * 4
+        assert patch_bytes > x.nbytes
+        tracemalloc.start()
+        try:
+            forward(x, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * patch_bytes, f"{peak / patch_bytes:.2f} x patch bytes"
 
     def test_presets_keep_the_full_cache_and_mi_per_channel_goes_lean(self):
         """The 7-token MI and 5-token ERP presets run one micro-batch up to the
