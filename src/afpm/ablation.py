@@ -14,8 +14,8 @@ import os
 from dataclasses import dataclass
 
 from .config import RunConfig
-from .data_model import DatasetManifest, TaskTemplateSpec, load_manifest, task_template
-from .alignment import align_dataset
+from .alignment import align_dataset, union_template
+from .data_model import DatasetManifest, load_manifest, task_template
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate_dataset
 from .model import Model, init_model
@@ -23,15 +23,6 @@ from .pipeline import require_task, stack_aligned, stacked_model_config
 from .training import train
 
 VARIANTS = ("FULL", "NO_SELECT", "NO_EA", "NO_MAP", "NO_FPE")
-
-
-def union_template(manifests: list[DatasetManifest],
-                   base: TaskTemplateSpec) -> TaskTemplateSpec:
-    """Widened target set for NO_SELECT: every channel seen in training."""
-    names: set[str] = set()
-    for m in manifests:
-        names.update(m.all_channels())
-    return TaskTemplateSpec(base.task, tuple(sorted(names)), base.template_len)
 
 
 def _variant_stages(variant: str) -> dict:

@@ -45,6 +45,15 @@ def select_channels(channels: tuple[str, ...], spec: TaskTemplateSpec
     return pairs
 
 
+def union_template(manifests: list[DatasetManifest],
+                   base: TaskTemplateSpec) -> TaskTemplateSpec:
+    """Widened target set for NO_SELECT: every channel seen in ``manifests``."""
+    names: set[str] = set()
+    for m in manifests:
+        names.update(m.all_channels())
+    return TaskTemplateSpec(base.task, tuple(sorted(names)), base.template_len)
+
+
 def mean_covariance(xs: list[np.ndarray]) -> np.ndarray:
     """Arithmetic mean of per-trial spatial Gram matrices X X^T, symmetrized.
 
@@ -114,7 +123,7 @@ def map_to_template(x: np.ndarray, rows: list[int], spec: TaskTemplateSpec) -> n
 
 def _digest_update(h, a: np.ndarray) -> None:
     """Feed the little-endian float64 bytes of ``a`` into hash ``h``."""
-    h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def _array_digest(arrays) -> str:

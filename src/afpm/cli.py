@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     from dataclasses import asdict
 
-    from .config import echo_config
+    from .data_model import echo_config
     from .synth import SynthSpec, default_subsets, generate_dataset
 
     trial_len = args.trial_len
@@ -188,8 +188,7 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     from dataclasses import asdict, replace
 
-    from .config import echo_config
-    from .data_model import load_manifest
+    from .data_model import echo_config, load_manifest
     from .errors import ConfigError
     from .preprocessing import default_config, preprocess_dataset
 
@@ -211,10 +210,8 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    from .ablation import union_template
-    from .alignment import align_dataset
-    from .config import echo_config
-    from .data_model import load_manifest, task_template
+    from .alignment import align_dataset, union_template
+    from .data_model import echo_config, load_manifest, task_template
 
     manifest = load_manifest(_data_path(args.in_dir))
     spec = task_template(args.task)
@@ -233,8 +230,8 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .config import echo_config, resolve_config
-    from .data_model import atomic_open, load_manifest
+    from .config import resolve_config
+    from .data_model import atomic_open, echo_config, load_manifest
     from .errors import NumericError
     from .model import init_model, save_checkpoint
     from .pipeline import stack_aligned, stacked_model_config
@@ -248,20 +245,14 @@ def _cmd_train(args) -> int:
 
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, "train.log")
-    with open(log_path, "w", encoding="utf-8") as log_file:
-        def log(msg: str):
-            print(msg)
-            log_file.write(msg + "\n")
-
-        log(f"training on {x.shape[0]} trials "
-            f"({x.shape[1]} channels x {x.shape[2]} samples), "
-            f"{model.n_params()} parameters")
-        result = train(x, y, model, cfg.train, log=log)
-        divergence = (f"training diverged at step {len(result.history) + 1}; "
-                      f"kept last finite checkpoint")
-        if result.diverged:
-            log(divergence)
+    print(f"training on {x.shape[0]} trials "
+          f"({x.shape[1]} channels x {x.shape[2]} samples), "
+          f"{model.n_params()} parameters")
+    result = train(x, y, model, cfg.train, log=print)
+    divergence = (f"training diverged at step {len(result.history) + 1}; "
+                  f"kept last finite checkpoint")
+    if result.diverged:
+        print(divergence)
     save_checkpoint(result.model, args.out,
                     extra={"task": cfg.task, "diverged": result.diverged,
                            "n_train_trials": int(x.shape[0])})
@@ -307,8 +298,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     from .ablation import VARIANTS, ablation_csv, run_ablation
-    from .config import echo_config, resolve_config
-    from .data_model import atomic_open
+    from .config import resolve_config
+    from .data_model import atomic_open, echo_config
 
     cfg = resolve_config(args.task, args.config, _overrides_from(args))
     if args.variants == "all":
@@ -337,8 +328,9 @@ def _cmd_ablate(args) -> int:
 def _cmd_finetune(args) -> int:
     import numpy as np
 
-    from .config import echo_config, resolve_config
-    from .data_model import atomic_open, load_manifest
+    from .config import resolve_config
+    from .data_model import atomic_open, echo_config, load_manifest
+    from .errors import DataError
     from .evaluation import compute_metrics, model_inputs, subject_of, task_metrics
     from .model import forward, load_checkpoint, save_checkpoint, Model
     from .training import finetune
@@ -350,6 +342,13 @@ def _cmd_finetune(args) -> int:
     x, y, domains, positive = model_inputs(model, manifest)
 
     subjects = sorted({subject_of(d) for d in domains})
+    names = {s: s.replace(":", "_").replace("/", "_") + ".ckpt" for s in subjects}
+    owners: dict[str, str] = {}
+    for subject, name in names.items():
+        other = owners.setdefault(name, subject)
+        if other != subject:
+            raise DataError(f"subjects {other!r} and {subject!r} would both "
+                            f"write checkpoint {name}")
     per_subject = []
     os.makedirs(args.out, exist_ok=True)
     for subject in subjects:
@@ -360,8 +359,7 @@ def _cmd_finetune(args) -> int:
         before = compute_metrics(task, forward(xs[eval_idx], model), ys[eval_idx], positive)
         after = compute_metrics(task, forward(xs[eval_idx], result.model),
                                 ys[eval_idx], positive)
-        safe = subject.replace(":", "_").replace("/", "_")
-        save_checkpoint(result.model, os.path.join(args.out, f"{safe}.ckpt"),
+        save_checkpoint(result.model, os.path.join(args.out, names[subject]),
                         extra={"task": task, "subject": subject})
         per_subject.append({"subject": subject, "n_tune": int(tune_idx.size),
                             "n_eval": int(eval_idx.size),

@@ -5,8 +5,7 @@ The two task presets carry the model hyper-parameters (MI: averaging window
 width 10, feed-forward 20; both: embedding 20, frame 25, depth 6, 8 heads)
 plus desk-scale training defaults, including the run seed ``train.seed``:
 17 values. The channel template and class names come from the aligned data.
-Every command echoes what it used to ``run_config.json`` next to its
-outputs so the run can be reproduced exactly.
+The commands echo what they used with ``data_model.echo_config``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import json
 import os
 from dataclasses import asdict, dataclass
 
-from .data_model import atomic_open
 from .errors import ConfigError
 from .model import FPEConfig, TransformerConfig
 from .training import TrainConfig
@@ -121,20 +119,3 @@ def resolve_config(task: str, config_file: str | dict | None = None,
         transformer=TransformerConfig(**sections["transformer"]),
         train=TrainConfig(**sections["train"]),
     )
-
-
-def echo_config(out_dir: str, command: str, args: dict, resolved: dict) -> str:
-    """Write what a command used next to its outputs, as ``run_config.json``.
-
-    ``resolved`` is the command's own settings: the resolved ``RunConfig``
-    for ``train``, ``ablate`` and ``finetune``, the ``SynthSpec`` for
-    ``synth``, the ``PreprocessConfig`` for ``preprocess``, and the template
-    and stage switches for ``align``.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "run_config.json")
-    doc = {"command": command, "args": args, "resolved": resolved}
-    with atomic_open(path) as f:
-        json.dump(doc, f, indent=1, sort_keys=True)
-        f.write("\n")
-    return path

@@ -64,6 +64,23 @@ def atomic_open(path: str, mode: str = "w"):
         raise
 
 
+def echo_config(out_dir: str, command: str, args: dict, resolved: dict) -> str:
+    """Write what a command used next to its outputs, as ``run_config.json``.
+
+    ``resolved`` is the command's own settings: the resolved ``RunConfig``
+    for ``train``, ``ablate`` and ``finetune``, the ``SynthSpec`` for
+    ``synth``, the ``PreprocessConfig`` for ``preprocess``, and the template
+    and stage switches for ``align``.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "run_config.json")
+    doc = {"command": command, "args": args, "resolved": resolved}
+    with atomic_open(path) as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+    return path
+
+
 def canonical_channel(name: str) -> str:
     """Canonicalize an electrode name: uppercase, separators stripped.
 
@@ -328,12 +345,6 @@ class DatasetWriter:
             raise DataError(f"unknown task {self.task!r}")
         os.makedirs(os.path.join(self.out_dir, "trials"), exist_ok=True)
 
-    def _set_id(self, channels: tuple[str, ...]) -> str:
-        channels = canonical_channels(channels)
-        if channels not in self._sets:
-            self._sets[channels] = str(len(self._sets))
-        return self._sets[channels]
-
     def add_trial(self, data: np.ndarray, channels, label: int, domain_id: str) -> str:
         data = np.ascontiguousarray(data, dtype="<f4")
         if data.ndim != 2:
@@ -349,7 +360,7 @@ class DatasetWriter:
         data.tofile(os.path.join(self.out_dir, rel))
         self._trials.append({
             "path": rel,
-            "channels": self._set_id(channels),
+            "channels": self._sets.setdefault(channels, str(len(self._sets))),
             "label": int(label),
             "domain_id": str(domain_id),
             "n_samples": int(data.shape[1]),

@@ -1,9 +1,10 @@
 """Classification metrics and cross-subject fold evaluation.
 
-Balanced accuracy is the mean of per-class recalls. AUROC is computed by the
-midrank method (equals the probability that a random positive outscores a
-random negative, ties counting one half). AUC-PR is average precision with
-equal scores grouped at one threshold. Kappa is chance-corrected agreement.
+Balanced accuracy is the mean of per-class recalls. AUROC and AUC-PR share
+one descending sweep over runs of equal scores. AUROC is the probability
+that a random positive outscores a random negative, ties counting one half.
+AUC-PR is average precision with equal scores grouped at one threshold.
+Kappa is chance-corrected agreement.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .data_model import DatasetManifest
 from .errors import DataError
@@ -44,33 +44,42 @@ def balanced_accuracy(preds, labels) -> float:
     return float(np.mean(recalls))
 
 
-def auroc(scores, labels) -> float:
-    """Area under the ROC curve via midranks (Mann-Whitney statistic)."""
+def _tie_runs(scores, labels) -> tuple[np.ndarray, np.ndarray, int]:
+    """Descending sweep over runs of equal scores: (seen, tp, n_pos).
+
+    Run r holds the r-th highest distinct score; ``seen[r]`` trials and
+    ``tp[r]`` positives lie at or above it.
+    """
     scores, labels = _check_lengths(scores, labels)
     labels = labels.astype(bool)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[order]
+    seen = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1,
+                     scores.size)
+    tp = np.cumsum(labels[order])[seen - 1]
+    return seen, tp, int(tp[-1])
+
+
+def auroc(scores, labels) -> float:
+    """Area under the ROC curve: the Mann-Whitney statistic over tied runs.
+
+    Each run's positives beat the negatives below it and tie, for one half,
+    with the negatives in it. Twice the count is an integer, so it is exact.
+    """
+    seen, tp, n_pos = _tie_runs(scores, labels)
+    fp = seen - tp
+    n_neg = int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise DataError("AUROC needs both classes present")
-    ranks = rankdata(scores, method="average")  # midranks, 1-based
-    rank_sum = float(ranks[labels].sum())
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    twice_u = np.diff(tp, prepend=0) @ (2 * (n_neg - fp) + np.diff(fp, prepend=0))
+    return float(twice_u) / 2 / (n_pos * n_neg)
 
 
 def auc_pr(scores, labels) -> float:
     """Average precision by descending-score sweep, ties grouped at one threshold."""
-    scores, labels = _check_lengths(scores, labels)
-    labels = labels.astype(bool)
-    n_pos = int(labels.sum())
+    seen, tp, n_pos = _tie_runs(scores, labels)
     if n_pos == 0:
         raise DataError("AUC-PR needs at least one positive")
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    # one threshold per run of equal scores: ``seen`` trials lie at or above it
-    seen = np.append(np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1]) + 1,
-                     scores.size)
-    tp = np.cumsum(labels[order])[seen - 1]
     group_tp = np.diff(tp, prepend=0)
     # accumulate left to right, in the order of the per-group sweep
     return float(np.cumsum(tp / seen * (group_tp / n_pos))[-1])
@@ -168,16 +177,16 @@ def compute_metrics(task: str, logits: np.ndarray, labels: np.ndarray,
     the rest when there are more than two (``positive_class_index``).
     """
     preds = np.argmax(logits, axis=1)
+    scores = softmax_scores(logits)[:, positive]
+    is_positive = labels == positive
     out: dict[str, float] = {}
     for name in task_metrics(task):
         if name == "balanced_accuracy":
             out[name] = balanced_accuracy(preds, labels)
         elif name == "auroc":
-            scores = softmax_scores(logits)[:, positive]
-            out[name] = auroc(scores, (labels == positive).astype(int))
+            out[name] = auroc(scores, is_positive)
         elif name == "auc_pr":
-            scores = softmax_scores(logits)[:, positive]
-            out[name] = auc_pr(scores, (labels == positive).astype(int))
+            out[name] = auc_pr(scores, is_positive)
         elif name == "cohens_kappa":
             out[name] = cohens_kappa(preds, labels)
     return out

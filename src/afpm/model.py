@@ -712,38 +712,30 @@ def _cfg_from_json(d: dict) -> ModelConfig:
                        input_scale=float(scale))
 
 
+def _entries(cfg: ModelConfig) -> list[dict]:
+    """The checkpoint header's parameter list for ``cfg``, in payload order."""
+    return [{"name": name, "kind": "param", "shape": list(shape)}
+            for name, shape in param_shapes(cfg).items()]
+
+
 def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
     """Write config + named parameter manifest + float32 payload in manifest order.
 
     A checkpoint holds no optimizer state: fine-tuning starts fresh AdamW
     moments on the stored parameters.
     """
-    arrays = [np.ascontiguousarray(arr, dtype="<f4") for arr in model.params.values()]
+    entries = _entries(model.cfg)
     header = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.cfg),
-        "entries": [{"name": name, "kind": "param", "shape": list(a.shape)}
-                    for name, a in zip(model.params, arrays)],
+        "entries": entries,
         "extra": extra or {},
     }
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for a in arrays:
-            fh.write(a.tobytes())
-
-
-def _entry_shape(index: int, entry, path: str) -> tuple[int, ...]:
-    """Shape of one checkpoint entry, after checking the entry's fields."""
-    if not (isinstance(entry, dict) and {"name", "kind", "shape"} <= entry.keys()
-            and isinstance(entry["name"], str) and entry["kind"] == "param"
-            and isinstance(entry["shape"], list)
-            and all(isinstance(n, int) and n >= 0 for n in entry["shape"])):
-        raise DataError(
-            f"checkpoint entry {index} in {path} needs a name, kind param "
-            f"and a shape of non-negative integers"
-        )
-    return tuple(entry["shape"])
+        for e in entries:
+            fh.write(np.ascontiguousarray(model.params[e["name"]], dtype="<f4").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[Model, None, dict]:
@@ -774,15 +766,14 @@ def load_checkpoint(path: str) -> tuple[Model, None, dict]:
         raise DataError(f"checkpoint header in {path} lacks {', '.join(missing)}")
     try:
         cfg = _cfg_from_json(header["config"])
-        expected = param_shapes(cfg)
+        entries = _entries(cfg)
     except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise DataError(
             f"checkpoint config in {path} is malformed ({type(e).__name__}: {e})"
         ) from e
-    if not isinstance(header["entries"], list):
-        raise DataError(f"checkpoint entries in {path} are not a list")
-    shapes = [_entry_shape(i, entry, path) for i, entry in enumerate(header["entries"])]
-    counts = [math.prod(shape) for shape in shapes]
+    if header["entries"] != entries:
+        raise DataError(f"checkpoint entries in {path} do not match its config")
+    counts = [math.prod(e["shape"]) for e in entries]
     if 4 * sum(counts) != len(blob):
         raise DataError(
             f"checkpoint payload size mismatch: {len(blob)} bytes, "
@@ -790,25 +781,14 @@ def load_checkpoint(path: str) -> tuple[Model, None, dict]:
         )
     finite = np.isfinite(np.frombuffer(blob, dtype="<f4"))
     if not finite.all():
-        bad = header["entries"][np.searchsorted(np.cumsum(counts), np.argmin(finite), "right")]
+        bad = entries[np.searchsorted(np.cumsum(counts), np.argmin(finite), "right")]
         raise DataError(f"checkpoint tensor {bad['name']!r} in {path} is not finite")
     params: dict[str, np.ndarray] = {}
     offset = 0
-    for entry, shape, count in zip(header["entries"], shapes, counts):
-        name = entry["name"]
-        if name in params:
-            raise DataError(f"checkpoint {path} lists tensor {name!r} twice")
+    for e, count in zip(entries, counts):
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         offset += 4 * count
-        params[name] = arr.reshape(shape)
-    if set(params.keys()) != set(expected):
-        raise DataError("checkpoint parameter set does not match its config")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise DataError(
-                f"checkpoint tensor {name!r} has shape {params[name].shape}, "
-                f"config implies {shape}"
-            )
+        params[e["name"]] = arr.reshape(e["shape"])
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"checkpoint extra in {path} is not a JSON object")

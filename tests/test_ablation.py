@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from afpm.ablation import (
-    AblationResult, VARIANTS, ablation_csv, run_ablation, run_variant, union_template,
-)
+from afpm.ablation import AblationResult, VARIANTS, ablation_csv, run_ablation, run_variant
+from afpm.alignment import union_template
 from afpm.config import resolve_config
 from afpm.data_model import load_manifest, task_template
 from afpm.errors import ConfigError

@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import afpm.cli
-import afpm.config
 import afpm.data_model
 import afpm.model
 from afpm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, main
-from afpm.config import echo_config, load_config_file, resolve_config
-from afpm.data_model import task_template
+from afpm.config import load_config_file, resolve_config
+from afpm.data_model import echo_config, task_template
 from afpm.errors import ConfigError
 from afpm.model import load_checkpoint
 
@@ -137,7 +136,6 @@ class TestPipeline:
         assert doc["resolved"]["train"]["epochs"] == 2
         assert doc["resolved"]["train"]["seed"] == 3
         assert (root / "run" / "history.csv").exists()
-        assert (root / "run" / "train.log").exists()
         # every other command records the settings it used, not a model preset
         echoed = {d: json.loads((root / d / "run_config.json").read_text())
                   for d in ("raw", "pre", "ali")}
@@ -358,7 +356,7 @@ def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeyp
     files = [run_dir / "run_config.json", eval_dir / "report.json", eval_dir / "report.txt"]
     before = [f.read_bytes() for f in files]
 
-    fail_writes_in(monkeypatch, afpm.config, afpm.data_model)
+    fail_writes_in(monkeypatch, afpm.data_model)
     with pytest.raises(OSError, match="mid-write"):
         echo_config(str(run_dir), "train", {"seed": 1}, resolve_config("erp").to_dict())
     # the report is one write: fail on the first
@@ -554,6 +552,37 @@ def test_threads_are_parsed_with_the_other_arguments(monkeypatch, capsys):
     assert pinned == [1, 2]
 
 
+def test_commands_load_only_the_stages_they_run(pipeline_dirs, tmp_path):
+    """Each command, run cold, imports no stage below it: the data stages load
+    no decoder module, align no scipy, and nothing but preprocess (whose
+    scipy.signal needs it) loads scipy.stats."""
+    _, raw, pre, ali, ckpt = pipeline_dirs
+    code = ("import json, sys, afpm.cli; rc = afpm.cli.main(sys.argv[2:]);"
+            " open(sys.argv[1], 'w').write(json.dumps([rc, sorted(sys.modules)]))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = str(tmp_path / "out")
+    argv = {
+        "synth": ["synth", "--task", "mi", "--domains", "1", "--trials", "2",
+                  "--trial-len", "1.0", "--out", out],
+        "preprocess": ["preprocess", "--in", raw, "--out", out],
+        "align": ["align", "--in", pre, "--out", out, "--task", "mi", "--no-select"],
+        "eval": ["eval", "--ckpt", ckpt, "--data", ali],
+    }
+    decoder = {"afpm.model", "afpm.training", "afpm.evaluation", "afpm.ablation"}
+    for command, args in argv.items():
+        record = tmp_path / f"{command}.json"
+        subprocess.run([sys.executable, "-c", code, str(record), *args],
+                       capture_output=True, env=env, check=True)
+        rc, modules = json.loads(record.read_text())
+        assert rc == 0, command
+        if command != "eval":
+            assert not decoder & set(modules), (command, sorted(decoder & set(modules)))
+        if command == "align":
+            assert not [m for m in modules if m.split(".")[0] == "scipy"]
+        if command != "preprocess":
+            assert "scipy.stats" not in modules, command
+
+
 def test_parsing_imports_no_numpy():
     """The thread pools are sized after parsing, so parsing must not load numpy."""
     code = ("import sys, afpm.cli; afpm.cli.build_parser().parse_args("
@@ -685,3 +714,21 @@ def test_ablate_cli_tiny(tmp_path):
     csv = (tmp_path / "abl" / "ablation.csv").read_text()
     assert "FULL" in csv and "NO_EA" in csv
     assert (tmp_path / "abl" / "ablation.json").exists()
+
+
+def test_finetune_subjects_sharing_a_checkpoint_name_is_data_error(pipeline_dirs, tmp_path,
+                                                                   capsys):
+    """Subjects x:a_b and x:a:b would both write x_a_b.ckpt: refused before training."""
+    _, _, _, _, ckpt = pipeline_dirs
+    raw, ali, out = tmp_path / "raw", str(tmp_path / "ali"), tmp_path / "ft"
+    write_toy_dataset(raw, n_trials=12, n_samples=64, labels=[i // 2 % 2 for i in range(12)],
+                      domain_ids=[("x:a_b:s0", "x:a:b:s0")[i % 2] for i in range(12)],
+                      class_names=("left_hand", "right_hand"))
+    assert main(["align", "--in", str(raw), "--out", ali, "--task", "mi"]) == 0
+    capsys.readouterr()
+    assert main(["finetune", "--ckpt", ckpt, "--data", ali, "--out", str(out),
+                 "--epochs", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["data error: subjects 'x:a:b' and 'x:a_b' would both write "
+                   "checkpoint x_a_b.ckpt"], err
+    assert not out.exists()
