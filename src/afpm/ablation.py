@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .alignment import align_dataset, union_template
-from .data_model import DatasetManifest, load_manifest, task_template
+from .data_model import DatasetManifest, load_manifest, require_template_fit, task_template
 from .errors import ConfigError
 from .evaluation import EvalReport, evaluate_dataset
 from .model import Model, init_model
-from .pipeline import require_task, stack_aligned, stacked_model_config
+from .pipeline import stack_aligned, stacked_model_config
 from .training import train
 
 VARIANTS = ("FULL", "NO_SELECT", "NO_EA", "NO_MAP", "NO_FPE")
@@ -99,7 +99,7 @@ def run_ablation(cfg: RunConfig, variants: tuple[str, ...], train_paths: list[st
         raise ConfigError("ablation must include the FULL baseline")
     train_manifests = [load_manifest(p) for p in train_paths]
     eval_manifests = [load_manifest(p) for p in eval_paths]
-    require_task(train_manifests + eval_manifests, cfg.task)
+    require_template_fit(train_manifests + eval_manifests, cfg.task)
     return {variant: run_variant(variant, cfg, train_manifests, eval_manifests, workdir)
             for variant in variants}
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data_model import (
     DatasetManifest, DatasetWriter, TaskTemplateSpec, atomic_open, load_trial,
-    task_template,
+    require_template_fit, task_template,
 )
 from .errors import DataError, NumericError
 
@@ -149,10 +149,12 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
       fit the template length, which sizes their model input.
 
     Stage content hashes are stored in the output manifest so ablation runs
-    can verify that only the toggled stage changed.
+    can verify that only the toggled stage changed. A dataset the template
+    does not fit (``require_template_fit``) is refused before any trial is read.
     """
     if spec is None:
         spec = task_template(manifest.task)
+    require_template_fit([manifest], spec.task)
     trials = manifest.trials
     xs = [load_trial(manifest, i) for i in range(len(trials))]
     # The template sizes the model input, mapped or not. Checked before

@@ -100,9 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--band", default=None, help="LO:HI in Hz (default by task)")
-    p.add_argument("--rate", type=float, default=256.0)
-    p.add_argument("--unit-scale", type=float, default=None,
-                   help="multiplier into 0.1 mV units (default: manifest value)")
     _common(p)
 
     p = sub.add_parser("align", help="channel-select, align, and map a dataset")
@@ -188,7 +185,7 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     from dataclasses import asdict, replace
 
-    from .data_model import echo_config, load_manifest
+    from .data_model import TEMPLATE_RATE_HZ, echo_config, load_manifest
     from .errors import ConfigError
     from .preprocessing import default_config, preprocess_dataset
 
@@ -200,11 +197,11 @@ def _cmd_preprocess(args) -> int:
             raise ConfigError(f"--band takes LO:HI in Hz, got {args.band!r}") from None
         edges = {"band_lo_hz": lo, "band_hi_hz": hi}
     manifest = load_manifest(_data_path(args.in_dir))
-    unit_scale = args.unit_scale if args.unit_scale is not None else manifest.unit_scale
-    pp = replace(default_config(manifest.task, unit_scale),
-                 target_rate_hz=args.rate, **edges)
+    pp = replace(default_config(manifest.task), **edges)
     out = preprocess_dataset(manifest, pp, args.out)
-    echo_config(args.out, "preprocess", _public_args(args), asdict(pp))
+    echo_config(args.out, "preprocess", _public_args(args),
+                {**asdict(pp), "target_rate_hz": TEMPLATE_RATE_HZ,
+                 "unit_scale": manifest.unit_scale})
     print(f"preprocessed {len(out.trials)} trials to {args.out}")
     return EXIT_OK
 

@@ -47,12 +47,7 @@ class RunConfig:
     train: TrainConfig
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "fpe": asdict(self.fpe),
-            "transformer": asdict(self.transformer),
-            "train": asdict(self.train),
-        }
+        return asdict(self)
 
 
 def _merge_section(section: str, preset: dict, file_part: dict | None,
@@ -91,17 +86,13 @@ def resolve_config(task: str, config_file: str | dict | None = None,
     ``overrides`` maps section names to partial dicts, e.g.
     ``{"transformer": {"depth": 2}}``. Unknown keys fail with their path.
     """
-    if isinstance(config_file, str):
-        file_doc = load_config_file(config_file)
-    else:
-        file_doc = dict(config_file or {})
-        unknown = set(file_doc) - _TOP_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys {sorted(unknown)}")
+    file_doc = (load_config_file(config_file) if isinstance(config_file, str)
+                else dict(config_file or {}))
     overrides = dict(overrides or {})
-    unknown = set(overrides) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown override keys {sorted(unknown)}")
+    for source, doc in (("config", file_doc), ("override", overrides)):
+        unknown = set(doc) - _TOP_KEYS
+        if unknown:
+            raise ConfigError(f"unknown {source} keys {sorted(unknown)}")
 
     task = str(task).lower()
     if task not in PRESETS:

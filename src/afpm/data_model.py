@@ -40,8 +40,10 @@ ERP_TEMPLATE_CHANNELS = (
     "O1", "OZ", "O2",
 )
 
-# Template lengths in samples at 256 Hz: 5 s for MI (longest admissible
-# training trial), 1 s for ERP.
+# The one sample rate of every template, and so of all data that is aligned
+# or trained on. Template lengths in samples at that rate: 5 s for MI
+# (longest admissible training trial), 1 s for ERP.
+TEMPLATE_RATE_HZ = 256.0
 MI_TEMPLATE_LEN = 1280
 ERP_TEMPLATE_LEN = 256
 
@@ -69,8 +71,8 @@ def echo_config(out_dir: str, command: str, args: dict, resolved: dict) -> str:
 
     ``resolved`` is the command's own settings: the resolved ``RunConfig``
     for ``train``, ``ablate`` and ``finetune``, the ``SynthSpec`` for
-    ``synth``, the ``PreprocessConfig`` for ``preprocess``, and the template
-    and stage switches for ``align``.
+    ``synth``, the band edges, rate and unit scale for ``preprocess``, and
+    the template and stage switches for ``align``.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "run_config.json")
@@ -155,10 +157,6 @@ class DatasetManifest:
     unit_scale: float = 1.0
     alignment: dict | None = None
 
-    @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
-
     def channels_of(self, rec: TrialRecord) -> tuple[str, ...]:
         return self.channel_sets[rec.channel_set]
 
@@ -168,6 +166,28 @@ class DatasetManifest:
         for rec in self.trials:
             names.update(self.channels_of(rec))
         return tuple(sorted(names))
+
+
+def require_template_fit(manifests: list[DatasetManifest], task: str) -> None:
+    """Reject a dataset that the ``task`` template does not fit as it stands.
+
+    A dataset fits when it is laid out for ``task`` (an aligned dataset for
+    the task of the template it was aligned to, any other for the task of its
+    manifest), is sampled at ``TEMPLATE_RATE_HZ``, and has no unit conversion
+    pending. ``preprocess`` gives a recording that rate and those units.
+    """
+    for m in manifests:
+        found = m.alignment["task"] if m.alignment else m.task
+        if found != task:
+            how = "aligned" if m.alignment else "recorded"
+            raise DataError(f"dataset {m.name!r} is {how} for task {found!r}, "
+                            f"not for task {task!r}")
+        if m.rate_hz != TEMPLATE_RATE_HZ:
+            raise DataError(f"dataset {m.name!r} is sampled at {m.rate_hz:g} Hz, not at "
+                            f"the template's {TEMPLATE_RATE_HZ:g} Hz; run preprocess first")
+        if m.unit_scale != 1.0:
+            raise DataError(f"dataset {m.name!r} has a unit conversion pending "
+                            f"(unit_scale {m.unit_scale:g}); run preprocess first")
 
 
 _MANIFEST_KEYS = {
@@ -384,4 +404,10 @@ class DatasetWriter:
         with atomic_open(path) as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
+        # Payloads that an earlier, longer dataset left here are stale.
+        listed = {os.path.basename(t["path"]) for t in self._trials}
+        trials_dir = os.path.join(self.out_dir, "trials")
+        for name in set(os.listdir(trials_dir)) - listed:
+            if name.endswith(".f32"):
+                os.remove(os.path.join(trials_dir, name))
         return load_manifest(path)

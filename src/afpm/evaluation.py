@@ -9,7 +9,7 @@ Kappa is chance-corrected agreement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -130,12 +130,7 @@ class EvalReport:
     metrics: dict[str, dict] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset, "task": self.task,
-            "n_trials": self.n_trials, "n_subjects": self.n_subjects,
-            "folds": self.folds, "repeats": self.repeats,
-            "metrics": self.metrics,
-        }
+        return asdict(self)
 
     def mean(self, metric: str) -> float:
         return self.metrics[metric]["mean"]

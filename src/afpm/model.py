@@ -78,6 +78,14 @@ def require_int(config, name: str, minimum: int) -> None:
         raise ConfigError(f"{type(config).__name__}.{name} must be at least {minimum}")
 
 
+def require_number(config, name: str) -> None:
+    """ConfigError unless field ``name`` of ``config`` is a finite int or float (not a bool)."""
+    value = getattr(config, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) < math.inf:
+        raise ConfigError(f"{type(config).__name__}.{name} must be a finite number, "
+                          f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class FPEConfig:
     """Frame-patch encoding hyper-parameters."""

@@ -13,25 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import RunConfig
-from .data_model import DatasetManifest, load_trial
+from .data_model import DatasetManifest, load_trial, require_template_fit
 from .errors import DataError
 from .model import ModelConfig
-
-
-def require_task(manifests: list[DatasetManifest], task: str) -> None:
-    """Reject a dataset laid out for another task than ``task``.
-
-    An aligned dataset is laid out for the task of the template it was aligned
-    to; any other dataset for the task of its manifest.
-    """
-    for m in manifests:
-        found = m.alignment.get("task", m.task) if m.alignment else m.task
-        if found != task:
-            how = "aligned" if m.alignment else "recorded"
-            raise DataError(
-                f"dataset {m.name!r} is {how} for task {found!r}, not for task {task!r}"
-            )
 
 
 def require_same_classes(expected: tuple[str, ...], found: tuple[str, ...],
@@ -58,14 +42,14 @@ def stack_aligned(manifests: list[DatasetManifest], task: str
                   ) -> tuple[np.ndarray, np.ndarray, list[str], dict]:
     """Stack aligned datasets into (x [N x M x T], labels, domain_ids, layout).
 
-    Every dataset must be aligned for ``task``, to one template, with one
-    mapping switch, and name the same classes; ``layout`` records that
-    template, switch and class names. Trials are written straight into one
-    zero-initialized float32 array.
+    Every dataset must fit the ``task`` template (``require_template_fit``),
+    be aligned to one template with one mapping switch, and name the same
+    classes; ``layout`` records that template, switch and class names. Trials
+    are written straight into one zero-initialized float32 array.
     """
     if not manifests:
         raise DataError("no datasets given")
-    require_task(manifests, task)
+    require_template_fit(manifests, task)
     layouts = set()
     for m in manifests:
         a = m.alignment
@@ -116,12 +100,13 @@ def active_rms_scale(x: np.ndarray) -> float:
     return 1.0 / rms if rms > 0 else 1.0
 
 
-def stacked_model_config(cfg: RunConfig, x_train: np.ndarray, layout: dict,
+def stacked_model_config(cfg, x_train: np.ndarray, layout: dict,
                          per_channel: bool) -> ModelConfig:
     """Model configuration for training trials stacked by ``stack_aligned``.
 
-    The input rows are named by ``input_channels``, the classes by the
-    layout; the input scale is measured on ``x_train``.
+    ``cfg`` is the run's resolved ``config.RunConfig``. The input rows are
+    named by ``input_channels``, the classes by the layout; the input scale
+    is measured on ``x_train``.
     """
     return ModelConfig(
         task=cfg.task, template_channels=input_channels(layout),

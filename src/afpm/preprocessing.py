@@ -1,4 +1,4 @@
-"""Band-pass filtering, resampling to a common rate, and amplitude rescaling.
+"""Band-pass filtering, resampling to the template rate, and amplitude rescaling.
 
 Stage order is fixed: bandpass -> resample -> rescale. Filtering is a
 zero-phase 4th-order Butterworth band-pass (forward-backward, odd reflection
@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.signal import butter, firwin, resample_poly, sosfiltfilt
 
-from .data_model import DatasetManifest, DatasetWriter, load_trial
+from .data_model import TEMPLATE_RATE_HZ, DatasetManifest, DatasetWriter, load_trial
 from .errors import ConfigError, DataError
 
 FILTER_ORDER = 4
@@ -36,29 +36,25 @@ CHUNK_SAMPLES = 1 << 18
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Band edges in Hz, target rate, and the multiplier into 0.1 mV units."""
+    """Band edges in Hz; the band must stay below the template Nyquist."""
 
     band_lo_hz: float
     band_hi_hz: float
-    target_rate_hz: float = 256.0
-    unit_scale: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.band_lo_hz < self.band_hi_hz:
             raise ConfigError("need 0 < band_lo_hz < band_hi_hz")
-        if self.band_hi_hz >= self.target_rate_hz / 2:
+        if self.band_hi_hz >= TEMPLATE_RATE_HZ / 2:
             raise ConfigError(
-                f"band_hi_hz {self.band_hi_hz} must stay below the target Nyquist "
-                f"{self.target_rate_hz / 2}"
+                f"band_hi_hz {self.band_hi_hz} must stay below the template Nyquist "
+                f"{TEMPLATE_RATE_HZ / 2}"
             )
-        if self.unit_scale <= 0:
-            raise ConfigError("unit_scale must be positive")
 
 
-def default_config(task: str, unit_scale: float = 1.0) -> PreprocessConfig:
-    """4-30 Hz for MI, 1-30 Hz for ERP, 256 Hz target rate."""
+def default_config(task: str) -> PreprocessConfig:
+    """4-30 Hz for MI, 1-30 Hz for ERP."""
     lo = 4.0 if task.lower() == "mi" else 1.0
-    return PreprocessConfig(band_lo_hz=lo, band_hi_hz=30.0, unit_scale=unit_scale)
+    return PreprocessConfig(band_lo_hz=lo, band_hi_hz=30.0)
 
 
 def bandpass(data: np.ndarray, rate_hz: float, cfg: PreprocessConfig) -> np.ndarray:
@@ -78,11 +74,6 @@ def bandpass(data: np.ndarray, rate_hz: float, cfg: PreprocessConfig) -> np.ndar
                        padtype="odd", padlen=PAD_LEN)
 
 
-def _rate_fraction(target_hz: float, rate_hz: float) -> Fraction:
-    return (Fraction(target_hz).limit_denominator(1 << 16)
-            / Fraction(rate_hz).limit_denominator(1 << 16))
-
-
 def resample(data: np.ndarray, rate_hz: float, target_rate_hz: float) -> np.ndarray:
     """Polyphase band-limited resampling of every row from ``rate_hz`` to ``target_rate_hz``.
 
@@ -92,7 +83,8 @@ def resample(data: np.ndarray, rate_hz: float, target_rate_hz: float) -> np.ndar
     """
     if target_rate_hz <= 0:
         raise DataError("target_rate_hz must be positive")
-    frac = _rate_fraction(target_rate_hz, rate_hz)
+    frac = (Fraction(target_rate_hz).limit_denominator(1 << 16)
+            / Fraction(rate_hz).limit_denominator(1 << 16))
     up, down = frac.numerator, frac.denominator
     n_want = math.floor(data.shape[1] * frac + Fraction(1, 2))
     if n_want < 1:
@@ -139,21 +131,21 @@ def preprocess_dataset(manifest: DatasetManifest, cfg: PreprocessConfig,
                        out_dir: str) -> DatasetManifest:
     """Apply bandpass -> resample -> rescale to every trial; write a new dataset.
 
-    Trials go through the stages in chunks (see ``_chunks``): the rows of a
-    chunk's trials are stacked into one matrix, filtered in one pass, and
-    written back trial by trial in manifest order. The output manifest's
-    unit_scale is 1.0: trials are already in 0.1 mV units.
+    Trials are resampled to ``TEMPLATE_RATE_HZ`` and multiplied by the
+    manifest's ``unit_scale``. They go through the stages in chunks (see
+    ``_chunks``): the rows of a chunk's trials are stacked into one matrix,
+    filtered in one pass, and written back trial by trial in manifest order.
+    The output manifest's unit_scale is 1.0: trials are in 0.1 mV units.
     """
     writer = DatasetWriter(
         out_dir=out_dir, name=manifest.name, task=manifest.task,
-        rate_hz=cfg.target_rate_hz, class_names=manifest.class_names,
-        unit_scale=1.0,
+        rate_hz=TEMPLATE_RATE_HZ, class_names=manifest.class_names,
     )
     for chunk in _chunks(manifest):
         x = np.concatenate([load_trial(manifest, i) for i in chunk], dtype=np.float64)
         x = bandpass(x, manifest.rate_hz, cfg)
-        x = resample(x, manifest.rate_hz, cfg.target_rate_hz)
-        x = rescale(x, cfg.unit_scale)
+        x = resample(x, manifest.rate_hz, TEMPLATE_RATE_HZ)
+        x = rescale(x, manifest.unit_scale)
         row = 0
         for i in chunk:
             rec = manifest.trials[i]

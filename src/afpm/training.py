@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     Model, backward_cached, decayed_param, forward_cached, micro_batches, require_int,
+    require_number,
 )
 
 WARMUP_FRACTION = 0.3
@@ -42,8 +43,10 @@ class TrainConfig:
         require_int(self, "epochs", 0)
         require_int(self, "batch_size", 1)
         require_int(self, "seed", 0)
-        if not 0 < self.lr_init <= self.lr_max:
-            raise ConfigError("need 0 < lr_init <= lr_max")
+        for name in ("lr_init", "lr_max", "weight_decay"):
+            require_number(self, name)
+        if not (0 < self.lr_init <= self.lr_max and self.weight_decay >= 0):
+            raise ConfigError("need 0 < lr_init <= lr_max and weight_decay >= 0")
 
 
 def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray

@@ -19,12 +19,13 @@ def rng():
 
 def write_toy_dataset(path, task="mi", n_trials=3, channels=("C3", "CZ", "C4"),
                       n_samples=32, rate_hz=256.0, labels=None,
-                      domain_ids=None, data=None, class_names=("class_a", "class_b")):
+                      domain_ids=None, data=None, class_names=("class_a", "class_b"),
+                      unit_scale=1.0):
     """Small on-disk dataset for IO and pipeline tests."""
     rng = np.random.default_rng(0)
     writer = DatasetWriter(out_dir=str(path), name="toy", task=task,
-                           rate_hz=rate_hz,
-                           class_names=class_names)
+                           rate_hz=rate_hz, class_names=class_names,
+                           unit_scale=unit_scale)
     for i in range(n_trials):
         x = data[i] if data is not None else rng.standard_normal((len(channels), n_samples))
         writer.add_trial(

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import struct
 import subprocess
 import sys
@@ -224,6 +225,45 @@ class TestPipeline:
         assert flag3 != from_file
         assert checkpoint("both", "--config", str(cfg_file), "--seed", "3") == flag3
 
+    @pytest.mark.parametrize("train", [
+        {"lr_init": "x"}, {"lr_max": math.inf}, {"lr_init": math.nan}, {"lr_init": 0},
+        {"lr_init": 1e-3, "lr_max": 1e-4}, {"weight_decay": "a"}, {"weight_decay": -5},
+        {"weight_decay": True},
+    ])
+    def test_bad_learning_rate_or_decay_is_one_line_config_error(self, train, pipeline_dirs,
+                                                                  tmp_path, capsys):
+        """Rates and decay are finite numbers, 0 < lr_init <= lr_max, decay >= 0."""
+        _, _, _, ali, _ = pipeline_dirs
+        cfg_file = tmp_path / "train.json"
+        cfg_file.write_text(json.dumps({"train": train}))  # inf and nan as Infinity and NaN
+        capsys.readouterr()
+        assert main(["train", "--data", ali, "--task", "mi", "--out",
+                     str(tmp_path / "out" / "m.ckpt"), "--config", str(cfg_file)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: "), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--rate", "--unit-scale"])
+    def test_preprocess_takes_no_rate_or_unit_flag(self, flag, pipeline_dirs, tmp_path):
+        """The template fixes the rate, and the manifest the units."""
+        _, raw, _, _, _ = pipeline_dirs
+        with pytest.raises(SystemExit) as e:
+            main(["preprocess", "--in", raw, "--out", str(tmp_path / "pp"), flag, "256"])
+        assert e.value.code == EXIT_CONFIG
+        assert not (tmp_path / "pp").exists()
+
+    def test_smaller_rerun_leaves_only_listed_trial_files(self, pipeline_dirs, tmp_path):
+        _, raw, _, _, _ = pipeline_dirs
+        out = tmp_path / "pp"
+        assert main(["preprocess", "--in", raw, "--out", str(out)]) == 0
+        assert len(list((out / "trials").iterdir())) == 24
+        write_toy_dataset(tmp_path / "small", n_trials=3, n_samples=64)
+        assert main(["preprocess", "--in", str(tmp_path / "small"), "--out", str(out)]) == 0
+        listed = json.loads((out / "manifest.json").read_text())["trials"]
+        assert sorted(p.name for p in (out / "trials").iterdir()) == sorted(
+            Path(t["path"]).name for t in listed)
+        assert len(listed) == 3
+
     @pytest.mark.parametrize("band", ["abc", "4:30:50"])
     def test_malformed_band_is_one_line_config_error(self, band, pipeline_dirs,
                                                      tmp_path, capsys):
@@ -371,12 +411,15 @@ def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeyp
 @pytest.mark.parametrize("command", ["train", "ablate", "eval", "finetune"])
 def test_data_aligned_for_other_task_is_data_error(command, pipeline_dirs, tmp_path, capsys):
     """MI data given to an ERP run; unmapped ERP-aligned data given to the MI checkpoint."""
-    _, _, pre, ali, ckpt = pipeline_dirs
+    _, _, _, ali, ckpt = pipeline_dirs
     out = str(tmp_path / "out")
     model = ["--epochs", "1", "--depth", "1"]
     if command in ("eval", "finetune"):
+        # align refuses MI data for the ERP template, so the ERP data is recorded as such
+        write_toy_dataset(tmp_path / "erp", task="erp", n_trials=4, n_samples=64)
         ali = str(tmp_path / "erp_ali")
-        assert main(["align", "--in", pre, "--out", ali, "--task", "erp", "--no-map"]) == 0
+        assert main(["align", "--in", str(tmp_path / "erp"), "--out", ali, "--task", "erp",
+                     "--no-map"]) == 0
     argv = {
         "train": ["train", "--data", ali, "--task", "erp", "--out", out + "/m.ckpt", *model],
         "ablate": ["ablate", "--train", ali, "--eval", ali, "--task", "erp", "--out", out,
@@ -388,6 +431,48 @@ def test_data_aligned_for_other_task_is_data_error(command, pipeline_dirs, tmp_p
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "'mi'" in err[0] and "'erp'" in err[0], err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw, says", [
+    ({"rate_hz": 250.0},
+     "is sampled at 250 Hz, not at the template's 256 Hz; run preprocess first"),
+    ({"unit_scale": 1e3},
+     "has a unit conversion pending (unit_scale 1000); run preprocess first"),
+    ({"task": "erp"}, "is recorded for task 'erp', not for task 'mi'"),
+])
+def test_align_refuses_data_the_template_does_not_fit(raw, says, tmp_path, capsys):
+    """A raw rate, pending units or another task's recording: exit 3, nothing written."""
+    write_toy_dataset(tmp_path / "raw", n_trials=4, n_samples=64, **raw)
+    out = tmp_path / "ali"
+    capsys.readouterr()
+    assert main(["align", "--in", str(tmp_path / "raw"), "--out", str(out),
+                 "--task", "mi"]) == EXIT_DATA
+    assert capsys.readouterr().err.strip().splitlines() == [f"data error: dataset 'toy' {says}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ablate", "finetune"])
+def test_aligned_data_at_another_rate_is_data_error(command, pipeline_dirs, tmp_path, capsys):
+    """An aligned set whose manifest says 250 Hz is refused before any training."""
+    _, _, _, ali, ckpt = pipeline_dirs
+    at_250 = tmp_path / "ali250"
+    shutil.copytree(ali, at_250)
+    doc = json.loads((at_250 / "manifest.json").read_text())
+    (at_250 / "manifest.json").write_text(json.dumps(dict(doc, rate_hz=250.0)))
+    data, out, model = str(at_250), str(tmp_path / "out"), ["--epochs", "1", "--depth", "1"]
+    argv = {
+        "train": ["train", "--data", data, "--task", "mi", "--out", out + "/m.ckpt", *model],
+        "eval": ["eval", "--ckpt", ckpt, "--data", data, "--out", out],
+        "ablate": ["ablate", "--train", data, "--eval", data, "--task", "mi", "--out", out,
+                   *model],
+        "finetune": ["finetune", "--ckpt", ckpt, "--data", data, "--out", out, *model],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["data error: dataset 'synth_mi' is sampled at 250 Hz, not at the "
+                   "template's 256 Hz; run preprocess first"], err
     assert not (tmp_path / "out").exists()
 
 
@@ -577,6 +662,8 @@ def test_commands_load_only_the_stages_they_run(pipeline_dirs, tmp_path):
         assert rc == 0, command
         if command != "eval":
             assert not decoder & set(modules), (command, sorted(decoder & set(modules)))
+        else:  # eval runs a loaded model: no run configuration, no training
+            assert not {"afpm.config", "afpm.training"} & set(modules), sorted(modules)
         if command == "align":
             assert not [m for m in modules if m.split(".")[0] == "scipy"]
         if command != "preprocess":

@@ -64,7 +64,7 @@ class TestManifestRoundTrip:
         write_toy_dataset(tmp_path, n_trials=3)
         manifest = load_manifest(str(tmp_path))
         assert len(manifest.trials) == 3
-        assert manifest.n_classes == 2
+        assert len(manifest.class_names) == 2
 
     def test_trial_round_trip_is_bit_identical(self, tmp_path):
         data = [np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)]
@@ -200,7 +200,7 @@ def _load_or_data_error(path, text: str):
     assert isinstance(manifest.name, str) and manifest.rate_hz > 0
     assert all(isinstance(c, str) for c in manifest.class_names)
     for rec in manifest.trials:
-        assert isinstance(rec.label, int) and 0 <= rec.label < manifest.n_classes
+        assert isinstance(rec.label, int) and 0 <= rec.label < len(manifest.class_names)
         assert isinstance(rec.domain_id, str) and rec.channel_set in manifest.channel_sets
     try:  # what loads also stacks, or is refused as data
         stack_aligned([manifest], manifest.task)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from afpm import preprocessing
-from afpm.data_model import DatasetWriter, load_manifest, load_trial
+from afpm.data_model import TEMPLATE_RATE_HZ, DatasetWriter, load_manifest, load_trial
 from afpm.errors import ConfigError, DataError
 from afpm.preprocessing import (
     PreprocessConfig, bandpass, default_config, preprocess_dataset, resample,
@@ -179,13 +179,13 @@ class TestPreprocessDataset:
         # 7 runs of equal length; the small budget splits some of them.
         assert len(chunks) > 7 if budget is not None else len(chunks) == 7
 
-        cfg = PreprocessConfig(band_lo_hz=4.0, band_hi_hz=30.0, unit_scale=1e3)
-        out = preprocess_dataset(raw, cfg, str(tmp_path / "out"))
-        assert out.rate_hz == cfg.target_rate_hz and len(out.trials) == len(lengths)
+        out = preprocess_dataset(raw, MI_CFG, str(tmp_path / "out"))
+        assert out.rate_hz == TEMPLATE_RATE_HZ and out.unit_scale == 1.0
+        assert len(out.trials) == len(lengths)
         for i, (rec, got) in enumerate(zip(raw.trials, out.trials)):
-            x = bandpass(load_trial(raw, i), rate, cfg)
-            x = resample(x, rate, cfg.target_rate_hz)
-            x = rescale(x, cfg.unit_scale)
+            x = bandpass(load_trial(raw, i), rate, MI_CFG)
+            x = resample(x, rate, TEMPLATE_RATE_HZ)
+            x = rescale(x, raw.unit_scale)
             want = np.ascontiguousarray(x, dtype="<f4").tobytes()
             assert (tmp_path / "out" / got.path).read_bytes() == want, f"trial {i}"
             assert out.channels_of(got) == raw.channels_of(rec)
@@ -210,7 +210,5 @@ class TestPreprocessDataset:
 def test_config_invariants():
     with pytest.raises(ConfigError):
         PreprocessConfig(band_lo_hz=30.0, band_hi_hz=4.0)
-    with pytest.raises(ConfigError):
-        PreprocessConfig(band_lo_hz=4.0, band_hi_hz=130.0, target_rate_hz=256.0)
-    with pytest.raises(ConfigError):
-        PreprocessConfig(band_lo_hz=4.0, band_hi_hz=30.0, unit_scale=0.0)
+    with pytest.raises(ConfigError, match="Nyquist"):
+        PreprocessConfig(band_lo_hz=4.0, band_hi_hz=TEMPLATE_RATE_HZ / 2)
