@@ -12,12 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 
 from .data_model import (
     DatasetManifest, DatasetWriter, TaskTemplateSpec, atomic_open, load_trial,
-    require_template_fit, task_template,
+    require_template_fit, require_unaligned, task_template,
 )
 from .errors import DataError, NumericError
 
@@ -121,16 +122,10 @@ def map_to_template(x: np.ndarray, rows: list[int], spec: TaskTemplateSpec) -> n
     return x_tem
 
 
-def _digest_update(h, a: np.ndarray) -> None:
-    """Feed the little-endian float64 bytes of ``a`` into hash ``h``."""
-    h.update(np.ascontiguousarray(a, dtype="<f8"))
-
-
-def _array_digest(arrays) -> str:
-    h = hashlib.sha256()
+def _digest_update(h, *arrays: np.ndarray) -> None:
+    """Feed the little-endian float64 bytes of each array into hash ``h``."""
     for a in arrays:
-        _digest_update(h, a)
-    return h.hexdigest()
+        h.update(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def align_dataset(manifest: DatasetManifest, out_dir: str,
@@ -138,107 +133,79 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
                   ea: bool = True, mapping: bool = True) -> DatasetManifest:
     """Run the selection -> alignment -> mapping pipeline over a whole dataset.
 
-    Writes a new dataset directory plus per-domain alignment statistics under
-    ``alignment/``. Selection keeps the channels of ``spec`` (the task
-    template by default; the no-selection ablation passes a widened target
-    set). The two stage switches drive the other ablation variants:
-
-    * ``ea=False``: whitening is skipped; trials pass through unchanged.
-    * ``mapping=False``: trials keep their selected channels in original order
-      and their own length; no template placement happens. They must still
-      fit the template length, which sizes their model input.
-
-    Stage content hashes are stored in the output manifest so ablation runs
-    can verify that only the toggled stage changed. A dataset the template
-    does not fit (``require_template_fit``) is refused before any trial is read.
+    Writes a new dataset directory plus ``alignment.json``, the list of
+    per-domain statistics in ``domain_id`` order. Selection keeps the channels
+    of ``spec`` (the task template by default; NO_SELECT passes a widened
+    one). ``ea=False`` skips whitening; ``mapping=False`` keeps the selected
+    channels in their own order and each trial its own length, which must
+    still fit the template. Stage content hashes in the output manifest let
+    ablation runs verify that only the toggled stage changed. An aligned
+    dataset, or one the template does not fit, is refused first.
     """
-    if spec is None:
-        spec = task_template(manifest.task)
+    spec = spec or task_template(manifest.task)
+    require_unaligned(manifest)
     require_template_fit([manifest], spec.task)
     trials = manifest.trials
-    xs = [load_trial(manifest, i) for i in range(len(trials))]
-    # The template sizes the model input, mapped or not. Checked before
-    # anything is written, so a long trial leaves no partial output.
-    for i, (x, rec) in enumerate(zip(xs, trials)):
-        if x.shape[1] > spec.template_len:
-            raise DataError(
-                f"trial {i} in domain {rec.domain_id!r} exceeds template length: "
-                f"{x.shape[1]} > {spec.template_len} samples"
-            )
     by_domain: dict[str, list[int]] = {}
     for i, rec in enumerate(trials):
+        if rec.n_samples > spec.template_len:
+            raise DataError(f"trial {i} in domain {rec.domain_id!r} exceeds template "
+                            f"length: {rec.n_samples} > {spec.template_len} samples")
         by_domain.setdefault(rec.domain_id, []).append(i)
-    domains = sorted(by_domain)
 
-    # A domain has one channel set, so its rows are selected once: in
-    # template order, or in the trial's own order when nothing is placed.
-    tem_rows: dict[str, list[int]] = {}
-    for domain_id in domains:
+    # Every domain is selected and whitened before anything is written, so a
+    # domain that cannot be whitened leaves no partial output.
+    xs: dict[int, np.ndarray] = {}
+    layout: dict[str, tuple[list[int], list[str]]] = {}  # template rows, channel names
+    docs = []
+    selected, aligned = hashlib.sha256(), hashlib.sha256()
+    for domain_id in sorted(by_domain):
         idx = by_domain[domain_id]
         channels = manifest.channels_of(trials[idx[0]])
         if any(manifest.channels_of(trials[i]) != channels for i in idx):
             raise DataError(f"domain {domain_id!r}: heterogeneous channel lists")
+        # A domain has one channel set, so its rows are selected once: in
+        # template order, or in the trial's own order when nothing is placed.
         pairs = select_channels(channels, spec)
         if not mapping:
             pairs.sort()
-        src = [s for s, _ in pairs]
-        tem_rows[domain_id] = [row for _, row in pairs]
-        for i in idx:
-            xs[i] = np.asarray(xs[i], dtype=np.float64)[src, :]
-    names = {d: [spec.target_channels[row] for row in rows] for d, rows in tem_rows.items()}
-    stage_hashes = {
-        "selected": _array_digest(xs[i] for d in domains for i in by_domain[d]),
-    }
-
-    # Whiten every domain before anything is written, so a domain that
-    # cannot be whitened leaves no partial output.
-    docs = []
-    for domain_id in domains:
-        idx = by_domain[domain_id]
+        src, rows = [s for s, _ in pairs], [row for _, row in pairs]
+        layout[domain_id] = rows, [spec.target_channels[row] for row in rows]
+        group = [load_trial(manifest, i)[src].astype(np.float64) for i in idx]
+        _digest_update(selected, *group)
+        doc = {"domain_id": domain_id, "d_count": len(idx)}
         if ea:
             try:
-                aligned, (r_bar, r_inv_sqrt) = align_domain([xs[i] for i in idx])
+                group, (r_bar, r_inv_sqrt) = align_domain(group)
             except NumericError as e:
                 raise NumericError(f"domain {domain_id!r}: {e}") from e
-            for i, x in zip(idx, aligned):
-                xs[i] = x
-            docs.append({
-                "domain_id": domain_id,
-                "d_count": len(idx),
-                "n_channels": int(r_bar.shape[0]),
-                "channels": names[domain_id],
-                "r_bar": r_bar.tolist(),
-                "r_inv_sqrt": r_inv_sqrt.tolist(),
-            })
+            doc.update(n_channels=len(src), channels=layout[domain_id][1],
+                       r_bar=r_bar.tolist(), r_inv_sqrt=r_inv_sqrt.tolist())
         else:
-            docs.append({"domain_id": domain_id, "d_count": len(idx), "skipped": True})
-    stage_hashes["aligned"] = _array_digest(xs[i] for d in domains for i in by_domain[d])
-
-    stats_dir = os.path.join(out_dir, "alignment")
-    os.makedirs(stats_dir, exist_ok=True)
-    for doc in docs:
-        fname = hashlib.sha256(doc["domain_id"].encode()).hexdigest()[:16] + ".json"
-        with atomic_open(os.path.join(stats_dir, fname)) as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
+            doc["skipped"] = True
+        docs.append(doc)
+        _digest_update(aligned, *group)
+        xs.update(zip(idx, group))
 
     writer = DatasetWriter(
         out_dir=out_dir, name=manifest.name, task=manifest.task,
         rate_hz=manifest.rate_hz, class_names=manifest.class_names,
-        alignment={
-            "task": spec.task,
-            "template_channels": list(spec.target_channels),
-            "template_len": spec.template_len,
-            "ea": ea, "mapped": mapping,
-            "stage_hashes": stage_hashes,
-        },
+        alignment={"task": spec.task, "template_channels": list(spec.target_channels),
+                   "template_len": spec.template_len, "ea": ea, "mapped": mapping,
+                   "stage_hashes": {"selected": selected.hexdigest(),
+                                    "aligned": aligned.hexdigest()}},
     )
+    # Per-domain files of the older stats layout would outlive this run.
+    shutil.rmtree(os.path.join(out_dir, "alignment"), ignore_errors=True)
+    with atomic_open(os.path.join(out_dir, "alignment.json")) as f:
+        json.dump(docs, f, indent=1, sort_keys=True)
     # Each output trial is hashed as it is written and then dropped, so only
     # one mapped float64 trial is alive at a time.
     output = hashlib.sha256()
-    for x, rec in zip(xs, trials):
-        channels = names[rec.domain_id]
+    for i, rec in enumerate(trials):
+        x, (rows, channels) = xs.pop(i), layout[rec.domain_id]
         if mapping:
-            x = map_to_template(x, tem_rows[rec.domain_id], spec)
+            x = map_to_template(x, rows, spec)
             channels = spec.target_channels
         writer.add_trial(x, channels, rec.label, rec.domain_id)
         _digest_update(output, x)

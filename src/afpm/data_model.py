@@ -190,6 +190,13 @@ def require_template_fit(manifests: list[DatasetManifest], task: str) -> None:
                             f"(unit_scale {m.unit_scale:g}); run preprocess first")
 
 
+def require_unaligned(manifest: DatasetManifest) -> None:
+    """Reject an aligned dataset: ``preprocess`` and ``align`` take a recording."""
+    if manifest.alignment:
+        raise DataError(f"dataset {manifest.name!r} is already aligned; "
+                        "preprocess and align take unaligned data")
+
+
 _MANIFEST_KEYS = {
     "format", "name", "task", "rate_hz", "unit_scale",
     "class_names", "channel_sets", "trials", "alignment",

@@ -19,7 +19,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.signal import butter, firwin, resample_poly, sosfiltfilt
 
-from .data_model import TEMPLATE_RATE_HZ, DatasetManifest, DatasetWriter, load_trial
+from .data_model import (
+    TEMPLATE_RATE_HZ, DatasetManifest, DatasetWriter, load_trial, require_unaligned,
+)
 from .errors import ConfigError, DataError
 
 FILTER_ORDER = 4
@@ -136,7 +138,9 @@ def preprocess_dataset(manifest: DatasetManifest, cfg: PreprocessConfig,
     ``_chunks``): the rows of a chunk's trials are stacked into one matrix,
     filtered in one pass, and written back trial by trial in manifest order.
     The output manifest's unit_scale is 1.0: trials are in 0.1 mV units.
+    An aligned dataset is refused before anything is written.
     """
+    require_unaligned(manifest)
     writer = DatasetWriter(
         out_dir=out_dir, name=manifest.name, task=manifest.task,
         rate_hz=TEMPLATE_RATE_HZ, class_names=manifest.class_names,

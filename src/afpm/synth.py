@@ -142,8 +142,15 @@ class SynthSpec:
                     f"domain {i} subset {list(s)} misses the task target set entirely"
                 )
         object.__setattr__(self, "channel_subsets", subsets)
-        if self.rate_hz <= 0:
-            raise ConfigError("rate_hz must be positive")
+        if not 0 < self.rate_hz < math.inf:
+            raise ConfigError(f"rate_hz must be finite and positive, got {self.rate_hz!r}")
+        # A trial has round(len * rate) samples: at least one, and finitely many.
+        if not all(0.5 < self.trial_len(d) * self.rate_hz < math.inf
+                   for d in range(self.n_domains)):
+            raise ConfigError(f"trial length {self.trial_len_s!r} s must be finite and "
+                              f"give at least one sample at {self.rate_hz:g} Hz")
+        if math.isnan(self.snr_db) or self.snr_db == math.inf:
+            raise ConfigError(f"snr_db must be finite or -inf, got {self.snr_db!r}")
         if not 0 < self.class_ratio < 1:
             raise ConfigError("class_ratio must lie in (0, 1)")
         if not 0 < self.erd_attenuation < 1:

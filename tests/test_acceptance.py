@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,7 +433,7 @@ def test_criterion_9_cli_determinism(tmp_path):
                  "--seed", "11", "--threads", "1"])
         run_cli(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(d / "ev"),
                  "--seed", "11", "--threads", "1"])
-        payloads.append((open(ckpt, "rb").read(),
+        payloads.append((Path(ckpt).read_bytes(),
                          (d / "ev" / "report.json").read_bytes()))
     same_ckpt = payloads[0][0] == payloads[1][0]
     same_report = payloads[0][1] == payloads[1][1]

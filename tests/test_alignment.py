@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tempfile
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afpm.alignment import (
-    _array_digest, align_dataset, align_domain, inv_sqrt_psd, map_to_template,
+    _digest_update, align_dataset, align_domain, inv_sqrt_psd, map_to_template,
     mean_covariance, select_channels,
 )
 from afpm.data_model import DatasetWriter, TaskTemplateSpec, load_manifest, task_template
@@ -170,9 +171,26 @@ class TestAlignDataset:
         out = align_dataset(manifest, str(tmp_path / "al"), spec)
         assert out.alignment["mapped"] is True
         assert len(out.trials) == 6
-        stats_files = list((tmp_path / "al" / "alignment").glob("*.json"))
-        assert len(stats_files) == 2
+        stats = json.loads((tmp_path / "al" / "alignment.json").read_text())
+        assert [doc["domain_id"] for doc in stats] == ["toy:s00:0", "toy:s01:0"]
         assert set(out.alignment["stage_hashes"]) == {"selected", "aligned", "output"}
+
+    def test_rerun_stats_list_only_its_own_domains(self, tmp_path):
+        """A 1-domain set aligned over a 2-domain output: ``alignment.json`` lists
+        that one domain, and per-domain files of the older layout are removed."""
+        spec = TaskTemplateSpec("mi", ("C3", "CZ", "C4"), 64)
+        write_toy_dataset(tmp_path / "two", n_trials=4, n_samples=40,
+                          domain_ids=["a:s0:0", "b:s1:0"] * 2)
+        write_toy_dataset(tmp_path / "one", n_trials=2, n_samples=40,
+                          domain_ids=["c:s2:0"] * 2)
+        out = tmp_path / "al"
+        align_dataset(load_manifest(str(tmp_path / "two")), str(out), spec)
+        (out / "alignment").mkdir()
+        (out / "alignment" / "0123456789abcdef.json").write_text('{"domain_id": "a:s0:0"}')
+        align_dataset(load_manifest(str(tmp_path / "one")), str(out), spec)
+        stats = json.loads((out / "alignment.json").read_text())
+        assert [doc["domain_id"] for doc in stats] == ["c:s2:0"]
+        assert not (out / "alignment").exists()
 
     def test_no_ea_passthrough_preserves_selected_rows(self, tmp_path, rng):
         data = [rng.standard_normal((2, 16)) for _ in range(2)]
@@ -188,7 +206,7 @@ class TestAlignDataset:
     def test_output_stage_is_hashed_as_written(self, tmp_path, rng):
         """``align_dataset`` hashes each mapped float64 trial as it writes it:
         its traced peak stays below the bytes of all its outputs, and its
-        ``output`` hash is ``_array_digest`` of the trials rebuilt stage by stage."""
+        ``output`` hash is the digest of the trials rebuilt stage by stage."""
         channels = ("C4", "O1", "C3", "CZ")
         domains = ["toy:s01:0", "toy:s00:0"] * 6
         data = [rng.standard_normal((4, 100)) for _ in domains]
@@ -211,9 +229,10 @@ class TestAlignDataset:
         for d in sorted(set(domains)):
             idx = [i for i, dom in enumerate(domains) if dom == d]
             rebuilt.update(zip(idx, align_domain([raw[i] for i in idx])[0]))
-        expected = _array_digest(map_to_template(rebuilt[i], rows, MI)
-                                 for i in range(len(domains)))
-        assert out.alignment["stage_hashes"]["output"] == expected
+        expected = hashlib.sha256()
+        _digest_update(expected, *(map_to_template(rebuilt[i], rows, MI)
+                                   for i in range(len(domains))))
+        assert out.alignment["stage_hashes"]["output"] == expected.hexdigest()
 
 
 # Whitening fuzz: random on-disk datasets through ``align_dataset``.
@@ -259,13 +278,13 @@ class TestWhiteningFuzz:
                 return
             except NumericError:
                 # every domain is whitened before anything is written
-                assert not list(Path(tmp, "al").glob("alignment/*.json"))
+                assert not Path(tmp, "al", "alignment.json").exists()
                 assert not Path(tmp, "al", "manifest.json").exists()
                 return
-            stats = {}
-            for path in Path(tmp, "al", "alignment").glob("*.json"):
-                doc = json.loads(path.read_text())
-                stats[doc["domain_id"]] = doc
+            docs = json.loads(Path(tmp, "al", "alignment.json").read_text())
+            stats = {doc["domain_id"]: doc for doc in docs}
+            assert [doc["domain_id"] for doc in docs] == sorted(stats), \
+                "one object per domain, in id order"
             check_whitened(raw, out, stats)
 
 

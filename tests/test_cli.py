@@ -362,7 +362,7 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
 def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, capsys):
     _, _, _, ali, ckpt = pipeline_dirs
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(corrupt_checkpoint(open(ckpt, "rb").read(), defect))
+    bad.write_bytes(corrupt_checkpoint(Path(ckpt).read_bytes(), defect))
     capsys.readouterr()
     assert main(["eval", "--ckpt", str(bad), "--data", ali]) == EXIT_DATA
     err = capsys.readouterr().err.strip().splitlines()
@@ -449,6 +449,37 @@ def test_align_refuses_data_the_template_does_not_fit(raw, says, tmp_path, capsy
     assert main(["align", "--in", str(tmp_path / "raw"), "--out", str(out),
                  "--task", "mi"]) == EXIT_DATA
     assert capsys.readouterr().err.strip().splitlines() == [f"data error: dataset 'toy' {says}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "align"])
+def test_aligned_input_to_preprocess_or_align_is_data_error(command, pipeline_dirs, tmp_path,
+                                                            capsys):
+    """Whitened template trials are no recording: exit 3 in one line, nothing written."""
+    _, _, _, ali, _ = pipeline_dirs
+    out = tmp_path / "out"
+    argv = [command, "--in", ali, "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv + (["--task", "mi"] if command == "align" else [])) == EXIT_DATA
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "data error: dataset 'synth_mi' is already aligned; "
+        "preprocess and align take unaligned data"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--rate", "nan"), ("--rate", "inf"), ("--rate", "1e-9"),
+    ("--trial-len", "0"), ("--trial-len", "-1"), ("--trial-len", "nan"),
+    ("--trial-len", "0.001"), ("--snr", "nan"), ("--snr", "inf"),
+])
+def test_malformed_synth_number_is_one_line_config_error(flag, value, tmp_path, capsys):
+    """A rate, trial length or SNR that gives no finite signal: exit 2, nothing written."""
+    out = tmp_path / "raw"
+    capsys.readouterr()
+    assert main(["synth", "--task", "mi", "--domains", "1", "--trials", "2",
+                 "--out", str(out), flag, value]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
     assert not out.exists()
 
 
@@ -714,7 +745,7 @@ def test_flat_domain_fails_align_without_partial_output(tmp_path, capsys):
                  "--task", "mi"]) == EXIT_NUMERIC
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("numeric error:") and "b:s1:0" in err[0], err
-    assert not list(out.glob("alignment/*.json"))
+    assert not (out / "alignment.json").exists()
     assert not (out / "manifest.json").exists()
 
 
@@ -729,7 +760,7 @@ def test_too_long_trial_fails_align_without_partial_output(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error:"), err
     assert "trial 0" in err[0] and "'a:s0:0'" in err[0] and "1400 > 1280" in err[0], err
-    assert not list(out.glob("alignment/*.json"))
+    assert not (out / "alignment.json").exists()
     assert not (out / "trials").exists()
     assert not (out / "manifest.json").exists()
 
@@ -766,7 +797,7 @@ def test_cli_determinism_bit_identical(tmp_path):
                      "--seed", "11", "--threads", "1"]) == 0
         assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", ev,
                      "--seed", "11", "--threads", "1"]) == 0
-        outs.append((open(ckpt, "rb").read(), (d / "eval" / "report.json").read_bytes()))
+        outs.append((Path(ckpt).read_bytes(), (d / "eval" / "report.json").read_bytes()))
     assert outs[0][0] == outs[1][0], "checkpoints differ between identical runs"
     assert outs[0][1] == outs[1][1], "reports differ between identical runs"
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,7 +562,7 @@ class TestCheckpoint:
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_interrupted_save_keeps_previous(self, tmp_path, monkeypatch):
         path = tmp_path / "model.ckpt"

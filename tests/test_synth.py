@@ -1,4 +1,4 @@
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,16 +70,16 @@ class TestMiGenerator:
         m1 = generate_dataset(spec, seed=9, out_dir=str(tmp_path / "a"))
         m2 = generate_dataset(spec, seed=9, out_dir=str(tmp_path / "b"))
         for r1, r2 in zip(m1.trials, m2.trials):
-            b1 = open(os.path.join(m1.root, r1.path), "rb").read()
-            b2 = open(os.path.join(m2.root, r2.path), "rb").read()
+            b1 = Path(m1.root, r1.path).read_bytes()
+            b2 = Path(m2.root, r2.path).read_bytes()
             assert b1 == b2
 
     def test_different_seed_different_data(self, tmp_path):
         spec = self._clean_spec(trials_per_domain=2)
         m1 = generate_dataset(spec, seed=1, out_dir=str(tmp_path / "a"))
         m2 = generate_dataset(spec, seed=2, out_dir=str(tmp_path / "b"))
-        b1 = open(os.path.join(m1.root, m1.trials[0].path), "rb").read()
-        b2 = open(os.path.join(m2.root, m2.trials[0].path), "rb").read()
+        b1 = Path(m1.root, m1.trials[0].path).read_bytes()
+        b2 = Path(m2.root, m2.trials[0].path).read_bytes()
         assert b1 != b2
 
     def test_noise_only_has_no_class_contrast(self, tmp_path):
