@@ -452,6 +452,28 @@ def test_align_refuses_data_the_template_does_not_fit(raw, says, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rate, refused", [("255.9", False), ("999.97", False),
+                                           ("250.0001", True)])
+def test_preprocess_refuses_a_rate_whose_filter_passes_64_mib(rate, refused, tmp_path,
+                                                              capsys):
+    """2560/2559 and 25600/99997 resample; 2560000/2500001 exits 3 in one line, nothing written."""
+    raw, out = tmp_path / "raw", tmp_path / "pre"
+    assert main(["synth", "--task", "erp", "--rate", rate, "--trials", "2",
+                 "--domains", "1", "--out", str(raw)]) == 0
+    capsys.readouterr()
+    code = main(["preprocess", "--in", str(raw), "--out", str(out)])
+    err = capsys.readouterr().err.strip().splitlines()
+    if not refused:
+        assert code == 0 and err == []
+        assert len(json.loads((out / "manifest.json").read_text())["trials"]) == 2
+        return
+    assert code == EXIT_DATA
+    assert err == [f"data error: dataset 'synth_erp': resampling {rate} Hz to 256.0 Hz "
+                   "needs the ratio 2560000/2500001; a factor above 131072 would need "
+                   "an anti-alias filter over 64 MiB"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["preprocess", "align"])
 def test_aligned_input_to_preprocess_or_align_is_data_error(command, pipeline_dirs, tmp_path,
                                                             capsys):

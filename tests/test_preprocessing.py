@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.signal import firwin, resample_poly
 
 from afpm import preprocessing
 from afpm.data_model import TEMPLATE_RATE_HZ, DatasetWriter, load_manifest, load_trial
 from afpm.errors import ConfigError, DataError
 from afpm.preprocessing import (
     PreprocessConfig, bandpass, default_config, preprocess_dataset, resample,
-    rescale,
+    resample_operator, rescale,
 )
 
 from conftest import write_toy_dataset
@@ -105,6 +106,22 @@ class TestResample:
         out_dur = out.shape[1] / 200.0
         assert abs(in_dur - out_dur) <= 1.0 / 200.0
 
+    @pytest.mark.parametrize("rate, n_in, up, down, direct", [
+        (512.0, 512, 1, 2, False), (250.0, 250, 128, 125, False),
+        (512.0, 1024, 1, 2, True),
+    ])
+    def test_matches_scipy_resample_poly(self, rng, rate, n_in, up, down, direct):
+        # The documented filter: Kaiser beta 8.6, 64 taps per phase.
+        taps = 64 * max(up, down) + 1
+        h = firwin(taps, 1.0 / max(up, down), window=("kaiser", 8.6))
+        x = rng.standard_normal((3, n_in))
+        want = resample_poly(x, up, down, axis=1, window=h)[:, :round(n_in * up / down)]
+        operator = resample_operator(n_in, rate, 256.0)
+        assert (operator is None) == direct
+        got = resample(x, rate, 256.0, operator)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_bad_target_rate(self):
         with pytest.raises(DataError, match="positive"):
             resample(rows_of(np.zeros(64)), RATE, 0.0)
@@ -179,7 +196,12 @@ class TestPreprocessDataset:
         # 7 runs of equal length; the small budget splits some of them.
         assert len(chunks) > 7 if budget is not None else len(chunks) == 7
 
+        designs = []
+        monkeypatch.setattr(preprocessing, "firwin",
+                            lambda *a, **k: designs.append(a) or firwin(*a, **k))
         out = preprocess_dataset(raw, MI_CFG, str(tmp_path / "out"))
+        # One resampling operator, so one filter design, per distinct length.
+        assert len(designs) == (0 if rate == TEMPLATE_RATE_HZ else len(set(lengths)))
         assert out.rate_hz == TEMPLATE_RATE_HZ and out.unit_scale == 1.0
         assert len(out.trials) == len(lengths)
         for i, (rec, got) in enumerate(zip(raw.trials, out.trials)):
