@@ -97,6 +97,9 @@ def run_ablation(cfg: RunConfig, variants: tuple[str, ...], train_paths: list[st
         raise ConfigError(f"unknown ablation variants {sorted(unknown)}")
     if "FULL" not in variants:
         raise ConfigError("ablation must include the FULL baseline")
+    repeated = sorted({v for v in variants if variants.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"ablation variants listed more than once: {repeated}")
     train_manifests = [load_manifest(p) for p in train_paths]
     eval_manifests = [load_manifest(p) for p in eval_paths]
     require_template_fit(train_manifests + eval_manifests, cfg.task)

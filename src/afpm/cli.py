@@ -4,8 +4,8 @@
 is imported; that is why every heavy import lives inside the handlers.
 ``--threads 1`` guarantees bit-identical reruns for a fixed seed.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-error, 1 anything unexpected.
+Exit codes: 0 success, 2 configuration error, 3 data error (an output path
+that cannot be written included), 4 numeric error, 1 anything unexpected.
 """
 
 from __future__ import annotations
@@ -229,11 +229,13 @@ def _cmd_align(args) -> int:
 def _cmd_train(args) -> int:
     from .config import resolve_config
     from .data_model import atomic_open, echo_config, load_manifest
-    from .errors import NumericError
+    from .errors import DataError, NumericError
     from .model import init_model, save_checkpoint
     from .pipeline import stack_aligned, stacked_model_config
     from .training import train
 
+    if os.path.isdir(args.out):
+        raise DataError(f"--out {args.out} is a directory; train writes a checkpoint file")
     cfg = resolve_config(args.task, args.config, _overrides_from(args))
     manifests = [load_manifest(_data_path(p)) for p in args.data]
     x, y, _, layout = stack_aligned(manifests, cfg.task)
@@ -418,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as e:
+        print(f"data error: {e}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

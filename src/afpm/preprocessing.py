@@ -10,14 +10,13 @@ of equal length and rate gives, row for row, the same bytes as filtering each
 trial alone. ``preprocess_dataset`` relies on that to filter a dataset in
 chunks.
 
-Resampling is linear, so for one trial length it is one matrix: the polyphase
-filter applied to the identity (``resample_operator``). ``preprocess_dataset``
-builds that matrix once per distinct trial length per call and resamples each
-chunk with one matrix product. Trials too long for a dense operator (more
-than ``OPERATOR_SAMPLES`` entries in it or in the identity) keep the direct
-``resample_poly`` call, which designs its filter on each call. A rate whose
-ratio to the template rate needs a factor above ``MAX_FACTOR`` is refused
-before anything is written.
+``preprocess_dataset`` settles every per-dataset decision before its first
+chunk: the rate ratio, one Kaiser filter, and one ``resample_plan`` per
+trial length. A plan is the identity (equal rates), M (the filter applied to
+the identity, so a chunk takes one matrix product), or, for trials whose M
+or identity would pass ``OPERATOR_SAMPLES`` entries, ``resample_poly`` with
+the shared filter. Data it would refuse mid-run is refused before anything
+is written.
 """
 
 from __future__ import annotations
@@ -77,17 +76,17 @@ def default_config(task: str) -> PreprocessConfig:
     return PreprocessConfig(band_lo_hz=lo, band_hi_hz=30.0)
 
 
+def _require_filterable(rate_hz: float, n_samples: float, cfg: PreprocessConfig) -> None:
+    if rate_hz <= 2 * cfg.band_hi_hz:
+        raise DataError(f"band edge {cfg.band_hi_hz} Hz violates Nyquist at rate {rate_hz} Hz")
+    if n_samples <= PAD_LEN:
+        raise DataError(f"trial too short for zero-phase filtering: {n_samples} samples, "
+                        f"need more than {PAD_LEN}")
+
+
 def bandpass(data: np.ndarray, rate_hz: float, cfg: PreprocessConfig) -> np.ndarray:
     """Zero-phase Butterworth band-pass of every row of ``data`` [rows x T]."""
-    if rate_hz <= 2 * cfg.band_hi_hz:
-        raise DataError(
-            f"band edge {cfg.band_hi_hz} Hz violates Nyquist at rate {rate_hz} Hz"
-        )
-    if data.shape[1] <= PAD_LEN:
-        raise DataError(
-            f"trial too short for zero-phase filtering: {data.shape[1]} samples, "
-            f"need more than {PAD_LEN}"
-        )
+    _require_filterable(rate_hz, data.shape[1], cfg)
     sos = butter(FILTER_ORDER, [cfg.band_lo_hz, cfg.band_hi_hz],
                  btype="bandpass", fs=rate_hz, output="sos")
     return sosfiltfilt(sos, np.asarray(data, dtype=np.float64), axis=1,
@@ -113,57 +112,54 @@ def resample_ratio(rate_hz: float, target_rate_hz: float) -> Fraction:
     return frac
 
 
-def _n_out(n_in: int, frac: Fraction) -> int:
-    n_want = math.floor(n_in * frac + Fraction(1, 2))
-    if n_want < 1:
-        raise DataError("resampled trial would be empty")
-    return n_want
-
-
-def _polyphase(x: np.ndarray, frac: Fraction, n_want: int) -> np.ndarray:
-    up, down = frac.numerator, frac.denominator
-    max_rate = max(up, down)
-    half_len = (TAPS_PER_PHASE // 2) * max_rate
-    # Unit-gain prototype; resample_poly scales by the upsampling factor.
-    h = firwin(2 * half_len + 1, 1.0 / max_rate, window=("kaiser", KAISER_BETA))
-    return resample_poly(x, up, down, axis=1, window=h)[:, :n_want]
-
-
-def resample_operator(n_in: int, rate_hz: float,
-                      target_rate_hz: float) -> np.ndarray | None:
-    """The float64 ``[n_in x n_out]`` matrix M with ``resample(x) == x @ M`` for T = n_in.
-
-    M is the polyphase path applied to the identity, C-contiguous, so the
-    product equals that path up to float64 rounding. Returns
-    None where ``resample`` takes no operator: equal rates (the data is
-    returned unchanged), or M or the identity above ``OPERATOR_SAMPLES``
-    entries.
-    """
-    frac = resample_ratio(rate_hz, target_rate_hz)
-    n_want = _n_out(n_in, frac)
-    if frac == 1 or n_in * max(n_in, n_want) > OPERATOR_SAMPLES:
-        return None
-    return np.ascontiguousarray(_polyphase(np.eye(n_in), frac, n_want))
-
-
-def resample(data: np.ndarray, rate_hz: float, target_rate_hz: float,
-             operator: np.ndarray | None = None) -> np.ndarray:
-    """Polyphase band-limited resampling of every row from ``rate_hz`` to ``target_rate_hz``.
-
-    Output length is round(T * target / rate). The anti-alias low-pass is a
-    Kaiser-windowed sinc (beta 8.6, 64 taps per phase); the caller is
-    responsible for the signal being band-limited below the target Nyquist.
-    With ``operator`` (``resample_operator`` for this T and these rates) the
-    result is one float64 product ``data @ operator``; without it
-    ``resample_poly`` runs on ``data`` directly.
-    """
-    if operator is not None:
-        return np.asarray(data, dtype=np.float64) @ operator
-    frac = resample_ratio(rate_hz, target_rate_hz)
-    n_want = _n_out(data.shape[1], frac)
+def kaiser_prototype(frac: Fraction) -> np.ndarray | None:
+    """Unit-gain Kaiser-windowed sinc (beta 8.6, 64 taps per phase) for ``frac``; None at 1."""
     if frac == 1:
+        return None
+    max_rate = max(frac.numerator, frac.denominator)
+    half_len = (TAPS_PER_PHASE // 2) * max_rate
+    return firwin(2 * half_len + 1, 1.0 / max_rate, window=("kaiser", KAISER_BETA))
+
+
+@dataclass(frozen=True)
+class ResamplePlan:
+    """``resample`` for one trial length: a product with ``operator`` [n_in x n_out],
+    else ``resample_poly`` by ``frac`` with the filter ``taps``, else the identity."""
+
+    n_out: int
+    frac: Fraction
+    taps: np.ndarray | None = None
+    operator: np.ndarray | None = None
+
+
+def resample_plan(n_in: int, frac: Fraction, taps: np.ndarray | None) -> ResamplePlan:
+    """The plan from ``n_in`` to round(n_in * frac) samples; ``taps`` is ``kaiser_prototype``.
+
+    Where M and the identity hold at most ``OPERATOR_SAMPLES`` entries, M is
+    the direct call applied to the identity, C-contiguous, so its product
+    equals that call up to float64 rounding.
+    """
+    n_out = math.floor(n_in * frac + Fraction(1, 2))
+    if n_out < 1:
+        raise DataError("resampled trial would be empty")
+    plan = ResamplePlan(n_out, frac, taps)
+    if taps is None or n_in * max(n_in, n_out) > OPERATOR_SAMPLES:
+        return plan
+    return ResamplePlan(n_out, frac, operator=np.ascontiguousarray(resample(np.eye(n_in), plan)))
+
+
+def resample(data: np.ndarray, plan: ResamplePlan) -> np.ndarray:
+    """Resample every row of ``data`` by ``plan``, the ``resample_plan`` for its T.
+
+    The caller is responsible for the signal being band-limited below the
+    target Nyquist.
+    """
+    if plan.operator is not None:
+        return np.asarray(data, dtype=np.float64) @ plan.operator
+    if plan.taps is None:
         return data
-    return _polyphase(np.asarray(data, dtype=np.float64), frac, n_want)
+    return resample_poly(np.asarray(data, dtype=np.float64), plan.frac.numerator,
+                         plan.frac.denominator, axis=1, window=plan.taps)[:, :plan.n_out]
 
 
 def rescale(data: np.ndarray, unit_scale: float) -> np.ndarray:
@@ -203,19 +199,20 @@ def preprocess_dataset(manifest: DatasetManifest, cfg: PreprocessConfig,
     ``_chunks``): the rows of a chunk's trials are stacked into one matrix,
     filtered in one pass, and written back trial by trial in manifest order.
     The output manifest's unit_scale is 1.0: trials are in 0.1 mV units.
-    Each distinct trial length gets its resampling operator before the
-    first chunk. An aligned dataset, or a rate whose resampling factor passes
-    ``MAX_FACTOR``, is refused before anything is written.
+    The rate ratio, filter and plans are settled before the first chunk. An
+    aligned dataset, a factor above ``MAX_FACTOR``, or a rate or trial the
+    band-pass refuses is refused before ``out_dir`` is touched.
     """
     require_unaligned(manifest)
+    lengths = {rec.n_samples for rec in manifest.trials}
     try:
-        resample_ratio(manifest.rate_hz, TEMPLATE_RATE_HZ)
+        frac = resample_ratio(manifest.rate_hz, TEMPLATE_RATE_HZ)
+        # An empty dataset is checked for its rate alone.
+        _require_filterable(manifest.rate_hz, min(lengths, default=math.inf), cfg)
+        taps = kaiser_prototype(frac)
+        plans = {n: resample_plan(n, frac, taps) for n in lengths}
     except DataError as e:
         raise DataError(f"dataset {manifest.name!r}: {e}") from None
-    operators = {
-        n: resample_operator(n, manifest.rate_hz, TEMPLATE_RATE_HZ)
-        for n in {rec.n_samples for rec in manifest.trials}
-    }
     writer = DatasetWriter(
         out_dir=out_dir, name=manifest.name, task=manifest.task,
         rate_hz=TEMPLATE_RATE_HZ, class_names=manifest.class_names,
@@ -223,8 +220,7 @@ def preprocess_dataset(manifest: DatasetManifest, cfg: PreprocessConfig,
     for chunk in _chunks(manifest):
         x = np.concatenate([load_trial(manifest, i) for i in chunk], dtype=np.float64)
         x = bandpass(x, manifest.rate_hz, cfg)
-        x = resample(x, manifest.rate_hz, TEMPLATE_RATE_HZ,
-                     operators[manifest.trials[chunk[0]].n_samples])
+        x = resample(x, plans[manifest.trials[chunk[0]].n_samples])
         x = rescale(x, manifest.unit_scale)
         row = 0
         for i in chunk:

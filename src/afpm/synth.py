@@ -40,6 +40,12 @@ ERP_BUMP_WEIGHTS = {
 # Positive-deflection sites (used by tests and documentation).
 ERP_SIGNAL_CHANNELS = ("CZ", "CPZ", "PZ", "P3", "P4")
 
+# Class-independent clutter on distractor channels: each domain draws a
+# channel's alpha-like rhythm and blink-like deflection levels uniformly
+# between 0 and twice these.
+DISTRACTOR_ALPHA = 5.0
+DISTRACTOR_BLINK = 4.0
+
 # Ready-made heterogeneous subset catalogues. The four MI training subsets
 # are pairwise disjoint within the 17-channel montage; most of each subset is
 # distractor channels outside the task montage, so the no-selection union is
@@ -120,8 +126,6 @@ class SynthSpec:
     domain_mixing: float = 0.15     # magnitude of the random orthogonal mixing
     class_ratio: float = 1.0 / 6.0  # ERP target fraction
     erd_attenuation: float = 0.5    # contralateral rhythm factor a < 1
-    distractor_alpha: float = 5.0   # class-independent rhythm level on distractors
-    distractor_blink: float = 4.0   # blink-like deflections on distractors
     name: str = "synth"
 
     def __post_init__(self):
@@ -155,8 +159,7 @@ class SynthSpec:
             raise ConfigError("class_ratio must lie in (0, 1)")
         if not 0 < self.erd_attenuation < 1:
             raise ConfigError("erd_attenuation must lie in (0, 1)")
-        for name in ("domain_gain", "domain_scale", "domain_mixing",
-                     "distractor_alpha", "distractor_blink"):
+        for name in ("domain_gain", "domain_scale", "domain_mixing"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ConfigError(f"{name} must be finite and non-negative")
@@ -251,8 +254,7 @@ def _distractor_activity(rng: np.random.Generator, t: np.ndarray,
     return out
 
 
-def _distractor_profiles(rng: np.random.Generator, channels, montage,
-                         alpha: float, blink: float) -> dict[str, tuple]:
+def _distractor_profiles(rng: np.random.Generator, channels, montage) -> dict[str, tuple]:
     """Per-domain nuisance statistics for each distractor channel.
 
     The same electrode name carries different clutter in different recording
@@ -262,8 +264,8 @@ def _distractor_profiles(rng: np.random.Generator, channels, montage,
     profiles = {}
     for ch in channels:
         if ch not in montage:
-            profiles[ch] = (alpha * rng.uniform(0.0, 2.0),
-                            blink * rng.uniform(0.0, 2.0))
+            profiles[ch] = (DISTRACTOR_ALPHA * rng.uniform(0.0, 2.0),
+                            DISTRACTOR_BLINK * rng.uniform(0.0, 2.0))
     return profiles
 
 
@@ -322,8 +324,7 @@ def generate_dataset(spec: SynthSpec, seed: int, out_dir: str) -> DatasetManifes
                                       spec.domain_scale, spec.domain_mixing)
         labels = _domain_labels(domain_rng, spec.trials_per_domain, spec.task,
                                 spec.class_ratio)
-        profiles = _distractor_profiles(domain_rng, channels, task_montage,
-                                        spec.distractor_alpha, spec.distractor_blink)
+        profiles = _distractor_profiles(domain_rng, channels, task_montage)
         domain_id = f"{spec.name}:s{d:02d}:0"
         for i in range(spec.trials_per_domain):
             trial_rng = np.random.default_rng([seed, d, i])

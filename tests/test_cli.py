@@ -388,7 +388,8 @@ def test_diverged_train_saves_last_finite_parameters(pipeline_dirs, tmp_path, ca
     assert main(["eval", "--ckpt", diverged, "--data", ali]) == 0
 
 
-def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeypatch):
+def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeypatch,
+                                                capsys):
     _, _, _, ali, ckpt = pipeline_dirs
     run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
     echo_config(str(run_dir), "train", {"seed": 0}, resolve_config("mi").to_dict())
@@ -401,8 +402,10 @@ def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeyp
         echo_config(str(run_dir), "train", {"seed": 1}, resolve_config("erp").to_dict())
     # the report is one write: fail on the first
     fail_writes_in(monkeypatch, afpm.cli, afpm.data_model, fail_at=1)
-    with pytest.raises(OSError, match="mid-write"):
-        main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir), "--folds", "2"])
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir),
+                 "--folds", "2"]) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines() == ["data error: simulated crash mid-write"]
     assert [f.read_bytes() for f in files] == before
     assert sorted(p.name for p in run_dir.iterdir()) == ["run_config.json"]
     assert sorted(p.name for p in eval_dir.iterdir()) == ["report.json", "report.txt"]
@@ -472,6 +475,40 @@ def test_preprocess_refuses_a_rate_whose_filter_passes_64_mib(rate, refused, tmp
                    "needs the ratio 2560000/2500001; a factor above 131072 would need "
                    "an anti-alias filter over 64 MiB"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "preprocess", "finetune", "ablate", "train"])
+def test_output_path_that_cannot_be_written_is_one_line_data_error(command, pipeline_dirs,
+                                                                   tmp_path, capsys):
+    """A file where --out names a directory, or a directory where train writes its
+    checkpoint: exit 3 in one line, and train refuses before it trains."""
+    _, raw, pre, ali, ckpt = pipeline_dirs
+    out = tmp_path / "out"
+    if command == "train":
+        out.mkdir()
+    else:
+        out.write_text("kept")
+    argv = {
+        "eval": ["eval", "--ckpt", ckpt, "--data", ali, "--out", str(out)],
+        "preprocess": ["preprocess", "--in", raw, "--out", str(out)],
+        "finetune": ["finetune", "--ckpt", ckpt, "--data", ali, "--out", str(out),
+                     "--epochs", "1"],
+        "ablate": ["ablate", "--train", pre, "--eval", pre, "--task", "mi",
+                   "--variants", "FULL", "--out", str(out), "--epochs", "1"],
+        "train": toy_train(ali, str(out)) + ["--epochs", "1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    if command == "train":
+        assert err == [f"data error: --out {out} is a directory; "
+                       "train writes a checkpoint file"]
+        assert "training on" not in captured.out
+        assert list(out.iterdir()) == []
+    else:
+        assert len(err) == 1 and err[0].startswith("data error: [Errno "), err
+        assert out.read_text() == "kept"
 
 
 @pytest.mark.parametrize("command", ["preprocess", "align"])
@@ -854,6 +891,20 @@ def test_ablate_cli_tiny(tmp_path):
     csv = (tmp_path / "abl" / "ablation.csv").read_text()
     assert "FULL" in csv and "NO_EA" in csv
     assert (tmp_path / "abl" / "ablation.json").exists()
+
+
+def test_ablate_variant_listed_twice_is_one_line_config_error(pipeline_dirs, tmp_path,
+                                                               capsys):
+    """FULL,full names FULL twice: exit 2 in one line before anything trains."""
+    _, _, pre, _, _ = pipeline_dirs
+    out = tmp_path / "abl"
+    capsys.readouterr()
+    assert main(["ablate", "--train", pre, "--eval", pre, "--task", "mi",
+                 "--variants", "FULL,full", "--out", str(out), "--epochs", "1",
+                 "--depth", "1", "--heads", "2", "--dim-head", "4"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "config error: ablation variants listed more than once: ['FULL']"]
+    assert not out.exists()
 
 
 def test_finetune_subjects_sharing_a_checkpoint_name_is_data_error(pipeline_dirs, tmp_path,

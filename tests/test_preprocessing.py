@@ -6,8 +6,8 @@ from afpm import preprocessing
 from afpm.data_model import TEMPLATE_RATE_HZ, DatasetWriter, load_manifest, load_trial
 from afpm.errors import ConfigError, DataError
 from afpm.preprocessing import (
-    PreprocessConfig, bandpass, default_config, preprocess_dataset, resample,
-    resample_operator, rescale,
+    PreprocessConfig, bandpass, default_config, kaiser_prototype, preprocess_dataset,
+    resample, resample_plan, resample_ratio, rescale,
 )
 
 from conftest import write_toy_dataset
@@ -30,6 +30,11 @@ def fitted_amplitude(x, freq, rate):
 
 def rows_of(data):
     return np.atleast_2d(np.asarray(data, dtype=np.float64))
+
+
+def plan_for(n_in, rate, target=TEMPLATE_RATE_HZ):
+    frac = resample_ratio(rate, target)
+    return resample_plan(n_in, frac, kaiser_prototype(frac))
 
 
 MI_CFG = PreprocessConfig(band_lo_hz=4.0, band_hi_hz=30.0)
@@ -83,7 +88,7 @@ class TestBandpass:
 class TestResample:
     def test_downsample_tone_preserves_amplitude(self):
         x = tone(10.0, rate=512.0, seconds=4.0)
-        out = resample(rows_of(x), 512.0, 256.0)
+        out = resample(rows_of(x), plan_for(x.size, 512.0, 256.0))
         assert out.shape[1] == x.size // 2
         interior = out[0, 128:-128]
         amp = fitted_amplitude(interior, 10.0, 256.0)
@@ -91,17 +96,17 @@ class TestResample:
 
     def test_same_rate_is_identity(self, rng):
         x = rng.standard_normal(300)
-        out = resample(rows_of(x), RATE, RATE)
+        out = resample(rows_of(x), plan_for(300, RATE, RATE))
         assert out.shape[1] == 300
         assert np.abs(out[0] - x).max() < 1e-6 * np.abs(x).max()
 
     def test_length_arithmetic(self):
-        out = resample(rows_of(np.zeros(1024)), RATE, 128.0)
+        out = resample(rows_of(np.zeros(1024)), plan_for(1024, RATE, 128.0))
         assert out.shape == (1, 512)
 
     def test_duration_preserved_within_one_sample(self, rng):
         x = rng.standard_normal(777)
-        out = resample(rows_of(x), RATE, 200.0)
+        out = resample(rows_of(x), plan_for(777, RATE, 200.0))
         in_dur = 777 / RATE
         out_dur = out.shape[1] / 200.0
         assert abs(in_dur - out_dur) <= 1.0 / 200.0
@@ -116,15 +121,15 @@ class TestResample:
         h = firwin(taps, 1.0 / max(up, down), window=("kaiser", 8.6))
         x = rng.standard_normal((3, n_in))
         want = resample_poly(x, up, down, axis=1, window=h)[:, :round(n_in * up / down)]
-        operator = resample_operator(n_in, rate, 256.0)
-        assert (operator is None) == direct
-        got = resample(x, rate, 256.0, operator)
+        plan = plan_for(n_in, rate, 256.0)
+        assert (plan.operator is None) == direct
+        got = resample(x, plan)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_bad_target_rate(self):
         with pytest.raises(DataError, match="positive"):
-            resample(rows_of(np.zeros(64)), RATE, 0.0)
+            resample_ratio(RATE, 0.0)
 
 
 class TestRescale:
@@ -175,11 +180,12 @@ class TestPreprocessDataset:
     @pytest.mark.parametrize("budget", [3 * 96, None])
     def test_chunked_bytes_equal_per_trial_loop(self, tmp_path, monkeypatch, rng,
                                                 rate, budget):
-        # Two channel sets and two lengths, interleaved: runs of 1-4 equal
+        # Two channel sets and three lengths, interleaved: runs of 1-4 equal
         # lengths, so chunks break on length and, at the small budget (three
-        # 2-channel trials of 48 samples), on size too.
+        # 2-channel trials of 48 samples), on size too. 48 and 90 samples
+        # resample through an operator, 600 through the direct path.
         sets = (("C3", "CZ"), ("FC1", "C1", "CP1"))
-        lengths = (48, 48, 48, 48, 90, 48, 90, 90, 48, 48, 90, 48)
+        lengths = (48, 48, 48, 48, 90, 48, 90, 90, 48, 48, 90, 48, 600, 600)
         writer = DatasetWriter(out_dir=str(tmp_path / "raw"), name="mixed",
                                task="mi", rate_hz=rate, class_names=("a", "b"),
                                unit_scale=1e3)
@@ -193,34 +199,51 @@ class TestPreprocessDataset:
         chunks = list(preprocessing._chunks(raw))
         assert max(len(c) for c in chunks) > 1
         assert all(len({raw.trials[i].n_samples for i in c}) == 1 for c in chunks)
-        # 7 runs of equal length; the small budget splits some of them.
-        assert len(chunks) > 7 if budget is not None else len(chunks) == 7
+        # 8 runs of equal length; the small budget splits some of them.
+        assert len(chunks) > 8 if budget is not None else len(chunks) == 8
 
-        designs = []
+        designs, plans = [], {}
         monkeypatch.setattr(preprocessing, "firwin",
                             lambda *a, **k: designs.append(a) or firwin(*a, **k))
+        monkeypatch.setattr(preprocessing, "resample_plan",
+                            lambda n, *a: plans.setdefault(n, resample_plan(n, *a)))
         out = preprocess_dataset(raw, MI_CFG, str(tmp_path / "out"))
-        # One resampling operator, so one filter design, per distinct length.
-        assert len(designs) == (0 if rate == TEMPLATE_RATE_HZ else len(set(lengths)))
+        # One filter design per call, shared by every length and chunk.
+        assert len(designs) == (0 if rate == TEMPLATE_RATE_HZ else 1)
+        paths = {n: (p.operator is not None, p.taps is not None) for n, p in plans.items()}
+        if rate == TEMPLATE_RATE_HZ:
+            assert paths == dict.fromkeys(set(lengths), (False, False))
+        else:
+            assert paths == {48: (True, False), 90: (True, False), 600: (False, True)}
         assert out.rate_hz == TEMPLATE_RATE_HZ and out.unit_scale == 1.0
         assert len(out.trials) == len(lengths)
         for i, (rec, got) in enumerate(zip(raw.trials, out.trials)):
             x = bandpass(load_trial(raw, i), rate, MI_CFG)
-            x = resample(x, rate, TEMPLATE_RATE_HZ)
+            x = resample(x, plan_for(rec.n_samples, rate))
             x = rescale(x, raw.unit_scale)
             want = np.ascontiguousarray(x, dtype="<f4").tobytes()
             assert (tmp_path / "out" / got.path).read_bytes() == want, f"trial {i}"
             assert out.channels_of(got) == raw.channels_of(rec)
             assert (got.label, got.domain_id) == (rec.label, rec.domain_id)
 
-    def test_short_trial_mid_dataset_rejected(self, tmp_path):
-        data = [np.zeros((3, n)) for n in (64, 64, 10, 64)]
-        writer = DatasetWriter(out_dir=str(tmp_path / "raw"), name="short", task="mi",
-                               rate_hz=RATE, class_names=("a", "b"))
-        for i, x in enumerate(data):
-            writer.add_trial(x, ("C3", "CZ", "C4"), i % 2, "toy:s0")
-        with pytest.raises(DataError, match="too short"):
-            preprocess_dataset(writer.finish(), MI_CFG, str(tmp_path / "out"))
+    def test_short_trial_mid_dataset_rejected(self, tmp_path, rng):
+        """A 10-sample third trial is refused from the manifest: no payload of an
+        earlier output in ``out`` is overwritten."""
+        out = tmp_path / "out"
+        old = write_toy_dataset(tmp_path / "old", n_trials=16, n_samples=64)
+        preprocess_dataset(old, MI_CFG, str(out))
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        raw = write_toy_dataset(tmp_path / "raw", n_trials=4, data=[
+            rng.standard_normal((3, n)) for n in (64, 64, 10, 64)])
+        with pytest.raises(DataError, match="^dataset 'toy': trial too short"):
+            preprocess_dataset(raw, MI_CFG, str(out))
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_rate_the_band_edge_violates_rejected_before_writing(self, tmp_path):
+        raw = write_toy_dataset(tmp_path / "raw", n_trials=2, n_samples=64, rate_hz=50.0)
+        with pytest.raises(DataError, match="^dataset 'toy': band edge 30.0 Hz violates"):
+            preprocess_dataset(raw, MI_CFG, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
 
     def test_empty_dataset_ok(self, tmp_path):
         write_toy_dataset(tmp_path / "raw", n_trials=0)
