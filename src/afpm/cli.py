@@ -4,8 +4,8 @@
 is imported; that is why every heavy import lives inside the handlers.
 ``--threads 1`` guarantees bit-identical reruns for a fixed seed.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (an output path
-that cannot be written included), 4 numeric error, 1 anything unexpected.
+Exit codes: 0 success, 2 configuration error, 3 data error (an ``--out`` of
+the wrong kind included), 4 numeric error, 1 anything unexpected.
 """
 
 from __future__ import annotations
@@ -229,13 +229,11 @@ def _cmd_align(args) -> int:
 def _cmd_train(args) -> int:
     from .config import resolve_config
     from .data_model import atomic_open, echo_config, load_manifest
-    from .errors import DataError, NumericError
+    from .errors import NumericError
     from .model import init_model, save_checkpoint
     from .pipeline import stack_aligned, stacked_model_config
     from .training import train
 
-    if os.path.isdir(args.out):
-        raise DataError(f"--out {args.out} is a directory; train writes a checkpoint file")
     cfg = resolve_config(args.task, args.config, _overrides_from(args))
     manifests = [load_manifest(_data_path(p)) for p in args.data]
     x, y, _, layout = stack_aligned(manifests, cfg.task)
@@ -388,6 +386,17 @@ def _data_path(path: str) -> str:
     return path
 
 
+def _require_out_kind(args: argparse.Namespace) -> None:
+    """Refuse an existing ``--out`` of the wrong kind before any work: a
+    directory as ``train``'s checkpoint, a file as any other command's directory."""
+    from .errors import DataError
+
+    if args.command == "train" and os.path.isdir(args.out):
+        raise DataError(f"--out {args.out} is a directory; train writes a checkpoint file")
+    if args.command != "train" and args.out and os.path.isfile(args.out):
+        raise DataError(f"--out {args.out} is a file; {args.command} writes a directory")
+
+
 def _public_args(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "command" and v is not None}
 
@@ -410,6 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     from .errors import ConfigError, DataError, NumericError
 
     try:
+        _require_out_kind(args)
         return _HANDLERS[args.command](args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -420,9 +430,6 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ is written.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -123,12 +123,13 @@ def kaiser_prototype(frac: Fraction) -> np.ndarray | None:
 
 @dataclass(frozen=True)
 class ResamplePlan:
-    """``resample`` for one trial length: a product with ``operator`` [n_in x n_out],
-    else ``resample_poly`` by ``frac`` with the filter ``taps``, else the identity."""
+    """``resample`` for one trial length: the identity at ``frac`` 1, else a
+    product with ``operator`` [n_in x n_out] where one is built, else
+    ``resample_poly`` by ``frac`` with the filter ``taps``."""
 
     n_out: int
     frac: Fraction
-    taps: np.ndarray | None = None
+    taps: np.ndarray | None
     operator: np.ndarray | None = None
 
 
@@ -139,13 +140,15 @@ def resample_plan(n_in: int, frac: Fraction, taps: np.ndarray | None) -> Resampl
     the direct call applied to the identity, C-contiguous, so its product
     equals that call up to float64 rounding.
     """
+    if (taps is None) != (frac == 1):
+        raise ValueError(f"taps must be kaiser_prototype({frac}): None exactly at 1")
     n_out = math.floor(n_in * frac + Fraction(1, 2))
     if n_out < 1:
         raise DataError("resampled trial would be empty")
     plan = ResamplePlan(n_out, frac, taps)
-    if taps is None or n_in * max(n_in, n_out) > OPERATOR_SAMPLES:
+    if frac == 1 or n_in * max(n_in, n_out) > OPERATOR_SAMPLES:
         return plan
-    return ResamplePlan(n_out, frac, operator=np.ascontiguousarray(resample(np.eye(n_in), plan)))
+    return replace(plan, operator=np.ascontiguousarray(resample(np.eye(n_in), plan)))
 
 
 def resample(data: np.ndarray, plan: ResamplePlan) -> np.ndarray:
@@ -154,10 +157,10 @@ def resample(data: np.ndarray, plan: ResamplePlan) -> np.ndarray:
     The caller is responsible for the signal being band-limited below the
     target Nyquist.
     """
+    if plan.frac == 1:
+        return data
     if plan.operator is not None:
         return np.asarray(data, dtype=np.float64) @ plan.operator
-    if plan.taps is None:
-        return data
     return resample_poly(np.asarray(data, dtype=np.float64), plan.frac.numerator,
                          plan.frac.denominator, axis=1, window=plan.taps)[:, :plan.n_out]
 

@@ -388,8 +388,7 @@ def test_diverged_train_saves_last_finite_parameters(pipeline_dirs, tmp_path, ca
     assert main(["eval", "--ckpt", diverged, "--data", ali]) == 0
 
 
-def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeypatch,
-                                                capsys):
+def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeypatch):
     _, _, _, ali, ckpt = pipeline_dirs
     run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
     echo_config(str(run_dir), "train", {"seed": 0}, resolve_config("mi").to_dict())
@@ -402,10 +401,8 @@ def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeyp
         echo_config(str(run_dir), "train", {"seed": 1}, resolve_config("erp").to_dict())
     # the report is one write: fail on the first
     fail_writes_in(monkeypatch, afpm.cli, afpm.data_model, fail_at=1)
-    capsys.readouterr()
-    assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir),
-                 "--folds", "2"]) == EXIT_DATA
-    assert capsys.readouterr().err.splitlines() == ["data error: simulated crash mid-write"]
+    with pytest.raises(OSError, match="mid-write"):
+        main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir), "--folds", "2"])
     assert [f.read_bytes() for f in files] == before
     assert sorted(p.name for p in run_dir.iterdir()) == ["run_config.json"]
     assert sorted(p.name for p in eval_dir.iterdir()) == ["report.json", "report.txt"]
@@ -477,11 +474,12 @@ def test_preprocess_refuses_a_rate_whose_filter_passes_64_mib(rate, refused, tmp
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eval", "preprocess", "finetune", "ablate", "train"])
-def test_output_path_that_cannot_be_written_is_one_line_data_error(command, pipeline_dirs,
-                                                                   tmp_path, capsys):
+@pytest.mark.parametrize("command", ["synth", "preprocess", "align", "eval", "finetune",
+                                     "ablate", "train"])
+def test_output_path_of_the_wrong_kind_is_one_line_data_error(command, pipeline_dirs,
+                                                              tmp_path, capsys):
     """A file where --out names a directory, or a directory where train writes its
-    checkpoint: exit 3 in one line, and train refuses before it trains."""
+    checkpoint: exit 3 in one line, before any work and with the path untouched."""
     _, raw, pre, ali, ckpt = pipeline_dirs
     out = tmp_path / "out"
     if command == "train":
@@ -489,8 +487,11 @@ def test_output_path_that_cannot_be_written_is_one_line_data_error(command, pipe
     else:
         out.write_text("kept")
     argv = {
-        "eval": ["eval", "--ckpt", ckpt, "--data", ali, "--out", str(out)],
+        "synth": ["synth", "--task", "mi", "--domains", "1", "--trials", "2",
+                  "--out", str(out)],
         "preprocess": ["preprocess", "--in", raw, "--out", str(out)],
+        "align": ["align", "--in", pre, "--out", str(out), "--task", "mi"],
+        "eval": ["eval", "--ckpt", ckpt, "--data", ali, "--out", str(out)],
         "finetune": ["finetune", "--ckpt", ckpt, "--data", ali, "--out", str(out),
                      "--epochs", "1"],
         "ablate": ["ablate", "--train", pre, "--eval", pre, "--task", "mi",
@@ -500,14 +501,14 @@ def test_output_path_that_cannot_be_written_is_one_line_data_error(command, pipe
     capsys.readouterr()
     assert main(argv) == EXIT_DATA
     captured = capsys.readouterr()
-    err = captured.err.strip().splitlines()
+    assert captured.out == ""
     if command == "train":
-        assert err == [f"data error: --out {out} is a directory; "
-                       "train writes a checkpoint file"]
-        assert "training on" not in captured.out
+        assert captured.err.splitlines() == [
+            f"data error: --out {out} is a directory; train writes a checkpoint file"]
         assert list(out.iterdir()) == []
     else:
-        assert len(err) == 1 and err[0].startswith("data error: [Errno "), err
+        assert captured.err.splitlines() == [
+            f"data error: --out {out} is a file; {command} writes a directory"]
         assert out.read_text() == "kept"
 
 

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.signal import firwin, resample_poly
@@ -35,6 +38,16 @@ def rows_of(data):
 def plan_for(n_in, rate, target=TEMPLATE_RATE_HZ):
     frac = resample_ratio(rate, target)
     return resample_plan(n_in, frac, kaiser_prototype(frac))
+
+
+def scipy_resample(x, up, down):
+    """scipy's own polyphase call with the documented filter: Kaiser beta 8.6,
+    64 taps per phase; output length round(T * up / down)."""
+    if up == down:
+        return x
+    h = firwin(64 * max(up, down) + 1, 1.0 / max(up, down), window=("kaiser", 8.6))
+    n_out = math.floor(x.shape[1] * Fraction(up, down) + Fraction(1, 2))
+    return resample_poly(x, up, down, axis=1, window=h)[:, :n_out]
 
 
 MI_CFG = PreprocessConfig(band_lo_hz=4.0, band_hi_hz=30.0)
@@ -116,16 +129,20 @@ class TestResample:
         (512.0, 1024, 1, 2, True),
     ])
     def test_matches_scipy_resample_poly(self, rng, rate, n_in, up, down, direct):
-        # The documented filter: Kaiser beta 8.6, 64 taps per phase.
-        taps = 64 * max(up, down) + 1
-        h = firwin(taps, 1.0 / max(up, down), window=("kaiser", 8.6))
         x = rng.standard_normal((3, n_in))
-        want = resample_poly(x, up, down, axis=1, window=h)[:, :round(n_in * up / down)]
+        want = scipy_resample(x, up, down)
         plan = plan_for(n_in, rate, 256.0)
         assert (plan.operator is None) == direct
         got = resample(x, plan)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_plan_refuses_taps_that_do_not_fit_the_ratio(self):
+        frac = resample_ratio(512.0, 256.0)
+        with pytest.raises(ValueError, match="kaiser_prototype"):
+            resample_plan(4096, frac, None)
+        with pytest.raises(ValueError, match="kaiser_prototype"):
+            resample_plan(64, Fraction(1), kaiser_prototype(frac))
 
     def test_bad_target_rate(self):
         with pytest.raises(DataError, match="positive"):
@@ -214,12 +231,15 @@ class TestPreprocessDataset:
         if rate == TEMPLATE_RATE_HZ:
             assert paths == dict.fromkeys(set(lengths), (False, False))
         else:
-            assert paths == {48: (True, False), 90: (True, False), 600: (False, True)}
+            assert paths == {48: (True, True), 90: (True, True), 600: (False, True)}
         assert out.rate_hz == TEMPLATE_RATE_HZ and out.unit_scale == 1.0
         assert len(out.trials) == len(lengths)
+        # The reference resamples each trial alone by scipy's own call, so the
+        # operator plans are checked against the direct filter byte for byte.
+        frac = resample_ratio(rate, TEMPLATE_RATE_HZ)
         for i, (rec, got) in enumerate(zip(raw.trials, out.trials)):
             x = bandpass(load_trial(raw, i), rate, MI_CFG)
-            x = resample(x, plan_for(rec.n_samples, rate))
+            x = scipy_resample(x, frac.numerator, frac.denominator)
             x = rescale(x, raw.unit_scale)
             want = np.ascontiguousarray(x, dtype="<f4").tobytes()
             assert (tmp_path / "out" / got.path).read_bytes() == want, f"trial {i}"
