@@ -49,7 +49,7 @@ def run_variant(variant: str, cfg: RunConfig,
     """Align, train and evaluate one variant; ``cfg.train.seed`` seeds training.
 
     The model trains on the stacked aligned training sets. Each aligned eval
-    set is then evaluated on its own with one fold, as ``afpm eval`` does.
+    set is then evaluated on its own, pooled and per subject, as ``afpm eval`` does.
     """
     stages = _variant_stages(variant)
     spec = task_template(cfg.task)

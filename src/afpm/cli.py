@@ -129,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--task", choices=("mi", "erp"), default=None,
                    help="expected task; must match the checkpoint")
-    p.add_argument("--folds", type=int, default=1)
-    p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--out", default=None, help="directory for report.json")
     _common(p)
 
@@ -264,23 +262,19 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .data_model import atomic_open, load_manifest
+    from .data_model import atomic_open, echo_config, load_manifest
     from .errors import ConfigError
     from .evaluation import evaluate_dataset
     from .model import load_checkpoint
 
-    for flag, value in (("--folds", args.folds), ("--repeats", args.repeats)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be at least 1, got {value}")
     model, _, _ = load_checkpoint(args.ckpt)
-    if args.task and args.task != model.cfg.task:
+    cfg = model.cfg
+    if args.task and args.task != cfg.task:
         raise ConfigError(
-            f"--task {args.task} does not match the checkpoint's task "
-            f"{model.cfg.task!r}"
+            f"--task {args.task} does not match the checkpoint's task {cfg.task!r}"
         )
     manifest = load_manifest(_data_path(args.data))
-    report = evaluate_dataset(model, manifest, folds=args.folds,
-                              repeats=args.repeats, seed=args.seed)
+    report = evaluate_dataset(model, manifest)
     doc = json.dumps(report.to_dict(), indent=1, sort_keys=True)
     print(report.table())
     print(doc)
@@ -290,6 +284,10 @@ def _cmd_eval(args) -> int:
             f.write(doc + "\n")
         with atomic_open(os.path.join(args.out, "report.txt")) as f:
             f.write(report.table() + "\n")
+        echo_config(args.out, "eval", _public_args(args), {
+            "task": cfg.task, "class_names": list(cfg.class_names),
+            "template": {"channels": list(cfg.template_channels), "len": cfg.template_len},
+        })
     return EXIT_OK
 
 
@@ -328,7 +326,7 @@ def _cmd_finetune(args) -> int:
     from .config import resolve_config
     from .data_model import atomic_open, echo_config, load_manifest
     from .errors import DataError
-    from .evaluation import compute_metrics, model_inputs, subject_of, task_metrics
+    from .evaluation import compute_metrics, model_inputs, subject_groups, task_metrics
     from .model import forward, load_checkpoint, save_checkpoint, Model
     from .training import finetune
 
@@ -338,8 +336,8 @@ def _cmd_finetune(args) -> int:
     cfg = resolve_config(task, args.config, _overrides_from(args))
     x, y, domains, positive = model_inputs(model, manifest)
 
-    subjects = sorted({subject_of(d) for d in domains})
-    names = {s: s.replace(":", "_").replace("/", "_") + ".ckpt" for s in subjects}
+    groups = subject_groups(domains)
+    names = {s: s.replace(":", "_").replace("/", "_") + ".ckpt" for s in groups}
     owners: dict[str, str] = {}
     for subject, name in names.items():
         other = owners.setdefault(name, subject)
@@ -348,8 +346,7 @@ def _cmd_finetune(args) -> int:
                             f"write checkpoint {name}")
     per_subject = []
     os.makedirs(args.out, exist_ok=True)
-    for subject in subjects:
-        idx = [i for i, d in enumerate(domains) if subject_of(d) == subject]
+    for subject, idx in groups.items():
         xs, ys = x[idx], y[idx]
         tuned = Model(cfg=model.cfg, params=dict(model.params))
         result, tune_idx, eval_idx = finetune(tuned, xs, ys, args.fraction, cfg.train)

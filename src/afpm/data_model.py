@@ -71,8 +71,9 @@ def echo_config(out_dir: str, command: str, args: dict, resolved: dict) -> str:
 
     ``resolved`` is the command's own settings: the resolved ``RunConfig``
     for ``train``, ``ablate`` and ``finetune``, the ``SynthSpec`` for
-    ``synth``, the band edges, rate and unit scale for ``preprocess``, and
-    the template and stage switches for ``align``.
+    ``synth``, the band edges, rate and unit scale for ``preprocess``, the
+    template and stage switches for ``align``, and the checkpoint's task,
+    classes and template for ``eval``.
     """
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "run_config.json")

@@ -1,15 +1,18 @@
-"""Classification metrics and cross-subject fold evaluation.
+"""Classification metrics and the held-out evaluation report.
 
 Balanced accuracy is the mean of per-class recalls. AUROC and AUC-PR share
 one descending sweep over runs of equal scores. AUROC is the probability
 that a random positive outscores a random negative, ties counting one half.
 AUC-PR is average precision with equal scores grouped at one threshold.
 Kappa is chance-corrected agreement.
+
+A report holds the pooled metrics, each held-out subject's metrics and
+confusion counts, and whether every trial is predicted as one class.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -125,9 +128,9 @@ class EvalReport:
     task: str
     n_trials: int
     n_subjects: int
-    folds: int
-    repeats: int
-    metrics: dict[str, dict] = field(default_factory=dict)
+    constant_prediction: bool
+    metrics: dict[str, dict]
+    subjects: dict[str, dict]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -137,10 +140,15 @@ class EvalReport:
 
     def table(self) -> str:
         lines = [f"dataset {self.dataset} ({self.task}), "
-                 f"{self.n_trials} trials, {self.n_subjects} subjects, "
-                 f"{self.folds} fold(s) x {self.repeats} repeat(s)"]
+                 f"{self.n_trials} trials, {self.n_subjects} subjects"]
         for name, stats in self.metrics.items():
-            lines.append(f"  {name:>18s}: {stats['mean']:.4f} +- {stats['std']:.4f}")
+            lines.append(f"  {name:>18s}: {stats['mean']:.4f}")
+        if self.constant_prediction:
+            lines.append("  every trial is predicted as the same class")
+        for subject, rec in self.subjects.items():
+            values = ", ".join(f"{m} n/a" if v is None else f"{m} {v:.4f}"
+                               for m, v in rec["metrics"].items())
+            lines.append(f"  {subject} ({rec['n_trials']} trials): {values}")
         return "\n".join(lines)
 
 
@@ -150,12 +158,12 @@ def subject_of(domain_id: str) -> str:
     return parts[0] if len(parts) == 2 else domain_id
 
 
-def subject_folds(subjects, n_folds: int, seed: int) -> dict[str, int]:
-    """Sorted subjects, seeded shuffle, round-robin fold assignment."""
-    uniq = sorted(set(subjects))
-    rng = np.random.default_rng(seed)
-    order = list(rng.permutation(len(uniq)))
-    return {uniq[idx]: pos % n_folds for pos, idx in enumerate(order)}
+def subject_groups(domains) -> dict[str, np.ndarray]:
+    """Each subject's trial indices in ascending order, subjects sorted."""
+    groups: dict[str, list[int]] = {}
+    for i, d in enumerate(domains):
+        groups.setdefault(subject_of(d), []).append(i)
+    return {s: np.asarray(groups[s], dtype=np.int64) for s in sorted(groups)}
 
 
 def task_metrics(task: str) -> tuple[str, ...]:
@@ -163,20 +171,27 @@ def task_metrics(task: str) -> tuple[str, ...]:
 
 
 def compute_metrics(task: str, logits: np.ndarray, labels: np.ndarray,
-                    positive: int) -> dict[str, float]:
+                    positive: int, *, undefined_as_none: bool = False
+                    ) -> dict[str, float | None]:
     """The task's metrics of logits [N x c] against integer labels.
 
     Balanced accuracy and kappa use the argmax over all classes. AUROC and
     AUC-PR rank the softmax score of class ``positive`` with that class as
     the positives and every other class as the negatives: one class against
-    the rest when there are more than two (``positive_class_index``).
+    the rest when there are more than two (``positive_class_index``). A rank
+    metric the labels leave undefined (AUROC on one class, AUC-PR with no
+    positive) raises a data error, or is None under ``undefined_as_none``.
     """
     preds = np.argmax(logits, axis=1)
     scores = softmax_scores(logits)[:, positive]
     is_positive = labels == positive
-    out: dict[str, float] = {}
+    n_pos = int(np.count_nonzero(is_positive))
+    defined = {"auroc": 0 < n_pos < labels.size, "auc_pr": n_pos > 0}
+    out: dict[str, float | None] = {}
     for name in task_metrics(task):
-        if name == "balanced_accuracy":
+        if undefined_as_none and not defined.get(name, True):
+            out[name] = None
+        elif name == "balanced_accuracy":
             out[name] = balanced_accuracy(preds, labels)
         elif name == "auroc":
             out[name] = auroc(scores, is_positive)
@@ -189,40 +204,30 @@ def compute_metrics(task: str, logits: np.ndarray, labels: np.ndarray,
 
 def evaluate_arrays(model: Model, x: np.ndarray, labels: np.ndarray,
                     domains: list[str], dataset_name: str, *,
-                    folds: int = 1, repeats: int = 1, seed: int = 0,
                     positive: int = 1) -> EvalReport:
-    """Calibration-free inference + metrics, optionally split into subject folds."""
+    """Calibration-free inference: pooled metrics, then each held-out subject's."""
     task = model.cfg.task
     labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
     logits = np.concatenate(
         [forward(x[i:i + EVAL_BATCH], model) for i in range(0, n, EVAL_BATCH)]
     )
-
-    subjects = [subject_of(d) for d in domains]
-    report = EvalReport(dataset=dataset_name, task=task, n_trials=n,
-                        n_subjects=len(set(subjects)),
-                        folds=folds, repeats=repeats)
-    values: dict[str, list[float]] = {m: [] for m in task_metrics(task)}
-    for rep in range(repeats):
-        if folds <= 1:
-            parts = [np.arange(n)]
-        else:
-            assignment = subject_folds(subjects, folds, seed + rep)
-            fold_ids = np.array([assignment[s] for s in subjects])
-            parts = [np.flatnonzero(fold_ids == f) for f in range(folds)]
-        for part in parts:
-            if part.size == 0:
-                continue
-            got = compute_metrics(task, logits[part], labels[part], positive)
-            for m, val in got.items():
-                values[m].append(val)
-    for m, vals in values.items():
-        arr = np.asarray(vals, dtype=np.float64)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        report.metrics[m] = {"values": [float(v) for v in arr],
-                             "mean": float(arr.mean()), "std": std}
-    return report
+    preds = np.argmax(logits, axis=1)
+    pooled = compute_metrics(task, logits, labels, positive)
+    k = logits.shape[1]
+    subjects = {}
+    for subject, idx in subject_groups(domains).items():
+        confusion = np.bincount(labels[idx] * k + preds[idx], minlength=k * k)
+        subjects[subject] = {
+            "n_trials": int(idx.size),
+            "metrics": compute_metrics(task, logits[idx], labels[idx], positive,
+                                       undefined_as_none=True),
+            "confusion": confusion.reshape(k, k).tolist(),
+        }
+    return EvalReport(dataset=dataset_name, task=task, n_trials=n, n_subjects=len(subjects),
+                      constant_prediction=bool(np.all(preds == preds[0])),
+                      metrics={m: {"mean": v} for m, v in pooled.items()},
+                      subjects=subjects)
 
 
 def _layout_text(channels: tuple[str, ...], length: int) -> str:
@@ -249,10 +254,7 @@ def model_inputs(model: Model, manifest: DatasetManifest
     return x, labels, domains, positive
 
 
-def evaluate_dataset(model: Model, manifest: DatasetManifest, *,
-                     folds: int = 1, repeats: int = 1, seed: int = 0) -> EvalReport:
+def evaluate_dataset(model: Model, manifest: DatasetManifest) -> EvalReport:
     """Zero-calibration evaluation of one aligned dataset."""
     x, labels, domains, positive = model_inputs(model, manifest)
-    return evaluate_arrays(model, x, labels, domains, manifest.name,
-                           folds=folds, repeats=repeats, seed=seed,
-                           positive=positive)
+    return evaluate_arrays(model, x, labels, domains, manifest.name, positive=positive)

@@ -369,7 +369,7 @@ def test_criterion_7_ablation_direction(task_fixture, request):
 @pytest.mark.parametrize("task_fixture", ["mi_suite", "erp_suite"])
 def test_criterion_8_finetune_direction(task_fixture, request):
     from afpm.alignment import align_dataset
-    from afpm.evaluation import compute_metrics, positive_class_index, subject_of
+    from afpm.evaluation import compute_metrics, positive_class_index, subject_groups
     from afpm.pipeline import stack_aligned
 
     suite = request.getfixturevalue(task_fixture)
@@ -386,8 +386,7 @@ def test_criterion_8_finetune_direction(task_fixture, request):
     befores, afters = [], []
     for seed_idx, seed in enumerate(SEEDS):
         pretrained = suite["results"]["FULL"][seed_idx].model
-        for subject in sorted({subject_of(d) for d in doms}):
-            idx = [i for i, d in enumerate(doms) if subject_of(d) == subject]
+        for idx in subject_groups(doms).values():
             xs, ys = x[idx], y[idx]
             tuned = Model(cfg=pretrained.cfg,
                           params={k: v.copy() for k, v in pretrained.params.items()})

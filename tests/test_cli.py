@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import struct
@@ -128,6 +129,19 @@ class TestPipeline:
         report = json.loads((root / "eval" / "report.json").read_text())
         assert set(report["metrics"]) == {"balanced_accuracy", "auc_pr"}
         assert report["n_trials"] == 24
+        assert isinstance(report["constant_prediction"], bool)
+        assert sorted(report["subjects"]) == ["synth_mi:s00", "synth_mi:s01"]
+        for rec in report["subjects"].values():
+            assert rec["n_trials"] == 12 == np.sum(rec["confusion"])
+            assert set(rec["metrics"]) == {"balanced_accuracy", "auc_pr"}
+        lines = (root / "eval" / "report.txt").read_text().splitlines()
+        assert sum(line.startswith("  synth_mi:s0") for line in lines) == 2
+        echoed = json.loads((root / "eval" / "run_config.json").read_text())
+        assert (echoed["command"], echoed["args"]["ckpt"]) == ("eval", ckpt)
+        model, _, _ = load_checkpoint(ckpt)
+        assert echoed["resolved"] == {
+            "task": "mi", "class_names": list(model.cfg.class_names),
+            "template": {"channels": list(model.cfg.template_channels), "len": 1280}}
 
     def test_run_config_echoed(self, pipeline_dirs):
         root, raw, pre, ali, ckpt = pipeline_dirs
@@ -393,7 +407,8 @@ def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeyp
     run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
     echo_config(str(run_dir), "train", {"seed": 0}, resolve_config("mi").to_dict())
     assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir)]) == 0
-    files = [run_dir / "run_config.json", eval_dir / "report.json", eval_dir / "report.txt"]
+    files = [run_dir / "run_config.json", eval_dir / "report.json", eval_dir / "report.txt",
+             eval_dir / "run_config.json"]
     before = [f.read_bytes() for f in files]
 
     fail_writes_in(monkeypatch, afpm.data_model)
@@ -402,10 +417,11 @@ def test_interrupted_writes_keep_previous_files(pipeline_dirs, tmp_path, monkeyp
     # the report is one write: fail on the first
     fail_writes_in(monkeypatch, afpm.cli, afpm.data_model, fail_at=1)
     with pytest.raises(OSError, match="mid-write"):
-        main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir), "--folds", "2"])
+        main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(eval_dir)])
     assert [f.read_bytes() for f in files] == before
     assert sorted(p.name for p in run_dir.iterdir()) == ["run_config.json"]
-    assert sorted(p.name for p in eval_dir.iterdir()) == ["report.json", "report.txt"]
+    assert sorted(p.name for p in eval_dir.iterdir()) == ["report.json", "report.txt",
+                                                          "run_config.json"]
 
 
 @pytest.mark.parametrize("command", ["train", "ablate", "eval", "finetune"])
@@ -691,15 +707,70 @@ def test_unreadable_checkpoint_is_one_line_data_error(command, where, pipeline_d
 
 
 @pytest.mark.parametrize("flag", ["--folds", "--repeats"])
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_eval_needs_a_fold_and_a_repeat(flag, value, pipeline_dirs, tmp_path, capsys):
+def test_eval_takes_no_fold_flags(flag, pipeline_dirs, tmp_path, capsys):
+    """eval reports each held-out subject; random subject folds are gone."""
     _, _, _, ali, ckpt = pipeline_dirs
     capsys.readouterr()
-    assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(tmp_path / "ev"),
-                 flag, value]) == EXIT_CONFIG
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"config error: {flag} must be at least 1, got {value}"], err
+    with pytest.raises(SystemExit) as e:
+        main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(tmp_path / "ev"),
+              flag, "2"])
+    assert e.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
     assert not (tmp_path / "ev").exists()
+
+
+def test_erp_subject_without_targets_has_null_rank_metrics(tmp_path):
+    """A held-out subject with no target trial gets null AUROC and AUC-PR;
+    the pooled metrics are those of all trials, and eval succeeds."""
+    from afpm.evaluation import compute_metrics, model_inputs
+    from afpm.model import forward
+
+    labels = [0, 1] * 6 + [0] * 6
+    domains = ["toy:a:0"] * 12 + ["toy:b:0"] * 6
+    write_toy_dataset(tmp_path / "raw", task="erp", n_trials=18, n_samples=256,
+                      labels=labels, domain_ids=domains,
+                      class_names=("nontarget", "target"))
+    ali, ckpt, out = str(tmp_path / "ali"), str(tmp_path / "m.ckpt"), tmp_path / "ev"
+    assert main(["align", "--in", str(tmp_path / "raw"), "--out", ali, "--task", "erp"]) == 0
+    assert main(["train", "--data", ali, "--task", "erp", "--out", ckpt, "--epochs", "1",
+                 "--batch-size", "6", "--depth", "1", "--heads", "2", "--dim-head", "4"]) == 0
+    assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["subjects"]["toy:b"]["metrics"]["auroc"] is None
+    assert report["subjects"]["toy:b"]["metrics"]["auc_pr"] is None
+    assert isinstance(report["subjects"]["toy:b"]["metrics"]["cohens_kappa"], float)
+    assert all(v is not None for v in report["subjects"]["toy:a"]["metrics"].values())
+    model, _, _ = load_checkpoint(ckpt)
+    x, y, _, positive = model_inputs(model, afpm.data_model.load_manifest(ali))
+    pooled = compute_metrics("erp", forward(x, model), y, positive)
+    assert report["metrics"] == {m: {"mean": v} for m, v in pooled.items()}
+
+
+def test_finetune_tunes_each_subject_on_its_trials_in_order(pipeline_dirs, tmp_path):
+    """Every per-subject checkpoint equals one fine-tuned on that subject's
+    trials picked one by one in manifest order."""
+    from afpm.evaluation import model_inputs, subject_groups, subject_of
+    from afpm.model import Model, save_checkpoint
+    from afpm.training import finetune
+
+    _, _, _, ali, ckpt = pipeline_dirs
+    ft = tmp_path / "ft"
+    assert main(["finetune", "--ckpt", ckpt, "--data", ali, "--fraction", "0.3",
+                 "--out", str(ft), "--epochs", "1", "--batch-size", "4", "--seed", "0"]) == 0
+    model, _, _ = load_checkpoint(ckpt)
+    x, y, domains, _ = model_inputs(model, afpm.data_model.load_manifest(ali))
+    train_cfg = resolve_config("mi", None, {"train": {"epochs": 1, "batch_size": 4}}).train
+    subjects = sorted({subject_of(d) for d in domains})
+    assert list(subject_groups(domains)) == subjects
+    for subject in subjects:
+        idx = [i for i, d in enumerate(domains) if subject_of(d) == subject]
+        assert subject_groups(domains)[subject].tolist() == idx
+        tuned = Model(cfg=model.cfg, params=dict(model.params))
+        result, _, _ = finetune(tuned, x[idx], y[idx], 0.3, train_cfg)
+        name = subject.replace(":", "_") + ".ckpt"
+        save_checkpoint(result.model, str(tmp_path / name),
+                        extra={"task": "mi", "subject": subject})
+        assert (tmp_path / name).read_bytes() == (ft / name).read_bytes(), subject
 
 
 def test_eval_on_a_dataset_without_trials_is_data_error(pipeline_dirs, tmp_path, capsys):
@@ -719,11 +790,11 @@ def test_eval_on_a_dataset_without_trials_is_data_error(pipeline_dirs, tmp_path,
 def test_threads_are_parsed_with_the_other_arguments(monkeypatch, capsys):
     pinned = []
     monkeypatch.setattr(afpm.cli, "_set_thread_env", pinned.append)
-    no_folds = ["eval", "--ckpt", "m.ckpt", "--data", "d", "--folds", "0"]
-    assert main(no_folds + ["--threads", "0"]) == EXIT_CONFIG
-    assert main(no_folds + ["--threads=2"]) == EXIT_CONFIG
+    bad_band = ["preprocess", "--in", "d", "--out", "o", "--band", "x"]
+    assert main(bad_band + ["--threads", "0"]) == EXIT_CONFIG
+    assert main(bad_band + ["--threads=2"]) == EXIT_CONFIG
     with pytest.raises(SystemExit) as e:
-        main(no_folds + ["--threads", "abc"])
+        main(bad_band + ["--threads", "abc"])
     assert e.value.code == EXIT_CONFIG
     assert pinned == [1, 2]
 
@@ -791,6 +862,21 @@ def test_readme_commands_parse():
     parser = afpm.cli.build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])
+
+
+def test_readme_names_only_flags_that_exist(capsys):
+    """Every option README names, in prose too, belongs to an afpm command or
+    to the benchmark runner, so a removed flag cannot linger in the docs."""
+    root = Path(__file__).parents[1]
+    option = r"(?<![\w-])--[a-z][a-z-]*"
+    named = set(re.findall(option, (root / "README.md").read_text(encoding="utf-8")))
+    known = set(re.findall(r'add_argument\("(--[a-z-]+)"',
+                           (root / "perfbench" / "run.py").read_text(encoding="utf-8")))
+    for command in afpm.cli._HANDLERS:
+        with pytest.raises(SystemExit):
+            afpm.cli.build_parser().parse_args([command, "--help"])
+        known |= set(re.findall(option, capsys.readouterr().out))
+    assert named - known == set()
 
 
 def test_flat_domain_fails_align_without_partial_output(tmp_path, capsys):

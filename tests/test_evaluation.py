@@ -5,9 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 from afpm.errors import DataError
 from afpm.evaluation import (
     auc_pr, auroc, balanced_accuracy, cohens_kappa, evaluate_arrays,
-    compute_metrics, positive_class_index, softmax_scores, subject_folds,
+    compute_metrics, positive_class_index, softmax_scores, subject_groups,
     subject_of, task_metrics,
 )
+from afpm.model import forward
 
 
 def pairwise_auroc(scores, labels):
@@ -247,13 +248,13 @@ def test_subject_of_strips_session():
     assert subject_of("plain") == "plain"
 
 
-def test_subject_folds_deterministic_and_balanced():
-    subjects = [f"s{i}" for i in range(9)]
-    a = subject_folds(subjects, 3, seed=4)
-    b = subject_folds(subjects, 3, seed=4)
-    assert a == b
-    counts = np.bincount(list(a.values()), minlength=3)
-    assert counts.tolist() == [3, 3, 3]
+def test_subject_groups_partition_trials_in_ascending_order():
+    doms = ["d:s2:0", "d:s10:1", "d:s2:1", "d:s1:0", "d:s10:0", "d:s2:0"]
+    groups = subject_groups(doms)
+    assert list(groups) == ["d:s1", "d:s10", "d:s2"]
+    assert [g.tolist() for g in groups.values()] == [[3], [1, 4], [0, 2, 5]]
+    assert subject_groups(doms).keys() == groups.keys()
+    assert sorted(np.concatenate(list(groups.values())).tolist()) == list(range(6))
 
 
 class TestEvaluateArrays:
@@ -274,15 +275,61 @@ class TestEvaluateArrays:
         report = evaluate_arrays(model, x, y, doms, "toy")
         assert 0.4 <= report.mean("balanced_accuracy") <= 0.6
 
-    def test_repeat_same_seed_identical(self, rng):
+    def test_subject_split_deterministic_and_sums_to_pooled(self, rng):
+        """Two calls agree, the subjects partition the trials, and the
+        per-subject trial and confusion counts add up to the pooled ones."""
         model = self._model()
         x = rng.standard_normal((60, 2, 32)).astype(np.float32)
         y = np.array([i % 2 for i in range(60)])
-        doms = [f"d:s{i % 6}:0" for i in range(60)]
-        r1 = evaluate_arrays(model, x, y, doms, "toy", folds=3, repeats=2, seed=7)
-        r2 = evaluate_arrays(model, x, y, doms, "toy", folds=3, repeats=2, seed=7)
+        doms = [f"d:s{i % 6}:{i % 2}" for i in range(60)]
+        r1 = evaluate_arrays(model, x, y, doms, "toy")
+        r2 = evaluate_arrays(model, x, y, doms, "toy")
         assert r1.to_dict() == r2.to_dict()
-        assert len(r1.metrics["balanced_accuracy"]["values"]) == 6
+        assert r1.n_subjects == len(r1.subjects) == 6
+        assert sum(s["n_trials"] for s in r1.subjects.values()) == r1.n_trials == 60
+        logits = forward(x, model)
+        pooled = np.zeros((2, 2), dtype=np.int64)
+        np.add.at(pooled, (y, np.argmax(logits, axis=1)), 1)
+        confusion = sum(np.array(s["confusion"]) for s in r1.subjects.values())
+        assert confusion.tolist() == pooled.tolist()
+        for m, value in compute_metrics("mi", logits, y, 1).items():
+            assert r1.metrics[m] == {"mean": value}
+
+    def test_subject_without_positives_has_null_rank_metrics(self, rng):
+        model = self._model()
+        x = rng.standard_normal((12, 2, 32)).astype(np.float32)
+        y = np.array([0, 1] * 4 + [0] * 4)
+        doms = ["d:a:0"] * 8 + ["d:b:0"] * 4
+        report = evaluate_arrays(model, x, y, doms, "toy")
+        assert report.subjects["d:b"]["metrics"]["auc_pr"] is None
+        assert report.subjects["d:a"]["metrics"]["auc_pr"] is not None
+        assert report.metrics["auc_pr"]["mean"] == compute_metrics(
+            "mi", forward(x, model), y, 1)["auc_pr"]
+        line = [row for row in report.table().splitlines() if "d:b (4 trials)" in row]
+        assert len(line) == 1 and line[0].endswith("auc_pr n/a"), line
+
+    def test_constant_prediction_flagged(self, rng):
+        """Zero head weights give every trial the same logits, so one class."""
+        model = self._model()
+        x = rng.standard_normal((20, 2, 32)).astype(np.float32)
+        y = np.array([i % 2 for i in range(20)])
+        doms = [f"d:s{i % 2}:0" for i in range(20)]
+        model.params["head.w"] = np.zeros_like(model.params["head.w"])
+        report = evaluate_arrays(model, x, y, doms, "toy")
+        assert report.constant_prediction is True
+        assert "every trial is predicted as the same class" in report.table()
+
+    def test_trained_model_not_flagged_constant(self, rng):
+        from afpm.training import TrainConfig, train
+        y = np.arange(40) % 2
+        x = (0.3 * rng.standard_normal((40, 2, 32))).astype(np.float32)
+        x[:, 0, :] += np.where(y == 1, 1.0, -1.0)[:, None] * np.sin(np.arange(32) / 2)
+        cfg = TrainConfig(epochs=20, batch_size=8, lr_init=1e-3, lr_max=1e-2)
+        model = train(x, y, self._model(), cfg).model
+        report = evaluate_arrays(model, x, y, [f"d:s{i % 4}:0" for i in range(40)], "toy")
+        assert report.constant_prediction is False
+        assert report.mean("balanced_accuracy") > 0.9
+        assert "same class" not in report.table()
 
     def test_oracle_scores_give_perfect_rank_metrics(self):
         scores = np.array([0.9, 0.8, 0.2, 0.1])
