@@ -707,16 +707,19 @@ def test_unreadable_checkpoint_is_one_line_data_error(command, where, pipeline_d
 
 
 @pytest.mark.parametrize("flag", ["--folds", "--repeats"])
-def test_eval_takes_no_fold_flags(flag, pipeline_dirs, tmp_path, capsys):
-    """eval reports each held-out subject; random subject folds are gone."""
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_eval_needs_a_fold_and_a_repeat(flag, value, pipeline_dirs, tmp_path, capsys):
+    """eval reports each held-out subject; random subject folds are gone, so
+    a fold or repeat count, valid or not, is refused before anything is written."""
     _, _, _, ali, ckpt = pipeline_dirs
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as e:
-        main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(tmp_path / "ev"),
-              flag, "2"])
-    assert e.value.code == EXIT_CONFIG
-    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
-    assert not (tmp_path / "ev").exists()
+    for count in (value, "2"):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(tmp_path / "ev"),
+                  flag, count])
+        assert e.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} {count}" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
 
 
 def test_erp_subject_without_targets_has_null_rank_metrics(tmp_path):
