@@ -326,9 +326,11 @@ def _cmd_finetune(args) -> int:
     from .config import resolve_config
     from .data_model import atomic_open, echo_config, load_manifest
     from .errors import DataError
-    from .evaluation import compute_metrics, model_inputs, subject_groups, task_metrics
+    from .evaluation import (
+        compute_metrics, model_inputs, subject_groups, task_metrics, undefined_metrics,
+    )
     from .model import forward, load_checkpoint, save_checkpoint, Model
-    from .training import finetune
+    from .training import chronological_split, finetune
 
     model, _, _ = load_checkpoint(args.ckpt)
     manifest = load_manifest(_data_path(args.data))
@@ -344,6 +346,21 @@ def _cmd_finetune(args) -> int:
         if other != subject:
             raise DataError(f"subjects {other!r} and {subject!r} would both "
                             f"write checkpoint {name}")
+    # every subject's split is checked before any training or writing
+    classes = model.cfg.class_names
+    for subject, idx in groups.items():
+        try:
+            tune_idx, eval_idx = chronological_split(idx.size, args.fraction)
+        except DataError as e:
+            raise DataError(f"subject {subject!r}: {e}") from e
+        counts = np.bincount(y[idx[tune_idx]], minlength=len(classes))
+        if not counts.all():
+            raise DataError(f"subject {subject!r}: its first {tune_idx.size} trials (the "
+                            f"tune split) hold no {classes[np.argmin(counts)]!r} trial")
+        undefined = undefined_metrics(task, y[idx[eval_idx]], positive)
+        if undefined:
+            raise DataError(f"subject {subject!r}: its last {eval_idx.size} trials (the "
+                            f"evaluation split) leave {', '.join(undefined)} undefined")
     per_subject = []
     os.makedirs(args.out, exist_ok=True)
     for subject, idx in groups.items():

@@ -170,6 +170,14 @@ def task_metrics(task: str) -> tuple[str, ...]:
     return MI_METRICS if task == "mi" else ERP_METRICS
 
 
+def undefined_metrics(task: str, labels: np.ndarray, positive: int) -> list[str]:
+    """The task's rank metrics that ``labels`` leave undefined: AUROC unless
+    class ``positive`` and another class both occur, AUC-PR unless ``positive`` does."""
+    n_pos = int(np.count_nonzero(labels == positive))
+    defined = {"auroc": 0 < n_pos < labels.size, "auc_pr": n_pos > 0}
+    return [name for name in task_metrics(task) if not defined.get(name, True)]
+
+
 def compute_metrics(task: str, logits: np.ndarray, labels: np.ndarray,
                     positive: int, *, undefined_as_none: bool = False
                     ) -> dict[str, float | None]:
@@ -185,11 +193,10 @@ def compute_metrics(task: str, logits: np.ndarray, labels: np.ndarray,
     preds = np.argmax(logits, axis=1)
     scores = softmax_scores(logits)[:, positive]
     is_positive = labels == positive
-    n_pos = int(np.count_nonzero(is_positive))
-    defined = {"auroc": 0 < n_pos < labels.size, "auc_pr": n_pos > 0}
+    undefined = undefined_metrics(task, labels, positive) if undefined_as_none else ()
     out: dict[str, float | None] = {}
     for name in task_metrics(task):
-        if undefined_as_none and not defined.get(name, True):
+        if name in undefined:
             out[name] = None
         elif name == "balanced_accuracy":
             out[name] = balanced_accuracy(preds, labels)

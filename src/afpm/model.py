@@ -17,7 +17,9 @@ ERP preset) it runs factored instead: each head's q·kᵀ and att·v·Wo go
 through D x D products of the normed input, the QK/OV-circuit view of Elhage
 et al. 2021, "A Mathematical Framework for Transformer Circuits". Softmax
 cancels the key bias there, so its gradient is zero; it stays a parameter so
-that checkpoints keep one layout.
+that checkpoints keep one layout. Both forms build their scores key-major,
+keys on axis 1, so softmax and its backward reduce across long contiguous
+runs of queries and heads rather than along rows of a few keys.
 
 Everything is plain numpy in the parameter dtype (float32 for training,
 float64 for gradient checks). ``forward_cached``/``backward_cached`` are the
@@ -276,15 +278,15 @@ def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
     rows of length m, ordered channel-major: all windows of channel 0 first
     ([B x M*G x m]).
 
-    ``scale * x`` is written straight into one zeroed output, in the dtype of
-    ``x``: the windows inside the template through a strided view of ``x``,
-    the few that run past its end one by one. No padded or scaled copy of
-    ``x`` is made.
+    Each output item is written once, in the dtype of ``x``: ``scale * x``
+    into the windows inside the template through a strided view of ``x``,
+    then the few that run past its end one by one, their columns beyond T'-1
+    as explicit zeros. No padded or scaled copy of ``x`` is made.
     """
     b, m, t_prime = x.shape
     width, stride = cfg.frame_window, cfg.frame_stride
     g = patch_count(t_prime, stride)
-    out = np.zeros((b, m, g, width) if per_channel else (b, g, m, width), dtype=x.dtype)
+    out = np.empty((b, m, g, width) if per_channel else (b, g, m, width), dtype=x.dtype)
     windows = out if per_channel else out.transpose(0, 2, 1, 3)     # [B, M, G, m], a view
     scale = np.asarray(scale, dtype=x.dtype)
     inside = (t_prime - width) // stride + 1 if t_prime >= width else 0
@@ -294,6 +296,7 @@ def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
     for j in range(inside, g):
         piece = x[:, :, j * stride:j * stride + width]
         np.multiply(piece, scale, out=windows[:, :, j, :piece.shape[-1]])
+        windows[:, :, j, piece.shape[-1]:] = 0
     return out.reshape(b, m * g, width) if per_channel else out.reshape(b, g, m * width)
 
 
@@ -353,11 +356,12 @@ def _layernorm_backward(dy, cache, g):
     return dx, dg, db
 
 
-def _softmax(x, axis=-1):
-    """Softmax along ``axis`` computed in place: ``x`` must be a fresh array nothing else reads."""
-    x -= x.max(axis=axis, keepdims=True)
+def _softmax(x):
+    """Softmax over axis 1, the keys of key-major scores, computed in place:
+    ``x`` must be a fresh array nothing else reads."""
+    x -= x.max(axis=1, keepdims=True)
     np.exp(x, out=x)
-    x /= x.sum(axis=axis, keepdims=True)
+    x /= x.sum(axis=1, keepdims=True)
     return x
 
 
@@ -427,12 +431,21 @@ def _factored_queries(u, qk, qk_bias, heads):
 
 
 def _head_attention(x, u, p, prefix, t_cfg):
-    """``x`` plus per-head attention of ``u``, and the q, k, v, ctx and att it caches."""
+    """``x`` plus per-head attention of ``u``, and the q, k, v, ctx and att it caches.
+
+    The scores are built key-major [B x S_k x H x S_q], as the factored form
+    builds them, so softmax reduces over their axis 1 in runs of H*S_q
+    contiguous items (a last-axis reduction loops over rows of only S_k). The
+    cache keeps ``att`` as its keys-last view [B x H x S_q x S_k].
+    """
     h = t_cfg.heads
     q, k, v = _qkv(u, p, prefix)
-    att = _heads(q, h) @ _heads(k, h).transpose(0, 1, 3, 2)
-    att *= 1.0 / math.sqrt(t_cfg.dim_head)
-    _softmax(att)
+    b, s, _ = q.shape
+    scores = np.empty((b, s, h, s), dtype=q.dtype)
+    np.matmul(_heads(k, h), _heads(q, h).transpose(0, 1, 3, 2),
+              out=scores.transpose(0, 2, 1, 3))
+    scores *= 1.0 / math.sqrt(t_cfg.dim_head)
+    att = _softmax(scores).transpose(0, 2, 3, 1)
     ctx = np.empty_like(q)
     np.matmul(att, _heads(v, h), out=_heads(ctx, h))
     x1 = x + ctx @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
@@ -453,8 +466,7 @@ def _factored_attention(x, u, p, prefix, t_cfg):
     h = t_cfg.heads
     qk, qk_bias, ov, out_bias = _circuits(p, prefix, t_cfg)
     b, s, d = u.shape
-    att = _softmax(u @ _factored_queries(u, qk, qk_bias, h).swapaxes(1, 2),
-                   axis=1).swapaxes(1, 2)
+    att = _softmax(u @ _factored_queries(u, qk, qk_bias, h).swapaxes(1, 2)).swapaxes(1, 2)
     y = (att @ u).reshape(b, s, h * d)
     x1 = x + y @ ov + out_bias
     return x1, dict(y=y, att=att, qk=qk, qk_bias=qk_bias, ov=ov)
@@ -524,16 +536,19 @@ def _head_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     h = t_cfg.heads
     scale = 1.0 / math.sqrt(t_cfg.dim_head)
     ctx, att = c["ctx"], c["att"]
+    att_k = att.transpose(0, 3, 1, 2)      # the key-major [B x S_k x H x S_q] buffer
     q, k, v = (_heads(c[n], h) for n in "qkv")
     dq_m, dk_m, dv_m = (np.empty_like(ctx) for _ in "qkv")
     dctx = _heads(do @ p[f"{prefix}.attn.wo"].T, h)
-    datt = dctx @ v.transpose(0, 1, 3, 2)
+    datt = np.empty_like(att_k)            # key-major, like the scores
+    np.matmul(v, dctx.transpose(0, 1, 3, 2), out=datt.transpose(0, 2, 1, 3))
     np.matmul(att.transpose(0, 1, 3, 2), dctx, out=_heads(dv_m, h))
     # softmax backward, built in the datt buffer: dsc = att * (datt - rowsum(datt * att))
-    datt -= np.sum(datt * att, axis=-1, keepdims=True)
-    datt *= att
-    np.matmul(datt, k, out=_heads(dq_m, h))
-    np.matmul(datt.transpose(0, 1, 3, 2), q, out=_heads(dk_m, h))
+    datt -= np.sum(datt * att_k, axis=1, keepdims=True)
+    datt *= att_k
+    dsc = datt.transpose(0, 2, 3, 1)       # [B x H x S_q x S_k]
+    np.matmul(dsc, k, out=_heads(dq_m, h))
+    np.matmul(dsc.transpose(0, 1, 3, 2), q, out=_heads(dk_m, h))
     dq_m *= scale
     dk_m *= scale
     grads[f"{prefix}.attn.wo"] = _weight_grad(ctx, do)

@@ -8,12 +8,18 @@ the peak over the first 30% of steps, then decays cosine to 1/100 of the
 initial rate. Every batch is drawn class-balanced. A batch whose cache would
 not fit ``model.MICRO_BATCH_BYTES`` runs as micro-batches whose gradients are
 summed. Training is deterministic for a fixed seed when run single-threaded.
+
+Per step, the gradients and the AdamW moments each live in one flat vector
+laid out tensor after tensor in manifest order (``FlatLayout``), so the sum
+over micro-batches, the finite checks and the update run as a few long
+numpy loops instead of one short loop per tensor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,6 +34,12 @@ FINAL_LR_DIVISOR = 100.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# AdamW updates the flat vectors in runs of this many items, so that each
+# run's temporaries stay in cache. On one core, an MI preset update (540k
+# parameters) took a median 5.6 ms in runs of 2**15, 9.9 ms as one pass over
+# the whole vectors and 6.8 ms tensor by tensor; runs of 2**14 or 2**16 were
+# within 10% of 2**15 for both presets.
+ADAM_RUN = 2**15
 
 
 @dataclass(frozen=True)
@@ -64,6 +76,39 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray
     return loss, grad / n
 
 
+@dataclass(frozen=True)
+class FlatLayout:
+    """Named tensors laid end to end in one vector: tensor ``names[i]`` of
+    shape ``shapes[i]`` holds items ``offsets[i]:offsets[i + 1]``."""
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+
+    @classmethod
+    def of(cls, arrays: dict[str, np.ndarray]) -> "FlatLayout":
+        shapes = tuple(a.shape for a in arrays.values())
+        offsets = tuple(accumulate((math.prod(shape) for shape in shapes), initial=0))
+        return cls(names=tuple(arrays), shapes=shapes, offsets=offsets)
+
+    def gather(self, arrays: dict[str, np.ndarray], dtype=None) -> np.ndarray:
+        """One new vector holding ``arrays`` in layout order (cast to ``dtype``)."""
+        return np.concatenate([arrays[name].ravel() for name in self.names], dtype=dtype)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor as a view of ``flat``."""
+        return {name: flat[i:j].reshape(shape) for name, shape, i, j
+                in zip(self.names, self.shapes, self.offsets, self.offsets[1:])}
+
+    def require_finite(self, flat: np.ndarray, what: str) -> None:
+        """NumericError naming the first tensor, in layout order, with a
+        non-finite item of ``flat``."""
+        finite = np.isfinite(flat)
+        if not finite.all():
+            first = np.searchsorted(self.offsets, np.argmin(finite), "right") - 1
+            raise NumericError(f"non-finite {what} for tensor {self.names[first]!r}")
+
+
 def backward(x_batch: np.ndarray, labels: np.ndarray, model: Model
              ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean batch loss and exact analytic gradients for every parameter tensor.
@@ -71,12 +116,15 @@ def backward(x_batch: np.ndarray, labels: np.ndarray, model: Model
     The batch runs one micro-batch (``micro_batches``) at a time, so only one
     micro-batch's cache is alive. Each micro-batch's mean loss and logit
     gradient are weighted by its share of the batch, which divides both by
-    the size of the whole batch, and its gradients are summed. A batch of one
-    micro-batch (the presets up to batch 512) takes a single pass.
+    the size of the whole batch, and its gradients are summed into one flat
+    vector laid out like ``model.params``. A batch of one micro-batch (the
+    presets up to batch 512) takes a single pass. The gradients returned are
+    views of that vector, checked finite in one pass.
     """
     x, labels = np.asarray(x_batch), np.asarray(labels)
     n = labels.shape[0]
-    loss, grads = 0.0, {}
+    layout = FlatLayout.of(model.params)
+    loss, flat = 0.0, None
     for i, j in micro_batches(model.cfg, n, model.dtype.itemsize):
         logits, cache = forward_cached(x[i:j], model, want_cache=True)
         part, dlogits = batch_cross_entropy(logits.astype(np.float64), labels[i:j])
@@ -84,55 +132,84 @@ def backward(x_batch: np.ndarray, labels: np.ndarray, model: Model
         part_grads = backward_cached((dlogits * share).astype(model.dtype), model, cache)
         del cache           # free it before the next micro-batch's forward
         loss += part * share
-        grads = {k: grads[k] + g for k, g in part_grads.items()} if grads else part_grads
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for tensor {name!r}")
-    return loss, grads
+        part_flat = layout.gather(part_grads)
+        if flat is None:
+            flat = part_flat
+        else:
+            flat += part_flat
+    layout.require_finite(flat, "gradient")
+    return loss, layout.views(flat)
 
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """AdamW moments ``m`` and ``v`` as two flat vectors in the parameters'
+    ``layout``. ``decay`` holds 1 over the items of decayed tensors
+    (``decayed_param``) and 0 elsewhere, in the parameter dtype."""
+
+    layout: FlatLayout
+    decay: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros_like(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        return cls(m={k: np.zeros_like(p) for k, p in params.items()},
-                   v={k: np.zeros_like(p) for k, p in params.items()},
-                   step=0)
+        layout = FlatLayout.of(params)
+        dtype = np.result_type(*params.values())
+        decay = layout.gather({name: np.full(p.shape, decayed_param(name, p), dtype=dtype)
+                               for name, p in params.items()})
+        size = layout.offsets[-1]
+        return cls(layout=layout, decay=decay, m=np.zeros(size, dtype=dtype),
+                   v=np.zeros(size, dtype=dtype))
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
-    """One AdamW update with bias correction and decoupled decay. Every new
-    parameter is computed before any is stored: if one is not finite,
-    NumericError names its tensor, the parameters stay as they were, and the
-    moments in ``state`` are spent. ``params`` gets new arrays; the old ones
-    are never written, so they may be read-only or shared with another model."""
+    """One AdamW update with bias correction and decoupled decay.
+
+    Parameters and gradients are gathered into flat vectors in the state's
+    layout, and the per-item formula runs over runs of ADAM_RUN items, so it
+    rounds exactly as it would tensor by tensor. Every new parameter is
+    computed before any is stored: if one is not finite, NumericError names
+    the first such tensor in layout order, the parameters stay as they were,
+    and the moments in ``state`` are spent. ``params`` gets views of one new
+    vector; the old arrays are never written, so they may be read-only or
+    shared with another model.
+    """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    new = []
+    layout, dtype = state.layout, state.m.dtype
+    p, g = layout.gather(params, dtype), layout.gather(grads, dtype)
+    new = np.empty_like(p)
+    buf1, buf2 = np.empty((2, min(ADAM_RUN, p.size)), dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, p in params.items():
-            g = grads[name].astype(p.dtype, copy=False)
-            m = state.m[name]
-            v = state.v[name]
+        for i in range(0, p.size, ADAM_RUN):
+            j = min(i + ADAM_RUN, p.size)
+            pi, gi, m, v = p[i:j], g[i:j], state.m[i:j], state.v[i:j]
+            t1, t2 = buf1[:j - i], buf2[:j - i]
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(gi, 1.0 - ADAM_BETA1, out=t1)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            if cfg.weight_decay and decayed_param(name, p):
-                update = update + cfg.weight_decay * p
-            new.append(p - (lr * update).astype(p.dtype, copy=False))
-            if not np.isfinite(new[-1]).all():
-                raise NumericError(f"non-finite AdamW update for tensor {name!r}")
-    for name, p_new in zip(list(params), new):
-        params[name] = p_new
+            square = np.multiply(gi, gi, out=t1)
+            square *= 1.0 - ADAM_BETA2
+            v += square
+            # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay * p]
+            update = np.divide(m, bc1, out=t1)
+            root = np.sqrt(np.divide(v, bc2, out=t2), out=t2)
+            root += ADAM_EPS
+            update /= root
+            if cfg.weight_decay:
+                # exempt items add a zero, which leaves their parameter as it was
+                decay = np.multiply(state.decay[i:j], cfg.weight_decay, out=t2)
+                decay *= pi
+                update += decay
+            update *= lr
+            np.subtract(pi, update, out=new[i:j])
+    layout.require_finite(new, "AdamW update")
+    params.update(layout.views(new))
 
 
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:

@@ -749,6 +749,32 @@ def test_erp_subject_without_targets_has_null_rank_metrics(tmp_path):
     assert report["metrics"] == {m: {"mean": v} for m, v in pooled.items()}
 
 
+@pytest.mark.parametrize("second, split, message", [
+    ([0] * 6, "tune", "its first 2 trials (the tune split) hold no 'target' trial"),
+    ([0, 1, 0, 0, 0, 0], "evaluation",
+     "its last 4 trials (the evaluation split) leave auroc, auc_pr undefined"),
+])
+def test_finetune_checks_every_split_before_writing(tmp_path, capsys, second, split, message):
+    """A later subject whose tune split lacks a class, or whose evaluation
+    split leaves a metric undefined, stops finetune with exit 3 and one line
+    naming it, before any subject is tuned or any file written."""
+    labels = [0, 1] * 6 + second
+    domains = ["toy:a:0"] * 12 + ["toy:b:0"] * 6
+    write_toy_dataset(tmp_path / "raw", task="erp", n_trials=18, n_samples=256,
+                      labels=labels, domain_ids=domains,
+                      class_names=("nontarget", "target"))
+    ali, ckpt, ft = str(tmp_path / "ali"), str(tmp_path / "m.ckpt"), tmp_path / "ft"
+    assert main(["align", "--in", str(tmp_path / "raw"), "--out", ali, "--task", "erp"]) == 0
+    assert main(["train", "--data", ali, "--task", "erp", "--out", ckpt, "--epochs", "1",
+                 "--batch-size", "6", "--depth", "1", "--heads", "2", "--dim-head", "4"]) == 0
+    capsys.readouterr()
+    assert main(["finetune", "--ckpt", ckpt, "--data", ali, "--fraction", "0.3",
+                 "--out", str(ft), "--epochs", "1", "--batch-size", "4"]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"data error: subject 'toy:b': {message}"], (split, err)
+    assert not ft.exists()
+
+
 def test_finetune_tunes_each_subject_on_its_trials_in_order(pipeline_dirs, tmp_path):
     """Every per-subject checkpoint equals one fine-tuned on that subject's
     trials picked one by one in manifest order."""

@@ -161,6 +161,32 @@ def test_batch_extraction_matches_explicit_slices(t_prime, m, d, channels, batch
     assert np.array_equal(per, ref.reshape(batch, channels * g, m))
 
 
+def test_patches_write_every_item(rng, monkeypatch):
+    """Every patch item is written: with ``np.empty`` handing out NaN-filled
+    memory, the patches still equal scaled windows of the zero-padded input,
+    in both layouts, for templates a window divides and ones it does not."""
+    real_empty = np.empty
+
+    def nan_empty(shape, dtype=float, *args, **kwargs):
+        out = real_empty(shape, dtype, *args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    for t_prime, m, d in ((64, 8, 8), (61, 8, 5), (5, 8, 3), (40, 3, 8)):
+        fpe = FPEConfig(embed_dim=1, frame_window=m, frame_stride=d, avg_window=1,
+                        avg_shift=1, token_dim=1, mlp_hidden=1)
+        x = rng.standard_normal((2, 3, t_prime)).astype(np.float32)
+        g = patch_count(t_prime, d)
+        padded = np.zeros((2, 3, (g - 1) * d + m), dtype=np.float32)
+        padded[:, :, :t_prime] = x * np.float32(1.5)
+        ref = np.stack([padded[:, :, j * d:j * d + m] for j in range(g)], axis=2)
+        std = extract_patches(x, fpe, per_channel=False, scale=1.5)
+        per = extract_patches(x, fpe, per_channel=True, scale=1.5)
+        assert np.array_equal(std, ref.transpose(0, 2, 1, 3).reshape(2, g, 3 * m))
+        assert np.array_equal(per, ref.reshape(2, 3 * g, m))
+
+
 def erf_gelu(x: float) -> float:
     return 0.5 * x * (1.0 + math.erf(x / math.sqrt(2.0)))
 
@@ -975,6 +1001,96 @@ class TestFactoredAttention:
                    TrainConfig())
         for name, arr in before.items():
             assert np.array_equal(model.params[name], arr) is (name in bk), name
+
+
+def query_major_attention(x, u, p, prefix, t_cfg):
+    """The per-head attention forward as it was before scores went key-major:
+    scores [B x H x S_q x S_k] and softmax over their last axis."""
+    h = t_cfg.heads
+    q, k, v = afpm.model._qkv(u, p, prefix)
+    att = afpm.model._heads(q, h) @ afpm.model._heads(k, h).transpose(0, 1, 3, 2)
+    att *= 1.0 / math.sqrt(t_cfg.dim_head)
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    ctx = np.empty_like(q)
+    np.matmul(att, afpm.model._heads(v, h), out=afpm.model._heads(ctx, h))
+    x1 = x + ctx @ p[f"{prefix}.attn.wo"] + p[f"{prefix}.attn.bo"]
+    return x1, dict(q=q, k=k, v=v, ctx=ctx, att=att)
+
+
+def query_major_attention_backward(do, u, p, prefix, t_cfg, c, grads):
+    """The per-head attention backward as it was before scores went key-major."""
+    h = t_cfg.heads
+    heads = afpm.model._heads
+    weight_grad = afpm.model._weight_grad
+    scale = 1.0 / math.sqrt(t_cfg.dim_head)
+    ctx, att = c["ctx"], c["att"]
+    q, k, v = (heads(c[n], h) for n in "qkv")
+    dq_m, dk_m, dv_m = (np.empty_like(ctx) for _ in "qkv")
+    dctx = heads(do @ p[f"{prefix}.attn.wo"].T, h)
+    datt = dctx @ v.transpose(0, 1, 3, 2)
+    np.matmul(att.transpose(0, 1, 3, 2), dctx, out=heads(dv_m, h))
+    datt -= np.sum(datt * att, axis=-1, keepdims=True)
+    datt *= att
+    np.matmul(datt, k, out=heads(dq_m, h))
+    np.matmul(datt.transpose(0, 1, 3, 2), q, out=heads(dk_m, h))
+    dq_m *= scale
+    dk_m *= scale
+    grads[f"{prefix}.attn.wo"] = weight_grad(ctx, do)
+    grads[f"{prefix}.attn.wq"] = weight_grad(u, dq_m)
+    grads[f"{prefix}.attn.bq"] = dq_m.sum(axis=(0, 1))
+    grads[f"{prefix}.attn.wk"] = weight_grad(u, dk_m)
+    grads[f"{prefix}.attn.bk"] = dk_m.sum(axis=(0, 1))
+    grads[f"{prefix}.attn.wv"] = weight_grad(u, dv_m)
+    grads[f"{prefix}.attn.bv"] = dv_m.sum(axis=(0, 1))
+    return dq_m @ p[f"{prefix}.attn.wq"].T + dk_m @ p[f"{prefix}.attn.wk"].T \
+        + dv_m @ p[f"{prefix}.attn.wv"].T
+
+
+def per_head_block_run(p, t_cfg, x, dx2):
+    """One per-head block's output, attention weights, input gradient and
+    parameter gradients."""
+    cache = {}
+    out = _block_forward(x, p, "block0", t_cfg, cache)
+    grads = {}
+    dx = afpm.model._block_backward(dx2, p, "block0", t_cfg, cache["block0"], grads)
+    return {"out": out, "att": cache["block0"]["att"], "dx": dx, **grads}
+
+
+class TestKeyMajorHeadAttention:
+    """The per-head form builds its scores key-major [B x S_k x H x S_q] and
+    reduces softmax over axis 1. Against the query-major form it replaced:
+    numpy sums fewer than 8 items in the same sequential order on either axis,
+    so up to 7 tokens (the ERP preset has 5) nothing changes a bit; from 8
+    tokens on a last-axis sum is pairwise, and results agree within the error
+    bound of a sequential sum over the keys, tokens x eps of the dtype (about
+    1e-6 for 8 float32 tokens), relative to each output's largest item."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tokens", [2, 3, 5, 7, 8, 13, 113])
+    def test_equals_query_major_form(self, tokens, dtype, rng, monkeypatch):
+        cfg = small_cfg(heads=3, dim_head=4)
+        assert not factored_attention(cfg.transformer, cfg.fpe.token_dim)
+        p = perturbed_model(cfg, dtype, rng).params
+        x = rng.standard_normal((4, tokens, cfg.fpe.token_dim)).astype(dtype)
+        dx2 = rng.standard_normal(x.shape).astype(dtype)
+        got = per_head_block_run(p, cfg.transformer, x, dx2)
+        assert got["att"].shape == (4, 3, tokens, tokens)
+        monkeypatch.setattr(afpm.model, "_head_attention", query_major_attention)
+        monkeypatch.setattr(afpm.model, "_head_attention_backward",
+                            query_major_attention_backward)
+        ref = per_head_block_run(p, cfg.transformer, x, dx2)
+        assert got.keys() == ref.keys()
+        for name, want in ref.items():
+            assert got[name].dtype == want.dtype == dtype, name
+            if tokens < 8:
+                assert np.array_equal(got[name], want), name
+            else:
+                # the key bias's gradient is zero up to rounding: softmax cancels it
+                scale = np.abs(ref["dx"] if name.endswith(".attn.bk") else want).max()
+                tol = tokens * np.finfo(dtype).eps
+                assert np.abs(got[name] - want).max() <= tol * scale, name
 
 
 def test_decay_mask_exempts_embeddings_norms_biases():

@@ -103,7 +103,83 @@ class TestBackward:
         assert loss == pytest.approx(np.mean(singles))
 
 
+@pytest.mark.parametrize("micro", [1, 3])
+@pytest.mark.parametrize("bad", ["head.w", "block0.attn.wk", "patch.b1"])
+def test_non_finite_gradient_names_its_tensor(micro, bad, rng, monkeypatch):
+    """A non-finite item in one tensor's gradient of one micro-batch makes
+    ``backward`` raise NumericError naming that tensor, whether the batch runs
+    in one pass or as micro-batches whose gradients are summed."""
+    model = init_model(tiny_cfg(), seed=0, dtype=np.float64)
+    x, y = rng.standard_normal((6, 2, 32)), np.arange(6) % 2
+    monkeypatch.setattr(afpm.training, "micro_batches",
+                        lambda cfg, n, itemsize: [(n * i // micro, n * (i + 1) // micro)
+                                                  for i in range(micro)])
+    real = afpm.training.backward_cached
+    calls = []
+
+    def poisoned(dlogits, model, cache):
+        grads = real(dlogits, model, cache)
+        calls.append(len(dlogits))
+        if len(calls) == micro:
+            grads[bad].reshape(-1)[-1] = np.inf
+        return grads
+
+    monkeypatch.setattr(afpm.training, "backward_cached", poisoned)
+    with pytest.raises(NumericError, match=f"non-finite gradient for tensor '{bad}'"):
+        backward(x, y, model)
+    assert calls == [6 // micro] * micro
+
+
+def per_tensor_adamw(params, grads, m, v, t, lr, cfg):
+    """AdamW as it was, tensor by tensor with per-tensor moments: new params."""
+    bc1 = 1.0 - 0.9 ** t
+    bc2 = 1.0 - 0.999 ** t
+    out = {}
+    for name, p in params.items():
+        g = grads[name].astype(p.dtype, copy=False)
+        m[name] *= 0.9
+        m[name] += (1.0 - 0.9) * g
+        v[name] *= 0.999
+        v[name] += (1.0 - 0.999) * (g * g)
+        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + 1e-8)
+        if cfg.weight_decay and p.ndim == 2 and name != "pos":
+            update = update + cfg.weight_decay * p
+        out[name] = p - (lr * update).astype(p.dtype, copy=False)
+    return out
+
+
 class TestAdamW:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_flat_update_equals_per_tensor_formula(self, dtype, weight_decay, rng,
+                                                   monkeypatch):
+        """Three steps over flat vectors equal the per-tensor formula bit for
+        bit, with runs shorter than some tensors and longer than others, from
+        read-only parameters that stay as they were."""
+        monkeypatch.setattr(afpm.training, "ADAM_RUN", 64)
+        model = init_model(tiny_cfg(), seed=0, dtype=dtype)
+        for arr in model.params.values():
+            arr.flags.writeable = False
+        start = dict(model.params)
+        copies = {k: a.copy() for k, a in start.items()}
+        cfg = TrainConfig(weight_decay=weight_decay)
+        state = OptimizerState.zeros_like(model.params)
+        ref = dict(model.params)
+        m = {k: np.zeros_like(a) for k, a in ref.items()}
+        v = {k: np.zeros_like(a) for k, a in ref.items()}
+        for t, lr in enumerate((1e-3, 3e-2, 7e-4), start=1):
+            grads = {k: rng.standard_normal(a.shape).astype(dtype)
+                     for k, a in ref.items()}
+            adamw_step(model.params, grads, state, lr, cfg)
+            ref = per_tensor_adamw(ref, grads, m, v, t, lr, cfg)
+            assert list(model.params) == list(ref)
+            for k, want in ref.items():
+                assert model.params[k].dtype == dtype and model.params[k].shape == want.shape
+                assert np.array_equal(model.params[k], want), (t, k)
+        for k, arr in start.items():
+            assert arr is not model.params[k] and np.array_equal(arr, copies[k]), k
+
+
     def _setup(self):
         params = {"w": np.array([[1.0]], dtype=np.float64),
                   "b": np.array([1.0], dtype=np.float64)}
