@@ -329,7 +329,7 @@ def _cmd_finetune(args) -> int:
     from .evaluation import (
         compute_metrics, model_inputs, subject_groups, task_metrics, undefined_metrics,
     )
-    from .model import forward, load_checkpoint, save_checkpoint, Model
+    from .model import forward, load_checkpoint, save_checkpoint
     from .training import chronological_split, finetune
 
     model, _, _ = load_checkpoint(args.ckpt)
@@ -365,8 +365,7 @@ def _cmd_finetune(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for subject, idx in groups.items():
         xs, ys = x[idx], y[idx]
-        tuned = Model(cfg=model.cfg, params=dict(model.params))
-        result, tune_idx, eval_idx = finetune(tuned, xs, ys, args.fraction, cfg.train)
+        result, tune_idx, eval_idx = finetune(model, xs, ys, args.fraction, cfg.train)
         before = compute_metrics(task, forward(xs[eval_idx], model), ys[eval_idx], positive)
         after = compute_metrics(task, forward(xs[eval_idx], result.model),
                                 ys[eval_idx], positive)

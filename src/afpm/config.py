@@ -50,12 +50,12 @@ class RunConfig:
         return asdict(self)
 
 
-def _merge_section(section: str, preset: dict, file_part: dict | None,
-                   overrides: dict | None) -> dict:
+def _merge_section(section: str, preset: dict, file_part: dict, overrides: dict) -> dict:
     merged = dict(preset)
     for source_name, source in (("config file", file_part), ("override", overrides)):
-        if not source:
-            continue
+        if not isinstance(source, dict):
+            raise ConfigError(f"section {section!r} in {source_name} must be an object, "
+                              f"not {type(source).__name__}")
         for key, value in source.items():
             if key not in merged:
                 raise ConfigError(f"unknown key {section}.{key!r} in {source_name}")
@@ -69,7 +69,7 @@ def load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"malformed config file {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config file top level must be an object")
@@ -100,7 +100,7 @@ def resolve_config(task: str, config_file: str | dict | None = None,
     preset = PRESETS[task]
 
     sections = {
-        s: _merge_section(s, preset[s], file_doc.get(s), overrides.get(s))
+        s: _merge_section(s, preset[s], file_doc.get(s, {}), overrides.get(s, {}))
         for s in _SECTIONS
     }
 

@@ -27,6 +27,10 @@ one batched path, and the cache keeps every block's attention items for the
 batch it is given. ``micro_batches`` bounds that memory: it splits a batch
 into runs whose caches fit MICRO_BATCH_BYTES, which ``forward`` (inference)
 and ``training.backward`` take one at a time.
+
+``FlatLayout``, built from ``param_shapes``, is the one description of the
+parameters as a vector: a checkpoint's payload is that vector in float32, and
+training keeps its parameters, gradient and AdamW moments in the same layout.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -227,6 +232,42 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
     return shapes
 
 
+@dataclass(frozen=True)
+class FlatLayout:
+    """Named tensors laid end to end in one vector: tensor ``names[i]`` of
+    shape ``shapes[i]`` holds items ``offsets[i]:offsets[i + 1]``."""
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+
+    @classmethod
+    def of(cls, shapes: dict[str, tuple]) -> "FlatLayout":
+        offsets = tuple(accumulate((math.prod(s) for s in shapes.values()), initial=0))
+        return cls(names=tuple(shapes), shapes=tuple(shapes.values()), offsets=offsets)
+
+    @property
+    def size(self) -> int:
+        return self.offsets[-1]
+
+    def gather(self, arrays: dict[str, np.ndarray], dtype=None) -> np.ndarray:
+        """One new vector holding ``arrays`` in layout order (cast to ``dtype``)."""
+        return np.concatenate([arrays[name].ravel() for name in self.names], dtype=dtype)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor as a view of ``flat``."""
+        return {name: flat[i:j].reshape(shape) for name, shape, i, j
+                in zip(self.names, self.shapes, self.offsets, self.offsets[1:])}
+
+    def first_nonfinite(self, flat: np.ndarray) -> str | None:
+        """Name of the first tensor, in layout order, with a non-finite item
+        of ``flat``; None when every item is finite."""
+        finite = np.isfinite(flat)
+        if finite.all():
+            return None
+        return self.names[np.searchsorted(self.offsets, np.argmin(finite), "right") - 1]
+
+
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
     """Gaussian(0, 0.02) weights and embeddings, zero biases, unit norm scales."""
     rng = np.random.default_rng(seed)
@@ -259,9 +300,9 @@ def init_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
     return Model(cfg=cfg, params=init_params(cfg, seed, dtype=dtype))
 
 
-def decayed_param(name: str, arr: np.ndarray) -> bool:
+def decayed_param(name: str, shape: tuple) -> bool:
     """Weight decay applies to matrices only; embeddings, biases, norms are exempt."""
-    return arr.ndim == 2 and name != "pos"
+    return len(shape) == 2 and name != "pos"
 
 
 # ---------------------------------------------------------------------------
@@ -735,39 +776,40 @@ def _cfg_from_json(d: dict) -> ModelConfig:
                        input_scale=float(scale))
 
 
-def _entries(cfg: ModelConfig) -> list[dict]:
-    """The checkpoint header's parameter list for ``cfg``, in payload order."""
+def _entries(layout: FlatLayout) -> list[dict]:
+    """The checkpoint header's parameter list for ``layout``, in payload order."""
     return [{"name": name, "kind": "param", "shape": list(shape)}
-            for name, shape in param_shapes(cfg).items()]
+            for name, shape in zip(layout.names, layout.shapes)]
 
 
 def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
-    """Write config + named parameter manifest + float32 payload in manifest order.
+    """Write config + named parameter manifest + the float32 parameter vector
+    in the layout of ``param_shapes``.
 
     A checkpoint holds no optimizer state: fine-tuning starts fresh AdamW
     moments on the stored parameters.
     """
-    entries = _entries(model.cfg)
+    layout = FlatLayout.of(param_shapes(model.cfg))
     header = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.cfg),
-        "entries": entries,
+        "entries": _entries(layout),
         "extra": extra or {},
     }
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for e in entries:
-            fh.write(np.ascontiguousarray(model.params[e["name"]], dtype="<f4").tobytes())
+        fh.write(layout.gather(model.params, "<f4").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[Model, None, dict]:
     """Read a checkpoint; returns (model, None, extra dict).
 
-    The parameters are read-only views of the payload: training replaces
-    them with new arrays and never writes into them. The middle element is
-    always None: a checkpoint holds parameters only. The 3-tuple stays so
-    callers that unpack ``model, opt, extra`` keep working.
+    The parameters are read-only views of the payload, which is one vector in
+    the layout of ``param_shapes``: training gathers them into a vector of its
+    own and never writes into them. The middle element is always None: a
+    checkpoint holds parameters only. The 3-tuple stays because
+    ``perfbench/checks.py`` unpacks ``model, opt, extra``.
     """
     try:
         with open(path, "rb") as fh:
@@ -789,30 +831,23 @@ def load_checkpoint(path: str) -> tuple[Model, None, dict]:
         raise DataError(f"checkpoint header in {path} lacks {', '.join(missing)}")
     try:
         cfg = _cfg_from_json(header["config"])
-        entries = _entries(cfg)
+        layout = FlatLayout.of(param_shapes(cfg))
     except (ConfigError, KeyError, TypeError, ValueError) as e:
         raise DataError(
             f"checkpoint config in {path} is malformed ({type(e).__name__}: {e})"
         ) from e
-    if header["entries"] != entries:
+    if header["entries"] != _entries(layout):
         raise DataError(f"checkpoint entries in {path} do not match its config")
-    counts = [math.prod(e["shape"]) for e in entries]
-    if 4 * sum(counts) != len(blob):
+    if 4 * layout.size != len(blob):
         raise DataError(
             f"checkpoint payload size mismatch: {len(blob)} bytes, "
-            f"expected {4 * sum(counts)}"
+            f"expected {4 * layout.size}"
         )
-    finite = np.isfinite(np.frombuffer(blob, dtype="<f4"))
-    if not finite.all():
-        bad = entries[np.searchsorted(np.cumsum(counts), np.argmin(finite), "right")]
-        raise DataError(f"checkpoint tensor {bad['name']!r} in {path} is not finite")
-    params: dict[str, np.ndarray] = {}
-    offset = 0
-    for e, count in zip(entries, counts):
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        offset += 4 * count
-        params[e["name"]] = arr.reshape(e["shape"])
+    flat = np.frombuffer(blob, dtype="<f4")
+    bad = layout.first_nonfinite(flat)
+    if bad is not None:
+        raise DataError(f"checkpoint tensor {bad!r} in {path} is not finite")
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"checkpoint extra in {path} is not a JSON object")
-    return Model(cfg=cfg, params=params), None, extra
+    return Model(cfg=cfg, params=layout.views(flat)), None, extra

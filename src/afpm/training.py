@@ -9,9 +9,11 @@ initial rate. Every batch is drawn class-balanced. A batch whose cache would
 not fit ``model.MICRO_BATCH_BYTES`` runs as micro-batches whose gradients are
 summed. Training is deterministic for a fixed seed when run single-threaded.
 
-Per step, the gradients and the AdamW moments each live in one flat vector
-laid out tensor after tensor in manifest order (``FlatLayout``), so the sum
-over micro-batches, the finite checks and the update run as a few long
+Training runs on one parameter vector in ``model.FlatLayout``, the layout of
+the checkpoint payload: ``train`` gathers the starting parameters into it
+once, ``backward`` returns the gradient as one such vector, and ``adamw_step``
+keeps its moments in two more and returns the next parameter vector. So the
+sum over micro-batches, the finite checks and the update run as a few long
 numpy loops instead of one short loop per tensor.
 """
 
@@ -19,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .model import (
-    Model, backward_cached, decayed_param, forward_cached, micro_batches, require_int,
-    require_number,
+    FlatLayout, Model, backward_cached, decayed_param, forward_cached, micro_batches,
+    param_shapes, require_int, require_number,
 )
 
 WARMUP_FRACTION = 0.3
@@ -76,54 +77,21 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray
     return loss, grad / n
 
 
-@dataclass(frozen=True)
-class FlatLayout:
-    """Named tensors laid end to end in one vector: tensor ``names[i]`` of
-    shape ``shapes[i]`` holds items ``offsets[i]:offsets[i + 1]``."""
-
-    names: tuple[str, ...]
-    shapes: tuple[tuple[int, ...], ...]
-    offsets: tuple[int, ...]
-
-    @classmethod
-    def of(cls, arrays: dict[str, np.ndarray]) -> "FlatLayout":
-        shapes = tuple(a.shape for a in arrays.values())
-        offsets = tuple(accumulate((math.prod(shape) for shape in shapes), initial=0))
-        return cls(names=tuple(arrays), shapes=shapes, offsets=offsets)
-
-    def gather(self, arrays: dict[str, np.ndarray], dtype=None) -> np.ndarray:
-        """One new vector holding ``arrays`` in layout order (cast to ``dtype``)."""
-        return np.concatenate([arrays[name].ravel() for name in self.names], dtype=dtype)
-
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each tensor as a view of ``flat``."""
-        return {name: flat[i:j].reshape(shape) for name, shape, i, j
-                in zip(self.names, self.shapes, self.offsets, self.offsets[1:])}
-
-    def require_finite(self, flat: np.ndarray, what: str) -> None:
-        """NumericError naming the first tensor, in layout order, with a
-        non-finite item of ``flat``."""
-        finite = np.isfinite(flat)
-        if not finite.all():
-            first = np.searchsorted(self.offsets, np.argmin(finite), "right") - 1
-            raise NumericError(f"non-finite {what} for tensor {self.names[first]!r}")
-
-
 def backward(x_batch: np.ndarray, labels: np.ndarray, model: Model
-             ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean batch loss and exact analytic gradients for every parameter tensor.
+             ) -> tuple[float, np.ndarray]:
+    """Mean batch loss and the exact analytic gradient of every parameter, as
+    one vector in the layout of ``param_shapes(model.cfg)``.
 
     The batch runs one micro-batch (``micro_batches``) at a time, so only one
     micro-batch's cache is alive. Each micro-batch's mean loss and logit
     gradient are weighted by its share of the batch, which divides both by
-    the size of the whole batch, and its gradients are summed into one flat
-    vector laid out like ``model.params``. A batch of one micro-batch (the
-    presets up to batch 512) takes a single pass. The gradients returned are
-    views of that vector, checked finite in one pass.
+    the size of the whole batch, and its gradients are summed into the one
+    vector. A batch of one micro-batch (the presets up to batch 512) takes a
+    single pass. The vector is checked finite in one pass.
     """
     x, labels = np.asarray(x_batch), np.asarray(labels)
     n = labels.shape[0]
-    layout = FlatLayout.of(model.params)
+    layout = FlatLayout.of(param_shapes(model.cfg))
     loss, flat = 0.0, None
     for i, j in micro_batches(model.cfg, n, model.dtype.itemsize):
         logits, cache = forward_cached(x[i:j], model, want_cache=True)
@@ -132,18 +100,17 @@ def backward(x_batch: np.ndarray, labels: np.ndarray, model: Model
         part_grads = backward_cached((dlogits * share).astype(model.dtype), model, cache)
         del cache           # free it before the next micro-batch's forward
         loss += part * share
-        part_flat = layout.gather(part_grads)
-        if flat is None:
-            flat = part_flat
-        else:
-            flat += part_flat
-    layout.require_finite(flat, "gradient")
-    return loss, layout.views(flat)
+        part_flat = layout.gather(part_grads, model.dtype)
+        flat = part_flat if flat is None else np.add(flat, part_flat, out=flat)
+    bad = layout.first_nonfinite(flat)
+    if bad is not None:
+        raise NumericError(f"non-finite gradient for tensor {bad!r}")
+    return loss, flat
 
 
 @dataclass
 class OptimizerState:
-    """AdamW moments ``m`` and ``v`` as two flat vectors in the parameters'
+    """AdamW moments ``m`` and ``v`` as two vectors in the parameters'
     ``layout``. ``decay`` holds 1 over the items of decayed tensors
     (``decayed_param``) and 0 elsewhere, in the parameter dtype."""
 
@@ -154,37 +121,31 @@ class OptimizerState:
     step: int = 0
 
     @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
-        layout = FlatLayout.of(params)
-        dtype = np.result_type(*params.values())
-        decay = layout.gather({name: np.full(p.shape, decayed_param(name, p), dtype=dtype)
-                               for name, p in params.items()})
-        size = layout.offsets[-1]
-        return cls(layout=layout, decay=decay, m=np.zeros(size, dtype=dtype),
-                   v=np.zeros(size, dtype=dtype))
+    def zeros(cls, layout: FlatLayout, dtype) -> "OptimizerState":
+        flags = [decayed_param(name, shape) for name, shape in zip(layout.names, layout.shapes)]
+        decay = np.repeat(np.array(flags, dtype=dtype), np.diff(layout.offsets))
+        return cls(layout=layout, decay=decay, m=np.zeros(layout.size, dtype=dtype),
+                   v=np.zeros(layout.size, dtype=dtype))
 
 
-def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
-    """One AdamW update with bias correction and decoupled decay.
+def adamw_step(p: np.ndarray, g: np.ndarray, state: OptimizerState, lr: float,
+               cfg: TrainConfig) -> np.ndarray:
+    """One AdamW update with bias correction and decoupled decay: the new
+    parameter vector for parameters ``p`` and gradient ``g``, both in the
+    state's layout and dtype.
 
-    Parameters and gradients are gathered into flat vectors in the state's
-    layout, and the per-item formula runs over runs of ADAM_RUN items, so it
-    rounds exactly as it would tensor by tensor. Every new parameter is
-    computed before any is stored: if one is not finite, NumericError names
-    the first such tensor in layout order, the parameters stay as they were,
-    and the moments in ``state`` are spent. ``params`` gets views of one new
-    vector; the old arrays are never written, so they may be read-only or
-    shared with another model.
+    The per-item formula runs over runs of ADAM_RUN items, so it rounds
+    exactly as it would tensor by tensor. ``p`` is never written, so it may
+    be read-only or viewed by a model. If a new parameter is not finite,
+    NumericError names the first such tensor in layout order, and the
+    moments in ``state`` are spent.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    layout, dtype = state.layout, state.m.dtype
-    p, g = layout.gather(params, dtype), layout.gather(grads, dtype)
     new = np.empty_like(p)
-    buf1, buf2 = np.empty((2, min(ADAM_RUN, p.size)), dtype)
+    buf1, buf2 = np.empty((2, min(ADAM_RUN, p.size)), p.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, p.size, ADAM_RUN):
             j = min(i + ADAM_RUN, p.size)
@@ -208,8 +169,10 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                 update += decay
             update *= lr
             np.subtract(pi, update, out=new[i:j])
-    layout.require_finite(new, "AdamW update")
-    params.update(layout.views(new))
+    bad = state.layout.first_nonfinite(new)
+    if bad is not None:
+        raise NumericError(f"non-finite AdamW update for tensor {bad!r}")
+    return new
 
 
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -271,9 +234,12 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
           log=None) -> TrainResult:
     """Train on pooled template inputs [N x M x T'] with integer labels.
 
-    AdamW starts from fresh moments; one epoch is ceil(N / batch_size) steps.
-    On a non-finite loss, gradient or update the loop aborts and returns the
-    parameters from before the failing step, flagged as diverged.
+    The result's model is new: its parameters are views of one vector that
+    training owns, and ``model`` is never written, so its arrays may be
+    read-only. AdamW starts from fresh moments; one epoch is
+    ceil(N / batch_size) steps. On a non-finite loss, gradient or update the
+    loop aborts and returns the parameters from before the failing step,
+    flagged as diverged.
     """
     x = np.asarray(x)
     labels = np.asarray(labels, dtype=np.int64)
@@ -288,40 +254,34 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
 
     steps_per_epoch = -(-n // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    state = OptimizerState.zeros_like(model.params)
-    result = TrainResult(model=model)
+    layout = FlatLayout.of(param_shapes(model.cfg))
+    p = layout.gather(model.params, model.dtype)
+    state = OptimizerState.zeros(layout, p.dtype)
+    result = TrainResult(model=Model(cfg=model.cfg, params=layout.views(p)))
     if total_steps == 0:
         return result
 
     batches = balanced_batches(labels, n_classes, cfg.batch_size, cfg.seed, total_steps)
     for step, idx in enumerate(batches):
         lr = onecycle_lr(step, total_steps, cfg)
-        loss = _guarded_step(x[idx], labels[idx], model, state, lr, cfg)
-        if loss is None:
+        # overflow here is handled by the divergence guard, not surfaced as
+        # noise; ``adamw_step`` never writes ``p``, which the model views
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, g = backward(x[idx], labels[idx], result.model)
+            if not math.isfinite(loss):
+                raise NumericError("non-finite loss")
+            p = adamw_step(p, g, state, lr, cfg)
+        except NumericError:
             result.diverged = True
             break
+        result.model.params.update(layout.views(p))
         epoch = step // steps_per_epoch
         result.history.append({"step": step, "epoch": epoch, "lr": lr, "loss": loss})
         if log is not None and (step % steps_per_epoch == steps_per_epoch - 1):
             log(f"epoch {epoch + 1}/{cfg.epochs} step {step + 1}/{total_steps} "
                 f"lr {lr:.3e} loss {loss:.4f}")
     return result
-
-
-def _guarded_step(xb, yb, model, state, lr, cfg):
-    """Loss of one training step, or None if the loss, a gradient or the update
-    is not finite. Parameters change only in a successful ``adamw_step``, so a
-    failed step leaves them as the last good update wrote them."""
-    # overflow here is handled by the divergence guard, not surfaced as noise
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads = backward(xb, yb, model)
-        if not math.isfinite(loss):
-            return None
-        adamw_step(model.params, grads, state, lr, cfg)
-    except NumericError:
-        return None
-    return loss
 
 
 def chronological_split(n: int, fraction: float) -> tuple[np.ndarray, np.ndarray]:

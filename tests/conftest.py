@@ -41,6 +41,15 @@ def classes(n: int = 2) -> tuple[str, ...]:
     return tuple(f"class_{i}" for i in range(n))
 
 
+def named_backward(x, labels, model):
+    """``training.backward``'s loss, and its gradient vector viewed tensor by
+    tensor in ``model.params`` order."""
+    from afpm.model import FlatLayout, param_shapes
+    from afpm.training import backward
+    loss, flat = backward(x, labels, model)
+    return loss, FlatLayout.of(param_shapes(model.cfg)).views(flat)
+
+
 def trials_of(manifest):
     """(record, float32 matrix) of every trial of ``manifest``, in manifest order."""
     for i, rec in enumerate(manifest.trials):

@@ -28,9 +28,9 @@ from afpm.preprocessing import default_config, preprocess_dataset
 from afpm.synth import (ERP_EVAL_SUBSETS, ERP_TRAIN_SUBSETS, MI_EVAL_SUBSETS,
                         MI_TRAIN_SUBSETS, SynthSpec, generate_dataset,
                         hemisphere)
-from afpm.training import TrainConfig, backward, finetune
+from afpm.training import TrainConfig, finetune
 
-from conftest import random_spd, trials_of
+from conftest import named_backward, random_spd, trials_of
 
 SEEDS = (0, 1, 2)
 
@@ -95,7 +95,7 @@ def test_criterion_3_gradient_check(rng):
 
     x = rng.standard_normal((2, 3, 64))
     y = np.array([0, 1])
-    _, grads = backward(x, y, model)
+    _, grads = named_backward(x, y, model)
 
     def loss_at():
         from afpm.model import forward_cached

@@ -206,6 +206,8 @@ class TestPipeline:
         {"transformer": {"n_classes": 2}}, {"transformer": {"final_norm": True}},
         {"train": {"beta1": 0.9}}, {"train": {"beta2": 0.999}}, {"train": {"eps_adam": 1e-8}},
         {"train": {"balanced_sampling": True}},
+        # a section that is not an object sets nothing either
+        {"fpe": [1, 2]}, {"train": "fast"},
     ])
     def test_config_key_that_sets_nothing_is_one_line_config_error(
             self, doc, pipeline_dirs, tmp_path, capsys):
@@ -219,6 +221,20 @@ class TestPipeline:
         key, value = next(iter(doc.items()))
         unknown = next(iter(value)) if isinstance(value, dict) and value else key
         assert len(err) == 1 and repr(unknown) in err[0], err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("raw", [b'\xff\xfe{"train": {}}',
+                                     '{"train": {"seed": "\u00e9"}}'.encode("latin-1")])
+    def test_config_file_not_utf8_is_one_line_config_error(self, raw, pipeline_dirs,
+                                                           tmp_path, capsys):
+        _, _, pre, _, _ = pipeline_dirs
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_bytes(raw)
+        capsys.readouterr()
+        assert main(["ablate", "--train", pre, "--eval", pre, "--task", "mi", "--out",
+                     str(tmp_path / "out"), "--config", str(cfg_file)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: malformed config file"), err
         assert not (tmp_path / "out").exists()
 
     def test_seed_precedence_cli_over_file_over_preset(self, pipeline_dirs, tmp_path):
@@ -327,13 +343,27 @@ def test_eval_and_finetune_never_write_into_a_loaded_model(pipeline_dirs, tmp_pa
         assert not any(p.flags.writeable for p in model.params.values())
 
 
+# defect -> (tensor, item) whose value becomes NaN: the first item of the
+# first tensor, the first item of a middle one, the last item of the last one
+NAN_AT = {"nan": ("patch.w1", 0), "nan.middle": ("block0.attn.wk", 0),
+          "nan.last": ("head.w", -1)}
+
+
 def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
     if defect == "truncated":
         return blob[:-10]
     header_line, payload = blob.split(b"\n", 1)
     header = json.loads(header_line)
-    if defect == "nan":
-        payload = struct.pack("<f", math.nan) + payload[4:]
+    if defect in NAN_AT:
+        name, item = NAN_AT[defect]
+        at = 0
+        for e in header["entries"]:
+            size = math.prod(e["shape"])
+            if e["name"] == name:
+                at += item % size
+                break
+            at += size
+        payload = payload[:4 * at] + struct.pack("<f", math.nan) + payload[4 * at + 4:]
     elif defect == "duplicate":
         # the first tensor listed again at the end, with its own payload
         first = header["entries"][0]
@@ -371,7 +401,7 @@ def corrupt_checkpoint(blob: bytes, defect: str) -> bytes:
     "truncated", "config", "entries", "v1", "v2", "list", "config.fpe",
     "config.input_scale", "config.per_channel_patches", "config.avg_window",
     "config.template_len", "config.task",
-    "entry.shape", "entry.name", "entry.kind", "duplicate", "nan",
+    "entry.shape", "entry.name", "entry.kind", "duplicate", "nan", "nan.middle", "nan.last",
 ])
 def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, capsys):
     _, _, _, ali, ckpt = pipeline_dirs
@@ -381,6 +411,8 @@ def test_bad_checkpoint_is_one_line_data_error(defect, pipeline_dirs, tmp_path, 
     assert main(["eval", "--ckpt", str(bad), "--data", ali]) == EXIT_DATA
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("data error: checkpoint"), err
+    if defect in NAN_AT:
+        assert f"tensor {NAN_AT[defect][0]!r}" in err[0], err
 
 
 @pytest.mark.filterwarnings("error")

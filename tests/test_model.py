@@ -15,7 +15,7 @@ from afpm.config import resolve_config
 from afpm.data_model import task_template
 from afpm.errors import ConfigError, DataError
 from afpm.model import (
-    FPEConfig, Model, ModelConfig, TransformerConfig, _block_forward, _window_map,
+    FlatLayout, FPEConfig, Model, ModelConfig, TransformerConfig, _block_forward, _window_map,
     assemble_tokens, averaged_count, backward_cached, decayed_param,
     extract_patches, factored_attention, forward, forward_cached, init_model,
     load_checkpoint, micro_batches, model_dims, param_shapes, patch_count, save_checkpoint,
@@ -26,7 +26,7 @@ from afpm.training import (
     OptimizerState, TrainConfig, adamw_step, backward, batch_cross_entropy,
 )
 
-from conftest import classes, fail_writes_in
+from conftest import classes, fail_writes_in, named_backward
 
 
 def small_cfg(m=3, t_prime=64, depth=1, heads=2, dim_head=3, per_channel=False):
@@ -583,6 +583,21 @@ class TestCheckpoint:
         assert {e["kind"] for e in json.loads(header_line)["entries"]} == {"param"}
         assert path.stat().st_size == len(header_line) + 1 + 4 * model.n_params()
 
+    def test_float64_model_saves_the_float32_bytes(self, tmp_path, rng):
+        """The one-vector payload of a float64 model rounds each parameter to
+        float32 exactly as the per-entry writer it replaced."""
+        model = init_model(small_cfg(), seed=3, dtype=np.float64)
+        for name, arr in model.params.items():
+            model.params[name] = arr + 0.3 * rng.standard_normal(arr.shape)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, str(path))
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        per_entry = b"".join(
+            np.ascontiguousarray(model.params[e["name"]], dtype="<f4").tobytes()
+            for e in json.loads(header_line)["entries"])
+        assert payload == per_entry
+        assert not np.array_equal(model.params["head.w"], model.params["head.w"].astype("<f4"))
+
     def test_double_save_identical_bytes(self, tmp_path):
         model = init_model(small_cfg(), seed=1)
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
@@ -771,10 +786,10 @@ class TestLeanCache:
         for form in attention_forms(monkeypatch):
             monkeypatch.setattr(afpm.model, "MICRO_BATCH_BYTES", budget)
             assert micro_batches(model.cfg, 4, x.itemsize) == [(0, 4)]
-            loss, grads = backward(x, y, model)
+            loss, grads = named_backward(x, y, model)
             run_lean(monkeypatch)
             steps = recorded_steps(monkeypatch)
-            lean_loss, lean_grads = backward(x, y, model)
+            lean_loss, lean_grads = named_backward(x, y, model)
             assert [len(xb) for xb, _ in steps] == [1, 1, 1, 1]
             assert FULL_CACHE_KEYS[form] <= steps[0][1]["block1"].keys()
             assert abs(loss - lean_loss) <= tol * abs(loss)
@@ -938,7 +953,7 @@ class TestFactoredAttention:
         assert factored_attention(cfg.transformer, cfg.fpe.token_dim)
         model = perturbed_model(cfg, np.float64, rng)
         x, y = rng.standard_normal((2, 3, 64)), np.array([0, 1])
-        _, grads = backward(x, y, model)
+        _, grads = named_backward(x, y, model)
 
         def loss_at():
             return batch_cross_entropy(forward(x, model), y)[0]
@@ -972,7 +987,7 @@ class TestFactoredAttention:
             logits, cache = forward_cached(x, model)
             assert FULL_CACHE_KEYS[form] <= cache["block0"].keys()
             assert len(micro_batches(model.cfg, 5, 8)) == (5 if lean else 1)
-            runs[form] = logits, forward(x, model), backward(x, y, model)[1]
+            runs[form] = logits, forward(x, model), named_backward(x, y, model)[1]
             # the per-head form, forced through the one rank test
             monkeypatch.setattr(afpm.model, "factored_attention", lambda t_cfg, token_dim: False)
         (logits, no_cache, grads), (ref_logits, _, ref_grads) = runs["factored"], runs["heads"]
@@ -992,15 +1007,18 @@ class TestFactoredAttention:
         model = perturbed_model(small_cfg(depth=2, dim_head=9), np.float32, rng)
         before = {name: arr.copy() for name, arr in model.params.items()}
         x = rng.standard_normal((4, 3, 64)).astype(np.float32)
-        _, grads = backward(x, np.array([0, 1, 0, 1]), model)
+        layout = FlatLayout.of(param_shapes(model.cfg))
+        _, flat = backward(x, np.array([0, 1, 0, 1]), model)
+        grads = layout.views(flat)
         bk = [name for name in grads if name.endswith(".attn.bk")]
         assert len(bk) == 2
         for name in bk:
             assert grads[name].shape == before[name].shape and not grads[name].any(), name
-        adamw_step(model.params, grads, OptimizerState.zeros_like(model.params), 1e-3,
-                   TrainConfig())
+        stepped = layout.views(adamw_step(layout.gather(model.params), flat,
+                                          OptimizerState.zeros(layout, np.float32), 1e-3,
+                                          TrainConfig()))
         for name, arr in before.items():
-            assert np.array_equal(model.params[name], arr) is (name in bk), name
+            assert np.array_equal(stepped[name], arr) is (name in bk), name
 
 
 def query_major_attention(x, u, p, prefix, t_cfg):
@@ -1095,7 +1113,7 @@ class TestKeyMajorHeadAttention:
 
 def test_decay_mask_exempts_embeddings_norms_biases():
     model = init_model(small_cfg(), seed=0)
-    decayed = {k for k, v in model.params.items() if decayed_param(k, v)}
+    decayed = {k for k, v in model.params.items() if decayed_param(k, v.shape)}
     assert "pos" not in decayed
     assert "cls" not in decayed
     assert not any(".ln" in k for k in decayed)

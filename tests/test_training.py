@@ -6,15 +6,16 @@ import pytest
 
 import afpm.training
 from afpm.errors import ConfigError, DataError, NumericError
-from afpm.model import (FPEConfig, ModelConfig, TransformerConfig, forward,
-                        init_model)
+from afpm.model import (FlatLayout, FPEConfig, Model, ModelConfig, TransformerConfig,
+                        forward, init_model, load_checkpoint, param_shapes,
+                        save_checkpoint)
 from afpm.training import (
     OptimizerState, TrainConfig, adamw_step, backward, balanced_batches,
     batch_cross_entropy, chronological_split, finetune,
     onecycle_lr, train,
 )
 
-from conftest import classes
+from conftest import classes, named_backward
 
 
 def tiny_cfg(m=2, t_prime=32):
@@ -80,7 +81,7 @@ class TestBackward:
         model.params["pos"][:] = 0.0
         model.params["cls"][:] = 0.0
         x = np.zeros((2, 2, 32))
-        _, grads = backward(x, np.array([0, 1]), model)
+        _, grads = named_backward(x, np.array([0, 1]), model)
         assert np.allclose(grads["patch.w1"], 0.0)
 
     def test_duplicated_sample_leaves_mean_gradient_unchanged(self, rng):
@@ -92,8 +93,8 @@ class TestBackward:
         x_dup = np.concatenate([x, x], axis=0)
         y_dup = np.concatenate([y, y])
         _, g2 = backward(x_dup, y_dup, model)
-        for k in g1:
-            assert np.allclose(g1[k], g2[k], atol=1e-12)
+        assert g1.shape == g2.shape == (model.n_params(),)
+        assert np.allclose(g1, g2, atol=1e-12)
 
     def test_batch_loss_matches_single_losses(self, rng):
         logits = rng.standard_normal((4, 3))
@@ -148,6 +149,17 @@ def per_tensor_adamw(params, grads, m, v, t, lr, cfg):
     return out
 
 
+def toy_layout(params):
+    return FlatLayout.of({name: arr.shape for name, arr in params.items()})
+
+
+def named_adamw_step(params, grads, state, lr, cfg):
+    """``adamw_step`` on named tensors in ``state.layout``: the new tensors by name."""
+    layout = state.layout
+    return layout.views(adamw_step(layout.gather(params), layout.gather(grads),
+                                   state, lr, cfg))
+
+
 class TestAdamW:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
@@ -158,69 +170,69 @@ class TestAdamW:
         read-only parameters that stay as they were."""
         monkeypatch.setattr(afpm.training, "ADAM_RUN", 64)
         model = init_model(tiny_cfg(), seed=0, dtype=dtype)
-        for arr in model.params.values():
-            arr.flags.writeable = False
-        start = dict(model.params)
-        copies = {k: a.copy() for k, a in start.items()}
+        layout = FlatLayout.of(param_shapes(model.cfg))
         cfg = TrainConfig(weight_decay=weight_decay)
-        state = OptimizerState.zeros_like(model.params)
+        state = OptimizerState.zeros(layout, dtype)
+        p = layout.gather(model.params)
         ref = dict(model.params)
         m = {k: np.zeros_like(a) for k, a in ref.items()}
         v = {k: np.zeros_like(a) for k, a in ref.items()}
         for t, lr in enumerate((1e-3, 3e-2, 7e-4), start=1):
             grads = {k: rng.standard_normal(a.shape).astype(dtype)
                      for k, a in ref.items()}
-            adamw_step(model.params, grads, state, lr, cfg)
+            p.flags.writeable = False
+            before = p.copy()
+            new = adamw_step(p, layout.gather(grads), state, lr, cfg)
+            assert new is not p and np.array_equal(p, before), t
             ref = per_tensor_adamw(ref, grads, m, v, t, lr, cfg)
-            assert list(model.params) == list(ref)
+            assert new.dtype == dtype and new.shape == p.shape
+            got = layout.views(new)
+            assert list(got) == list(ref)
             for k, want in ref.items():
-                assert model.params[k].dtype == dtype and model.params[k].shape == want.shape
-                assert np.array_equal(model.params[k], want), (t, k)
-        for k, arr in start.items():
-            assert arr is not model.params[k] and np.array_equal(arr, copies[k]), k
+                assert got[k].shape == want.shape and np.array_equal(got[k], want), (t, k)
+            p = new
 
 
     def _setup(self):
         params = {"w": np.array([[1.0]], dtype=np.float64),
                   "b": np.array([1.0], dtype=np.float64)}
-        state = OptimizerState.zeros_like(params)
-        return params, state
+        return params, OptimizerState.zeros(toy_layout(params), np.float64)
 
     def test_zero_grad_no_decay_keeps_params(self):
         params, state = self._setup()
         cfg = TrainConfig(weight_decay=0.0, seed=0)
-        adamw_step(params, {"w": np.zeros((1, 1)), "b": np.zeros(1)},
-                   state, lr=0.1, cfg=cfg)
-        assert params["w"][0, 0] == 1.0 and params["b"][0] == 1.0
+        new = named_adamw_step(params, {"w": np.zeros((1, 1)), "b": np.zeros(1)},
+                               state, lr=0.1, cfg=cfg)
+        assert new["w"][0, 0] == 1.0 and new["b"][0] == 1.0
 
     def test_decoupled_decay_on_weights_only(self):
         params, state = self._setup()
         cfg = TrainConfig(weight_decay=0.5, seed=0)
-        adamw_step(params, {"w": np.zeros((1, 1)), "b": np.zeros(1)},
-                   state, lr=0.1, cfg=cfg)
-        assert params["w"][0, 0] == pytest.approx(1.0 * (1 - 0.1 * 0.5))
-        assert params["b"][0] == 1.0  # 1-D tensors are exempt
+        new = named_adamw_step(params, {"w": np.zeros((1, 1)), "b": np.zeros(1)},
+                               state, lr=0.1, cfg=cfg)
+        assert new["w"][0, 0] == pytest.approx(1.0 * (1 - 0.1 * 0.5))
+        assert new["b"][0] == 1.0  # 1-D tensors are exempt
 
     def test_single_step_hand_value(self):
         params = {"w": np.array([[1.0]], dtype=np.float64)}
-        state = OptimizerState.zeros_like(params)
+        state = OptimizerState.zeros(toy_layout(params), np.float64)
         cfg = TrainConfig(weight_decay=0.0, seed=0)
-        adamw_step(params, {"w": np.array([[1.0]])}, state, lr=0.1, cfg=cfg)
+        new = named_adamw_step(params, {"w": np.array([[1.0]])}, state, lr=0.1, cfg=cfg)
         # m-hat = v-hat = 1 after bias correction; update = 1/(1 + 1e-8)
-        assert params["w"][0, 0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-12)
+        assert new["w"][0, 0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-12)
 
     def test_determinism_and_state_round_trip(self, rng, tmp_path):
-        from afpm.model import load_checkpoint, save_checkpoint
         cfg = tiny_cfg()
+        layout = FlatLayout.of(param_shapes(cfg))
         init = init_model(cfg, seed=0).params
         grads = {k: rng.standard_normal(v.shape).astype(np.float32)
                  for k, v in init.items()}
         stepped = []
         for _ in range(2):
-            model = init_model(cfg, seed=0)
-            adamw_step(model.params, grads, OptimizerState.zeros_like(model.params),
-                       lr=1e-3, cfg=TrainConfig(seed=0))
-            stepped.append(model)
+            params = named_adamw_step(init_model(cfg, seed=0).params, grads,
+                                      OptimizerState.zeros(layout, np.float32),
+                                      lr=1e-3, cfg=TrainConfig(seed=0))
+            stepped.append(Model(cfg=cfg, params=params))
         path = str(tmp_path / "c.ckpt")
         save_checkpoint(stepped[0], path)
         loaded, opt, _ = load_checkpoint(path)
@@ -233,19 +245,18 @@ class TestAdamW:
     def test_overflowing_update_raises_and_keeps_params(self):
         # finite gradients; at this rate only the decayed matrix's update
         # (1 + 0.5 x 1) overflows float32, and it comes after the bias
-        params = {"b": np.ones(2, dtype=np.float32),
-                  "w": np.ones((2, 2), dtype=np.float32)}
-        state = OptimizerState.zeros_like(params)
-        grads = {k: np.ones_like(v) for k, v in params.items()}
+        layout = FlatLayout.of({"b": (2,), "w": (2, 2)})
+        p = np.ones(layout.size, dtype=np.float32)
+        p.flags.writeable = False
+        g = np.ones_like(p)
         cfg = TrainConfig(weight_decay=0.5, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="'w'"):
-                adamw_step(params, grads, state, lr=3e38, cfg=cfg)
-        for k, v in params.items():
-            assert np.array_equal(v, np.ones_like(v)), k
-        adamw_step(params, grads, OptimizerState.zeros_like(params), lr=1e-3, cfg=cfg)
-        assert np.all(params["w"] < 1.0)
+                adamw_step(p, g, OptimizerState.zeros(layout, np.float32), lr=3e38, cfg=cfg)
+        assert np.array_equal(p, np.ones_like(p))
+        new = adamw_step(p, g, OptimizerState.zeros(layout, np.float32), lr=1e-3, cfg=cfg)
+        assert np.all(layout.views(new)["w"] < 1.0)
 
 
 class TestOneCycle:
@@ -357,9 +368,10 @@ class TestTrain:
         model = init_model(cfg, seed=0)
         snapshots = []
 
-        def adamw_then_snapshot(params, *args):
-            adamw_step(params, *args)
-            snapshots.append({k: v.copy() for k, v in params.items()})
+        def adamw_then_snapshot(*args):
+            new = adamw_step(*args)
+            snapshots.append(new.copy())
+            return new
 
         monkeypatch.setattr(afpm.training, "adamw_step", adamw_then_snapshot)
         # an absurd learning rate explodes the parameters after one step, so a
@@ -369,10 +381,34 @@ class TestTrain:
         result = train(x, y, model, tc)
         assert result.diverged
         assert len(result.history) == len(snapshots) >= 1
-        last_good = snapshots[-1]
+        last_good = FlatLayout.of(param_shapes(cfg)).views(snapshots[-1])
         for k, v in result.model.params.items():
             assert np.all(np.isfinite(v))
             assert np.array_equal(v, last_good[k]), k
+
+    def test_train_leaves_the_callers_model_alone(self, rng, tmp_path):
+        """Training from a loaded checkpoint (read-only arrays) leaves the
+        caller's params dict and arrays as they were, and returns a new model
+        whose parameters are views of one vector in ``param_shapes`` order."""
+        x, y = separable_toy(rng, n=16)
+        cfg = tiny_cfg(m=2, t_prime=64)
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(init_model(cfg, seed=0), path)
+        model, _, _ = load_checkpoint(path)
+        params, arrays = model.params, dict(model.params)
+        copies = {k: a.copy() for k, a in arrays.items()}
+        assert not any(a.flags.writeable for a in arrays.values())
+        result = train(x, y, model, TrainConfig(epochs=2, batch_size=8, seed=0))
+        assert model.params is params and list(params) == list(arrays)
+        for k, a in arrays.items():
+            assert params[k] is a and np.array_equal(a, copies[k]), k
+        assert result.model is not model and list(result.model.params) == list(params)
+        layout = FlatLayout.of(param_shapes(cfg))
+        flat = result.model.params["head.w"].base
+        assert flat.shape == (layout.size,)
+        assert all(a.base is flat for a in result.model.params.values())
+        assert np.array_equal(flat, layout.gather(result.model.params))
+        assert not np.array_equal(result.model.params["head.w"], copies["head.w"])
 
     def test_epoch_zero_returns_input(self, rng):
         x, y = separable_toy(rng, n=8)
@@ -398,7 +434,7 @@ class TestTrain:
         x = x.astype(np.float64)
         losses = []
         for _ in range(25):
-            loss, grads = backward(x, y, model)
+            loss, grads = named_backward(x, y, model)
             losses.append(loss)
             model.params["head.w"] -= 0.5 * grads["head.w"]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
