@@ -73,14 +73,7 @@ def _common(p: argparse.ArgumentParser, seed: bool = True) -> None:
                    help="BLAS thread count; 1 gives bit-deterministic runs")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="afpm",
-        description="Calibration-free cross-dataset EEG decoding pipeline",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic multi-domain dataset")
+def _synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--task", required=True, choices=("mi", "erp"))
     p.add_argument("--domains", type=int, default=4)
     p.add_argument("--trials", type=int, default=100, help="trials per domain")
@@ -96,13 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None)
     _common(p)
 
-    p = sub.add_parser("preprocess", help="band-pass, resample, rescale a dataset")
+
+def _preprocess_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--band", default=None, help="LO:HI in Hz (default by task)")
     _common(p)
 
-    p = sub.add_parser("align", help="channel-select, align, and map a dataset")
+
+def _align_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--task", required=True, choices=("mi", "erp"))
@@ -115,7 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="datasets whose channels define the --no-select union")
     _common(p)
 
-    p = sub.add_parser("train", help="train a model on aligned datasets")
+
+def _train_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", nargs="+", required=True)
     p.add_argument("--task", required=True, choices=("mi", "erp"))
     p.add_argument("--out", required=True, help="checkpoint path")
@@ -124,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _common(p, seed=False)
 
-    p = sub.add_parser("eval", help="calibration-free evaluation of a checkpoint")
+
+def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--task", choices=("mi", "erp"), default=None,
@@ -132,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="directory for report.json")
     _common(p)
 
-    p = sub.add_parser("ablate", help="run the ablation matrix")
+
+def _ablate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train", dest="train_dirs", nargs="+", required=True)
     p.add_argument("--eval", dest="eval_dirs", nargs="+", required=True)
     p.add_argument("--task", required=True, choices=("mi", "erp"))
@@ -142,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _common(p, seed=False)
 
-    p = sub.add_parser("finetune", help="subject-specific fine-tuning of a checkpoint")
+
+def _finetune_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--fraction", type=float, default=0.3)
@@ -150,6 +149,25 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _common(p, seed=False)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``afpm`` parser with every command's subparser, or with ``command``'s alone.
+
+    Both are built from ``_COMMANDS``. A parser built for one command parses
+    that command's arguments, and prints its help and errors, as the full
+    parser does: its usage line still names every command. ``main`` builds
+    one for a known command and the full parser for anything else (no
+    command, ``--help``, an unknown name).
+    """
+    ap = argparse.ArgumentParser(
+        prog="afpm",
+        description="Calibration-free cross-dataset EEG decoding pipeline",
+    )
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{%s}" % ",".join(_COMMANDS) if command else None)
+    for name in (command,) if command else _COMMANDS:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
@@ -414,26 +432,33 @@ def _public_args(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "command" and v is not None}
 
 
-_HANDLERS = {
-    "synth": _cmd_synth,
-    "preprocess": _cmd_preprocess,
-    "align": _cmd_align,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
-    "finetune": _cmd_finetune,
+# Every command: its one-line help, the function that adds its arguments and
+# its handler, in the order ``afpm --help`` lists them.
+_COMMANDS = {
+    "synth": ("generate a synthetic multi-domain dataset", _synth_args, _cmd_synth),
+    "preprocess": ("band-pass, resample, rescale a dataset", _preprocess_args,
+                   _cmd_preprocess),
+    "align": ("channel-select, align, and map a dataset", _align_args, _cmd_align),
+    "train": ("train a model on aligned datasets", _train_args, _cmd_train),
+    "eval": ("calibration-free evaluation of a checkpoint", _eval_args, _cmd_eval),
+    "ablate": ("run the ablation matrix", _ablate_args, _cmd_ablate),
+    "finetune": ("subject-specific fine-tuning of a checkpoint", _finetune_args,
+                 _cmd_finetune),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     _set_thread_env(max(1, args.threads))
 
     from .errors import ConfigError, DataError, NumericError
 
+    _, _, handler = _COMMANDS[args.command]
     try:
         _require_out_kind(args)
-        return _HANDLERS[args.command](args)
+        return handler(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,6 +13,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,7 +242,8 @@ def load_manifest(path: str) -> DatasetManifest:
 
     ``path`` may point at the manifest file itself or at its directory.
     Every field must have its documented JSON type, and every referenced
-    trial file must exist with exactly ``4 * n_channels * n_samples`` bytes.
+    trial file must be a regular file of exactly ``4 * n_channels *
+    n_samples`` bytes, which one ``os.stat`` per trial checks.
     """
     if os.path.isdir(path):
         path = os.path.join(path, MANIFEST_NAME)
@@ -308,12 +310,15 @@ def load_manifest(path: str) -> DatasetManifest:
         _require(_is_int(n_samples) and n_samples > 0, f"{where}.n_samples",
                  f"must be a positive integer, got {n_samples!r}")
         rel = t["path"]
-        file_path = os.path.join(root, rel)
-        _require(os.path.isfile(file_path), f"{where}.path", f"missing file {rel!r}")
+        try:
+            st = os.stat(os.path.join(root, rel))
+        except (OSError, ValueError):
+            st = None
+        _require(st is not None and stat.S_ISREG(st.st_mode), f"{where}.path",
+                 f"missing file {rel!r}")
         expect = 4 * len(channel_sets[set_id]) * n_samples
-        actual = os.path.getsize(file_path)
-        _require(actual == expect, f"{where}.path",
-                 f"size mismatch: {rel!r} has {actual} bytes, expected {expect}")
+        _require(st.st_size == expect, f"{where}.path",
+                 f"size mismatch: {rel!r} has {st.st_size} bytes, expected {expect}")
         trials.append(TrialRecord(rel, set_id, label, t["domain_id"], n_samples))
 
     return DatasetManifest(
@@ -324,26 +329,43 @@ def load_manifest(path: str) -> DatasetManifest:
     )
 
 
-def load_trial(manifest: DatasetManifest, index: int) -> np.ndarray:
+def load_trial(manifest: DatasetManifest, index: int,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Read the float32 matrix [channels x samples] of trial ``index``.
 
     The payload is raw little-endian float32, row-major channels x time. The
     trial's channels, label and domain are those of ``manifest.trials[index]``.
     Non-finite samples are rejected.
+
+    Given ``out``, a C-contiguous ``<f4`` array of the trial's shape (a row of
+    a caller's stack, say), the payload is read straight into it and ``out``
+    is returned, with no array of its own. The size and finiteness checks and
+    their one-line errors are the same either way; after an error ``out``
+    holds whatever was read.
     """
     if not 0 <= index < len(manifest.trials):
         raise DataError(f"trial index {index} out of range (dataset has {len(manifest.trials)})")
     rec = manifest.trials[index]
-    n_channels = len(manifest.channels_of(rec))
+    shape = (len(manifest.channels_of(rec)), rec.n_samples)
+    if out is not None and (out.shape != shape or out.dtype != np.dtype("<f4")
+                            or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous <f4 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
     path = os.path.join(manifest.root, rec.path)
+    expect = shape[0] * shape[1]
     try:
-        flat = np.fromfile(path, dtype="<f4")
+        if out is None:
+            flat = np.fromfile(path, dtype="<f4")
+            found = flat.size
+        else:
+            with open(path, "rb", buffering=0) as f:
+                whole = f.readinto(out) == out.nbytes and not f.read(1)
+                found = expect if whole else os.fstat(f.fileno()).st_size // 4
     except OSError as e:
         raise DataError(f"cannot read {rec.path!r}: {e}") from e
-    expect = n_channels * rec.n_samples
-    if flat.size != expect:
-        raise DataError(f"{rec.path!r}: size mismatch, {flat.size} values, expected {expect}")
-    data = flat.reshape(n_channels, rec.n_samples)
+    if found != expect:
+        raise DataError(f"{rec.path!r}: size mismatch, {found} values, expected {expect}")
+    data = flat.reshape(shape) if out is None else out
     if not np.all(np.isfinite(data)):
         raise DataError(f"{rec.path!r}: non-finite sample")
     return data

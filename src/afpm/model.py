@@ -319,10 +319,12 @@ def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
     rows of length m, ordered channel-major: all windows of channel 0 first
     ([B x M*G x m]).
 
-    Each output item is written once, in the dtype of ``x``: ``scale * x``
-    into the windows inside the template through a strided view of ``x``,
-    then the few that run past its end one by one, their columns beyond T'-1
-    as explicit zeros. No padded or scaled copy of ``x`` is made.
+    The patches are built in the dtype of ``x`` with no padded or scaled copy
+    of ``x``. The windows inside the template are copied from a strided view
+    of ``x``, each as one fixed-size item (its ``frame_window`` values viewed
+    as one void), and then scaled in place; the few that run past its end
+    are written one by one as ``scale * x``, their columns beyond T'-1 as
+    explicit zeros.
     """
     b, m, t_prime = x.shape
     width, stride = cfg.frame_window, cfg.frame_stride
@@ -332,8 +334,13 @@ def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
     scale = np.asarray(scale, dtype=x.dtype)
     inside = (t_prime - width) // stride + 1 if t_prime >= width else 0
     if inside:
-        np.multiply(sliding_window_view(x, width, axis=-1)[:, :, ::stride], scale,
-                    out=windows[:, :, :inside])
+        if x.strides[-1] != x.itemsize:
+            x = np.ascontiguousarray(x)
+        item = np.dtype((np.void, width * x.itemsize))
+        copied = windows[:, :, :inside]
+        np.copyto(copied.view(item)[..., 0],
+                  sliding_window_view(x, width, axis=-1)[:, :, ::stride].view(item)[..., 0])
+        copied *= scale
     for j in range(inside, g):
         piece = x[:, :, j * stride:j * stride + width]
         np.multiply(piece, scale, out=windows[:, :, j, :piece.shape[-1]])

@@ -44,8 +44,12 @@ def stack_aligned(manifests: list[DatasetManifest], task: str
 
     Every dataset must fit the ``task`` template (``require_template_fit``),
     be aligned to one template with one mapping switch, and name the same
-    classes; ``layout`` records that template, switch and class names. Trials
-    are written straight into one zero-initialized float32 array.
+    classes; ``layout`` records that template, switch and class names.
+
+    Each trial is read once, by one ``load_trial``, into one zero-initialized
+    float32 stack: a trial that fills its row (every mapped trial does) is
+    read straight into that row; a smaller unmapped one is read on its own
+    and copied into the corner of its row.
     """
     if not manifests:
         raise DataError("no datasets given")
@@ -70,19 +74,22 @@ def stack_aligned(manifests: list[DatasetManifest], task: str
     if n_trials == 0:
         raise DataError("the aligned datasets hold no trials")
 
-    x = np.zeros((n_trials, len(channels), t_len), dtype=np.float32)
+    x = np.zeros((n_trials, len(channels), t_len), dtype="<f4")
     ys, domains = [], []
     k = 0
     for m in manifests:
         for i, rec in enumerate(m.trials):
-            trial = load_trial(m, i)
-            rows, n = trial.shape
-            if rows > len(channels) or n > t_len:
-                raise DataError(
-                    f"trial {i} of {m.name!r} exceeds the template "
-                    f"({rows}x{n} vs {len(channels)}x{t_len})"
-                )
-            x[k, :rows, :n] = trial
+            if (len(m.channels_of(rec)), rec.n_samples) == x.shape[1:]:
+                load_trial(m, i, out=x[k])
+            else:
+                trial = load_trial(m, i)
+                rows, n = trial.shape
+                if rows > len(channels) or n > t_len:
+                    raise DataError(
+                        f"trial {i} of {m.name!r} exceeds the template "
+                        f"({rows}x{n} vs {len(channels)}x{t_len})"
+                    )
+                x[k, :rows, :n] = trial
             k += 1
             ys.append(rec.label)
             domains.append(rec.domain_id)

@@ -41,6 +41,19 @@ def classes(n: int = 2) -> tuple[str, ...]:
     return tuple(f"class_{i}" for i in range(n))
 
 
+def same_bits(actual, expected) -> bool:
+    """Whether two arrays have the same dtype, shape and bit pattern in every item.
+
+    Compares their unsigned-integer views, so +0.0 and -0.0 differ and NaNs
+    match only with the same payload, unlike ``np.array_equal``.
+    """
+    a, b = np.asarray(actual), np.asarray(expected)
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    as_uint = np.dtype(f"u{a.dtype.itemsize}")
+    return bool(np.array_equal(a.view(as_uint), b.view(as_uint)))
+
+
 def named_backward(x, labels, model):
     """``training.backward``'s loss, and its gradient vector viewed tensor by
     tensor in ``model.params`` order."""

@@ -904,6 +904,49 @@ def test_parsing_imports_no_numpy():
     assert out.stdout.strip() == "False"
 
 
+def parser_exit(parse, argv, capsys):
+    """Exit code, stdout and stderr of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    return (e.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["bogus"], ["eval", "--ckpt", "c", "--data", "d", "extra"],
+    *([command, "--help"] for command in afpm.cli._COMMANDS),
+], ids=lambda argv: " ".join(["afpm", *argv]))
+def test_one_command_parser_prints_what_the_full_parser_prints(argv, capsys):
+    """``main`` builds only the named command's subparser (the full parser
+    without a known command); help, usage and errors read as the full
+    parser's, whose usage line names every command."""
+    full = parser_exit(afpm.cli.build_parser().parse_args, argv, capsys)
+    assert parser_exit(main, argv, capsys) == full
+    code, out, err = full
+    assert code == (0 if "--help" in argv else EXIT_CONFIG)
+    if argv[-1:] == ["--help"]:
+        assert out.startswith(f"usage: afpm {' '.join(argv[:-1])}".rstrip()) and not err
+    else:
+        assert err.startswith("usage: afpm [-h] {synth,preprocess,align,train,eval,"
+                              "ablate,finetune} ...\n") and not out
+        assert err.splitlines()[-1] == "afpm: error: " + {
+            0: "the following arguments are required: command",
+            1: "argument command: invalid choice: 'bogus' (choose from 'synth', "
+               "'preprocess', 'align', 'train', 'eval', 'ablate', 'finetune')",
+        }.get(len(argv), "unrecognized arguments: extra")
+
+
+def test_eval_builds_no_other_commands_parser(pipeline_dirs, monkeypatch):
+    built = []
+    for name, (help_text, add_arguments, handler) in list(afpm.cli._COMMANDS.items()):
+        def recorded(p, name=name, add_arguments=add_arguments):
+            built.append(name)
+            add_arguments(p)
+        monkeypatch.setitem(afpm.cli._COMMANDS, name, (help_text, recorded, handler))
+    _, _, _, ali, ckpt = pipeline_dirs
+    assert main(["eval", "--ckpt", ckpt, "--data", ali]) == 0
+    assert built == ["eval"]
+
+
 def readme_commands() -> list[str]:
     """Every `afpm ...` command of README's bash blocks, continuation lines joined."""
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -919,7 +962,7 @@ def readme_commands() -> list[str]:
 
 def test_readme_commands_parse():
     commands = readme_commands()
-    assert {shlex.split(c)[1] for c in commands} == set(afpm.cli._HANDLERS)
+    assert {shlex.split(c)[1] for c in commands} == set(afpm.cli._COMMANDS)
     parser = afpm.cli.build_parser()
     for command in commands:
         parser.parse_args(shlex.split(command)[1:])
@@ -933,7 +976,7 @@ def test_readme_names_only_flags_that_exist(capsys):
     named = set(re.findall(option, (root / "README.md").read_text(encoding="utf-8")))
     known = set(re.findall(r'add_argument\("(--[a-z-]+)"',
                            (root / "perfbench" / "run.py").read_text(encoding="utf-8")))
-    for command in afpm.cli._HANDLERS:
+    for command in afpm.cli._COMMANDS:
         with pytest.raises(SystemExit):
             afpm.cli.build_parser().parse_args([command, "--help"])
         known |= set(re.findall(option, capsys.readouterr().out))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import afpm.data_model
+import afpm.pipeline
 from afpm.alignment import align_dataset
 from afpm.data_model import (
     DatasetWriter, TaskTemplateSpec, canonical_channel, canonical_channels,
@@ -13,7 +14,7 @@ from afpm.data_model import (
 from afpm.errors import DataError
 from afpm.pipeline import stack_aligned
 
-from conftest import fail_writes_in, write_toy_dataset
+from conftest import fail_writes_in, same_bits, write_toy_dataset
 
 
 def test_canonical_channel_uppercases_and_strips():
@@ -67,13 +68,56 @@ class TestManifestRoundTrip:
         assert len(manifest.class_names) == 2
 
     def test_trial_round_trip_is_bit_identical(self, tmp_path):
-        data = [np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)]
+        """A payload reads back bit for bit, signed zeros and subnormals
+        included, into a fresh array or into a caller's buffer."""
+        tiny = np.finfo(np.float32).smallest_subnormal
+        data = [np.array([[1.0, -0.0, 2.0], [3.0, tiny, -4.0]], dtype=np.float32)]
         write_toy_dataset(tmp_path, n_trials=1, channels=("C3", "C4"),
-                          n_samples=2, data=data)
+                          n_samples=3, data=data)
         manifest = load_manifest(str(tmp_path))
         trial = load_trial(manifest, 0)
-        assert trial.dtype == np.float32 and np.array_equal(trial, data[0])
+        assert same_bits(trial, data[0])
+        buf = np.full((2, 3), np.nan, dtype=np.float32)
+        assert load_trial(manifest, 0, out=buf) is buf
+        assert same_bits(buf, data[0])
         assert manifest.channels_of(manifest.trials[0]) == ("C3", "C4")
+
+    @pytest.mark.parametrize("defect", ["short", "long", "nan", "missing"])
+    def test_read_into_buffer_fails_as_a_fresh_read(self, defect, tmp_path):
+        """A payload that changed after its manifest was loaded fails with the
+        same one-line error, naming the payload, whether it is read into a
+        fresh array or into a caller's buffer."""
+        write_toy_dataset(tmp_path, n_trials=1, channels=("C3", "C4"), n_samples=8)
+        manifest = load_manifest(str(tmp_path))
+        payload = tmp_path / "trials" / "000000.f32"
+        values = np.fromfile(payload, dtype="<f4")
+        if defect == "short":
+            values[:-3].tofile(payload)
+        elif defect == "long":
+            np.concatenate([values, values[:2]]).tofile(payload)
+        elif defect == "nan":
+            values[-1] = np.nan
+            values.tofile(payload)
+        else:
+            payload.unlink()
+        errors = []
+        for out in (None, np.zeros((2, 8), dtype=np.float32)):
+            with pytest.raises(DataError) as e:
+                load_trial(manifest, 0, out=out)
+            errors.append(str(e.value))
+        assert errors[0] == errors[1]
+        assert len(errors[0].splitlines()) == 1 and "trials/000000.f32" in errors[0]
+        if defect in ("short", "long"):
+            n = {"short": 13, "long": 18}[defect]
+            assert f"size mismatch, {n} values, expected 16" in errors[0]
+
+    def test_buffer_of_another_shape_or_dtype_is_refused(self, tmp_path):
+        write_toy_dataset(tmp_path, n_trials=1, channels=("C3", "C4"), n_samples=8)
+        manifest = load_manifest(str(tmp_path))
+        for out in (np.zeros((2, 9), np.float32), np.zeros((2, 8)),
+                    np.zeros((8, 2), np.float32).T):
+            with pytest.raises(ValueError, match="out must be"):
+                load_trial(manifest, 0, out=out)
 
     def test_short_file_reports_size_mismatch(self, tmp_path):
         write_toy_dataset(tmp_path, n_trials=1)
@@ -118,6 +162,45 @@ class TestManifestRoundTrip:
         manifest = load_manifest(str(tmp_path))
         with pytest.raises(DataError, match="out of range"):
             load_trial(manifest, 2)
+
+
+def stack_by_copies(manifests):
+    """Reference stack: every trial read on its own and copied into the top
+    left corner of its zero-filled row of the template."""
+    align = manifests[0].alignment
+    trials = [load_trial(m, i) for m in manifests for i in range(len(m.trials))]
+    x = np.zeros((len(trials), len(align["template_channels"]), align["template_len"]),
+                 dtype=np.float32)
+    for row, trial in zip(x, trials):
+        row[:trial.shape[0], :trial.shape[1]] = trial
+    return x
+
+
+@pytest.mark.parametrize("mapped", [True, False])
+def test_stack_reads_each_trial_once_into_the_reference_stack(mapped, tmp_path,
+                                                              monkeypatch):
+    """Mapped trials fill their rows and are read straight into them; unmapped
+    ones with fewer channels and samples than the template are read on their
+    own and copied into a corner. Either way the stack equals the reference
+    bit for bit, and each trial costs exactly one ``load_trial``."""
+    spec = TaskTemplateSpec("mi", ("C3", "CZ", "C4", "C1"), 24)
+    sets = []
+    for k, channels in enumerate((("C3", "CZ", "C4"), ("C4", "C1"))):
+        raw = write_toy_dataset(tmp_path / f"raw{k}", n_trials=4, channels=channels,
+                                n_samples=20 - 4 * k)
+        sets.append(align_dataset(raw, str(tmp_path / f"al{k}"), spec, mapping=mapped))
+    reads = []
+
+    def counted(manifest, index, out=None):
+        reads.append((manifest.root, index, out is not None))
+        return load_trial(manifest, index, out=out)
+
+    monkeypatch.setattr(afpm.pipeline, "load_trial", counted)
+    x, labels, domains, layout = stack_aligned(sets, "mi")
+    assert sorted(reads) == sorted({(m.root, i, mapped) for m in sets for i in range(4)})
+    assert same_bits(x, stack_by_copies(sets))
+    assert layout["mapped"] is mapped and x.shape == (8, 4, 24)
+    assert mapped or not x[:, 3:].any() and not x[:4, :, 20:].any()
 
 
 class TestGroupByDomain:

@@ -26,7 +26,7 @@ from afpm.training import (
     OptimizerState, TrainConfig, adamw_step, backward, batch_cross_entropy,
 )
 
-from conftest import classes, fail_writes_in, named_backward
+from conftest import classes, fail_writes_in, named_backward, same_bits
 
 
 def small_cfg(m=3, t_prime=64, depth=1, heads=2, dim_head=3, per_channel=False):
@@ -163,8 +163,10 @@ def test_batch_extraction_matches_explicit_slices(t_prime, m, d, channels, batch
 
 def test_patches_write_every_item(rng, monkeypatch):
     """Every patch item is written: with ``np.empty`` handing out NaN-filled
-    memory, the patches still equal scaled windows of the zero-padded input,
-    in both layouts, for templates a window divides and ones it does not."""
+    memory, the patches still equal scaled windows of the zero-padded input bit
+    for bit, signed zeros included, in both layouts, for strides equal to,
+    smaller than and larger than the window, and for templates a window
+    divides and ones it does not."""
     real_empty = np.empty
 
     def nan_empty(shape, dtype=float, *args, **kwargs):
@@ -173,18 +175,20 @@ def test_patches_write_every_item(rng, monkeypatch):
         return out
 
     monkeypatch.setattr(np, "empty", nan_empty)
-    for t_prime, m, d in ((64, 8, 8), (61, 8, 5), (5, 8, 3), (40, 3, 8)):
+    for t_prime, m, d in ((64, 8, 8), (61, 8, 5), (5, 8, 3), (40, 3, 8), (61, 8, 8)):
         fpe = FPEConfig(embed_dim=1, frame_window=m, frame_stride=d, avg_window=1,
                         avg_shift=1, token_dim=1, mlp_hidden=1)
         x = rng.standard_normal((2, 3, t_prime)).astype(np.float32)
+        x[:, :, ::4] = -0.0
         g = patch_count(t_prime, d)
-        padded = np.zeros((2, 3, (g - 1) * d + m), dtype=np.float32)
-        padded[:, :, :t_prime] = x * np.float32(1.5)
-        ref = np.stack([padded[:, :, j * d:j * d + m] for j in range(g)], axis=2)
-        std = extract_patches(x, fpe, per_channel=False, scale=1.5)
-        per = extract_patches(x, fpe, per_channel=True, scale=1.5)
-        assert np.array_equal(std, ref.transpose(0, 2, 1, 3).reshape(2, g, 3 * m))
-        assert np.array_equal(per, ref.reshape(2, 3 * g, m))
+        for scale in (1.0, 3.3):
+            padded = np.zeros((2, 3, (g - 1) * d + m), dtype=np.float32)
+            padded[:, :, :t_prime] = x * np.float32(scale)
+            ref = np.stack([padded[:, :, j * d:j * d + m] for j in range(g)], axis=2)
+            std = extract_patches(x, fpe, per_channel=False, scale=scale)
+            per = extract_patches(x, fpe, per_channel=True, scale=scale)
+            assert same_bits(std, ref.transpose(0, 2, 1, 3).reshape(2, g, 3 * m))
+            assert same_bits(per, ref.reshape(2, 3 * g, m))
 
 
 def erf_gelu(x: float) -> float:
