@@ -335,37 +335,45 @@ def load_trial(manifest: DatasetManifest, index: int,
 
     The payload is raw little-endian float32, row-major channels x time. The
     trial's channels, label and domain are those of ``manifest.trials[index]``.
-    Non-finite samples are rejected.
+    A payload of another size, or with a non-finite sample, is a one-line
+    ``DataError`` naming it.
 
-    Given ``out``, a C-contiguous ``<f4`` array of the trial's shape (a row of
-    a caller's stack, say), the payload is read straight into it and ``out``
-    is returned, with no array of its own. The size and finiteness checks and
-    their one-line errors are the same either way; after an error ``out``
-    holds whatever was read.
+    The payload is read straight into a new array, or into ``out`` if given:
+    a C-contiguous ``<f4`` array of the trial's shape (a row of a caller's
+    stack, say), which is then returned. After an error ``out`` holds
+    whatever was read.
     """
     if not 0 <= index < len(manifest.trials):
         raise DataError(f"trial index {index} out of range (dataset has {len(manifest.trials)})")
     rec = manifest.trials[index]
     shape = (len(manifest.channels_of(rec)), rec.n_samples)
-    if out is not None and (out.shape != shape or out.dtype != np.dtype("<f4")
-                            or not out.flags.c_contiguous):
+    if out is None:
+        data = np.empty(shape, dtype="<f4")
+    elif out.shape != shape or out.dtype != np.dtype("<f4") or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous <f4 array of shape {shape}, "
                          f"got {out.dtype} {out.shape}")
+    else:
+        data = out
     path = os.path.join(manifest.root, rec.path)
-    expect = shape[0] * shape[1]
     try:
-        if out is None:
-            flat = np.fromfile(path, dtype="<f4")
-            found = flat.size
-        else:
-            with open(path, "rb", buffering=0) as f:
-                whole = f.readinto(out) == out.nbytes and not f.read(1)
-                found = expect if whole else os.fstat(f.fileno()).st_size // 4
+        with open(path, "rb", buffering=0) as f:
+            # One read(2) may return less than asked, so read until the
+            # buffer is full or the file ends, then look one byte past it.
+            buf = memoryview(data).cast("B")
+            got = 0
+            while got < len(buf) and (n := f.readinto(buf[got:])):
+                got += n
+            if got < len(buf):
+                found = got // 4
+            elif f.read(1):
+                found = os.fstat(f.fileno()).st_size // 4
+            else:
+                found = None
     except OSError as e:
         raise DataError(f"cannot read {rec.path!r}: {e}") from e
-    if found != expect:
-        raise DataError(f"{rec.path!r}: size mismatch, {found} values, expected {expect}")
-    data = flat.reshape(shape) if out is None else out
+    if found is not None:
+        raise DataError(f"{rec.path!r}: size mismatch, {found} values, "
+                        f"expected {data.size}")
     if not np.all(np.isfinite(data)):
         raise DataError(f"{rec.path!r}: non-finite sample")
     return data

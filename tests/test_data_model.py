@@ -111,6 +111,39 @@ class TestManifestRoundTrip:
             n = {"short": 13, "long": 18}[defect]
             assert f"size mismatch, {n} values, expected 16" in errors[0]
 
+    def test_payload_arriving_in_short_reads_is_read_whole(self, tmp_path, monkeypatch):
+        """A read(2) may return fewer bytes than asked; the payload is still
+        read whole, and a payload one value long still fails."""
+        data = [np.arange(16, dtype=np.float32).reshape(2, 8)]
+        write_toy_dataset(tmp_path, n_trials=1, channels=("C3", "C4"), n_samples=8,
+                          data=data)
+        manifest = load_manifest(str(tmp_path))
+
+        class ShortReads:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def readinto(self, buf):
+                return self.f.readinto(memoryview(buf)[:5])
+
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
+        monkeypatch.setattr(afpm.data_model, "open",
+                            lambda *a, **k: ShortReads(open(*a, **k)), raising=False)
+        for out in (None, np.full((2, 8), np.nan, dtype=np.float32)):
+            assert same_bits(load_trial(manifest, 0, out=out), data[0])
+        payload = tmp_path / "trials" / "000000.f32"
+        np.append(data[0], np.float32(1)).tofile(payload)
+        with pytest.raises(DataError, match="size mismatch, 17 values, expected 16"):
+            load_trial(manifest, 0)
+
     def test_buffer_of_another_shape_or_dtype_is_refused(self, tmp_path):
         write_toy_dataset(tmp_path, n_trials=1, channels=("C3", "C4"), n_samples=8)
         manifest = load_manifest(str(tmp_path))

@@ -165,8 +165,8 @@ def test_patches_write_every_item(rng, monkeypatch):
     """Every patch item is written: with ``np.empty`` handing out NaN-filled
     memory, the patches still equal scaled windows of the zero-padded input bit
     for bit, signed zeros included, in both layouts, for strides equal to,
-    smaller than and larger than the window, and for templates a window
-    divides and ones it does not."""
+    smaller than and larger than the window, for templates a window divides
+    and ones it does not, and for inputs whose time axis is not contiguous."""
     real_empty = np.empty
 
     def nan_empty(shape, dtype=float, *args, **kwargs):
@@ -178,17 +178,20 @@ def test_patches_write_every_item(rng, monkeypatch):
     for t_prime, m, d in ((64, 8, 8), (61, 8, 5), (5, 8, 3), (40, 3, 8), (61, 8, 8)):
         fpe = FPEConfig(embed_dim=1, frame_window=m, frame_stride=d, avg_window=1,
                         avg_shift=1, token_dim=1, mlp_hidden=1)
-        x = rng.standard_normal((2, 3, t_prime)).astype(np.float32)
-        x[:, :, ::4] = -0.0
+        wide = rng.standard_normal((2, 3, 2 * t_prime)).astype(np.float32)
+        wide[:, :, ::8] = -0.0
+        x = wide[:, :, ::2]                                # time axis not contiguous
+        transposed = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
         g = patch_count(t_prime, d)
         for scale in (1.0, 3.3):
             padded = np.zeros((2, 3, (g - 1) * d + m), dtype=np.float32)
             padded[:, :, :t_prime] = x * np.float32(scale)
             ref = np.stack([padded[:, :, j * d:j * d + m] for j in range(g)], axis=2)
-            std = extract_patches(x, fpe, per_channel=False, scale=scale)
-            per = extract_patches(x, fpe, per_channel=True, scale=scale)
-            assert same_bits(std, ref.transpose(0, 2, 1, 3).reshape(2, g, 3 * m))
-            assert same_bits(per, ref.reshape(2, 3 * g, m))
+            for inp in (np.ascontiguousarray(x), x, transposed):
+                std = extract_patches(inp, fpe, per_channel=False, scale=scale)
+                per = extract_patches(inp, fpe, per_channel=True, scale=scale)
+                assert same_bits(std, ref.transpose(0, 2, 1, 3).reshape(2, g, 3 * m))
+                assert same_bits(per, ref.reshape(2, 3 * g, m))
 
 
 def erf_gelu(x: float) -> float:
