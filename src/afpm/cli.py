@@ -225,7 +225,10 @@ def _cmd_preprocess(args) -> int:
 def _cmd_align(args) -> int:
     from .alignment import align_dataset, union_template
     from .data_model import echo_config, load_manifest, task_template
+    from .errors import ConfigError
 
+    if args.union_from is not None and not args.no_select:
+        raise ConfigError("--union-from defines the --no-select union; it needs --no-select")
     manifest = load_manifest(_data_path(args.in_dir))
     spec = task_template(args.task)
     if args.no_select:
@@ -341,19 +344,18 @@ def _cmd_ablate(args) -> int:
 def _cmd_finetune(args) -> int:
     import numpy as np
 
-    from .config import resolve_config
     from .data_model import atomic_open, echo_config, load_manifest
     from .errors import DataError
     from .evaluation import (
         compute_metrics, model_inputs, subject_groups, task_metrics, undefined_metrics,
     )
     from .model import forward, load_checkpoint, save_checkpoint
-    from .training import chronological_split, finetune
+    from .training import chronological_split, train
 
     model, _, _ = load_checkpoint(args.ckpt)
     manifest = load_manifest(_data_path(args.data))
     task = model.cfg.task
-    cfg = resolve_config(task, args.config, _overrides_from(args))
+    cfg = _finetune_config(model.cfg, args)
     x, y, domains, positive = model_inputs(model, manifest)
 
     groups = subject_groups(domains)
@@ -364,34 +366,34 @@ def _cmd_finetune(args) -> int:
         if other != subject:
             raise DataError(f"subjects {other!r} and {subject!r} would both "
                             f"write checkpoint {name}")
-    # every subject's split is checked before any training or writing
+    # every subject is split, and its split checked, before any training or writing
     classes = model.cfg.class_names
+    splits = {}
     for subject, idx in groups.items():
         try:
-            tune_idx, eval_idx = chronological_split(idx.size, args.fraction)
+            tune, held = chronological_split(idx.size, args.fraction)
         except DataError as e:
             raise DataError(f"subject {subject!r}: {e}") from e
-        counts = np.bincount(y[idx[tune_idx]], minlength=len(classes))
+        tune, held = idx[tune], idx[held]
+        counts = np.bincount(y[tune], minlength=len(classes))
         if not counts.all():
-            raise DataError(f"subject {subject!r}: its first {tune_idx.size} trials (the "
+            raise DataError(f"subject {subject!r}: its first {tune.size} trials (the "
                             f"tune split) hold no {classes[np.argmin(counts)]!r} trial")
-        undefined = undefined_metrics(task, y[idx[eval_idx]], positive)
+        undefined = undefined_metrics(task, y[held], positive)
         if undefined:
-            raise DataError(f"subject {subject!r}: its last {eval_idx.size} trials (the "
+            raise DataError(f"subject {subject!r}: its last {held.size} trials (the "
                             f"evaluation split) leave {', '.join(undefined)} undefined")
+        splits[subject] = tune, held
     per_subject = []
     os.makedirs(args.out, exist_ok=True)
-    for subject, idx in groups.items():
-        xs, ys = x[idx], y[idx]
-        result, tune_idx, eval_idx = finetune(model, xs, ys, args.fraction, cfg.train)
-        before = compute_metrics(task, forward(xs[eval_idx], model), ys[eval_idx], positive)
-        after = compute_metrics(task, forward(xs[eval_idx], result.model),
-                                ys[eval_idx], positive)
+    for subject, (tune, held) in splits.items():
+        result = train(x[tune], y[tune], model, cfg.train)
+        before = compute_metrics(task, forward(x[held], model), y[held], positive)
+        after = compute_metrics(task, forward(x[held], result.model), y[held], positive)
         save_checkpoint(result.model, os.path.join(args.out, names[subject]),
                         extra={"task": task, "subject": subject})
-        per_subject.append({"subject": subject, "n_tune": int(tune_idx.size),
-                            "n_eval": int(eval_idx.size),
-                            "before": before, "after": after})
+        per_subject.append({"subject": subject, "n_tune": int(tune.size),
+                            "n_eval": int(held.size), "before": before, "after": after})
     summary = {
         "fraction": args.fraction,
         "metrics": list(task_metrics(task)),
@@ -407,6 +409,35 @@ def _cmd_finetune(args) -> int:
     echo_config(args.out, "finetune", _public_args(args), cfg.to_dict())
     print(doc)
     return EXIT_OK
+
+
+def _finetune_config(model_cfg, args: argparse.Namespace):
+    """``finetune``'s run configuration: ``train`` resolved from the flags, the
+    config file and the preset, ``fpe`` and ``transformer`` the checkpoint's.
+
+    A flag or config-file key that gives one of the checkpoint's values
+    another value would set nothing, so it is a configuration error; the
+    flag wins over the file, as in ``resolve_config``.
+    """
+    from dataclasses import asdict, replace
+
+    from .config import load_config_file, resolve_config
+    from .errors import ConfigError
+
+    file_doc = load_config_file(args.config) if args.config is not None else {}
+    overrides = _overrides_from(args)
+    cfg = resolve_config(model_cfg.task, file_doc, overrides)
+    flags = {(section, key): flag for flag, (section, key, _) in _OVERRIDE_FLAGS.items()}
+    for section in ("fpe", "transformer"):
+        kept = asdict(getattr(model_cfg, section))
+        flagged = overrides.get(section, {})
+        for key, value in {**file_doc.get(section, {}), **flagged}.items():
+            if value != kept[key]:
+                given = flags[section, key] if key in flagged else f"config file {section}.{key}"
+                raise ConfigError(f"{given} {value} does not match the checkpoint's "
+                                  f"{section}.{key} {kept[key]}; finetune keeps the "
+                                  "checkpoint's architecture")
+    return replace(cfg, fpe=model_cfg.fpe, transformer=model_cfg.transformer)
 
 
 def _data_path(path: str) -> str:

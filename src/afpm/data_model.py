@@ -71,7 +71,8 @@ def echo_config(out_dir: str, command: str, args: dict, resolved: dict) -> str:
     """Write what a command used next to its outputs, as ``run_config.json``.
 
     ``resolved`` is the command's own settings: the resolved ``RunConfig``
-    for ``train``, ``ablate`` and ``finetune``, the ``SynthSpec`` for
+    for ``train`` and ``ablate``, and for ``finetune`` with the checkpoint's
+    ``fpe`` and ``transformer`` sections, the ``SynthSpec`` for
     ``synth``, the band edges, rate and unit scale for ``preprocess``, the
     template and stage switches for ``align``, and the checkpoint's task,
     classes and template for ``eval``.

@@ -11,12 +11,12 @@ trial alone. ``preprocess_dataset`` relies on that to filter a dataset in
 chunks.
 
 ``preprocess_dataset`` settles every per-dataset decision before its first
-chunk: the rate ratio, one Kaiser filter, and one ``resample_plan`` per
-trial length. A plan is the identity (equal rates), M (the filter applied to
-the identity, so a chunk takes one matrix product), or, for trials whose M
-or identity would pass ``OPERATOR_SAMPLES`` entries, ``resample_poly`` with
-the shared filter. Data it would refuse mid-run is refused before anything
-is written.
+chunk, in one ``resample_plans`` call: the rate ratio, one Kaiser filter, and
+one plan per trial length. A plan is the identity (equal rates), M (the
+filter applied to the identity, so a chunk takes one matrix product), or, for
+trials whose M or identity would pass ``OPERATOR_SAMPLES`` entries,
+``resample_poly`` with the shared filter. Data it would refuse mid-run is
+refused before anything is written.
 """
 
 from __future__ import annotations
@@ -93,34 +93,6 @@ def bandpass(data: np.ndarray, rate_hz: float, cfg: PreprocessConfig) -> np.ndar
                        padtype="odd", padlen=PAD_LEN)
 
 
-def resample_ratio(rate_hz: float, target_rate_hz: float) -> Fraction:
-    """``target / rate``, each rate first rounded to a denominator of at most 2^16.
-
-    Its numerator and denominator are the polyphase up and down factors. A
-    factor above ``MAX_FACTOR`` is refused before any filter is designed.
-    """
-    if target_rate_hz <= 0:
-        raise DataError("target_rate_hz must be positive")
-    frac = (Fraction(target_rate_hz).limit_denominator(1 << 16)
-            / Fraction(rate_hz).limit_denominator(1 << 16))
-    if max(frac.numerator, frac.denominator) > MAX_FACTOR:
-        raise DataError(
-            f"resampling {rate_hz} Hz to {target_rate_hz} Hz needs the ratio "
-            f"{frac.numerator}/{frac.denominator}; a factor above {MAX_FACTOR} "
-            "would need an anti-alias filter over 64 MiB"
-        )
-    return frac
-
-
-def kaiser_prototype(frac: Fraction) -> np.ndarray | None:
-    """Unit-gain Kaiser-windowed sinc (beta 8.6, 64 taps per phase) for ``frac``; None at 1."""
-    if frac == 1:
-        return None
-    max_rate = max(frac.numerator, frac.denominator)
-    half_len = (TAPS_PER_PHASE // 2) * max_rate
-    return firwin(2 * half_len + 1, 1.0 / max_rate, window=("kaiser", KAISER_BETA))
-
-
 @dataclass(frozen=True)
 class ResamplePlan:
     """``resample`` for one trial length: the identity at ``frac`` 1, else a
@@ -133,26 +105,46 @@ class ResamplePlan:
     operator: np.ndarray | None = None
 
 
-def resample_plan(n_in: int, frac: Fraction, taps: np.ndarray | None) -> ResamplePlan:
-    """The plan from ``n_in`` to round(n_in * frac) samples; ``taps`` is ``kaiser_prototype``.
+def resample_plans(rate_hz: float, lengths) -> dict[int, ResamplePlan]:
+    """The plan from ``rate_hz`` to ``TEMPLATE_RATE_HZ`` for each trial length in ``lengths``.
 
-    Where M and the identity hold at most ``OPERATOR_SAMPLES`` entries, M is
-    the direct call applied to the identity, C-contiguous, so its product
-    equals that call up to float64 rounding.
+    The ratio ``frac`` is the template rate over ``rate_hz``, each rate first
+    rounded to a denominator of at most 2^16; its numerator and denominator
+    are the polyphase up and down factors, and a factor above ``MAX_FACTOR``
+    is refused before any filter is designed. All plans share one unit-gain
+    Kaiser-windowed sinc (beta 8.6, 64 taps per phase), none at ratio 1. A
+    plan resamples n_in to round(n_in * frac) samples. Where M and the
+    identity hold at most ``OPERATOR_SAMPLES`` entries, M is the direct call
+    applied to the identity, C-contiguous, so its product equals that call up
+    to float64 rounding.
     """
-    if (taps is None) != (frac == 1):
-        raise ValueError(f"taps must be kaiser_prototype({frac}): None exactly at 1")
-    n_out = math.floor(n_in * frac + Fraction(1, 2))
-    if n_out < 1:
-        raise DataError("resampled trial would be empty")
-    plan = ResamplePlan(n_out, frac, taps)
-    if frac == 1 or n_in * max(n_in, n_out) > OPERATOR_SAMPLES:
-        return plan
-    return replace(plan, operator=np.ascontiguousarray(resample(np.eye(n_in), plan)))
+    frac = (Fraction(TEMPLATE_RATE_HZ).limit_denominator(1 << 16)
+            / Fraction(rate_hz).limit_denominator(1 << 16))
+    max_rate = max(frac.numerator, frac.denominator)
+    if max_rate > MAX_FACTOR:
+        raise DataError(
+            f"resampling {rate_hz} Hz to {TEMPLATE_RATE_HZ} Hz needs the ratio "
+            f"{frac.numerator}/{frac.denominator}; a factor above {MAX_FACTOR} "
+            "would need an anti-alias filter over 64 MiB"
+        )
+    taps = None
+    if frac != 1:
+        half_len = (TAPS_PER_PHASE // 2) * max_rate
+        taps = firwin(2 * half_len + 1, 1.0 / max_rate, window=("kaiser", KAISER_BETA))
+    plans = {}
+    for n_in in lengths:
+        n_out = math.floor(n_in * frac + Fraction(1, 2))
+        if n_out < 1:
+            raise DataError("resampled trial would be empty")
+        plan = ResamplePlan(n_out, frac, taps)
+        if frac != 1 and n_in * max(n_in, n_out) <= OPERATOR_SAMPLES:
+            plan = replace(plan, operator=np.ascontiguousarray(resample(np.eye(n_in), plan)))
+        plans[n_in] = plan
+    return plans
 
 
 def resample(data: np.ndarray, plan: ResamplePlan) -> np.ndarray:
-    """Resample every row of ``data`` by ``plan``, the ``resample_plan`` for its T.
+    """Resample every row of ``data`` by ``plan``, the ``resample_plans`` entry for its T.
 
     The caller is responsible for the signal being band-limited below the
     target Nyquist.
@@ -202,18 +194,16 @@ def preprocess_dataset(manifest: DatasetManifest, cfg: PreprocessConfig,
     ``_chunks``): the rows of a chunk's trials are stacked into one matrix,
     filtered in one pass, and written back trial by trial in manifest order.
     The output manifest's unit_scale is 1.0: trials are in 0.1 mV units.
-    The rate ratio, filter and plans are settled before the first chunk. An
-    aligned dataset, a factor above ``MAX_FACTOR``, or a rate or trial the
-    band-pass refuses is refused before ``out_dir`` is touched.
+    One ``resample_plans`` call settles the plans before the first chunk. An
+    aligned dataset, a rate or trial the band-pass refuses, or a factor above
+    ``MAX_FACTOR`` is refused, in that order, before ``out_dir`` is touched.
     """
     require_unaligned(manifest)
     lengths = {rec.n_samples for rec in manifest.trials}
     try:
-        frac = resample_ratio(manifest.rate_hz, TEMPLATE_RATE_HZ)
         # An empty dataset is checked for its rate alone.
         _require_filterable(manifest.rate_hz, min(lengths, default=math.inf), cfg)
-        taps = kaiser_prototype(frac)
-        plans = {n: resample_plan(n, frac, taps) for n in lengths}
+        plans = resample_plans(manifest.rate_hz, lengths)
     except DataError as e:
         raise DataError(f"dataset {manifest.name!r}: {e}") from None
     writer = DatasetWriter(

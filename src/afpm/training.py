@@ -1,4 +1,5 @@
-"""Loss, analytic gradients, AdamW, one-cycle schedule, balanced sampling, training loops.
+"""Loss, analytic gradients, AdamW, one-cycle schedule, balanced sampling, the
+training loop, and the chronological split that fine-tuning tunes on.
 
 The optimizer is decoupled-decay AdamW with the constants of Loshchilov &
 Hutter (arXiv:1711.05101) and the decay applied to weight matrices only
@@ -8,6 +9,9 @@ the peak over the first 30% of steps, then decays cosine to 1/100 of the
 initial rate. Every batch is drawn class-balanced. A batch whose cache would
 not fit ``model.MICRO_BATCH_BYTES`` runs as micro-batches whose gradients are
 summed. Training is deterministic for a fixed seed when run single-threaded.
+Fine-tuning is ``train`` on the pretrained model and the first part of a
+subject's trials (``chronological_split``); AdamW starts fresh moments there
+too.
 
 Training runs on one parameter vector in ``model.FlatLayout``, the layout of
 the checkpoint payload: ``train`` gathers the starting parameters into it
@@ -294,14 +298,3 @@ def chronological_split(n: int, fraction: float) -> tuple[np.ndarray, np.ndarray
     idx = np.arange(n)
     return idx[:n_tune], idx[n_tune:]
 
-
-def finetune(model: Model, x: np.ndarray, labels: np.ndarray, fraction: float,
-             cfg: TrainConfig) -> tuple[TrainResult, np.ndarray, np.ndarray]:
-    """Subject-specific fine-tuning: tune on the chronologically first
-    ``fraction`` of trials, return the held-out evaluation indices.
-
-    AdamW starts fresh moments on the pretrained weights.
-    """
-    tune_idx, eval_idx = chronological_split(x.shape[0], fraction)
-    result = train(x[tune_idx], labels[tune_idx], model, cfg)
-    return result, tune_idx, eval_idx

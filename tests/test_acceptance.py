@@ -21,14 +21,14 @@ from afpm.alignment import align_domain, inv_sqrt_psd
 from afpm.config import resolve_config
 from afpm.data_model import MI_TEMPLATE_CHANNELS
 from afpm.evaluation import auc_pr, auroc, balanced_accuracy, cohens_kappa
-from afpm.model import (FPEConfig, Model, ModelConfig, TransformerConfig,
+from afpm.model import (FPEConfig, ModelConfig, TransformerConfig,
                         extract_patches, forward,
                         init_model, patch_count, window_matrix)
 from afpm.preprocessing import default_config, preprocess_dataset
 from afpm.synth import (ERP_EVAL_SUBSETS, ERP_TRAIN_SUBSETS, MI_EVAL_SUBSETS,
                         MI_TRAIN_SUBSETS, SynthSpec, generate_dataset,
                         hemisphere)
-from afpm.training import TrainConfig, finetune
+from afpm.training import TrainConfig, chronological_split, train
 
 from conftest import named_backward, random_spd, trials_of
 
@@ -388,10 +388,9 @@ def test_criterion_8_finetune_direction(task_fixture, request):
         pretrained = suite["results"]["FULL"][seed_idx].model
         for idx in subject_groups(doms).values():
             xs, ys = x[idx], y[idx]
-            tuned = Model(cfg=pretrained.cfg,
-                          params={k: v.copy() for k, v in pretrained.params.items()})
-            result, _, eval_idx = finetune(tuned, xs, ys, 0.3,
-                                           replace(ft_cfg, seed=seed))
+            tune_idx, eval_idx = chronological_split(idx.size, 0.3)
+            result = train(xs[tune_idx], ys[tune_idx], pretrained,
+                           replace(ft_cfg, seed=seed))
             before = compute_metrics(task, forward(xs[eval_idx], pretrained),
                                      ys[eval_idx], positive)[metric]
             after = compute_metrics(task, forward(xs[eval_idx], result.model),

@@ -811,8 +811,8 @@ def test_finetune_tunes_each_subject_on_its_trials_in_order(pipeline_dirs, tmp_p
     """Every per-subject checkpoint equals one fine-tuned on that subject's
     trials picked one by one in manifest order."""
     from afpm.evaluation import model_inputs, subject_groups, subject_of
-    from afpm.model import Model, save_checkpoint
-    from afpm.training import finetune
+    from afpm.model import save_checkpoint
+    from afpm.training import chronological_split, train
 
     _, _, _, ali, ckpt = pipeline_dirs
     ft = tmp_path / "ft"
@@ -826,8 +826,8 @@ def test_finetune_tunes_each_subject_on_its_trials_in_order(pipeline_dirs, tmp_p
     for subject in subjects:
         idx = [i for i, d in enumerate(domains) if subject_of(d) == subject]
         assert subject_groups(domains)[subject].tolist() == idx
-        tuned = Model(cfg=model.cfg, params=dict(model.params))
-        result, _, _ = finetune(tuned, x[idx], y[idx], 0.3, train_cfg)
+        tune, _ = chronological_split(len(idx), 0.3)
+        result = train(x[idx][tune], y[idx][tune], model, train_cfg)
         name = subject.replace(":", "_") + ".ckpt"
         save_checkpoint(result.model, str(tmp_path / name),
                         extra={"task": "mi", "subject": subject})
@@ -1114,3 +1114,109 @@ def test_finetune_subjects_sharing_a_checkpoint_name_is_data_error(pipeline_dirs
     assert err == ["data error: subjects 'x:a:b' and 'x:a_b' would both write "
                    "checkpoint x_a_b.ckpt"], err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config, says", [
+    (["--depth", "9"], None, "--depth 9 does not match the checkpoint's transformer.depth 1"),
+    (["--heads", "3"], None, "--heads 3 does not match the checkpoint's transformer.heads 2"),
+    ([], {"fpe": {"embed_dim": 21}},
+     "config file fpe.embed_dim 21 does not match the checkpoint's fpe.embed_dim 20"),
+    (["--frame-window", "8"], {"fpe": {"frame_window": 16}},
+     "--frame-window 8 does not match the checkpoint's fpe.frame_window 16"),
+])
+def test_finetune_refuses_an_architecture_other_than_the_checkpoints(
+        flags, config, says, pipeline_dirs, tmp_path, capsys):
+    """finetune takes its model from the checkpoint: a flag or config-file key
+    that would change it sets nothing, so it exits 2 in one line, nothing written."""
+    _, _, _, ali, ckpt = pipeline_dirs
+    out = tmp_path / "ft"
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags = flags + ["--config", str(tmp_path / "cfg.json")]
+    capsys.readouterr()
+    assert main(["finetune", "--ckpt", ckpt, "--data", ali, "--out", str(out),
+                 "--epochs", "1", *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"config error: {says}; finetune keeps the checkpoint's architecture"]
+    assert not out.exists()
+
+
+def test_finetune_records_the_checkpoints_architecture(pipeline_dirs, tmp_path):
+    """Values equal to the checkpoint's are accepted (a flag overrides the file,
+    as everywhere), and run_config.json records the checkpoint's fpe and
+    transformer sections with the resolved train section."""
+    from dataclasses import asdict
+
+    _, _, _, ali, ckpt = pipeline_dirs
+    (tmp_path / "cfg.json").write_text(json.dumps({"transformer": {"depth": 9, "heads": 2}}))
+    out = tmp_path / "ft"
+    assert main(["finetune", "--ckpt", ckpt, "--data", ali, "--out", str(out),
+                 "--config", str(tmp_path / "cfg.json"), "--depth", "1",
+                 "--avg-window", "2", "--epochs", "1", "--batch-size", "4"]) == 0
+    model, _, _ = load_checkpoint(ckpt)
+    resolved = json.loads((out / "run_config.json").read_text())["resolved"]
+    assert resolved["fpe"] == asdict(model.cfg.fpe)
+    assert resolved["transformer"] == asdict(model.cfg.transformer)
+    assert (resolved["train"]["epochs"], resolved["train"]["batch_size"]) == (1, 4)
+
+
+def test_align_union_from_without_no_select_is_config_error(pipeline_dirs, tmp_path,
+                                                             capsys):
+    """--union-from only defines the --no-select union: alone it exits 2, nothing written."""
+    _, _, pre, _, _ = pipeline_dirs
+    out = tmp_path / "ali"
+    capsys.readouterr()
+    assert main(["align", "--in", pre, "--out", str(out), "--task", "mi",
+                 "--union-from", pre]) == EXIT_CONFIG
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "config error: --union-from defines the --no-select union; it needs --no-select"]
+    assert not out.exists()
+
+
+def test_union_from_template_trains_and_evaluates_across_sets(tmp_path):
+    """align --no-select --union-from A B widens both sets to the sorted union of
+    A's and B's channels, so a model trained on A evaluates B."""
+    pre = {}
+    for kind, catalogue, seed in (("a", "train", "100"), ("b", "eval", "200")):
+        raw, pre[kind] = str(tmp_path / f"{kind}_raw"), str(tmp_path / f"{kind}_pp")
+        assert main(["synth", "--task", "mi", "--domains", "2", "--trials", "6",
+                     "--trial-len", "1.0", "--channels", catalogue,
+                     "--out", raw, "--seed", seed]) == 0
+        assert main(["preprocess", "--in", raw, "--out", pre[kind]]) == 0
+    own = {kind: set(afpm.data_model.load_manifest(path).all_channels())
+           for kind, path in pre.items()}
+    union = sorted(own["a"] | own["b"])
+    assert own["a"] != set(union) != own["b"]
+    ali = {}
+    for kind in pre:
+        ali[kind] = str(tmp_path / f"{kind}_al")
+        assert main(["align", "--in", pre[kind], "--out", ali[kind], "--task", "mi",
+                     "--no-select", "--union-from", pre["a"], pre["b"]]) == 0
+        aligned = afpm.data_model.load_manifest(ali[kind])
+        assert list(aligned.alignment["template_channels"]) == union
+    ckpt = str(tmp_path / "run" / "model.ckpt")
+    assert main(toy_train(ali["a"], ckpt) + ["--epochs", "1"]) == 0
+    assert main(["eval", "--ckpt", ckpt, "--data", ali["b"],
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert json.loads((tmp_path / "eval" / "report.json").read_text())["n_trials"] == 12
+
+
+def test_align_no_ea_skips_every_domain(pipeline_dirs, tmp_path):
+    """--no-ea: every alignment.json entry is skipped and the manifest records ea false."""
+    _, _, pre, _, _ = pipeline_dirs
+    out = tmp_path / "ali"
+    assert main(["align", "--in", pre, "--out", str(out), "--task", "mi", "--no-ea"]) == 0
+    entries = json.loads((out / "alignment.json").read_text())
+    assert len(entries) == 2 and all(e["skipped"] is True for e in entries), entries
+    assert afpm.data_model.load_manifest(str(out)).alignment["ea"] is False
+
+
+def test_per_channel_patches_checkpoint_evaluates(pipeline_dirs, tmp_path):
+    """train --per-channel-patches records the switch in the checkpoint, and eval runs on it."""
+    _, _, _, ali, _ = pipeline_dirs
+    ckpt = str(tmp_path / "run" / "model.ckpt")
+    assert main(toy_train(ali, ckpt) + ["--epochs", "1", "--per-channel-patches"]) == 0
+    with open(ckpt, "rb") as f:
+        assert json.loads(f.readline())["config"]["per_channel_patches"] is True
+    assert main(["eval", "--ckpt", ckpt, "--data", ali, "--out", str(tmp_path / "eval")]) == 0
+    assert json.loads((tmp_path / "eval" / "report.json").read_text())["n_trials"] == 24

@@ -9,8 +9,8 @@ from afpm import preprocessing
 from afpm.data_model import TEMPLATE_RATE_HZ, DatasetWriter, load_manifest, load_trial
 from afpm.errors import ConfigError, DataError
 from afpm.preprocessing import (
-    PreprocessConfig, bandpass, default_config, kaiser_prototype, preprocess_dataset,
-    resample, resample_plan, resample_ratio, rescale,
+    PreprocessConfig, bandpass, default_config, preprocess_dataset, resample,
+    resample_plans, rescale,
 )
 
 from conftest import write_toy_dataset
@@ -35,9 +35,9 @@ def rows_of(data):
     return np.atleast_2d(np.asarray(data, dtype=np.float64))
 
 
-def plan_for(n_in, rate, target=TEMPLATE_RATE_HZ):
-    frac = resample_ratio(rate, target)
-    return resample_plan(n_in, frac, kaiser_prototype(frac))
+def plan_for(n_in, rate):
+    """The plan from ``rate`` to the template rate for ``n_in`` samples."""
+    return resample_plans(rate, [n_in])[n_in]
 
 
 def scipy_resample(x, up, down):
@@ -101,7 +101,7 @@ class TestBandpass:
 class TestResample:
     def test_downsample_tone_preserves_amplitude(self):
         x = tone(10.0, rate=512.0, seconds=4.0)
-        out = resample(rows_of(x), plan_for(x.size, 512.0, 256.0))
+        out = resample(rows_of(x), plan_for(x.size, 512.0))
         assert out.shape[1] == x.size // 2
         interior = out[0, 128:-128]
         amp = fitted_amplitude(interior, 10.0, 256.0)
@@ -109,20 +109,20 @@ class TestResample:
 
     def test_same_rate_is_identity(self, rng):
         x = rng.standard_normal(300)
-        out = resample(rows_of(x), plan_for(300, RATE, RATE))
+        out = resample(rows_of(x), plan_for(300, RATE))
         assert out.shape[1] == 300
         assert np.abs(out[0] - x).max() < 1e-6 * np.abs(x).max()
 
     def test_length_arithmetic(self):
-        out = resample(rows_of(np.zeros(1024)), plan_for(1024, RATE, 128.0))
+        out = resample(rows_of(np.zeros(1024)), plan_for(1024, 512.0))
         assert out.shape == (1, 512)
 
     def test_duration_preserved_within_one_sample(self, rng):
         x = rng.standard_normal(777)
-        out = resample(rows_of(x), plan_for(777, RATE, 200.0))
-        in_dur = 777 / RATE
-        out_dur = out.shape[1] / 200.0
-        assert abs(in_dur - out_dur) <= 1.0 / 200.0
+        out = resample(rows_of(x), plan_for(777, 200.0))
+        in_dur = 777 / 200.0
+        out_dur = out.shape[1] / TEMPLATE_RATE_HZ
+        assert abs(in_dur - out_dur) <= 1.0 / TEMPLATE_RATE_HZ
 
     @pytest.mark.parametrize("rate, n_in, up, down, direct", [
         (512.0, 512, 1, 2, False), (250.0, 250, 128, 125, False),
@@ -131,22 +131,12 @@ class TestResample:
     def test_matches_scipy_resample_poly(self, rng, rate, n_in, up, down, direct):
         x = rng.standard_normal((3, n_in))
         want = scipy_resample(x, up, down)
-        plan = plan_for(n_in, rate, 256.0)
+        plan = plan_for(n_in, rate)
         assert (plan.operator is None) == direct
         got = resample(x, plan)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_plan_refuses_taps_that_do_not_fit_the_ratio(self):
-        frac = resample_ratio(512.0, 256.0)
-        with pytest.raises(ValueError, match="kaiser_prototype"):
-            resample_plan(4096, frac, None)
-        with pytest.raises(ValueError, match="kaiser_prototype"):
-            resample_plan(64, Fraction(1), kaiser_prototype(frac))
-
-    def test_bad_target_rate(self):
-        with pytest.raises(DataError, match="positive"):
-            resample_ratio(RATE, 0.0)
 
 
 class TestRescale:
@@ -219,14 +209,16 @@ class TestPreprocessDataset:
         # 8 runs of equal length; the small budget splits some of them.
         assert len(chunks) > 8 if budget is not None else len(chunks) == 8
 
-        designs, plans = [], {}
+        designs, calls = [], []
         monkeypatch.setattr(preprocessing, "firwin",
                             lambda *a, **k: designs.append(a) or firwin(*a, **k))
-        monkeypatch.setattr(preprocessing, "resample_plan",
-                            lambda n, *a: plans.setdefault(n, resample_plan(n, *a)))
+        monkeypatch.setattr(preprocessing, "resample_plans",
+                            lambda *a: calls.append(resample_plans(*a)) or calls[-1])
         out = preprocess_dataset(raw, MI_CFG, str(tmp_path / "out"))
-        # One filter design per call, shared by every length and chunk.
+        # One planning call and one filter design, shared by every length and chunk.
+        assert len(calls) == 1
         assert len(designs) == (0 if rate == TEMPLATE_RATE_HZ else 1)
+        plans = calls[0]
         paths = {n: (p.operator is not None, p.taps is not None) for n, p in plans.items()}
         if rate == TEMPLATE_RATE_HZ:
             assert paths == dict.fromkeys(set(lengths), (False, False))
@@ -236,7 +228,7 @@ class TestPreprocessDataset:
         assert len(out.trials) == len(lengths)
         # The reference resamples each trial alone by scipy's own call, so the
         # operator plans are checked against the direct filter byte for byte.
-        frac = resample_ratio(rate, TEMPLATE_RATE_HZ)
+        frac = Fraction(TEMPLATE_RATE_HZ) / Fraction(rate)
         for i, (rec, got) in enumerate(zip(raw.trials, out.trials)):
             x = bandpass(load_trial(raw, i), rate, MI_CFG)
             x = scipy_resample(x, frac.numerator, frac.denominator)
@@ -261,6 +253,15 @@ class TestPreprocessDataset:
 
     def test_rate_the_band_edge_violates_rejected_before_writing(self, tmp_path):
         raw = write_toy_dataset(tmp_path / "raw", n_trials=2, n_samples=64, rate_hz=50.0)
+        with pytest.raises(DataError, match="^dataset 'toy': band edge 30.0 Hz violates"):
+            preprocess_dataset(raw, MI_CFG, str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_band_pass_refusal_comes_before_planning(self, tmp_path, monkeypatch):
+        """50.0001 Hz violates the band edge and needs the factor 2560000/500001:
+        the band-pass refusal is reported, and nothing is planned or written."""
+        monkeypatch.setattr(preprocessing, "resample_plans", None)
+        raw = write_toy_dataset(tmp_path / "raw", n_trials=2, n_samples=64, rate_hz=50.0001)
         with pytest.raises(DataError, match="^dataset 'toy': band edge 30.0 Hz violates"):
             preprocess_dataset(raw, MI_CFG, str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()

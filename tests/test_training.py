@@ -11,8 +11,7 @@ from afpm.model import (FlatLayout, FPEConfig, Model, ModelConfig, TransformerCo
                         save_checkpoint)
 from afpm.training import (
     OptimizerState, TrainConfig, adamw_step, backward, balanced_batches,
-    batch_cross_entropy, chronological_split, finetune,
-    onecycle_lr, train,
+    batch_cross_entropy, chronological_split, onecycle_lr, train,
 )
 
 from conftest import classes, named_backward
@@ -453,12 +452,11 @@ class TestFinetune:
     def test_zero_epochs_returns_input_checkpoint(self, rng):
         x, y = separable_toy(rng, n=20)
         model = init_model(tiny_cfg(m=2, t_prime=64), seed=0)
-        before = {k: v.copy() for k, v in model.params.items()}
-        result, tune_idx, eval_idx = finetune(
-            model, x, y, 0.3, TrainConfig(epochs=0, seed=0))
+        tune_idx, eval_idx = chronological_split(x.shape[0], 0.3)
         assert tune_idx.size == 6 and eval_idx.size == 14
-        for k in before:
-            assert np.array_equal(result.model.params[k], before[k])
+        result = train(x[tune_idx], y[tune_idx], model, TrainConfig(epochs=0, seed=0))
+        for k in model.params:
+            assert np.array_equal(result.model.params[k], model.params[k])
 
     def test_finetune_improves_on_subject_shift(self, rng):
         # pretrain on one offset sign convention, fine-tune flips one row scale
@@ -470,7 +468,8 @@ class TestFinetune:
         xs, ys = separable_toy(rng, n=40)
         xs *= 0.4
         ft_cfg = TrainConfig(epochs=10, batch_size=8, lr_init=5e-4, lr_max=1e-3, seed=0)
-        result, tune_idx, eval_idx = finetune(pre.model, xs, ys, 0.3, ft_cfg)
+        tune_idx, eval_idx = chronological_split(xs.shape[0], 0.3)
+        result = train(xs[tune_idx], ys[tune_idx], pre.model, ft_cfg)
         logits = forward(xs[eval_idx], result.model)
         acc = np.mean(np.argmax(logits, axis=1) == ys[eval_idx])
         assert acc > 0.9
