@@ -3,8 +3,10 @@
 Per domain (same subject/session/device), whitening by the inverse square
 root of the domain-mean spatial covariance standardizes second-order
 statistics so the mean aligned covariance is the identity. Selected channels
-are then written into fixed rows of a zero-initialized task template, giving
-every dataset a common input layout.
+are then written into fixed rows of a zero-initialized float32 task template,
+the payload as stored, giving every dataset a common input layout. The stage
+hashes ``selected`` and ``output`` are SHA-256 over float32 bytes: the selected
+rows as read, and the trial files as written.
 """
 
 from __future__ import annotations
@@ -111,21 +113,15 @@ def align_domain(xs: list[np.ndarray]
 
 
 def map_to_template(x: np.ndarray, rows: list[int], spec: TaskTemplateSpec) -> np.ndarray:
-    """Write the rows of ``x`` into template ``rows``; everything else stays zero."""
+    """Write the rows of ``x`` into ``rows`` of a zero float32 template, the payload as stored."""
     t = x.shape[1]
     if t > spec.template_len:
         raise DataError(
             f"trial exceeds template length: {t} > {spec.template_len} samples"
         )
-    x_tem = np.zeros((spec.n_channels, spec.template_len), dtype=np.float64)
+    x_tem = np.zeros((spec.n_channels, spec.template_len), dtype="<f4")
     x_tem[rows, :t] = x
     return x_tem
-
-
-def _digest_update(h, *arrays: np.ndarray) -> None:
-    """Feed the little-endian float64 bytes of each array into hash ``h``."""
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype="<f8"))
 
 
 def align_dataset(manifest: DatasetManifest, out_dir: str,
@@ -138,9 +134,11 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
     of ``spec`` (the task template by default; NO_SELECT passes a widened
     one). ``ea=False`` skips whitening; ``mapping=False`` keeps the selected
     channels in their own order and each trial its own length, which must
-    still fit the template. Stage content hashes in the output manifest let
-    ablation runs verify that only the toggled stage changed. An aligned
-    dataset, or one the template does not fit, is refused first.
+    still fit the template. An aligned dataset, or one the template does not
+    fit, is refused first. Two SHA-256 stage hashes over float32 bytes let
+    ablation runs verify that only the toggled stage changed: ``selected``
+    over each trial's selected rows as read, domain by domain in id order,
+    and ``output`` over the trial files as written, in manifest order.
     """
     spec = spec or task_template(manifest.task)
     require_unaligned(manifest)
@@ -158,7 +156,7 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
     xs: dict[int, np.ndarray] = {}
     layout: dict[str, tuple[list[int], list[str]]] = {}  # template rows, channel names
     docs = []
-    selected, aligned = hashlib.sha256(), hashlib.sha256()
+    selected = hashlib.sha256()
     for domain_id in sorted(by_domain):
         idx = by_domain[domain_id]
         channels = manifest.channels_of(trials[idx[0]])
@@ -171,8 +169,9 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
             pairs.sort()
         src, rows = [s for s, _ in pairs], [row for _, row in pairs]
         layout[domain_id] = rows, [spec.target_channels[row] for row in rows]
-        group = [load_trial(manifest, i)[src].astype(np.float64) for i in idx]
-        _digest_update(selected, *group)
+        group = [load_trial(manifest, i)[src] for i in idx]
+        for x in group:
+            selected.update(x)
         doc = {"domain_id": domain_id, "d_count": len(idx)}
         if ea:
             try:
@@ -184,23 +183,21 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
         else:
             doc["skipped"] = True
         docs.append(doc)
-        _digest_update(aligned, *group)
-        xs.update(zip(idx, group))
+        xs.update((i, x.astype("<f4", copy=False)) for i, x in zip(idx, group))
 
     writer = DatasetWriter(
         out_dir=out_dir, name=manifest.name, task=manifest.task,
         rate_hz=manifest.rate_hz, class_names=manifest.class_names,
         alignment={"task": spec.task, "template_channels": list(spec.target_channels),
                    "template_len": spec.template_len, "ea": ea, "mapped": mapping,
-                   "stage_hashes": {"selected": selected.hexdigest(),
-                                    "aligned": aligned.hexdigest()}},
+                   "stage_hashes": {"selected": selected.hexdigest()}},
     )
     # Per-domain files of the older stats layout would outlive this run.
     shutil.rmtree(os.path.join(out_dir, "alignment"), ignore_errors=True)
     with atomic_open(os.path.join(out_dir, "alignment.json")) as f:
         json.dump(docs, f, indent=1, sort_keys=True)
-    # Each output trial is hashed as it is written and then dropped, so only
-    # one mapped float64 trial is alive at a time.
+    # Each payload is hashed as it is written and then dropped, so only one
+    # mapped template is alive at a time.
     output = hashlib.sha256()
     for i, rec in enumerate(trials):
         x, (rows, channels) = xs.pop(i), layout[rec.domain_id]
@@ -208,6 +205,6 @@ def align_dataset(manifest: DatasetManifest, out_dir: str,
             x = map_to_template(x, rows, spec)
             channels = spec.target_channels
         writer.add_trial(x, channels, rec.label, rec.domain_id)
-        _digest_update(output, x)
+        output.update(x)
     writer.alignment["stage_hashes"]["output"] = output.hexdigest()
     return writer.finish()

@@ -85,7 +85,8 @@ def _synth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trial-len", type=float, default=None,
                    help="trial length in seconds (default 3.0 MI / 1.0 ERP)")
     p.add_argument("--domain-gain", type=float, default=0.3)
-    p.add_argument("--class-ratio", type=float, default=1.0 / 6.0)
+    p.add_argument("--class-ratio", type=float, default=None,
+                   help="ERP target fraction (default 1/6); MI labels split half and half")
     p.add_argument("--name", default=None)
     _common(p)
 
@@ -179,8 +180,12 @@ def _cmd_synth(args) -> int:
     from dataclasses import asdict
 
     from .data_model import echo_config
+    from .errors import ConfigError
     from .synth import SynthSpec, default_subsets, generate_dataset
 
+    if args.task == "mi" and args.class_ratio is not None:
+        raise ConfigError("--class-ratio sets the ERP target fraction; "
+                          "MI labels are always split half and half")
     trial_len = args.trial_len
     if trial_len is None:
         trial_len = 3.0 if args.task == "mi" else 1.0
@@ -189,7 +194,7 @@ def _cmd_synth(args) -> int:
         channel_subsets=default_subsets(args.task, args.domains, args.channels),
         rate_hz=args.rate, trial_len_s=trial_len,
         snr_db=args.snr, domain_gain=args.domain_gain,
-        class_ratio=args.class_ratio,
+        class_ratio=SynthSpec.class_ratio if args.class_ratio is None else args.class_ratio,
         name=args.name or f"synth_{args.task}",
     )
     manifest = generate_dataset(spec, args.seed, args.out)

@@ -92,8 +92,9 @@ def test_variants_share_upstream_bytes_and_differ_only_at_flagged_stage(tiny_set
     for key in full.stage_hashes:
         # selection output identical when selection is untouched
         assert full.stage_hashes[key]["selected"] == no_ea.stage_hashes[key]["selected"]
-        # EA output differs when EA is disabled
-        assert full.stage_hashes[key]["aligned"] != no_ea.stage_hashes[key]["aligned"]
+        # EA changes its stage: with selection and mapping shared, only EA
+        # can make the written payloads differ
+        assert full.stage_hashes[key]["output"] != no_ea.stage_hashes[key]["output"]
         # NO_FPE shares the whole spatial pipeline with FULL
         assert full.stage_hashes[key]["output"] == no_fpe.stage_hashes[key]["output"]
 

@@ -9,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from afpm.alignment import (
-    _digest_update, align_dataset, align_domain, inv_sqrt_psd, map_to_template,
-    mean_covariance, select_channels,
+    align_dataset, align_domain, inv_sqrt_psd, map_to_template, mean_covariance,
+    select_channels, union_template,
 )
-from afpm.data_model import DatasetWriter, TaskTemplateSpec, load_manifest, task_template
+from afpm.data_model import (
+    DatasetWriter, TaskTemplateSpec, load_manifest, load_trial, task_template,
+)
 from afpm.errors import DataError, NumericError
 
-from conftest import random_spd, trials_of, write_toy_dataset
+from conftest import random_spd, same_bits, trials_of, write_toy_dataset
 
 MI = task_template("mi")
 
@@ -137,16 +139,17 @@ class TestMapToTemplate:
     def test_placement_and_zero_padding(self):
         spec = TaskTemplateSpec("mi", ("FC3", "FC1", "FCZ"), 4)
         out = map_to_template(np.array([[1.0, 2.0], [3.0, 4.0]]), [0, 2], spec)
-        assert out.shape == (3, 4)
+        assert out.shape == (3, 4) and out.dtype == np.dtype("<f4")
         assert np.array_equal(out[0], [1.0, 2.0, 0.0, 0.0])
         assert np.array_equal(out[1], np.zeros(4))  # FC1 absent
         assert np.array_equal(out[2], [3.0, 4.0, 0.0, 0.0])
 
     def test_full_set_full_length_no_padding(self, rng):
+        """The float32 template holds ``x`` rounded as ``astype("<f4")`` rounds it."""
         spec = TaskTemplateSpec("mi", ("C3", "C4"), 8)
         x = rng.standard_normal((2, 8))
         out = map_to_template(x, [0, 1], spec)
-        assert np.array_equal(out, x)
+        assert same_bits(out, x.astype("<f4"))
 
     def test_too_long_trial_rejected(self):
         spec = TaskTemplateSpec("mi", ("C3",), 4)
@@ -173,7 +176,7 @@ class TestAlignDataset:
         assert len(out.trials) == 6
         stats = json.loads((tmp_path / "al" / "alignment.json").read_text())
         assert [doc["domain_id"] for doc in stats] == ["toy:s00:0", "toy:s01:0"]
-        assert set(out.alignment["stage_hashes"]) == {"selected", "aligned", "output"}
+        assert set(out.alignment["stage_hashes"]) == {"selected", "output"}
 
     def test_rerun_stats_list_only_its_own_domains(self, tmp_path):
         """A 1-domain set aligned over a 2-domain output: ``alignment.json`` lists
@@ -199,14 +202,13 @@ class TestAlignDataset:
         manifest = load_manifest(str(tmp_path / "raw"))
         spec = TaskTemplateSpec("mi", ("C3", "C4"), 16)
         out = align_dataset(manifest, str(tmp_path / "al"), spec, ea=False)
-        from afpm.data_model import load_trial
         got = load_trial(out, 0)
         assert np.allclose(got, data[0].astype(np.float32), atol=1e-6)
 
     def test_output_stage_is_hashed_as_written(self, tmp_path, rng):
-        """``align_dataset`` hashes each mapped float64 trial as it writes it:
-        its traced peak stays below the bytes of all its outputs, and its
-        ``output`` hash is the digest of the trials rebuilt stage by stage."""
+        """``align_dataset`` hashes each payload as it writes it: its traced peak
+        stays below the bytes of all its outputs, and its stage hashes are those
+        of the bytes it read and stored."""
         channels = ("C4", "O1", "C3", "CZ")
         domains = ["toy:s01:0", "toy:s00:0"] * 6
         data = [rng.standard_normal((4, 100)) for _ in domains]
@@ -219,20 +221,37 @@ class TestAlignDataset:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        output_bytes = len(domains) * MI.n_channels * MI.template_len * 8
+        output_bytes = len(domains) * MI.n_channels * MI.template_len * 4
         assert peak < output_bytes, f"{peak} >= {output_bytes} bytes"
+        assert_stage_hashes(manifest, out, MI)
 
-        pairs = select_channels(channels, MI)
-        src, rows = [s for s, _ in pairs], [r for _, r in pairs]
-        raw = [x.astype(np.float64)[src] for _, x in trials_of(manifest)]
-        rebuilt = {}
-        for d in sorted(set(domains)):
-            idx = [i for i, dom in enumerate(domains) if dom == d]
-            rebuilt.update(zip(idx, align_domain([raw[i] for i in idx])[0]))
-        expected = hashlib.sha256()
-        _digest_update(expected, *(map_to_template(rebuilt[i], rows, MI)
-                                   for i in range(len(domains))))
-        assert out.alignment["stage_hashes"]["output"] == expected.hexdigest()
+    @pytest.mark.parametrize("widen, mapping", [(False, False), (True, True)],
+                             ids=["no_map", "no_select"])
+    def test_stage_hashes_of_unmapped_and_widened_sets(self, tmp_path, widen, mapping):
+        write_toy_dataset(tmp_path / "raw", channels=("C4", "O1", "C3", "CZ"), n_trials=9,
+                          n_samples=90, domain_ids=["toy:s01:0", "toy:s00:0", "toy:s01:0"] * 3)
+        manifest = load_manifest(str(tmp_path / "raw"))
+        spec = union_template([manifest], MI) if widen else MI
+        out = align_dataset(manifest, str(tmp_path / "al"), spec, mapping=mapping)
+        assert_stage_hashes(manifest, out, spec)
+
+
+def assert_stage_hashes(raw, out, spec):
+    """``output`` is the SHA-256 of ``out``'s trial files in manifest order, and
+    ``selected`` that of each ``raw`` payload's selected rows, domain by domain
+    in id order."""
+    output, selected = hashlib.sha256(), hashlib.sha256()
+    for rec in out.trials:
+        output.update(Path(out.root, rec.path).read_bytes())
+    for domain_id in sorted({rec.domain_id for rec in raw.trials}):
+        for i, rec in enumerate(raw.trials):
+            if rec.domain_id == domain_id:
+                pairs = select_channels(raw.channels_of(rec), spec)
+                if not out.alignment["mapped"]:
+                    pairs.sort()
+                selected.update(load_trial(raw, i)[[s for s, _ in pairs]].tobytes())
+    assert out.alignment["stage_hashes"] == {"selected": selected.hexdigest(),
+                                             "output": output.hexdigest()}
 
 
 # Whitening fuzz: random on-disk datasets through ``align_dataset``.

@@ -591,6 +591,30 @@ def test_malformed_synth_number_is_one_line_config_error(flag, value, tmp_path, 
     assert not out.exists()
 
 
+def test_synth_class_ratio_for_mi_is_config_error(tmp_path, capsys):
+    """MI labels are split half and half, so an MI ``--class-ratio`` would set
+    nothing: exit 2 with one line naming the flag, and no ``--out``."""
+    out = tmp_path / "raw"
+    capsys.readouterr()
+    assert main(["synth", "--task", "mi", "--domains", "1", "--trials", "2",
+                 "--out", str(out), "--class-ratio", "0.3"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: --class-ratio sets the ERP target fraction; "
+                   "MI labels are always split half and half"], err
+    assert not out.exists()
+
+
+def test_synth_erp_class_ratio_defaults_to_one_in_six(tmp_path):
+    """Without the flag, ERP draws 1/6 targets: the bytes of an explicit 1/6."""
+    argv = ["synth", "--task", "erp", "--domains", "1", "--trials", "12", "--rate", "64"]
+    assert main([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "b"), "--class-ratio", str(1 / 6)]) == 0
+    for name in ["manifest.json", *(f"trials/{i:06d}.f32" for i in range(12))]:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    doc = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert sum(t["label"] for t in doc["trials"]) == 2
+
+
 @pytest.mark.parametrize("command", ["train", "eval", "ablate", "finetune"])
 def test_aligned_data_at_another_rate_is_data_error(command, pipeline_dirs, tmp_path, capsys):
     """An aligned set whose manifest says 250 Hz is refused before any training."""
