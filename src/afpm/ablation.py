@@ -90,8 +90,13 @@ def raw_digest(manifests: list[DatasetManifest]) -> str:
 
 
 def run_ablation(cfg: RunConfig, variants: tuple[str, ...], train_paths: list[str],
-                 eval_paths: list[str], workdir: str) -> dict[str, AblationResult]:
-    """Train and evaluate every variant with identical seeds and budgets."""
+                 eval_paths: list[str], workdir: str) -> dict[str, dict[str, EvalReport]]:
+    """Train and evaluate every variant with identical seeds and budgets.
+
+    Returns each variant's reports by eval set name (``AblationResult.reports``).
+    A variant's model is let go as soon as it is evaluated, so one model is
+    alive at a time, not one per finished variant.
+    """
     unknown = set(variants) - set(VARIANTS)
     if unknown:
         raise ConfigError(f"unknown ablation variants {sorted(unknown)}")
@@ -103,15 +108,17 @@ def run_ablation(cfg: RunConfig, variants: tuple[str, ...], train_paths: list[st
     train_manifests = [load_manifest(p) for p in train_paths]
     eval_manifests = [load_manifest(p) for p in eval_paths]
     require_template_fit(train_manifests + eval_manifests, cfg.task)
-    return {variant: run_variant(variant, cfg, train_manifests, eval_manifests, workdir)
+    return {variant: run_variant(variant, cfg, train_manifests, eval_manifests,
+                                 workdir).reports
             for variant in variants}
 
 
-def ablation_table(results: dict[str, AblationResult]) -> list[dict]:
-    """Flat rows: variant, dataset, and the task's metric means."""
+def ablation_table(results: dict[str, dict[str, EvalReport]]) -> list[dict]:
+    """Flat rows from ``run_ablation``'s reports: variant, dataset, and the
+    task's metric means."""
     rows = []
-    for variant, res in results.items():
-        for name, report in res.reports.items():
+    for variant, reports in results.items():
+        for name, report in reports.items():
             row = {"variant": variant, "dataset": name}
             for metric, stats in report.metrics.items():
                 row[metric] = stats["mean"]
@@ -119,7 +126,9 @@ def ablation_table(results: dict[str, AblationResult]) -> list[dict]:
     return rows
 
 
-def ablation_csv(results: dict[str, AblationResult]) -> str:
+def ablation_csv(results: dict[str, dict[str, EvalReport]]) -> str:
+    """``ablation_table`` of ``run_ablation``'s reports as CSV, metric means to six
+    decimals; empty when there are no rows."""
     rows = ablation_table(results)
     if not rows:
         return ""

@@ -335,8 +335,8 @@ def _cmd_ablate(args) -> int:
     with atomic_open(os.path.join(args.out, "ablation.csv")) as f:
         f.write(csv)
     table = {
-        variant: {name: rep.to_dict() for name, rep in res.reports.items()}
-        for variant, res in results.items()
+        variant: {name: rep.to_dict() for name, rep in reports.items()}
+        for variant, reports in results.items()
     }
     with atomic_open(os.path.join(args.out, "ablation.json")) as f:
         json.dump(table, f, indent=1, sort_keys=True)

@@ -310,8 +310,12 @@ def decayed_param(name: str, shape: tuple) -> bool:
 
 
 def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
-                    scale: float = 1.0) -> np.ndarray:
+                    scale: float = 1.0, rows=None) -> np.ndarray:
     """Slice templates [B x M x T'] into G flattened frame windows each, times ``scale``.
+
+    With ``rows`` (an index array), ``x`` is a stack [N x M x T'] and the
+    templates are its rows ``rows``, in that order, as ``x[rows]`` would
+    give them; without, they are all of ``x``.
 
     Window g (0-based) covers columns [g*d, g*d + m); columns beyond T'-1 read
     as zero. Standard mode flattens all channels of a window channel-major
@@ -319,14 +323,20 @@ def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
     rows of length m, ordered channel-major: all windows of channel 0 first
     ([B x M*G x m]).
 
-    The patches are built in the dtype of ``x`` with no padded or scaled copy
-    of ``x``. The windows inside the template are copied from a strided view
-    of ``x``, each as one fixed-size item (its ``frame_window`` values viewed
-    as one void), and then scaled in place; the few that run past its end
-    are written one by one as ``scale * x``, their columns beyond T'-1 as
-    explicit zeros.
+    The patches are built in the dtype of ``x`` with no padded, scaled or
+    gathered copy of ``x``. The windows inside the template are copied from a
+    strided view of ``x``, each as one fixed-size item (its ``frame_window``
+    values viewed as one void), template by template when ``rows`` picks
+    them, and then scaled in place; the few that run past its end are written
+    one by one as ``scale * x``, their columns beyond T'-1 as explicit zeros.
+    Only an input whose samples are not adjacent in memory is first copied,
+    its picked rows alone.
     """
-    b, m, t_prime = x.shape
+    if x.strides[-1] != x.itemsize:
+        x, rows = np.ascontiguousarray(x if rows is None else x[rows]), None
+    pick = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+    _, m, t_prime = x.shape
+    b = x.shape[0] if rows is None else pick.shape[0]
     width, stride = cfg.frame_window, cfg.frame_stride
     g = patch_count(t_prime, stride)
     out = np.empty((b, m, g, width) if per_channel else (b, g, m, width), dtype=x.dtype)
@@ -334,15 +344,18 @@ def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
     scale = np.asarray(scale, dtype=x.dtype)
     inside = (t_prime - width) // stride + 1 if t_prime >= width else 0
     if inside:
-        if x.strides[-1] != x.itemsize:
-            x = np.ascontiguousarray(x)
         item = np.dtype((np.void, width * x.itemsize))
         copied = windows[:, :, :inside]
-        np.copyto(copied.view(item)[..., 0],
-                  sliding_window_view(x, width, axis=-1)[:, :, ::stride].view(item)[..., 0])
+        dst = copied.view(item)[..., 0]
+        src = sliding_window_view(x, width, axis=-1)[:, :, ::stride].view(item)[..., 0]
+        if rows is None:
+            np.copyto(dst, src)
+        else:
+            for k, r in enumerate(pick.tolist()):
+                dst[k] = src[r]
         copied *= scale
     for j in range(inside, g):
-        piece = x[:, :, j * stride:j * stride + width]
+        piece = x[pick, :, j * stride:j * stride + width]
         np.multiply(piece, scale, out=windows[:, :, j, :piece.shape[-1]])
         windows[:, :, j, piece.shape[-1]:] = 0
     return out.reshape(b, m * g, width) if per_channel else out.reshape(b, g, m * width)
@@ -681,22 +694,29 @@ def forward(x_batch: np.ndarray, model: Model) -> np.ndarray:
                            for i, j in runs])
 
 
-def forward_cached(x_batch: np.ndarray, model: Model,
-                   want_cache: bool = True) -> tuple[np.ndarray, dict | None]:
+def forward_cached(x_batch: np.ndarray, model: Model, want_cache: bool = True,
+                   rows=None) -> tuple[np.ndarray, dict | None]:
     """Batched forward returning logits [B x c] and the backward cache.
+
+    With ``rows`` (an index array), ``x_batch`` is a stack [N x M x T'] and
+    the batch is its rows ``rows``: ``extract_patches`` reads them straight
+    into the patch array, the batch's only copy of its input. A stack in
+    another dtype than the model's is gathered and converted first.
 
     The cache holds every block's attention items for the whole batch;
     ``micro_batches`` sizes batches whose cache fits MICRO_BATCH_BYTES.
     """
     cfg, p = model.cfg, model.params
-    x = np.asarray(x_batch, dtype=model.dtype)
+    x = np.asarray(x_batch)
+    if x.dtype != model.dtype:
+        x, rows = (x if rows is None else x[rows]).astype(model.dtype), None
     if x.ndim != 3 or x.shape[1] != cfg.n_channels or x.shape[2] != cfg.template_len:
         raise DataError(
             f"expected batch [B x {cfg.n_channels} x {cfg.template_len}], "
             f"got {x.shape}"
         )
     f = cfg.fpe
-    patches = extract_patches(x, f, cfg.per_channel_patches, cfg.input_scale)
+    patches = extract_patches(x, f, cfg.per_channel_patches, cfg.input_scale, rows)
     h1 = patches @ p["patch.w1"] + p["patch.b1"]
     h1_term = _gelu_term(h1)
     e = (0.5 * h1 * h1_term) @ p["patch.w2"] + p["patch.b2"]

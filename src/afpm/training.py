@@ -81,10 +81,15 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray
     return loss, grad / n
 
 
-def backward(x_batch: np.ndarray, labels: np.ndarray, model: Model
+def backward(x: np.ndarray, labels: np.ndarray, model: Model, rows=None
              ) -> tuple[float, np.ndarray]:
     """Mean batch loss and the exact analytic gradient of every parameter, as
     one vector in the layout of ``param_shapes(model.cfg)``.
+
+    The batch is the rows ``rows`` (an index array) of the stack ``x`` and
+    of ``labels``, or all of them when ``rows`` is None. Its samples are
+    never gathered on their own: each micro-batch's patch array is filled
+    straight from its rows of ``x`` (``forward_cached``).
 
     The batch runs one micro-batch (``micro_batches``) at a time, so only one
     micro-batch's cache is alive. Each micro-batch's mean loss and logit
@@ -93,13 +98,14 @@ def backward(x_batch: np.ndarray, labels: np.ndarray, model: Model
     vector. A batch of one micro-batch (the presets up to batch 512) takes a
     single pass. The vector is checked finite in one pass.
     """
-    x, labels = np.asarray(x_batch), np.asarray(labels)
-    n = labels.shape[0]
+    x, labels = np.asarray(x), np.asarray(labels)
+    rows = np.arange(labels.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+    n = rows.shape[0]
     layout = FlatLayout.of(param_shapes(model.cfg))
     loss, flat = 0.0, None
     for i, j in micro_batches(model.cfg, n, model.dtype.itemsize):
-        logits, cache = forward_cached(x[i:j], model, want_cache=True)
-        part, dlogits = batch_cross_entropy(logits.astype(np.float64), labels[i:j])
+        logits, cache = forward_cached(x, model, want_cache=True, rows=rows[i:j])
+        part, dlogits = batch_cross_entropy(logits.astype(np.float64), labels[rows[i:j]])
         share = (j - i) / n
         part_grads = backward_cached((dlogits * share).astype(model.dtype), model, cache)
         del cache           # free it before the next micro-batch's forward
@@ -238,6 +244,10 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
           log=None) -> TrainResult:
     """Train on pooled template inputs [N x M x T'] with integer labels.
 
+    Each step hands ``backward`` the stack and its batch's row indices, so
+    the only per-step copy of the inputs is the patch array that
+    ``forward_cached`` fills from those rows; ``x`` is never written.
+
     The result's model is new: its parameters are views of one vector that
     training owns, and ``model`` is never written, so its arrays may be
     read-only. AdamW starts from fresh moments; one epoch is
@@ -272,7 +282,7 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
         # noise; ``adamw_step`` never writes ``p``, which the model views
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, g = backward(x[idx], labels[idx], result.model)
+                loss, g = backward(x, labels, result.model, rows=idx)
             if not math.isfinite(loss):
                 raise NumericError("non-finite loss")
             p = adamw_step(p, g, state, lr, cfg)

@@ -1,9 +1,12 @@
 """Tiny-scale ablation machinery tests; directional claims live in acceptance."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from afpm.ablation import AblationResult, VARIANTS, ablation_csv, run_ablation, run_variant
+import afpm.ablation
+from afpm.ablation import VARIANTS, ablation_csv, run_ablation, run_variant
 from afpm.alignment import union_template
 from afpm.config import resolve_config
 from afpm.data_model import load_manifest, task_template
@@ -46,9 +49,10 @@ def tiny_run_cfg():
 PRIMARY_METRIC = {"mi": "balanced_accuracy", "erp": "auroc"}
 
 
-def mean_primary(res: AblationResult, task: str) -> float:
+def mean_primary(reports: dict, task: str) -> float:
+    """Mean of the task's primary metric over one variant's reports by eval set."""
     metric = PRIMARY_METRIC[task]
-    return float(np.mean([rep.mean(metric) for rep in res.reports.values()]))
+    return float(np.mean([rep.mean(metric) for rep in reports.values()]))
 
 
 def test_plan_requires_full_baseline(tmp_path):
@@ -77,7 +81,29 @@ def test_full_only_plan_single_row(tiny_sets):
     assert list(results) == ["FULL"]
     csv = ablation_csv(results)
     assert csv.count("\n") == 2  # header + one row
+    assert list(results["FULL"]) == ["ev"]
     assert 0.0 <= mean_primary(results["FULL"], "mi") <= 1.0
+
+
+def test_ablation_holds_one_model_at_a_time(tiny_sets, monkeypatch):
+    """``run_ablation`` lets each variant's model go before the next variant
+    starts, and returns the reports ``run_variant`` made."""
+    root, tr, ev = tiny_sets
+    models, reports = [], {}
+
+    def tracked(variant, *args, **kwargs):
+        assert all(ref() is None for ref in models), f"a model is alive as {variant} starts"
+        res = run_variant(variant, *args, **kwargs)
+        models.append(weakref.ref(res.model))
+        reports[variant] = res.reports
+        return res
+
+    monkeypatch.setattr(afpm.ablation, "run_variant", tracked)
+    variants = ("FULL", "NO_EA", "NO_FPE")
+    results = run_ablation(tiny_run_cfg(), variants, [tr.root], [ev.root], str(root / "w5"))
+    assert len(models) == len(variants) and all(ref() is None for ref in models)
+    assert list(results) == list(variants)
+    assert all(results[v] is reports[v] for v in variants)
 
 
 def test_variants_share_upstream_bytes_and_differ_only_at_flagged_stage(tiny_sets):

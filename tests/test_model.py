@@ -23,7 +23,7 @@ from afpm.model import (
 )
 from afpm.pipeline import stacked_model_config
 from afpm.training import (
-    OptimizerState, TrainConfig, adamw_step, backward, batch_cross_entropy,
+    OptimizerState, TrainConfig, adamw_step, backward, batch_cross_entropy, train,
 )
 
 from conftest import classes, fail_writes_in, named_backward, same_bits
@@ -161,12 +161,8 @@ def test_batch_extraction_matches_explicit_slices(t_prime, m, d, channels, batch
     assert np.array_equal(per, ref.reshape(batch, channels * g, m))
 
 
-def test_patches_write_every_item(rng, monkeypatch):
-    """Every patch item is written: with ``np.empty`` handing out NaN-filled
-    memory, the patches still equal scaled windows of the zero-padded input bit
-    for bit, signed zeros included, in both layouts, for strides equal to,
-    smaller than and larger than the window, for templates a window divides
-    and ones it does not, and for inputs whose time axis is not contiguous."""
+def nan_filled_empty(monkeypatch):
+    """Make ``np.empty`` hand out NaN-filled memory, so an item left unwritten shows."""
     real_empty = np.empty
 
     def nan_empty(shape, dtype=float, *args, **kwargs):
@@ -175,6 +171,15 @@ def test_patches_write_every_item(rng, monkeypatch):
         return out
 
     monkeypatch.setattr(np, "empty", nan_empty)
+
+
+def test_patches_write_every_item(rng, monkeypatch):
+    """Every patch item is written: with ``np.empty`` handing out NaN-filled
+    memory, the patches still equal scaled windows of the zero-padded input bit
+    for bit, signed zeros included, in both layouts, for strides equal to,
+    smaller than and larger than the window, for templates a window divides
+    and ones it does not, and for inputs whose time axis is not contiguous."""
+    nan_filled_empty(monkeypatch)
     for t_prime, m, d in ((64, 8, 8), (61, 8, 5), (5, 8, 3), (40, 3, 8), (61, 8, 8)):
         fpe = FPEConfig(embed_dim=1, frame_window=m, frame_stride=d, avg_window=1,
                         avg_shift=1, token_dim=1, mlp_hidden=1)
@@ -192,6 +197,29 @@ def test_patches_write_every_item(rng, monkeypatch):
                 per = extract_patches(inp, fpe, per_channel=True, scale=scale)
                 assert same_bits(std, ref.transpose(0, 2, 1, 3).reshape(2, g, 3 * m))
                 assert same_bits(per, ref.reshape(2, 3 * g, m))
+
+
+def test_row_indexed_patches_equal_gathered_batch(rng, monkeypatch):
+    """Patches of the rows ``rows`` of a stack equal the patches of ``x[rows]``
+    bit for bit, every item written, in both layouts: for repeated and
+    unordered rows, windows inside the template and past its end, templates
+    shorter than one window, and stacks whose time axis is not contiguous."""
+    nan_filled_empty(monkeypatch)
+    picks = (np.array([4, 0, 4, 2, 1]), np.array([3]), np.array([2, 2], dtype=np.int32),
+             [1, 0])
+    for t_prime, m, d in ((64, 8, 8), (61, 8, 5), (5, 8, 3), (40, 3, 8)):
+        fpe = FPEConfig(embed_dim=1, frame_window=m, frame_stride=d, avg_window=1,
+                        avg_shift=1, token_dim=1, mlp_hidden=1)
+        wide = rng.standard_normal((5, 3, 2 * t_prime)).astype(np.float32)
+        wide[:, :, ::8] = -0.0
+        x = wide[:, :, ::2]                                # time axis not contiguous
+        transposed = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        for stack in (np.ascontiguousarray(x), x, transposed):
+            for rows in picks:
+                for per_channel in (False, True):
+                    ref = extract_patches(stack[rows], fpe, per_channel, 3.3)
+                    out = extract_patches(stack, fpe, per_channel, 3.3, rows=rows)
+                    assert same_bits(out, ref), (t_prime, m, d, rows, per_channel)
 
 
 def erf_gelu(x: float) -> float:
@@ -764,9 +792,9 @@ def recorded_steps(monkeypatch):
     """List that collects the (samples, cache) of every micro-batch ``training.backward`` runs."""
     seen = []
 
-    def recording(x_batch, model, want_cache=True, forward_cached=forward_cached):
-        logits, cache = forward_cached(x_batch, model, want_cache)
-        seen.append((np.asarray(x_batch), cache))
+    def recording(x, model, want_cache=True, rows=None, forward_cached=forward_cached):
+        logits, cache = forward_cached(x, model, want_cache, rows)
+        seen.append((np.asarray(x) if rows is None else np.asarray(x)[rows], cache))
         return logits, cache
 
     monkeypatch.setattr(afpm.training, "forward_cached", recording)
@@ -932,6 +960,34 @@ class TestLeanCache:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * patch_bytes, f"{peak / patch_bytes:.2f} x patch bytes"
+
+    def test_wide_template_train_step_peak(self, rng):
+        """``train`` reads each batch from the stack: one step at batch size N
+        on a 48-channel MI stack of N trials (the no-selection ablation's
+        layout) keeps its traced peak under 1.3 times the bytes of the patch
+        array plus eight parameter-sized vectors (parameters, AdamW moments
+        and decay flags, gradients, update). The rest is the patch MLP's
+        activations. A gathered copy of the batch would add the whole stack,
+        about as many bytes as the patch array."""
+        run = resolve_config("mi", overrides={"transformer": {"depth": 1}})
+        layout = {"mapped": True, "template_channels": tuple(f"E{i:02d}" for i in range(48)),
+                  "template_len": task_template("mi").template_len, "class_names": classes()}
+        n = 64
+        x = rng.standard_normal((n, 48, layout["template_len"])).astype(np.float32)
+        y = np.arange(n) % 2
+        model = init_model(stacked_model_config(run, x, layout, False), seed=0)
+        dims = model_dims(model.cfg)
+        patch_bytes = n * dims.n_patches * dims.patch_in * 4
+        param_bytes = FlatLayout.of(param_shapes(model.cfg)).size * 4
+        assert x.nbytes > 0.9 * patch_bytes
+        tracemalloc.start()
+        try:
+            train(x, y, model, TrainConfig(epochs=1, batch_size=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 1.3 * patch_bytes + 8 * param_bytes
+        assert peak < bound, f"{peak / 2**20:.1f} MiB >= {bound / 2**20:.1f} MiB"
 
     def test_presets_keep_the_full_cache_and_mi_per_channel_goes_lean(self):
         """The 7-token MI and 5-token ERP presets run one micro-batch up to the

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -14,7 +15,7 @@ from afpm.training import (
     batch_cross_entropy, chronological_split, onecycle_lr, train,
 )
 
-from conftest import classes, named_backward
+from conftest import classes, named_backward, same_bits
 
 
 def tiny_cfg(m=2, t_prime=32):
@@ -94,6 +95,27 @@ class TestBackward:
         _, g2 = backward(x_dup, y_dup, model)
         assert g1.shape == g2.shape == (model.n_params(),)
         assert np.allclose(g1, g2, atol=1e-12)
+
+    @pytest.mark.parametrize("micro", [1, 3])
+    @pytest.mark.parametrize("per_channel", [False, True])
+    def test_rows_of_a_stack_equal_the_gathered_batch(self, micro, per_channel, rng,
+                                                      monkeypatch):
+        """``backward`` on rows of a stack gives the loss and gradient bits of
+        ``backward`` on the gathered batch, in one pass or as micro-batches, with
+        standard or per-channel patches, for a float32 and a float64 model of a
+        float32 stack; ``train`` passes its batches that way."""
+        monkeypatch.setattr(afpm.training, "micro_batches",
+                            lambda cfg, n, itemsize: [(n * i // micro, n * (i + 1) // micro)
+                                                      for i in range(micro)])
+        cfg = dataclasses.replace(tiny_cfg(), per_channel_patches=per_channel)
+        x = rng.standard_normal((7, 2, 32)).astype(np.float32)
+        y = np.arange(7) % 2
+        rows = np.array([5, 0, 5, 3, 6, 1])
+        for dtype in (np.float32, np.float64):
+            model = init_model(cfg, seed=2, dtype=dtype)
+            loss, g = backward(x, y, model, rows=rows)
+            ref_loss, ref_g = backward(x[rows], y[rows], model)
+            assert loss == ref_loss and same_bits(g, ref_g), dtype
 
     def test_batch_loss_matches_single_losses(self, rng):
         logits = rng.standard_normal((4, 3))
