@@ -325,18 +325,18 @@ def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
 
     The patches are built in the dtype of ``x`` with no padded, scaled or
     gathered copy of ``x``. The windows inside the template are copied from a
-    strided view of ``x``, each as one fixed-size item (its ``frame_window``
-    values viewed as one void), template by template when ``rows`` picks
-    them, and then scaled in place; the few that run past its end are written
+    strided view of ``x``, template by template, each window as one
+    fixed-size item (its ``frame_window`` values viewed as one void), and
+    then scaled in place; the few that run past its end are written
     one by one as ``scale * x``, their columns beyond T'-1 as explicit zeros.
     Only an input whose samples are not adjacent in memory is first copied,
     its picked rows alone.
     """
     if x.strides[-1] != x.itemsize:
         x, rows = np.ascontiguousarray(x if rows is None else x[rows]), None
-    pick = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+    pick = np.arange(x.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
     _, m, t_prime = x.shape
-    b = x.shape[0] if rows is None else pick.shape[0]
+    b = pick.shape[0]
     width, stride = cfg.frame_window, cfg.frame_stride
     g = patch_count(t_prime, stride)
     out = np.empty((b, m, g, width) if per_channel else (b, g, m, width), dtype=x.dtype)
@@ -348,11 +348,8 @@ def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
         copied = windows[:, :, :inside]
         dst = copied.view(item)[..., 0]
         src = sliding_window_view(x, width, axis=-1)[:, :, ::stride].view(item)[..., 0]
-        if rows is None:
-            np.copyto(dst, src)
-        else:
-            for k, r in enumerate(pick.tolist()):
-                dst[k] = src[r]
+        for k, r in enumerate(pick.tolist()):
+            dst[k] = src[r]
         copied *= scale
     for j in range(inside, g):
         piece = x[pick, :, j * stride:j * stride + width]

@@ -103,8 +103,8 @@ def active_rms_scale(x: np.ndarray) -> float:
     active = x[x != 0]
     if active.size == 0:
         return 1.0
-    squares = active.astype(np.float64)
-    rms = float(np.sqrt(np.mean(np.square(squares, out=squares))))
+    a = active.astype(np.float64)
+    rms = float(np.sqrt(np.mean(np.square(a, out=a))))
     return 1.0 / rms if rms > 0 else 1.0
 
 

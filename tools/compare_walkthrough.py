@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the walkthrough outputs of a git revision with the working tree's, byte for byte.
 
-    python3 tools/compare_walkthrough.py REV [--tasks mi,erp] [--out DIR]
+    python3 tools/compare_walkthrough.py REV
 
 REV is checked out with ``git worktree add`` into a temporary directory. Both
 README chains then run at the benchmark's sizes (``perfbench/workloads.py``,
@@ -12,8 +12,9 @@ of the training and held-out corpora (seeds 100 and 200), ``preprocess``,
 all``. Every file whose bytes differ, or that only one side wrote, is listed.
 
 Exit status: 0 when every file is identical, 1 when a file differs, 2 when a
-command fails or REV cannot be checked out. The worktree is always removed;
-the outputs too, unless ``--out`` names where to keep them.
+command fails or REV cannot be checked out. The worktree is always removed.
+The outputs are removed too, unless a file differs: then their directory is
+kept and its path printed.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def chain(task: str) -> list[list[str]]:
     return [argv + ["--threads", "1"] for argv in argvs]
 
 
-def run_chains(src: str, out: str, tasks: list[str]) -> None:
-    """Run every chain of ``tasks`` with the package under ``src``, outputs under ``out``."""
+def run_chains(src: str, out: str) -> None:
+    """Run both chains with the package under ``src``, outputs under ``out``."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
-    for task in tasks:
+    for task in CHAINS:
         cwd = os.path.join(out, task)
         os.makedirs(cwd)
         for argv in chain(task):
@@ -99,17 +100,12 @@ def compare(a: str, b: str) -> tuple[int, list[str]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="git revision to compare the working tree with")
-    parser.add_argument("--tasks", default="mi,erp", help="chains to run (default: mi,erp)")
-    parser.add_argument("--out", help="keep the outputs here (a new directory)")
     args = parser.parse_args(argv)
-    tasks = [t.strip() for t in args.tasks.split(",")]
-    unknown = sorted(set(tasks) - set(CHAINS))
-    if unknown:
-        parser.error(f"unknown tasks {unknown}; choose from {sorted(CHAINS)}")
 
     tmp = tempfile.mkdtemp(prefix="afpm-compare-")
     tree = os.path.join(tmp, "rev")
-    out = os.path.abspath(args.out) if args.out else os.path.join(tmp, "out")
+    out = os.path.join(tmp, "out")
+    keep = False
     added = subprocess.run(["git", "-C", REPO, "worktree", "add", "--detach", tree, args.rev],
                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
@@ -118,20 +114,24 @@ def main(argv=None) -> int:
             return 2
         sides = {"rev": os.path.join(tree, "src"), "work": os.path.join(REPO, "src")}
         for side, src in sides.items():
-            print(f"running {', '.join(tasks)} with {src}", flush=True)
+            print(f"running both chains with {src}", flush=True)
             try:
-                run_chains(src, os.path.join(out, side), tasks)
+                run_chains(src, os.path.join(out, side))
             except RuntimeError as e:
                 print(e, file=sys.stderr)
                 return 2
         n, lines = compare(os.path.join(out, "rev"), os.path.join(out, "work"))
         print("\n".join(lines + [f"{n} files compared, {len(lines)} differ"]))
+        if lines:
+            keep = True
+            print(f"outputs kept in {out}")
         return 1 if lines else 0
     finally:
         if added.returncode == 0:
             subprocess.run(["git", "-C", REPO, "worktree", "remove", "--force", tree],
                            check=False)
-        shutil.rmtree(tmp, ignore_errors=True)
+        if not keep:
+            shutil.rmtree(tmp, ignore_errors=True)
 
 
 if __name__ == "__main__":
