@@ -29,8 +29,10 @@ into runs whose caches fit MICRO_BATCH_BYTES, which ``forward`` (inference)
 and ``training.backward`` take one at a time.
 
 ``FlatLayout``, built from ``param_shapes``, is the one description of the
-parameters as a vector: a checkpoint's payload is that vector in float32, and
-training keeps its parameters, gradient and AdamW moments in the same layout.
+parameters as a vector, and it owns their memory across a training run: a
+checkpoint's payload is that vector in float32, ``backward_cached`` writes
+every gradient into views of one vector in it, and training keeps its two
+parameter vectors and the AdamW moments in the same layout.
 """
 
 from __future__ import annotations
@@ -403,15 +405,15 @@ def _layernorm(x, g, b):
     return xhat * g + b, (xhat, inv)
 
 
-def _layernorm_backward(dy, cache, g):
+def _layernorm_backward(dy, cache, g, dg, db):
+    """d(loss)/dx of a layer norm; writes the gain and bias gradients into ``dg`` and ``db``."""
     xhat, inv = cache
-    dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    db = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    dg[...] = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
+    db[...] = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
     dxhat = dy * g
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-    dx = (dxhat - m1 - xhat * m2) * inv
-    return dx, dg, db
+    return (dxhat - m1 - xhat * m2) * inv
 
 
 def _softmax(x):
@@ -557,9 +559,10 @@ def _block_forward(x, p, prefix, t_cfg, cache):
     return x2
 
 
-def _weight_grad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gradient of ``y = a @ w``: sum over all leading axes of a^T dy, as one GEMM."""
-    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
+def _weight_grad(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Gradient of ``y = a @ w``: sum over all leading axes of a^T dy, as one
+    GEMM, into ``out`` when given."""
+    return np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
 
 
 def _block_backward(dx2, p, prefix, t_cfg, c, grads):
@@ -567,26 +570,24 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
 
     # MLP sub-block
     dm2 = dx2
-    grads[f"{prefix}.mlp.w2"] = _weight_grad(0.5 * m1 * m1_term, dm2)
-    grads[f"{prefix}.mlp.b2"] = dm2.sum(axis=(0, 1))
+    _weight_grad(0.5 * m1 * m1_term, dm2, out=grads[f"{prefix}.mlp.w2"])
+    grads[f"{prefix}.mlp.b2"][...] = dm2.sum(axis=(0, 1))
     dg1 = dm2 @ p[f"{prefix}.mlp.w2"].T
     dm1 = dg1 * dgelu(m1, m1_term)
-    grads[f"{prefix}.mlp.w1"] = _weight_grad(u2, dm1)
-    grads[f"{prefix}.mlp.b1"] = dm1.sum(axis=(0, 1))
+    _weight_grad(u2, dm1, out=grads[f"{prefix}.mlp.w1"])
+    grads[f"{prefix}.mlp.b1"][...] = dm1.sum(axis=(0, 1))
     du2 = dm1 @ p[f"{prefix}.mlp.w1"].T
-    dx1_ln, grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"] = _layernorm_backward(
-        du2, c["ln2c"], p[f"{prefix}.ln2.g"])
-    dx1 = dx2 + dx1_ln
+    dx1 = dx2 + _layernorm_backward(du2, c["ln2c"], p[f"{prefix}.ln2.g"],
+                                    grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"])
 
     # attention sub-block; every buffer written in place is fresh
-    grads[f"{prefix}.attn.bo"] = dx1.sum(axis=(0, 1))
+    grads[f"{prefix}.attn.bo"][...] = dx1.sum(axis=(0, 1))
     attention_backward = (_factored_attention_backward
                           if factored_attention(t_cfg, dx1.shape[-1])
                           else _head_attention_backward)
     du = attention_backward(dx1, u, p, prefix, t_cfg, c, grads)
-    dx_ln, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = _layernorm_backward(
-        du, c["ln1c"], p[f"{prefix}.ln1.g"])
-    return dx1 + dx_ln
+    return dx1 + _layernorm_backward(du, c["ln1c"], p[f"{prefix}.ln1.g"],
+                                     grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"])
 
 
 def _head_attention_backward(do, u, p, prefix, t_cfg, c, grads):
@@ -609,13 +610,10 @@ def _head_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     np.matmul(dsc.transpose(0, 1, 3, 2), q, out=_heads(dk_m, h))
     dq_m *= scale
     dk_m *= scale
-    grads[f"{prefix}.attn.wo"] = _weight_grad(ctx, do)
-    grads[f"{prefix}.attn.wq"] = _weight_grad(u, dq_m)
-    grads[f"{prefix}.attn.bq"] = dq_m.sum(axis=(0, 1))
-    grads[f"{prefix}.attn.wk"] = _weight_grad(u, dk_m)
-    grads[f"{prefix}.attn.bk"] = dk_m.sum(axis=(0, 1))
-    grads[f"{prefix}.attn.wv"] = _weight_grad(u, dv_m)
-    grads[f"{prefix}.attn.bv"] = dv_m.sum(axis=(0, 1))
+    _weight_grad(ctx, do, out=grads[f"{prefix}.attn.wo"])
+    for n, d_m in zip("qkv", (dq_m, dk_m, dv_m)):
+        _weight_grad(u, d_m, out=grads[f"{prefix}.attn.w{n}"])
+        grads[f"{prefix}.attn.b{n}"][...] = d_m.sum(axis=(0, 1))
     return dq_m @ p[f"{prefix}.attn.wq"].T + dk_m @ p[f"{prefix}.attn.wk"].T \
         + dv_m @ p[f"{prefix}.attn.wv"].T
 
@@ -624,8 +622,8 @@ def _factored_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     """Factored attention gradients into ``grads``; returns d(loss)/du.
 
     Backpropagates to ``_circuits``' matrices, which the forward cached,
-    then maps their gradients onto the per-head weights. The key bias gets an
-    exact zero.
+    then maps their gradients onto the per-head weights. The key bias gets
+    explicit zeros.
     """
     h, dh = t_cfg.heads, t_cfg.dim_head
     scale = 1.0 / math.sqrt(dh)
@@ -651,16 +649,16 @@ def _factored_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     d_qk_bias = dqt.sum(axis=(0, 1)).reshape(h, 1, d)
     wq, wk, wv = (_split_heads(p[f"{prefix}.attn.w{n}"], h) for n in "qkv")
     wo, bq, bv = (p[f"{prefix}.attn.{n}"] for n in ("wo", "bq", "bv"))
-    grads[f"{prefix}.attn.wo"] = (wv.transpose(0, 2, 1) @ d_ov).reshape(h * dh, d) \
+    grads[f"{prefix}.attn.wo"][...] = (wv.transpose(0, 2, 1) @ d_ov).reshape(h * dh, d) \
         + np.outer(bv, d_out)
-    grads[f"{prefix}.attn.wq"] = _merge_heads((d_qk @ wk) * scale)
-    grads[f"{prefix}.attn.bq"] = ((d_qk_bias @ wk) * scale).reshape(h * dh)
-    grads[f"{prefix}.attn.wk"] = _merge_heads(
-        (d_qk.transpose(0, 2, 1) @ wq + d_qk_bias.transpose(0, 2, 1) @ bq.reshape(h, 1, dh))
-        * scale)
-    grads[f"{prefix}.attn.bk"] = np.zeros_like(bq)
-    grads[f"{prefix}.attn.wv"] = _merge_heads(d_ov @ wo.reshape(h, dh, d).transpose(0, 2, 1))
-    grads[f"{prefix}.attn.bv"] = wo @ d_out
+    dwq, dwk, dwv = (_split_heads(grads[f"{prefix}.attn.w{n}"], h) for n in "qkv")
+    dwq[...] = (d_qk @ wk) * scale
+    grads[f"{prefix}.attn.bq"][...] = ((d_qk_bias @ wk) * scale).reshape(h * dh)
+    dwk[...] = (d_qk.transpose(0, 2, 1) @ wq
+                + d_qk_bias.transpose(0, 2, 1) @ bq.reshape(h, 1, dh)) * scale
+    grads[f"{prefix}.attn.bk"][...] = 0
+    dwv[...] = d_ov @ wo.reshape(h, dh, d).transpose(0, 2, 1)
+    grads[f"{prefix}.attn.bv"][...] = wo @ d_out
     return du
 
 
@@ -739,27 +737,29 @@ def forward_cached(x_batch: np.ndarray, model: Model, want_cache: bool = True,
     return logits, None
 
 
-def backward_cached(dlogits: np.ndarray, model: Model,
-                    cache: dict) -> dict[str, np.ndarray]:
-    """Gradients of every parameter given d(loss)/d(logits) for the cached batch."""
+def backward_cached(dlogits: np.ndarray, model: Model, cache: dict,
+                    grads: dict[str, np.ndarray]) -> None:
+    """Gradients of every parameter given d(loss)/d(logits) for the cached
+    batch, written into ``grads``, one array of the parameter's shape and
+    dtype per name (``FlatLayout.views`` of one vector). Every item of every
+    array is written, so they may start as uninitialized memory."""
     cfg, p = model.cfg, model.params
-    grads: dict[str, np.ndarray] = {}
 
-    grads["head.w"] = cache["normed_cls"].T @ dlogits
+    np.matmul(cache["normed_cls"].T, dlogits, out=grads["head.w"])
     dxs = np.zeros_like(cache["x_blocks_out"])
     dxs[:, 0, :] = dlogits @ p["head.w"].T
-    dxs, grads["final_ln.g"], grads["final_ln.b"] = _layernorm_backward(
-        dxs, cache["final_lnc"], p["final_ln.g"])
+    dxs = _layernorm_backward(dxs, cache["final_lnc"], p["final_ln.g"],
+                              grads["final_ln.g"], grads["final_ln.b"])
 
     for i in reversed(range(cfg.transformer.depth)):
         dxs = _block_backward(dxs, p, f"block{i}", cfg.transformer,
                               cache[f"block{i}"], grads)
 
     # token assembly
-    grads["pos"] = dxs.sum(axis=0)
-    grads["cls"] = dxs[:, 0, :].sum(axis=0)
+    grads["pos"][...] = dxs.sum(axis=0)
+    grads["cls"][...] = dxs[:, 0, :].sum(axis=0)
     dtok = dxs[:, 1:, :]
-    grads["proj.e0"] = _weight_grad(cache["tilde"], dtok)
+    _weight_grad(cache["tilde"], dtok, out=grads["proj.e0"])
     dtilde = dtok @ p["proj.e0"].T
 
     # averaging: scatter each window's gradient back onto its embeddings
@@ -767,13 +767,12 @@ def backward_cached(dlogits: np.ndarray, model: Model,
 
     # patch MLP
     h1, h1_term, patches = cache["h1"], cache["h1_term"], cache["patches"]
-    grads["patch.w2"] = _weight_grad(0.5 * h1 * h1_term, de)
-    grads["patch.b2"] = de.sum(axis=(0, 1))
+    _weight_grad(0.5 * h1 * h1_term, de, out=grads["patch.w2"])
+    grads["patch.b2"][...] = de.sum(axis=(0, 1))
     da1 = de @ p["patch.w2"].T
     dh1 = da1 * dgelu(h1, h1_term)
-    grads["patch.w1"] = _weight_grad(patches, dh1)
-    grads["patch.b1"] = dh1.sum(axis=(0, 1))
-    return grads
+    _weight_grad(patches, dh1, out=grads["patch.w1"])
+    grads["patch.b1"][...] = dh1.sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ Fine-tuning is ``train`` on the pretrained model and the first part of a
 subject's trials (``chronological_split``); AdamW starts fresh moments there
 too.
 
-Training runs on one parameter vector in ``model.FlatLayout``, the layout of
-the checkpoint payload: ``train`` gathers the starting parameters into it
-once, ``backward`` returns the gradient as one such vector, and ``adamw_step``
-keeps its moments in two more and returns the next parameter vector. So the
-sum over micro-batches, the finite checks and the update run as a few long
-numpy loops instead of one short loop per tensor.
+The layout ``model.FlatLayout``, that of the checkpoint payload, owns the
+parameter and gradient memory: ``train`` gathers the starting parameters once
+into the first of two parameter vectors and builds both vectors' views once,
+``backward`` has ``model.backward_cached`` write the gradient into views of
+one vector, and ``adamw_step`` keeps its moments in two more and writes the
+next parameters into the vector the model does not view. So the sum over
+micro-batches, the finite checks and the update run as a few long numpy
+loops, and no step copies a parameter vector or rebuilds its views.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray
 def backward(x: np.ndarray, labels: np.ndarray, model: Model, rows=None
              ) -> tuple[float, np.ndarray]:
     """Mean batch loss and the exact analytic gradient of every parameter, as
-    one vector in the layout of ``param_shapes(model.cfg)``.
+    one new vector in the layout of ``param_shapes(model.cfg)``.
 
     The batch is the rows ``rows`` (an index array) of the stack ``x`` and
     of ``labels``, or all of them when ``rows`` is None. Its samples are
@@ -94,24 +96,31 @@ def backward(x: np.ndarray, labels: np.ndarray, model: Model, rows=None
     The batch runs one micro-batch (``micro_batches``) at a time, so only one
     micro-batch's cache is alive. Each micro-batch's mean loss and logit
     gradient are weighted by its share of the batch, which divides both by
-    the size of the whole batch, and its gradients are summed into the one
-    vector. A batch of one micro-batch (the presets up to batch 512) takes a
-    single pass. The vector is checked finite in one pass.
+    the size of the whole batch. ``backward_cached`` writes the first
+    micro-batch's gradients into views of the result vector; a batch of
+    several micro-batches (per-channel patches) writes each later one into
+    one more vector, built once per call, and adds it in. A batch of one
+    micro-batch (the presets up to batch 512) takes a single pass. The
+    vector is checked finite in one pass.
     """
     x, labels = np.asarray(x), np.asarray(labels)
     rows = np.arange(labels.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
     n = rows.shape[0]
     layout = FlatLayout.of(param_shapes(model.cfg))
-    loss, flat = 0.0, None
+    flat = np.empty(layout.size, model.dtype)
+    loss, spare, grads = 0.0, None, layout.views(flat)
     for i, j in micro_batches(model.cfg, n, model.dtype.itemsize):
         logits, cache = forward_cached(x, model, want_cache=True, rows=rows[i:j])
         part, dlogits = batch_cross_entropy(logits.astype(np.float64), labels[rows[i:j]])
         share = (j - i) / n
-        part_grads = backward_cached((dlogits * share).astype(model.dtype), model, cache)
+        backward_cached((dlogits * share).astype(model.dtype), model, cache, grads)
         del cache           # free it before the next micro-batch's forward
         loss += part * share
-        part_flat = layout.gather(part_grads, model.dtype)
-        flat = part_flat if flat is None else np.add(flat, part_flat, out=flat)
+        if spare is not None:
+            flat += spare
+        elif j < n:         # later micro-batches go to a second vector, added in
+            spare = np.empty(layout.size, model.dtype)
+            grads = layout.views(spare)
     bad = layout.first_nonfinite(flat)
     if bad is not None:
         raise NumericError(f"non-finite gradient for tensor {bad!r}")
@@ -139,22 +148,21 @@ class OptimizerState:
 
 
 def adamw_step(p: np.ndarray, g: np.ndarray, state: OptimizerState, lr: float,
-               cfg: TrainConfig) -> np.ndarray:
-    """One AdamW update with bias correction and decoupled decay: the new
-    parameter vector for parameters ``p`` and gradient ``g``, both in the
-    state's layout and dtype.
+               cfg: TrainConfig, out: np.ndarray) -> None:
+    """One AdamW update with bias correction and decoupled decay: writes the
+    new parameter vector for parameters ``p`` and gradient ``g`` into
+    ``out``, all three in the state's layout and dtype.
 
     The per-item formula runs over runs of ADAM_RUN items, so it rounds
     exactly as it would tensor by tensor. ``p`` is never written, so it may
-    be read-only or viewed by a model. If a new parameter is not finite,
-    NumericError names the first such tensor in layout order, and the
-    moments in ``state`` are spent.
+    be read-only or viewed by a model; ``out`` must be another vector. If a
+    new parameter is not finite, NumericError names the first such tensor in
+    layout order, and the moments in ``state`` and ``out`` are spent.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    new = np.empty_like(p)
     buf1, buf2 = np.empty((2, min(ADAM_RUN, p.size)), p.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, p.size, ADAM_RUN):
@@ -178,11 +186,10 @@ def adamw_step(p: np.ndarray, g: np.ndarray, state: OptimizerState, lr: float,
                 decay *= pi
                 update += decay
             update *= lr
-            np.subtract(pi, update, out=new[i:j])
-    bad = state.layout.first_nonfinite(new)
+            np.subtract(pi, update, out=out[i:j])
+    bad = state.layout.first_nonfinite(out)
     if bad is not None:
         raise NumericError(f"non-finite AdamW update for tensor {bad!r}")
-    return new
 
 
 def onecycle_lr(step: int, total_steps: int, cfg: TrainConfig) -> float:
@@ -248,9 +255,11 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     the only per-step copy of the inputs is the patch array that
     ``forward_cached`` fills from those rows; ``x`` is never written.
 
-    The result's model is new: its parameters are views of one vector that
-    training owns, and ``model`` is never written, so its arrays may be
-    read-only. AdamW starts from fresh moments; one epoch is
+    The result's model is new: its parameters are views of one of two
+    vectors that training owns, and ``model`` is never written, so its
+    arrays may be read-only. Each step writes the next parameters into the
+    vector the model does not view and switches the model to that vector's
+    views, built once. AdamW starts from fresh moments; one epoch is
     ceil(N / batch_size) steps. On a non-finite loss, gradient or update the
     loop aborts and returns the parameters from before the failing step,
     flagged as diverged.
@@ -269,9 +278,11 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     steps_per_epoch = -(-n // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     layout = FlatLayout.of(param_shapes(model.cfg))
-    p = layout.gather(model.params, model.dtype)
-    state = OptimizerState.zeros(layout, p.dtype)
-    result = TrainResult(model=Model(cfg=model.cfg, params=layout.views(p)))
+    flats = (layout.gather(model.params, model.dtype), np.empty(layout.size, model.dtype))
+    views = [layout.views(flat) for flat in flats]
+    live = 0            # the vector the result's model views
+    state = OptimizerState.zeros(layout, model.dtype)
+    result = TrainResult(model=Model(cfg=model.cfg, params=views[live]))
     if total_steps == 0:
         return result
 
@@ -279,17 +290,19 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     for step, idx in enumerate(batches):
         lr = onecycle_lr(step, total_steps, cfg)
         # overflow here is handled by the divergence guard, not surfaced as
-        # noise; ``adamw_step`` never writes ``p``, which the model views
+        # noise; ``adamw_step`` writes the other vector only, so after a
+        # failed step the model still views the last good parameters
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, g = backward(x, labels, result.model, rows=idx)
             if not math.isfinite(loss):
                 raise NumericError("non-finite loss")
-            p = adamw_step(p, g, state, lr, cfg)
+            adamw_step(flats[live], g, state, lr, cfg, flats[1 - live])
         except NumericError:
             result.diverged = True
             break
-        result.model.params.update(layout.views(p))
+        live = 1 - live
+        result.model.params = views[live]
         epoch = step // steps_per_epoch
         result.history.append({"step": step, "epoch": epoch, "lr": lr, "loss": loss})
         if log is not None and (step % steps_per_epoch == steps_per_epoch - 1):

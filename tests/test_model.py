@@ -579,16 +579,22 @@ def test_weight_gradients_match_einsum_reference(per_channel, stride, rng, monke
     x = rng.standard_normal((4, 3, 64))
     dlogits = rng.standard_normal((4, 3))
     _, cache = forward_cached(x, model)
-    grads = backward_cached(dlogits, model, cache)
+    layout = FlatLayout.of(param_shapes(cfg))
 
+    def gradients():
+        grads = layout.views(np.full(layout.size, np.nan))
+        backward_cached(dlogits, model, cache, grads)
+        return grads
+
+    grads = gradients()
     calls = []
 
-    def reference(a, b):
+    def reference(a, b, out=None):
         calls.append(a.shape)
-        return np.einsum("bsi,bsj->ij", a, b)
+        return np.einsum("bsi,bsj->ij", a, b, out=out)
 
     monkeypatch.setattr(afpm.model, "_weight_grad", reference)
-    ref = backward_cached(dlogits, model, cache)
+    ref = gradients()
     # patch.w1, patch.w2, proj.e0, and wq/wk/wv/wo/mlp.w1/mlp.w2 per block
     assert len(calls) == 3 + 6 * t_cfg.depth
     assert ref.keys() == grads.keys()
@@ -889,24 +895,46 @@ class TestLeanCache:
         x = rng.standard_normal((4, 3, 64))
         checked = []
 
-        def checking(dlogits, model, cache, backward_cached=backward_cached):
+        def checking(dlogits, model, cache, grads, backward_cached=backward_cached):
             before = {k: v.copy() for k, v in cache_arrays(cache).items()}
-            first = backward_cached(dlogits, model, cache)
-            second = backward_cached(dlogits, model, cache)
-            for name, g in first.items():
+            backward_cached(dlogits, model, cache, grads)
+            layout = FlatLayout.of(param_shapes(model.cfg))
+            second = layout.views(np.empty(layout.size, model.dtype))
+            backward_cached(dlogits, model, cache, second)
+            for name, g in grads.items():
                 assert np.array_equal(g, second[name]), name
             after = cache_arrays(cache)
             assert after.keys() == before.keys()
             for key, arr in before.items():
                 assert np.array_equal(arr, after[key]), key
             checked.append(len(dlogits))
-            return first
 
         monkeypatch.setattr(afpm.training, "backward_cached", checking)
         for form in attention_forms(monkeypatch):
             checked.clear()
             backward(x, np.array([1, 0, 0, 1]), model)
             assert checked == ([1, 1, 1, 1] if lean else [4]), form
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lean", [False, True])
+    def test_backward_writes_every_gradient_item(self, lean, dtype, rng, monkeypatch):
+        """Every gradient item is written, in every micro-batch: with ``np.empty``
+        handing out NaN-filled memory, ``backward``'s loss and gradient vector
+        equal a normal run's bit for bit, in both attention forms (the factored
+        key bias's zeros included), in one pass or as micro-batches."""
+        if lean:
+            run_lean(monkeypatch)
+        model = perturbed_model(small_cfg(depth=2), dtype, rng)
+        x = rng.standard_normal((4, 3, 64)).astype(np.float32)
+        y = np.array([1, 0, 0, 1])
+        for form in attention_forms(monkeypatch):
+            assert len(micro_batches(model.cfg, 4, model.dtype.itemsize)) == (4 if lean else 1)
+            loss, flat = backward(x, y, model)
+            assert np.isfinite(flat).all(), form
+            with monkeypatch.context() as patched:
+                nan_filled_empty(patched)
+                nan_loss, nan_flat = backward(x, y, model)
+            assert nan_loss == loss and same_bits(nan_flat, flat), form
 
     def test_micro_batches_count_the_attention_cache(self, monkeypatch):
         """A micro-batch holds as many samples as fit their attention caches into
@@ -1077,9 +1105,10 @@ class TestFactoredAttention:
         assert len(bk) == 2
         for name in bk:
             assert grads[name].shape == before[name].shape and not grads[name].any(), name
-        stepped = layout.views(adamw_step(layout.gather(model.params), flat,
-                                          OptimizerState.zeros(layout, np.float32), 1e-3,
-                                          TrainConfig()))
+        stepped = np.empty(layout.size, np.float32)
+        adamw_step(layout.gather(model.params), flat, OptimizerState.zeros(layout, np.float32),
+                   1e-3, TrainConfig(), stepped)
+        stepped = layout.views(stepped)
         for name, arr in before.items():
             assert np.array_equal(stepped[name], arr) is (name in bk), name
 
@@ -1118,13 +1147,10 @@ def query_major_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     np.matmul(datt.transpose(0, 1, 3, 2), q, out=heads(dk_m, h))
     dq_m *= scale
     dk_m *= scale
-    grads[f"{prefix}.attn.wo"] = weight_grad(ctx, do)
-    grads[f"{prefix}.attn.wq"] = weight_grad(u, dq_m)
-    grads[f"{prefix}.attn.bq"] = dq_m.sum(axis=(0, 1))
-    grads[f"{prefix}.attn.wk"] = weight_grad(u, dk_m)
-    grads[f"{prefix}.attn.bk"] = dk_m.sum(axis=(0, 1))
-    grads[f"{prefix}.attn.wv"] = weight_grad(u, dv_m)
-    grads[f"{prefix}.attn.bv"] = dv_m.sum(axis=(0, 1))
+    weight_grad(ctx, do, out=grads[f"{prefix}.attn.wo"])
+    for n, d_m in zip("qkv", (dq_m, dk_m, dv_m)):
+        weight_grad(u, d_m, out=grads[f"{prefix}.attn.w{n}"])
+        grads[f"{prefix}.attn.b{n}"][...] = d_m.sum(axis=(0, 1))
     return dq_m @ p[f"{prefix}.attn.wq"].T + dk_m @ p[f"{prefix}.attn.wk"].T \
         + dv_m @ p[f"{prefix}.attn.wv"].T
 
@@ -1134,7 +1160,8 @@ def per_head_block_run(p, t_cfg, x, dx2):
     parameter gradients."""
     cache = {}
     out = _block_forward(x, p, "block0", t_cfg, cache)
-    grads = {}
+    layout = FlatLayout.of({n: a.shape for n, a in p.items() if n.startswith("block0.")})
+    grads = layout.views(np.empty(layout.size, x.dtype))
     dx = afpm.model._block_backward(dx2, p, "block0", t_cfg, cache["block0"], grads)
     return {"out": out, "att": cache["block0"]["att"], "dx": dx, **grads}
 

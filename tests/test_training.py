@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -139,12 +141,11 @@ def test_non_finite_gradient_names_its_tensor(micro, bad, rng, monkeypatch):
     real = afpm.training.backward_cached
     calls = []
 
-    def poisoned(dlogits, model, cache):
-        grads = real(dlogits, model, cache)
+    def poisoned(dlogits, model, cache, grads):
+        real(dlogits, model, cache, grads)
         calls.append(len(dlogits))
         if len(calls) == micro:
             grads[bad].reshape(-1)[-1] = np.inf
-        return grads
 
     monkeypatch.setattr(afpm.training, "backward_cached", poisoned)
     with pytest.raises(NumericError, match=f"non-finite gradient for tensor '{bad}'"):
@@ -177,8 +178,9 @@ def toy_layout(params):
 def named_adamw_step(params, grads, state, lr, cfg):
     """``adamw_step`` on named tensors in ``state.layout``: the new tensors by name."""
     layout = state.layout
-    return layout.views(adamw_step(layout.gather(params), layout.gather(grads),
-                                   state, lr, cfg))
+    new = np.empty(layout.size, state.m.dtype)
+    adamw_step(layout.gather(params), layout.gather(grads), state, lr, cfg, new)
+    return layout.views(new)
 
 
 class TestAdamW:
@@ -188,7 +190,8 @@ class TestAdamW:
                                                    monkeypatch):
         """Three steps over flat vectors equal the per-tensor formula bit for
         bit, with runs shorter than some tensors and longer than others, from
-        read-only parameters that stay as they were."""
+        read-only parameters that stay as they were, into a NaN-filled vector
+        of which every item is written."""
         monkeypatch.setattr(afpm.training, "ADAM_RUN", 64)
         model = init_model(tiny_cfg(), seed=0, dtype=dtype)
         layout = FlatLayout.of(param_shapes(model.cfg))
@@ -203,8 +206,9 @@ class TestAdamW:
                      for k, a in ref.items()}
             p.flags.writeable = False
             before = p.copy()
-            new = adamw_step(p, layout.gather(grads), state, lr, cfg)
-            assert new is not p and np.array_equal(p, before), t
+            new = np.full_like(p, np.nan)
+            adamw_step(p, layout.gather(grads), state, lr, cfg, new)
+            assert np.array_equal(p, before), t
             ref = per_tensor_adamw(ref, grads, m, v, t, lr, cfg)
             assert new.dtype == dtype and new.shape == p.shape
             got = layout.views(new)
@@ -274,9 +278,11 @@ class TestAdamW:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match="'w'"):
-                adamw_step(p, g, OptimizerState.zeros(layout, np.float32), lr=3e38, cfg=cfg)
+                adamw_step(p, g, OptimizerState.zeros(layout, np.float32), lr=3e38, cfg=cfg,
+                           out=np.empty_like(p))
         assert np.array_equal(p, np.ones_like(p))
-        new = adamw_step(p, g, OptimizerState.zeros(layout, np.float32), lr=1e-3, cfg=cfg)
+        new = np.empty_like(p)
+        adamw_step(p, g, OptimizerState.zeros(layout, np.float32), lr=1e-3, cfg=cfg, out=new)
         assert np.all(layout.views(new)["w"] < 1.0)
 
 
@@ -390,9 +396,8 @@ class TestTrain:
         snapshots = []
 
         def adamw_then_snapshot(*args):
-            new = adamw_step(*args)
-            snapshots.append(new.copy())
-            return new
+            adamw_step(*args)
+            snapshots.append(args[-1].copy())      # the vector it wrote
 
         monkeypatch.setattr(afpm.training, "adamw_step", adamw_then_snapshot)
         # an absurd learning rate explodes the parameters after one step, so a
@@ -430,6 +435,40 @@ class TestTrain:
         assert all(a.base is flat for a in result.model.params.values())
         assert np.array_equal(flat, layout.gather(result.model.params))
         assert not np.array_equal(result.model.params["head.w"], copies["head.w"])
+
+    def test_no_step_gathers_or_rebuilds_parameter_views(self, rng, monkeypatch):
+        """``train`` gathers the caller's parameters once and builds its two
+        parameter vectors' views a number of times that does not depend on
+        the step count; per step, ``backward`` builds at most one set of
+        gradient views and nothing gathers."""
+        x, y = separable_toy(rng, n=16)
+        cfg = tiny_cfg(m=2, t_prime=64)
+        calls = Counter()
+
+        def counted(method):
+            def wrapper(self, *args, **kwargs):
+                caller = sys._getframe(1)
+                while caller.f_code.co_name.startswith("<"):    # a comprehension
+                    caller = caller.f_back
+                calls[method.__name__, caller.f_code.co_name] += 1
+                return method(self, *args, **kwargs)
+            return wrapper
+
+        for method in (FlatLayout.gather, FlatLayout.views):
+            monkeypatch.setattr(FlatLayout, method.__name__, counted(method))
+        param_views = []
+        for epochs in (2, 4):
+            calls.clear()
+            result = train(x, y, init_model(cfg, seed=0),
+                           TrainConfig(epochs=epochs, batch_size=8, seed=0))
+            steps = len(result.history)
+            assert steps == 2 * epochs and not result.diverged
+            assert set(calls) <= {("gather", "train"), ("views", "train"),
+                                  ("views", "backward")}, calls
+            assert calls["gather", "train"] == 1, calls
+            assert calls["views", "backward"] <= steps, calls
+            param_views.append(calls["views", "train"])
+        assert param_views[0] == param_views[1]
 
     def test_epoch_zero_returns_input(self, rng):
         x, y = separable_toy(rng, n=8)
