@@ -217,7 +217,7 @@ def _cmd_preprocess(args) -> int:
         except ValueError:
             raise ConfigError(f"--band takes LO:HI in Hz, got {args.band!r}") from None
         edges = {"band_lo_hz": lo, "band_hi_hz": hi}
-    manifest = load_manifest(_data_path(args.in_dir))
+    manifest = load_manifest(args.in_dir)
     pp = replace(default_config(manifest.task), **edges)
     out = preprocess_dataset(manifest, pp, args.out)
     echo_config(args.out, "preprocess", _public_args(args),
@@ -234,11 +234,10 @@ def _cmd_align(args) -> int:
 
     if args.union_from is not None and not args.no_select:
         raise ConfigError("--union-from defines the --no-select union; it needs --no-select")
-    manifest = load_manifest(_data_path(args.in_dir))
+    manifest = load_manifest(args.in_dir)
     spec = task_template(args.task)
     if args.no_select:
-        source = [load_manifest(_data_path(p))
-                  for p in (args.union_from or [args.in_dir])]
+        source = [load_manifest(p) for p in (args.union_from or [args.in_dir])]
         spec = union_template(source, spec)
     out = align_dataset(manifest, args.out, spec,
                         ea=not args.no_ea, mapping=not args.no_map)
@@ -259,7 +258,7 @@ def _cmd_train(args) -> int:
     from .training import train
 
     cfg = resolve_config(args.task, args.config, _overrides_from(args))
-    manifests = [load_manifest(_data_path(p)) for p in args.data]
+    manifests = [load_manifest(p) for p in args.data]
     x, y, _, layout = stack_aligned(manifests, cfg.task)
     model_cfg = stacked_model_config(cfg, x, layout, args.per_channel_patches)
     model = init_model(model_cfg, seed=cfg.train.seed)
@@ -268,7 +267,7 @@ def _cmd_train(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     print(f"training on {x.shape[0]} trials "
           f"({x.shape[1]} channels x {x.shape[2]} samples), "
-          f"{model.n_params()} parameters")
+          f"{model.flat.size} parameters")
     result = train(x, y, model, cfg.train, log=print)
     divergence = (f"training diverged at step {len(result.history) + 1}; "
                   f"kept last finite checkpoint")
@@ -299,7 +298,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError(
             f"--task {args.task} does not match the checkpoint's task {cfg.task!r}"
         )
-    manifest = load_manifest(_data_path(args.data))
+    manifest = load_manifest(args.data)
     report = evaluate_dataset(model, manifest)
     doc = json.dumps(report.to_dict(), indent=1, sort_keys=True)
     print(report.table())
@@ -327,8 +326,7 @@ def _cmd_ablate(args) -> int:
         variants = VARIANTS
     else:
         variants = tuple(v.strip().upper() for v in args.variants.split(","))
-    results = run_ablation(cfg, variants, [_data_path(p) for p in args.train_dirs],
-                           [_data_path(p) for p in args.eval_dirs],
+    results = run_ablation(cfg, variants, args.train_dirs, args.eval_dirs,
                            os.path.join(args.out, "work"))
     os.makedirs(args.out, exist_ok=True)
     csv = ablation_csv(results)
@@ -358,7 +356,7 @@ def _cmd_finetune(args) -> int:
     from .training import chronological_split, train
 
     model, _, _ = load_checkpoint(args.ckpt)
-    manifest = load_manifest(_data_path(args.data))
+    manifest = load_manifest(args.data)
     task = model.cfg.task
     cfg = _finetune_config(model.cfg, args)
     x, y, domains, positive = model_inputs(model, manifest)
@@ -443,14 +441,6 @@ def _finetune_config(model_cfg, args: argparse.Namespace):
                                   f"{section}.{key} {kept[key]}; finetune keeps the "
                                   "checkpoint's architecture")
     return replace(cfg, fpe=model_cfg.fpe, transformer=model_cfg.transformer)
-
-
-def _data_path(path: str) -> str:
-    """Resolve a dataset path against $AFPM_DATA_ROOT when it is relative."""
-    root = os.environ.get("AFPM_DATA_ROOT")
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
 
 
 def _require_out_kind(args: argparse.Namespace) -> None:

@@ -23,10 +23,6 @@ from .pipeline import input_channels, require_same_classes, stack_aligned
 
 MI_METRICS = ("balanced_accuracy", "auc_pr")
 ERP_METRICS = ("auroc", "auc_pr", "cohens_kappa")
-# Trials per forward call. ``micro_batches`` counts only attention caches, so
-# this loop is what bounds eval's patch array (and the MLP activations beside
-# it). perfbench/checks.py runs the same loop to build its oracle logits.
-EVAL_BATCH = 256
 
 
 def _check_lengths(a, b):
@@ -216,9 +212,7 @@ def evaluate_arrays(model: Model, x: np.ndarray, labels: np.ndarray,
     task = model.cfg.task
     labels = np.asarray(labels, dtype=np.int64)
     n = x.shape[0]
-    logits = np.concatenate(
-        [forward(x[i:i + EVAL_BATCH], model) for i in range(0, n, EVAL_BATCH)]
-    )
+    logits = forward(x, model)
     preds = np.argmax(logits, axis=1)
     pooled = compute_metrics(task, logits, labels, positive)
     k = logits.shape[1]

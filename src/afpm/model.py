@@ -29,18 +29,20 @@ into runs whose caches fit MICRO_BATCH_BYTES, which ``forward`` (inference)
 and ``training.backward`` take one at a time.
 
 ``FlatLayout``, built from ``param_shapes``, is the one description of the
-parameters as a vector, and it owns their memory across a training run: a
+parameters as a vector. A ``Model`` is its config and one such vector, with
+its layout and read-only mapping of per-tensor views built once: a
 checkpoint's payload is that vector in float32, ``backward_cached`` writes
-every gradient into views of one vector in it, and training keeps its two
-parameter vectors and the AdamW moments in the same layout.
+every gradient into views of one vector in the layout, and training keeps
+its two models' vectors and the AdamW moments in the same layout.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -61,6 +63,12 @@ CHECKPOINT_FORMAT = "afpm-checkpoint-v3"
 # 32 samples, so the budget is about the smallest that keeps the presets'
 # batch of 512 in one pass, bit for bit.
 MICRO_BATCH_BYTES = 32 * 2**20
+# ``forward`` runs this many trials at a time. ``micro_batches`` counts only
+# attention caches, so this is what bounds inference's patch array and the
+# MLP activations beside it (about 65 MB of patches at 256 trials of the
+# 48-channel template). perfbench/checks.py builds its oracle logits from
+# ``forward`` calls on 256 trials at a time, which keep the same bits.
+EVAL_BATCH = 256
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -252,10 +260,6 @@ class FlatLayout:
     def size(self) -> int:
         return self.offsets[-1]
 
-    def gather(self, arrays: dict[str, np.ndarray], dtype=None) -> np.ndarray:
-        """One new vector holding ``arrays`` in layout order (cast to ``dtype``)."""
-        return np.concatenate([arrays[name].ravel() for name in self.names], dtype=dtype)
-
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each tensor as a view of ``flat``."""
         return {name: flat[i:j].reshape(shape) for name, shape, i, j
@@ -270,36 +274,46 @@ class FlatLayout:
         return self.names[np.searchsorted(self.offsets, np.argmin(finite), "right") - 1]
 
 
-def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Gaussian(0, 0.02) weights and embeddings, zero biases, unit norm scales."""
-    rng = np.random.default_rng(seed)
-    p: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(cfg).items():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf == "g":
-            p[name] = np.ones(shape, dtype=dtype)
-        elif leaf.startswith("b"):
-            p[name] = np.zeros(shape, dtype=dtype)
-        else:
-            p[name] = (rng.standard_normal(shape) * INIT_SIGMA).astype(dtype)
-    return p
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Model:
+    """A model is its config and one parameter vector ``flat`` in the layout of
+    ``param_shapes(cfg)``. ``layout`` and ``params``, a read-only mapping from
+    each name to a view of ``flat``, are built once, here: a model's
+    parameters change only by writes into ``flat`` or its views."""
+
     cfg: ModelConfig
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
+    layout: FlatLayout = field(init=False, repr=False)
+    params: MappingProxyType = field(init=False, repr=False)
+
+    def __post_init__(self):
+        layout = FlatLayout.of(param_shapes(self.cfg))
+        if self.flat.shape != (layout.size,):
+            raise DataError(f"parameter vector of shape {self.flat.shape} does not fit "
+                            f"the config's {layout.size} parameters")
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "params", MappingProxyType(layout.views(self.flat)))
 
     @property
     def dtype(self):
-        return self.params["head.w"].dtype
-
-    def n_params(self) -> int:
-        return int(sum(v.size for v in self.params.values()))
+        return self.flat.dtype
 
 
 def init_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
-    return Model(cfg=cfg, params=init_params(cfg, seed, dtype=dtype))
+    """Gaussian(0, 0.02) weights and embeddings, zero biases, unit norm scales,
+    drawn tensor by tensor in ``param_shapes`` order."""
+    size = sum(math.prod(shape) for shape in param_shapes(cfg).values())
+    model = Model(cfg, np.empty(size, dtype))
+    rng = np.random.default_rng(seed)
+    for name, p in model.params.items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "g":
+            p[...] = 1
+        elif leaf.startswith("b"):
+            p[...] = 0
+        else:
+            p[...] = rng.standard_normal(p.shape) * INIT_SIGMA
+    return model
 
 
 def decayed_param(name: str, shape: tuple) -> bool:
@@ -682,9 +696,12 @@ def micro_batches(cfg: ModelConfig, batch: int, itemsize: int) -> list[tuple[int
 
 
 def forward(x_batch: np.ndarray, model: Model) -> np.ndarray:
-    """Logits [B x c] of a batch [B x M x T'], without a backward cache, one
-    micro-batch (``micro_batches``) at a time."""
-    runs = micro_batches(model.cfg, len(x_batch), model.dtype.itemsize)
+    """Logits [B x c] of a batch [B x M x T'], without a backward cache:
+    EVAL_BATCH trials at a time, each chunk one micro-batch
+    (``micro_batches``) at a time."""
+    n, itemsize = len(x_batch), model.dtype.itemsize
+    runs = [(i + j, i + k) for i in range(0, n, EVAL_BATCH)
+            for j, k in micro_batches(model.cfg, min(EVAL_BATCH, n - i), itemsize)]
     return np.concatenate([forward_cached(x_batch[i:j], model, want_cache=False)[0]
                            for i, j in runs])
 
@@ -806,33 +823,31 @@ def _entries(layout: FlatLayout) -> list[dict]:
 
 
 def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
-    """Write config + named parameter manifest + the float32 parameter vector
-    in the layout of ``param_shapes``.
+    """Write config + named parameter manifest + ``model.flat`` as
+    little-endian float32.
 
     A checkpoint holds no optimizer state: fine-tuning starts fresh AdamW
     moments on the stored parameters.
     """
-    layout = FlatLayout.of(param_shapes(model.cfg))
     header = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(model.cfg),
-        "entries": _entries(layout),
+        "entries": _entries(model.layout),
         "extra": extra or {},
     }
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        fh.write(layout.gather(model.params, "<f4").tobytes())
+        fh.write(np.ascontiguousarray(model.flat, dtype="<f4").data)
 
 
 def load_checkpoint(path: str) -> tuple[Model, None, dict]:
     """Read a checkpoint; returns (model, None, extra dict).
 
-    The parameters are read-only views of the payload, which is one vector in
-    the layout of ``param_shapes``: training gathers them into a vector of its
-    own and never writes into them. The middle element is always None: a
-    checkpoint holds parameters only. The 3-tuple stays because
-    ``perfbench/checks.py`` unpacks ``model, opt, extra``.
+    The model's ``flat`` is the payload, one read-only float32 vector in the
+    layout of ``param_shapes``: training copies it and never writes into it.
+    The middle element is always None: a checkpoint holds parameters only.
+    The 3-tuple stays because ``perfbench/checks.py`` unpacks ``model, opt, extra``.
     """
     try:
         with open(path, "rb") as fh:
@@ -873,4 +888,4 @@ def load_checkpoint(path: str) -> tuple[Model, None, dict]:
     extra = header.get("extra", {})
     if not isinstance(extra, dict):
         raise DataError(f"checkpoint extra in {path} is not a JSON object")
-    return Model(cfg=cfg, params=layout.views(flat)), None, extra
+    return Model(cfg, flat), None, extra

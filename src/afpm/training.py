@@ -13,14 +13,14 @@ Fine-tuning is ``train`` on the pretrained model and the first part of a
 subject's trials (``chronological_split``); AdamW starts fresh moments there
 too.
 
-The layout ``model.FlatLayout``, that of the checkpoint payload, owns the
-parameter and gradient memory: ``train`` gathers the starting parameters once
-into the first of two parameter vectors and builds both vectors' views once,
-``backward`` has ``model.backward_cached`` write the gradient into views of
-one vector, and ``adamw_step`` keeps its moments in two more and writes the
-next parameters into the vector the model does not view. So the sum over
+A model is its config and one parameter vector in ``model.layout``, that of
+the checkpoint payload. ``train`` copies the starting vector once into the
+first of two models of its own, ``backward`` has ``model.backward_cached``
+write the gradient into views of one vector in the same layout, and
+``adamw_step`` keeps its moments in two more and writes the next parameters
+into the spare model's vector. So the sum over
 micro-batches, the finite checks and the update run as a few long numpy
-loops, and no step copies a parameter vector or rebuilds its views.
+loops, and no step copies a parameter vector or builds a layout.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError
 from .model import (
     FlatLayout, Model, backward_cached, decayed_param, forward_cached, micro_batches,
-    param_shapes, require_int, require_number,
+    require_int, require_number,
 )
 
 WARMUP_FRACTION = 0.3
@@ -86,7 +86,7 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray
 def backward(x: np.ndarray, labels: np.ndarray, model: Model, rows=None
              ) -> tuple[float, np.ndarray]:
     """Mean batch loss and the exact analytic gradient of every parameter, as
-    one new vector in the layout of ``param_shapes(model.cfg)``.
+    one new vector in ``model.layout``.
 
     The batch is the rows ``rows`` (an index array) of the stack ``x`` and
     of ``labels``, or all of them when ``rows`` is None. Its samples are
@@ -106,7 +106,7 @@ def backward(x: np.ndarray, labels: np.ndarray, model: Model, rows=None
     x, labels = np.asarray(x), np.asarray(labels)
     rows = np.arange(labels.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
     n = rows.shape[0]
-    layout = FlatLayout.of(param_shapes(model.cfg))
+    layout = model.layout
     flat = np.empty(layout.size, model.dtype)
     loss, spare, grads = 0.0, None, layout.views(flat)
     for i, j in micro_batches(model.cfg, n, model.dtype.itemsize):
@@ -255,12 +255,11 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     the only per-step copy of the inputs is the patch array that
     ``forward_cached`` fills from those rows; ``x`` is never written.
 
-    The result's model is new: its parameters are views of one of two
-    vectors that training owns, and ``model`` is never written, so its
-    arrays may be read-only. Each step writes the next parameters into the
-    vector the model does not view and switches the model to that vector's
-    views, built once. AdamW starts from fresh moments; one epoch is
-    ceil(N / batch_size) steps. On a non-finite loss, gradient or update the
+    The result's model is new: it is one of two models that training owns,
+    the first a copy of ``model``'s vector, and ``model`` is never written,
+    so its vector may be read-only. Each step writes the next parameters into
+    the spare model's vector and swaps the two. AdamW starts from fresh
+    moments; one epoch is ceil(N / batch_size) steps. On a non-finite loss, gradient or update the
     loop aborts and returns the parameters from before the failing step,
     flagged as diverged.
     """
@@ -277,12 +276,9 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
 
     steps_per_epoch = -(-n // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
-    layout = FlatLayout.of(param_shapes(model.cfg))
-    flats = (layout.gather(model.params, model.dtype), np.empty(layout.size, model.dtype))
-    views = [layout.views(flat) for flat in flats]
-    live = 0            # the vector the result's model views
-    state = OptimizerState.zeros(layout, model.dtype)
-    result = TrainResult(model=Model(cfg=model.cfg, params=views[live]))
+    result = TrainResult(model=Model(model.cfg, model.flat.copy()))
+    spare = Model(model.cfg, np.empty_like(model.flat))
+    state = OptimizerState.zeros(model.layout, model.dtype)
     if total_steps == 0:
         return result
 
@@ -290,19 +286,18 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     for step, idx in enumerate(batches):
         lr = onecycle_lr(step, total_steps, cfg)
         # overflow here is handled by the divergence guard, not surfaced as
-        # noise; ``adamw_step`` writes the other vector only, so after a
-        # failed step the model still views the last good parameters
+        # noise; ``adamw_step`` writes the spare model's vector only, so
+        # after a failed step the result still holds the last good parameters
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 loss, g = backward(x, labels, result.model, rows=idx)
             if not math.isfinite(loss):
                 raise NumericError("non-finite loss")
-            adamw_step(flats[live], g, state, lr, cfg, flats[1 - live])
+            adamw_step(result.model.flat, g, state, lr, cfg, spare.flat)
         except NumericError:
             result.diverged = True
             break
-        live = 1 - live
-        result.model.params = views[live]
+        result.model, spare = spare, result.model
         epoch = step // steps_per_epoch
         result.history.append({"step": step, "epoch": epoch, "lr": lr, "loss": loss})
         if log is not None and (step % steps_per_epoch == steps_per_epoch - 1):

@@ -57,10 +57,9 @@ def same_bits(actual, expected) -> bool:
 def named_backward(x, labels, model):
     """``training.backward``'s loss, and its gradient vector viewed tensor by
     tensor in ``model.params`` order."""
-    from afpm.model import FlatLayout, param_shapes
     from afpm.training import backward
     loss, flat = backward(x, labels, model)
-    return loss, FlatLayout.of(param_shapes(model.cfg)).views(flat)
+    return loss, model.layout.views(flat)
 
 
 def trials_of(manifest):

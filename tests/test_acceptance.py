@@ -91,7 +91,7 @@ def test_criterion_3_gradient_check(rng):
     model = init_model(cfg, seed=1, dtype=np.float64)
     for name, arr in model.params.items():
         if not name.endswith(".g"):
-            model.params[name] = arr + 0.3 * rng.standard_normal(arr.shape)
+            arr += 0.3 * rng.standard_normal(arr.shape)
 
     x = rng.standard_normal((2, 3, 64))
     y = np.array([0, 1])

@@ -1082,9 +1082,10 @@ def test_eval_task_flag_must_match_checkpoint(pipeline_dirs):
     assert main(["eval", "--ckpt", ckpt, "--data", ali, "--task", "mi"]) == 0
 
 
-def test_data_root_env_resolves_relative_paths(pipeline_dirs, tmp_path, monkeypatch):
+def test_relative_data_path_resolves_against_the_working_directory(pipeline_dirs,
+                                                                   monkeypatch):
     root, raw, pre, ali, ckpt = pipeline_dirs
-    monkeypatch.setenv("AFPM_DATA_ROOT", str(root))
+    monkeypatch.chdir(root)
     assert main(["eval", "--ckpt", ckpt, "--data", "ali", "--seed", "0"]) == 0
 
 

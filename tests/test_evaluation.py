@@ -314,7 +314,7 @@ class TestEvaluateArrays:
         x = rng.standard_normal((20, 2, 32)).astype(np.float32)
         y = np.array([i % 2 for i in range(20)])
         doms = [f"d:s{i % 2}:0" for i in range(20)]
-        model.params["head.w"] = np.zeros_like(model.params["head.w"])
+        model.params["head.w"][...] = 0.0
         report = evaluate_arrays(model, x, y, doms, "toy")
         assert report.constant_prediction is True
         assert "every trial is predicted as the same class" in report.table()

@@ -15,8 +15,8 @@ from afpm.config import resolve_config
 from afpm.data_model import task_template
 from afpm.errors import ConfigError, DataError
 from afpm.model import (
-    FlatLayout, FPEConfig, Model, ModelConfig, TransformerConfig, _block_forward, _window_map,
-    assemble_tokens, averaged_count, backward_cached, decayed_param,
+    EVAL_BATCH, INIT_SIGMA, FlatLayout, FPEConfig, Model, ModelConfig, TransformerConfig,
+    _block_forward, _window_map, assemble_tokens, averaged_count, backward_cached, decayed_param,
     extract_patches, factored_attention, forward, forward_cached, init_model,
     load_checkpoint, micro_batches, model_dims, param_shapes, patch_count, save_checkpoint,
     window_matrix,
@@ -235,7 +235,8 @@ def patch_model(w1, b1, w2, b2, m=1, t_prime=4, window=2):
                       template_len=t_prime, fpe=fpe, transformer=t_cfg,
                       class_names=classes())
     model = init_model(cfg, seed=0, dtype=np.float64)
-    model.params.update({"patch.w1": w1, "patch.b1": b1, "patch.w2": w2, "patch.b2": b2})
+    for name, value in {"patch.w1": w1, "patch.b1": b1, "patch.w2": w2, "patch.b2": b2}.items():
+        model.params[name][...] = value
     return model
 
 
@@ -395,7 +396,7 @@ class TestTransformerForward:
         model = init_model(cfg, seed=1, dtype=np.float64)
         for name, arr in model.params.items():
             if arr.ndim >= 1 and not name.endswith(".g"):
-                model.params[name] = arr + 0.3 * rng.standard_normal(arr.shape)
+                arr += 0.3 * rng.standard_normal(arr.shape)
         model.params["pos"][:] = 0.0
         x = rng.standard_normal((2, 3, 40))
         perm = np.array([3, 0, 4, 1, 2])
@@ -452,10 +453,12 @@ def class_token_model(cls, head_w, norm_g=None, norm_b=None):
                       fpe=fpe, transformer=t_cfg, class_names=classes(head_w.shape[1]))
     model = init_model(cfg, seed=5, dtype=np.float64)
     zero_residual_branches(model)
-    model.params.update({"pos": np.zeros_like(model.params["pos"]), "cls": cls,
-                         "head.w": head_w})
+    model.params["pos"][...] = 0.0
+    model.params["cls"][...] = cls
+    model.params["head.w"][...] = head_w
     if norm_g is not None:
-        model.params.update({"final_ln.g": norm_g, "final_ln.b": norm_b})
+        model.params["final_ln.g"][...] = norm_g
+        model.params["final_ln.b"][...] = norm_b
     return model
 
 
@@ -511,8 +514,32 @@ class TestForward:
         cfg = small_cfg()
         model = init_model(cfg, seed=0, dtype=np.float64)
         x = rng.standard_normal((2, 3, 64))
-        scaled_model = Model(cfg=replace(cfg, input_scale=2.0), params=model.params)
+        scaled_model = Model(replace(cfg, input_scale=2.0), model.flat)
         assert np.allclose(forward(x * 2.0, model), forward(x, scaled_model))
+
+    @pytest.mark.parametrize("budget", [afpm.model.MICRO_BATCH_BYTES, 2**16])
+    def test_large_batch_runs_in_eval_chunks(self, budget, rng, monkeypatch):
+        """``forward`` on more than EVAL_BATCH trials gives the bits of
+        ``forward_cached`` run on EVAL_BATCH trials at a time, each chunk one
+        micro-batch at a time, with one or several micro-batches per chunk;
+        no pass sees more than EVAL_BATCH trials."""
+        monkeypatch.setattr(afpm.model, "MICRO_BATCH_BYTES", budget)
+        model = init_model(small_cfg(), seed=3)
+        n = 2 * EVAL_BATCH + 3
+        x = rng.standard_normal((n, 3, 64)).astype(np.float32)
+        chunks = [x[i:i + EVAL_BATCH] for i in range(0, n, EVAL_BATCH)]
+        ref = np.concatenate([forward_cached(c[j:k], model, want_cache=False)[0]
+                              for c in chunks for j, k in micro_batches(model.cfg, len(c), 4)])
+        real, seen = afpm.model.forward_cached, []
+
+        def counted(x_batch, model, want_cache=True, rows=None):
+            seen.append(len(x_batch))
+            return real(x_batch, model, want_cache, rows)
+
+        monkeypatch.setattr(afpm.model, "forward_cached", counted)
+        assert same_bits(forward(x, model), ref)
+        assert sum(seen) == n and max(seen) <= EVAL_BATCH
+        assert len(seen) == (7 if budget == 2**16 else 3)
 
     def test_bad_shape_rejected(self):
         model = init_model(small_cfg(), seed=0)
@@ -574,12 +601,11 @@ def test_weight_gradients_match_einsum_reference(per_channel, stride, rng, monke
                       template_len=64, fpe=fpe, transformer=t_cfg,
                       class_names=classes(3), per_channel_patches=per_channel)
     model = init_model(cfg, seed=4, dtype=np.float64)
-    for name, arr in model.params.items():
-        model.params[name] = arr + 0.3 * rng.standard_normal(arr.shape)
+    model.flat[...] += 0.3 * rng.standard_normal(model.flat.shape)
     x = rng.standard_normal((4, 3, 64))
     dlogits = rng.standard_normal((4, 3))
     _, cache = forward_cached(x, model)
-    layout = FlatLayout.of(param_shapes(cfg))
+    layout = model.layout
 
     def gradients():
         grads = layout.views(np.full(layout.size, np.nan))
@@ -605,6 +631,60 @@ def test_weight_gradients_match_einsum_reference(per_channel, stride, rng, monke
         assert np.abs(grads[name] - ref[name]).max() <= 1e-12 * scale, name
 
 
+def per_tensor_init(cfg, seed, dtype):
+    """Initial parameters drawn into separately allocated arrays, one
+    Gaussian draw per matrix or embedding in ``param_shapes`` order."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, shape in param_shapes(cfg).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf == "g":
+            out[name] = np.ones(shape, dtype=dtype)
+        elif leaf.startswith("b"):
+            out[name] = np.zeros(shape, dtype=dtype)
+        else:
+            out[name] = (rng.standard_normal(shape) * INIT_SIGMA).astype(dtype)
+    return out
+
+
+class TestModel:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("task", ["mi", "erp"])
+    def test_init_equals_per_tensor_draws(self, task, dtype):
+        """``init_model`` fills views of one vector with the bits of the
+        per-tensor draws, for both presets in float32 and float64."""
+        cfg = preset_model_config(task)
+        model = init_model(cfg, seed=11, dtype=dtype)
+        ref = per_tensor_init(cfg, 11, dtype)
+        assert model.flat.dtype == dtype and list(model.params) == list(ref)
+        for name, want in ref.items():
+            got = model.params[name]
+            assert got.base is model.flat and same_bits(got, want), name
+
+    def test_params_refuse_assignment(self):
+        """A model's parameters change only through writes into its vector or views."""
+        model = init_model(small_cfg(), seed=0)
+        head = model.params["head.w"]
+        with pytest.raises(TypeError):
+            model.params["head.w"] = np.zeros_like(head)
+        with pytest.raises(TypeError):
+            del model.params["cls"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.params = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.flat = np.zeros_like(model.flat)
+        assert model.params["head.w"] is head
+        head[...] = 1.0
+        assert np.all(model.flat[-head.size:] == 1.0)
+
+    def test_wrong_vector_shape_rejected(self):
+        cfg = small_cfg()
+        n = init_model(cfg, seed=0).flat.size
+        for shape in ((n - 1,), (n + 1,), (1, n), (n, 1)):
+            with pytest.raises(DataError, match=f"the config's {n} parameters"):
+                Model(cfg, np.zeros(shape, np.float32))
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = small_cfg()
@@ -622,14 +702,13 @@ class TestCheckpoint:
         # parameters only: the header line, then 4 bytes per parameter
         header_line = path.read_bytes().split(b"\n", 1)[0]
         assert {e["kind"] for e in json.loads(header_line)["entries"]} == {"param"}
-        assert path.stat().st_size == len(header_line) + 1 + 4 * model.n_params()
+        assert path.stat().st_size == len(header_line) + 1 + 4 * model.flat.size
 
     def test_float64_model_saves_the_float32_bytes(self, tmp_path, rng):
         """The one-vector payload of a float64 model rounds each parameter to
         float32 exactly as the per-entry writer it replaced."""
         model = init_model(small_cfg(), seed=3, dtype=np.float64)
-        for name, arr in model.params.items():
-            model.params[name] = arr + 0.3 * rng.standard_normal(arr.shape)
+        model.flat[...] += 0.3 * rng.standard_normal(model.flat.shape)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, str(path))
         header_line, payload = path.read_bytes().split(b"\n", 1)
@@ -659,9 +738,9 @@ class TestCheckpoint:
     def test_parameter_count_stable(self):
         m1 = init_model(small_cfg(), seed=0)
         m2 = init_model(small_cfg(), seed=99)
-        assert m1.n_params() == m2.n_params()
+        assert m1.flat.size == m2.flat.size
         shapes = param_shapes(small_cfg())
-        assert m1.n_params() == sum(int(np.prod(s)) for s in shapes.values())
+        assert m1.flat.size == sum(int(np.prod(s)) for s in shapes.values())
 
 
 def fuzz_cfg() -> ModelConfig:
@@ -685,7 +764,7 @@ def _load_or_data_error(path, blob: bytes) -> Model | None:
         model, _, _ = load_checkpoint(str(path))
     except DataError:
         return None
-    assert model.n_params() == sum(math.prod(s) for s in param_shapes(model.cfg).values())
+    assert model.flat.size == sum(math.prod(s) for s in param_shapes(model.cfg).values())
     return model
 
 
@@ -757,8 +836,8 @@ class TestCheckpointFuzz:
 def perturbed_model(cfg, dtype, rng):
     """Model whose biases, norms and embeddings are all nonzero and distinct."""
     model = init_model(cfg, seed=4, dtype=dtype)
-    for name, arr in model.params.items():
-        model.params[name] = (arr + 0.3 * rng.standard_normal(arr.shape)).astype(dtype)
+    for arr in model.params.values():
+        arr += 0.3 * rng.standard_normal(arr.shape)
     return model
 
 
@@ -898,7 +977,7 @@ class TestLeanCache:
         def checking(dlogits, model, cache, grads, backward_cached=backward_cached):
             before = {k: v.copy() for k, v in cache_arrays(cache).items()}
             backward_cached(dlogits, model, cache, grads)
-            layout = FlatLayout.of(param_shapes(model.cfg))
+            layout = model.layout
             second = layout.views(np.empty(layout.size, model.dtype))
             backward_cached(dlogits, model, cache, second)
             for name, g in grads.items():
@@ -1006,7 +1085,7 @@ class TestLeanCache:
         model = init_model(stacked_model_config(run, x, layout, False), seed=0)
         dims = model_dims(model.cfg)
         patch_bytes = n * dims.n_patches * dims.patch_in * 4
-        param_bytes = FlatLayout.of(param_shapes(model.cfg)).size * 4
+        param_bytes = model.flat.size * 4
         assert x.nbytes > 0.9 * patch_bytes
         tracemalloc.start()
         try:
@@ -1098,7 +1177,7 @@ class TestFactoredAttention:
         model = perturbed_model(small_cfg(depth=2, dim_head=9), np.float32, rng)
         before = {name: arr.copy() for name, arr in model.params.items()}
         x = rng.standard_normal((4, 3, 64)).astype(np.float32)
-        layout = FlatLayout.of(param_shapes(model.cfg))
+        layout = model.layout
         _, flat = backward(x, np.array([0, 1, 0, 1]), model)
         grads = layout.views(flat)
         bk = [name for name in grads if name.endswith(".attn.bk")]
@@ -1106,7 +1185,7 @@ class TestFactoredAttention:
         for name in bk:
             assert grads[name].shape == before[name].shape and not grads[name].any(), name
         stepped = np.empty(layout.size, np.float32)
-        adamw_step(layout.gather(model.params), flat, OptimizerState.zeros(layout, np.float32),
+        adamw_step(model.flat, flat, OptimizerState.zeros(layout, np.float32),
                    1e-3, TrainConfig(), stepped)
         stepped = layout.views(stepped)
         for name, arr in before.items():

@@ -95,7 +95,7 @@ class TestBackward:
         x_dup = np.concatenate([x, x], axis=0)
         y_dup = np.concatenate([y, y])
         _, g2 = backward(x_dup, y_dup, model)
-        assert g1.shape == g2.shape == (model.n_params(),)
+        assert g1.shape == g2.shape == model.flat.shape
         assert np.allclose(g1, g2, atol=1e-12)
 
     @pytest.mark.parametrize("micro", [1, 3])
@@ -171,16 +171,12 @@ def per_tensor_adamw(params, grads, m, v, t, lr, cfg):
     return out
 
 
-def toy_layout(params):
-    return FlatLayout.of({name: arr.shape for name, arr in params.items()})
-
-
-def named_adamw_step(params, grads, state, lr, cfg):
-    """``adamw_step`` on named tensors in ``state.layout``: the new tensors by name."""
-    layout = state.layout
-    new = np.empty(layout.size, state.m.dtype)
-    adamw_step(layout.gather(params), layout.gather(grads), state, lr, cfg, new)
-    return layout.views(new)
+def named_adamw_step(p, g, state, lr, cfg):
+    """``adamw_step`` on vectors ``p`` and ``g`` in ``state.layout``: the new
+    tensors by name."""
+    new = np.empty_like(p)
+    adamw_step(p, g, state, lr, cfg, new)
+    return state.layout.views(new)
 
 
 class TestAdamW:
@@ -194,20 +190,20 @@ class TestAdamW:
         of which every item is written."""
         monkeypatch.setattr(afpm.training, "ADAM_RUN", 64)
         model = init_model(tiny_cfg(), seed=0, dtype=dtype)
-        layout = FlatLayout.of(param_shapes(model.cfg))
+        layout = model.layout
         cfg = TrainConfig(weight_decay=weight_decay)
         state = OptimizerState.zeros(layout, dtype)
-        p = layout.gather(model.params)
+        p = model.flat
         ref = dict(model.params)
         m = {k: np.zeros_like(a) for k, a in ref.items()}
         v = {k: np.zeros_like(a) for k, a in ref.items()}
         for t, lr in enumerate((1e-3, 3e-2, 7e-4), start=1):
-            grads = {k: rng.standard_normal(a.shape).astype(dtype)
-                     for k, a in ref.items()}
+            g = rng.standard_normal(layout.size).astype(dtype)
+            grads = layout.views(g)
             p.flags.writeable = False
             before = p.copy()
             new = np.full_like(p, np.nan)
-            adamw_step(p, layout.gather(grads), state, lr, cfg, new)
+            adamw_step(p, g, state, lr, cfg, new)
             assert np.array_equal(p, before), t
             ref = per_tensor_adamw(ref, grads, m, v, t, lr, cfg)
             assert new.dtype == dtype and new.shape == p.shape
@@ -219,51 +215,46 @@ class TestAdamW:
 
 
     def _setup(self):
-        params = {"w": np.array([[1.0]], dtype=np.float64),
-                  "b": np.array([1.0], dtype=np.float64)}
-        return params, OptimizerState.zeros(toy_layout(params), np.float64)
+        """A weight ``w`` [1 x 1] and a bias ``b`` [1], both 1.0, and fresh moments."""
+        layout = FlatLayout.of({"w": (1, 1), "b": (1,)})
+        return np.ones(layout.size), OptimizerState.zeros(layout, np.float64)
 
     def test_zero_grad_no_decay_keeps_params(self):
-        params, state = self._setup()
+        p, state = self._setup()
         cfg = TrainConfig(weight_decay=0.0, seed=0)
-        new = named_adamw_step(params, {"w": np.zeros((1, 1)), "b": np.zeros(1)},
-                               state, lr=0.1, cfg=cfg)
+        new = named_adamw_step(p, np.zeros_like(p), state, lr=0.1, cfg=cfg)
         assert new["w"][0, 0] == 1.0 and new["b"][0] == 1.0
 
     def test_decoupled_decay_on_weights_only(self):
-        params, state = self._setup()
+        p, state = self._setup()
         cfg = TrainConfig(weight_decay=0.5, seed=0)
-        new = named_adamw_step(params, {"w": np.zeros((1, 1)), "b": np.zeros(1)},
-                               state, lr=0.1, cfg=cfg)
+        new = named_adamw_step(p, np.zeros_like(p), state, lr=0.1, cfg=cfg)
         assert new["w"][0, 0] == pytest.approx(1.0 * (1 - 0.1 * 0.5))
         assert new["b"][0] == 1.0  # 1-D tensors are exempt
 
     def test_single_step_hand_value(self):
-        params = {"w": np.array([[1.0]], dtype=np.float64)}
-        state = OptimizerState.zeros(toy_layout(params), np.float64)
+        state = OptimizerState.zeros(FlatLayout.of({"w": (1, 1)}), np.float64)
         cfg = TrainConfig(weight_decay=0.0, seed=0)
-        new = named_adamw_step(params, {"w": np.array([[1.0]])}, state, lr=0.1, cfg=cfg)
+        new = named_adamw_step(np.ones(1), np.ones(1), state, lr=0.1, cfg=cfg)
         # m-hat = v-hat = 1 after bias correction; update = 1/(1 + 1e-8)
         assert new["w"][0, 0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-8), abs=1e-12)
 
     def test_determinism_and_state_round_trip(self, rng, tmp_path):
         cfg = tiny_cfg()
-        layout = FlatLayout.of(param_shapes(cfg))
-        init = init_model(cfg, seed=0).params
-        grads = {k: rng.standard_normal(v.shape).astype(np.float32)
-                 for k, v in init.items()}
+        init = init_model(cfg, seed=0)
+        layout, g = init.layout, rng.standard_normal(init.flat.size).astype(np.float32)
         stepped = []
         for _ in range(2):
-            params = named_adamw_step(init_model(cfg, seed=0).params, grads,
-                                      OptimizerState.zeros(layout, np.float32),
-                                      lr=1e-3, cfg=TrainConfig(seed=0))
-            stepped.append(Model(cfg=cfg, params=params))
+            new = np.empty(layout.size, np.float32)
+            adamw_step(init_model(cfg, seed=0).flat, g, OptimizerState.zeros(layout, np.float32),
+                       lr=1e-3, cfg=TrainConfig(seed=0), out=new)
+            stepped.append(Model(cfg, new))
         path = str(tmp_path / "c.ckpt")
         save_checkpoint(stepped[0], path)
         loaded, opt, _ = load_checkpoint(path)
         assert opt is None
-        for k in init:
-            assert not np.array_equal(stepped[0].params[k], init[k]), k
+        for k in init.params:
+            assert not np.array_equal(stepped[0].params[k], init.params[k]), k
             assert np.array_equal(stepped[0].params[k], stepped[1].params[k]), k
             assert np.array_equal(loaded.params[k], stepped[0].params[k]), k
 
@@ -407,40 +398,39 @@ class TestTrain:
         result = train(x, y, model, tc)
         assert result.diverged
         assert len(result.history) == len(snapshots) >= 1
-        last_good = FlatLayout.of(param_shapes(cfg)).views(snapshots[-1])
+        last_good = model.layout.views(snapshots[-1])
         for k, v in result.model.params.items():
             assert np.all(np.isfinite(v))
             assert np.array_equal(v, last_good[k]), k
 
     def test_train_leaves_the_callers_model_alone(self, rng, tmp_path):
-        """Training from a loaded checkpoint (read-only arrays) leaves the
-        caller's params dict and arrays as they were, and returns a new model
-        whose parameters are views of one vector in ``param_shapes`` order."""
+        """Training from a loaded checkpoint (a read-only vector) leaves the
+        caller's vector, params mapping and arrays as they were, and returns a
+        new model whose parameters are views of its own vector in
+        ``param_shapes`` order."""
         x, y = separable_toy(rng, n=16)
         cfg = tiny_cfg(m=2, t_prime=64)
         path = str(tmp_path / "m.ckpt")
         save_checkpoint(init_model(cfg, seed=0), path)
         model, _, _ = load_checkpoint(path)
-        params, arrays = model.params, dict(model.params)
-        copies = {k: a.copy() for k, a in arrays.items()}
-        assert not any(a.flags.writeable for a in arrays.values())
+        flat, params, arrays = model.flat, model.params, dict(model.params)
+        before = flat.copy()
+        assert not flat.flags.writeable
         result = train(x, y, model, TrainConfig(epochs=2, batch_size=8, seed=0))
+        assert model.flat is flat and np.array_equal(flat, before)
         assert model.params is params and list(params) == list(arrays)
         for k, a in arrays.items():
-            assert params[k] is a and np.array_equal(a, copies[k]), k
-        assert result.model is not model and list(result.model.params) == list(params)
-        layout = FlatLayout.of(param_shapes(cfg))
-        flat = result.model.params["head.w"].base
-        assert flat.shape == (layout.size,)
-        assert all(a.base is flat for a in result.model.params.values())
-        assert np.array_equal(flat, layout.gather(result.model.params))
-        assert not np.array_equal(result.model.params["head.w"], copies["head.w"])
+            assert params[k] is a and a.base is flat, k
+        new = result.model
+        assert new is not model and new.flat is not flat
+        assert list(new.params) == list(param_shapes(cfg))
+        assert all(a.base is new.flat for a in new.params.values())
+        assert not np.array_equal(new.flat, before)
 
     def test_no_step_gathers_or_rebuilds_parameter_views(self, rng, monkeypatch):
-        """``train`` gathers the caller's parameters once and builds its two
-        parameter vectors' views a number of times that does not depend on
-        the step count; per step, ``backward`` builds at most one set of
-        gradient views and nothing gathers."""
+        """``train`` builds layouts and parameter views a number of times that
+        does not depend on the step count; per step, ``backward`` builds at
+        most one set of gradient views and no layout."""
         x, y = separable_toy(rng, n=16)
         cfg = tiny_cfg(m=2, t_prime=64)
         calls = Counter()
@@ -454,21 +444,19 @@ class TestTrain:
                 return method(self, *args, **kwargs)
             return wrapper
 
-        for method in (FlatLayout.gather, FlatLayout.views):
-            monkeypatch.setattr(FlatLayout, method.__name__, counted(method))
-        param_views = []
+        monkeypatch.setattr(FlatLayout, "views", counted(FlatLayout.views))
+        monkeypatch.setattr(FlatLayout, "of", classmethod(counted(FlatLayout.of.__func__)))
+        per_run = []
         for epochs in (2, 4):
+            model = init_model(cfg, seed=0)
             calls.clear()
-            result = train(x, y, init_model(cfg, seed=0),
-                           TrainConfig(epochs=epochs, batch_size=8, seed=0))
+            result = train(x, y, model, TrainConfig(epochs=epochs, batch_size=8, seed=0))
             steps = len(result.history)
             assert steps == 2 * epochs and not result.diverged
-            assert set(calls) <= {("gather", "train"), ("views", "train"),
-                                  ("views", "backward")}, calls
-            assert calls["gather", "train"] == 1, calls
             assert calls["views", "backward"] <= steps, calls
-            param_views.append(calls["views", "train"])
-        assert param_views[0] == param_views[1]
+            per_run.append({k: n for k, n in calls.items() if k != ("views", "backward")})
+        # the two models of ``train``: one layout and one set of views each
+        assert per_run == [{("of", "__post_init__"): 2, ("views", "__post_init__"): 2}] * 2
 
     def test_epoch_zero_returns_input(self, rng):
         x, y = separable_toy(rng, n=8)
@@ -496,7 +484,7 @@ class TestTrain:
         for _ in range(25):
             loss, grads = named_backward(x, y, model)
             losses.append(loss)
-            model.params["head.w"] -= 0.5 * grads["head.w"]
+            model.params["head.w"][...] -= 0.5 * grads["head.w"]
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
