@@ -25,14 +25,6 @@ from .training import train
 VARIANTS = ("FULL", "NO_SELECT", "NO_EA", "NO_MAP", "NO_FPE")
 
 
-def _variant_stages(variant: str) -> dict:
-    return {
-        "ea": variant != "NO_EA",
-        "mapping": variant != "NO_MAP",
-        "per_channel": variant == "NO_FPE",
-    }
-
-
 @dataclass
 class AblationResult:
     variant: str
@@ -51,7 +43,6 @@ def run_variant(variant: str, cfg: RunConfig,
     The model trains on the stacked aligned training sets. Each aligned eval
     set is then evaluated on its own, pooled and per subject, as ``afpm eval`` does.
     """
-    stages = _variant_stages(variant)
     spec = task_template(cfg.task)
     if variant == "NO_SELECT":
         spec = union_template(train_manifests, spec)
@@ -63,13 +54,13 @@ def run_variant(variant: str, cfg: RunConfig,
                                     ("eval", eval_manifests, aligned_eval)):
         for m in manifests:
             out = os.path.join(vdir, kind, m.name)
-            aligned = align_dataset(m, out, spec,
-                                    ea=stages["ea"], mapping=stages["mapping"])
+            aligned = align_dataset(m, out, spec, ea=variant != "NO_EA",
+                                    mapping=variant != "NO_MAP")
             bucket.append(aligned)
             stage_hashes[f"{kind}:{m.name}"] = aligned.alignment["stage_hashes"]
 
     x, y, _, layout = stack_aligned(aligned_train, cfg.task)
-    model_cfg = stacked_model_config(cfg, x, layout, stages["per_channel"])
+    model_cfg = stacked_model_config(cfg, x, layout, variant == "NO_FPE")
     model = train(x, y, init_model(model_cfg, seed=cfg.train.seed), cfg.train).model
     del x, y  # the training stack is not read again; free it before the eval sets load
     reports = {m.name: evaluate_dataset(model, m) for m in aligned_eval}
@@ -113,23 +104,12 @@ def run_ablation(cfg: RunConfig, variants: tuple[str, ...], train_paths: list[st
             for variant in variants}
 
 
-def ablation_table(results: dict[str, dict[str, EvalReport]]) -> list[dict]:
-    """Flat rows from ``run_ablation``'s reports: variant, dataset, and the
-    task's metric means."""
-    rows = []
-    for variant, reports in results.items():
-        for name, report in reports.items():
-            row = {"variant": variant, "dataset": name}
-            for metric, stats in report.metrics.items():
-                row[metric] = stats["mean"]
-            rows.append(row)
-    return rows
-
-
 def ablation_csv(results: dict[str, dict[str, EvalReport]]) -> str:
-    """``ablation_table`` of ``run_ablation``'s reports as CSV, metric means to six
-    decimals; empty when there are no rows."""
-    rows = ablation_table(results)
+    """One CSV row per variant and eval set of ``run_ablation``'s reports, with
+    the task's metric means to six decimals; empty when there are no rows."""
+    rows = [{"variant": variant, "dataset": name,
+             **{metric: stats["mean"] for metric, stats in report.metrics.items()}}
+            for variant, reports in results.items() for name, report in reports.items()]
     if not rows:
         return ""
     cols = list(rows[0].keys())

@@ -32,8 +32,8 @@ and ``training.backward`` take one at a time.
 parameters as a vector. A ``Model`` is its config and one such vector, with
 its layout and read-only mapping of per-tensor views built once: a
 checkpoint's payload is that vector in float32, ``backward_cached`` writes
-every gradient into views of one vector in the layout, and training keeps
-its two models' vectors and the AdamW moments in the same layout.
+every gradient into the views of a gradient model, and training builds its
+parameter, gradient and AdamW vectors in the same layout once per run.
 """
 
 from __future__ import annotations
@@ -758,7 +758,7 @@ def backward_cached(dlogits: np.ndarray, model: Model, cache: dict,
                     grads: dict[str, np.ndarray]) -> None:
     """Gradients of every parameter given d(loss)/d(logits) for the cached
     batch, written into ``grads``, one array of the parameter's shape and
-    dtype per name (``FlatLayout.views`` of one vector). Every item of every
+    dtype per name (the ``params`` of a gradient model). Every item of every
     array is written, so they may start as uninitialized memory."""
     cfg, p = model.cfg, model.params
 

@@ -14,13 +14,11 @@ subject's trials (``chronological_split``); AdamW starts fresh moments there
 too.
 
 A model is its config and one parameter vector in ``model.layout``, that of
-the checkpoint payload. ``train`` copies the starting vector once into the
-first of two models of its own, ``backward`` has ``model.backward_cached``
-write the gradient into views of one vector in the same layout, and
-``adamw_step`` keeps its moments in two more and writes the next parameters
-into the spare model's vector. So the sum over
-micro-batches, the finite checks and the update run as a few long numpy
-loops, and no step copies a parameter vector or builds a layout.
+the checkpoint payload. ``train`` builds every vector a step writes once per
+run: two parameter models, the gradient models (``gradient_models``) and the
+AdamW state. ``backward`` writes the gradient into the gradient models and
+``adamw_step`` the next parameters into the spare model's vector, so no step
+allocates a parameter-sized vector or builds views or a layout.
 """
 
 from __future__ import annotations
@@ -83,10 +81,21 @@ def batch_cross_entropy(logits: np.ndarray, labels: np.ndarray
     return loss, grad / n
 
 
-def backward(x: np.ndarray, labels: np.ndarray, model: Model, rows=None
-             ) -> tuple[float, np.ndarray]:
-    """Mean batch loss and the exact analytic gradient of every parameter, as
-    one new vector in ``model.layout``.
+def gradient_models(model: Model, batch: int) -> tuple[Model, Model | None]:
+    """What ``backward`` writes the gradient of a batch of ``batch`` rows into:
+    a model of ``model``'s config and dtype, and a second one for the later
+    micro-batches if ``micro_batches`` splits the batch (else None). Their
+    vectors start uninitialized."""
+    def new():
+        return Model(model.cfg, np.empty(model.flat.size, model.dtype))
+    split = len(micro_batches(model.cfg, batch, model.dtype.itemsize)) > 1
+    return new(), new() if split else None
+
+
+def backward(x: np.ndarray, labels: np.ndarray, model: Model, grad: Model,
+             rest: Model | None = None, rows=None) -> float:
+    """Mean batch loss; writes the exact analytic gradient of every parameter
+    into ``grad``. ``grad`` and ``rest`` come from ``gradient_models``.
 
     The batch is the rows ``rows`` (an index array) of the stack ``x`` and
     of ``labels``, or all of them when ``rows`` is None. Its samples are
@@ -97,18 +106,15 @@ def backward(x: np.ndarray, labels: np.ndarray, model: Model, rows=None
     micro-batch's cache is alive. Each micro-batch's mean loss and logit
     gradient are weighted by its share of the batch, which divides both by
     the size of the whole batch. ``backward_cached`` writes the first
-    micro-batch's gradients into views of the result vector; a batch of
-    several micro-batches (per-channel patches) writes each later one into
-    one more vector, built once per call, and adds it in. A batch of one
-    micro-batch (the presets up to batch 512) takes a single pass. The
-    vector is checked finite in one pass.
+    micro-batch's gradients into ``grad``'s views; a batch of several
+    micro-batches (per-channel patches) writes each later one into ``rest``'s
+    and adds it in. A batch of one micro-batch (the presets up to batch 512)
+    takes a single pass. The gradient is checked finite in one pass.
     """
     x, labels = np.asarray(x), np.asarray(labels)
     rows = np.arange(labels.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
     n = rows.shape[0]
-    layout = model.layout
-    flat = np.empty(layout.size, model.dtype)
-    loss, spare, grads = 0.0, None, layout.views(flat)
+    loss, flat, grads = 0.0, grad.flat, grad.params
     for i, j in micro_batches(model.cfg, n, model.dtype.itemsize):
         logits, cache = forward_cached(x, model, want_cache=True, rows=rows[i:j])
         part, dlogits = batch_cross_entropy(logits.astype(np.float64), labels[rows[i:j]])
@@ -116,27 +122,28 @@ def backward(x: np.ndarray, labels: np.ndarray, model: Model, rows=None
         backward_cached((dlogits * share).astype(model.dtype), model, cache, grads)
         del cache           # free it before the next micro-batch's forward
         loss += part * share
-        if spare is not None:
-            flat += spare
-        elif j < n:         # later micro-batches go to a second vector, added in
-            spare = np.empty(layout.size, model.dtype)
-            grads = layout.views(spare)
-    bad = layout.first_nonfinite(flat)
+        if i:               # later micro-batches go to ``rest``, added in
+            flat += rest.flat
+        elif j < n:
+            grads = rest.params
+    bad = grad.layout.first_nonfinite(flat)
     if bad is not None:
         raise NumericError(f"non-finite gradient for tensor {bad!r}")
-    return loss, flat
+    return loss
 
 
 @dataclass
 class OptimizerState:
     """AdamW moments ``m`` and ``v`` as two vectors in the parameters'
-    ``layout``. ``decay`` holds 1 over the items of decayed tensors
-    (``decayed_param``) and 0 elsewhere, in the parameter dtype."""
+    ``layout``; ``decay`` holds 1 over the items of decayed tensors
+    (``decayed_param``) and 0 elsewhere, and ``runs`` the two scratch rows of
+    an update run, all in the parameter dtype."""
 
     layout: FlatLayout
     decay: np.ndarray
     m: np.ndarray
     v: np.ndarray
+    runs: np.ndarray
     step: int = 0
 
     @classmethod
@@ -144,7 +151,8 @@ class OptimizerState:
         flags = [decayed_param(name, shape) for name, shape in zip(layout.names, layout.shapes)]
         decay = np.repeat(np.array(flags, dtype=dtype), np.diff(layout.offsets))
         return cls(layout=layout, decay=decay, m=np.zeros(layout.size, dtype=dtype),
-                   v=np.zeros(layout.size, dtype=dtype))
+                   v=np.zeros(layout.size, dtype=dtype),
+                   runs=np.empty((2, min(ADAM_RUN, layout.size)), dtype))
 
 
 def adamw_step(p: np.ndarray, g: np.ndarray, state: OptimizerState, lr: float,
@@ -153,20 +161,21 @@ def adamw_step(p: np.ndarray, g: np.ndarray, state: OptimizerState, lr: float,
     new parameter vector for parameters ``p`` and gradient ``g`` into
     ``out``, all three in the state's layout and dtype.
 
-    The per-item formula runs over runs of ADAM_RUN items, so it rounds
-    exactly as it would tensor by tensor. ``p`` is never written, so it may
-    be read-only or viewed by a model; ``out`` must be another vector. If a
-    new parameter is not finite, NumericError names the first such tensor in
-    layout order, and the moments in ``state`` and ``out`` are spent.
+    The per-item formula runs over runs as long as ``state.runs``, its only
+    temporaries, so it rounds exactly as it would tensor by tensor. ``p`` is
+    never written, so it may be read-only or viewed by a model; ``out`` must
+    be another vector. If a new parameter is not finite, NumericError names
+    the first such tensor in layout order, and ``state`` and ``out`` are spent.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1 ** t
     bc2 = 1.0 - ADAM_BETA2 ** t
-    buf1, buf2 = np.empty((2, min(ADAM_RUN, p.size)), p.dtype)
+    buf1, buf2 = state.runs
+    run = buf1.size
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, p.size, ADAM_RUN):
-            j = min(i + ADAM_RUN, p.size)
+        for i in range(0, p.size, run):
+            j = min(i + run, p.size)
             pi, gi, m, v = p[i:j], g[i:j], state.m[i:j], state.v[i:j]
             t1, t2 = buf1[:j - i], buf2[:j - i]
             m *= ADAM_BETA1
@@ -257,11 +266,12 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
 
     The result's model is new: it is one of two models that training owns,
     the first a copy of ``model``'s vector, and ``model`` is never written,
-    so its vector may be read-only. Each step writes the next parameters into
-    the spare model's vector and swaps the two. AdamW starts from fresh
-    moments; one epoch is ceil(N / batch_size) steps. On a non-finite loss, gradient or update the
-    loop aborts and returns the parameters from before the failing step,
-    flagged as diverged.
+    so its vector may be read-only. Each step writes the gradient into the
+    gradient models and the next parameters into the spare model's vector,
+    all built before the first step, and swaps the two. AdamW starts from
+    fresh moments; one epoch is ceil(N / batch_size) steps. On a non-finite
+    loss, gradient or update the loop aborts and returns the parameters from
+    before the failing step, flagged as diverged.
     """
     x = np.asarray(x)
     labels = np.asarray(labels, dtype=np.int64)
@@ -277,10 +287,11 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
     steps_per_epoch = -(-n // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     result = TrainResult(model=Model(model.cfg, model.flat.copy()))
-    spare = Model(model.cfg, np.empty_like(model.flat))
-    state = OptimizerState.zeros(model.layout, model.dtype)
     if total_steps == 0:
         return result
+    spare = Model(model.cfg, np.empty_like(model.flat))
+    grad, rest = gradient_models(model, cfg.batch_size)
+    state = OptimizerState.zeros(model.layout, model.dtype)
 
     batches = balanced_batches(labels, n_classes, cfg.batch_size, cfg.seed, total_steps)
     for step, idx in enumerate(batches):
@@ -290,10 +301,10 @@ def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,
         # after a failed step the result still holds the last good parameters
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, g = backward(x, labels, result.model, rows=idx)
+                loss = backward(x, labels, result.model, grad, rest, rows=idx)
             if not math.isfinite(loss):
                 raise NumericError("non-finite loss")
-            adamw_step(result.model.flat, g, state, lr, cfg, spare.flat)
+            adamw_step(result.model.flat, grad.flat, state, lr, cfg, spare.flat)
         except NumericError:
             result.diverged = True
             break

@@ -54,12 +54,20 @@ def same_bits(actual, expected) -> bool:
     return bool(np.array_equal(a.view(as_uint), b.view(as_uint)))
 
 
+def run_backward(x, labels, model, rows=None):
+    """``training.backward``'s loss and the gradient model it wrote, on
+    storage that ``training.gradient_models`` builds for the batch's size, as
+    ``train`` builds it."""
+    from afpm.training import backward, gradient_models
+    grad, rest = gradient_models(model, len(labels) if rows is None else len(rows))
+    return backward(x, labels, model, grad, rest, rows=rows), grad
+
+
 def named_backward(x, labels, model):
-    """``training.backward``'s loss, and its gradient vector viewed tensor by
-    tensor in ``model.params`` order."""
-    from afpm.training import backward
-    loss, flat = backward(x, labels, model)
-    return loss, model.layout.views(flat)
+    """``training.backward``'s loss, and its gradient viewed tensor by tensor
+    in ``model.params`` order."""
+    loss, grad = run_backward(x, labels, model)
+    return loss, grad.params
 
 
 def trials_of(manifest):

@@ -1,4 +1,12 @@
-"""The malformed-input contract: one broken field, one exit code, one line.
+"""The CLI contract: every option sets something, and every malformed input
+ends in one exit code with one line.
+
+The option table (``test_every_option_sets_something``) runs each command of
+``cli._COMMANDS`` on a toy MI chain twice per optional flag, with the flag's
+default and with one other valid value, and compares the files each run
+writes.
+
+The malformed-input contract: one broken field, one exit code, one line.
 
 A toy MI chain (synth -> preprocess -> align -> train at depth 1 for one
 epoch) gives every input a command reads: a checkpoint, a raw and an aligned
@@ -10,15 +18,17 @@ nonzero exit prints exactly one stderr line, and nothing escapes as an
 exception. Each test collects every violation and reports them together.
 """
 
+import argparse
 import copy
 import json
 import math
+import os
 import shutil
 import warnings
 
 import pytest
 
-from afpm.cli import main
+from afpm.cli import _COMMANDS, main
 
 VALUES = (None, "x", -1, 0, 2.5, [], {}, True, math.nan)
 DELETE = object()
@@ -197,3 +207,155 @@ def test_every_config_file_key(chain, tmp_path, capsys):
     argv = ["train", "--data", ali, "--task", "mi", "--out", str(tmp_path / "m.ckpt"),
             "--config", str(target)]
     assert check_mutations(doc, list(key_paths(doc)), write, [argv], capsys) == []
+
+
+# ---------------------------------------------------------------------------
+# every option sets something
+
+# Each command's arguments in the option table's runs. "{...}" fields name
+# the inputs of ``option_inputs`` and ``{out}``, the run's own directory.
+BASE_ARGV = {
+    "synth": ["--task", "mi", "--domains", "2", "--trials", "4", "--trial-len", "1.0",
+              "--out", "{out}"],
+    "preprocess": ["--in", "{raw}", "--out", "{out}"],
+    "align": ["--in", "{pre}", "--out", "{out}", "--task", "mi"],
+    "train": ["--data", "{ali}", "--task", "mi", "--out", "{out}/model.ckpt",
+              "--config", "{config}"],
+    "eval": ["--ckpt", "{ckpt}", "--data", "{ali}", "--out", "{out}"],
+    "ablate": ["--train", "{pre}", "--eval", "{pre}", "--task", "mi", "--out", "{out}",
+               "--config", "{config}", "--variants", "FULL"],
+    "finetune": ["--ckpt", "{ckpt}", "--data", "{ali}", "--out", "{out}",
+                 "--config", "{config}"],
+}
+# Another valid value of each model flag, against ``TOY_MODEL``.
+MODEL_FLAG_VALUES = {
+    "--embed-dim": "4", "--frame-window": "8", "--frame-stride": "8", "--avg-window": "1",
+    "--avg-shift": "1", "--token-dim": "4", "--mlp-hidden": "4", "--depth": "2",
+    "--heads": "1", "--dim-head": "2", "--dim-mlp": "4", "--epochs": "2",
+    "--batch-size": "4", "--lr-init": "1e-4", "--lr-max": "1e-3", "--weight-decay": "0.1",
+    "--seed": "4",
+}
+# (command, flag): the flag's tokens in the second run, and the arguments
+# both runs add to the command's base arguments.
+OPTION_VALUES = {
+    ("synth", "--domains"): (["3"], []),
+    ("synth", "--trials"): (["5"], []),
+    ("synth", "--snr"): (["0"], []),
+    ("synth", "--channels"): (["eval"], []),
+    ("synth", "--rate"): (["200"], []),
+    ("synth", "--trial-len"): (["1.5"], []),
+    ("synth", "--domain-gain"): (["0.5"], []),
+    ("synth", "--class-ratio"): (["0.3"], []),        # MI: exits 2
+    ("synth", "--name"): (["other"], []),
+    ("synth", "--seed"): (["1"], []),
+    ("preprocess", "--band"): (["8:30"], []),
+    ("align", "--no-select"): ([], []),
+    ("align", "--no-ea"): ([], []),
+    ("align", "--no-map"): ([], []),
+    ("align", "--union-from"): (["{wide}"], ["--no-select"]),
+    ("train", "--per-channel-patches"): ([], []),
+    **{("train", flag): ([value], []) for flag, value in MODEL_FLAG_VALUES.items()},
+    ("eval", "--out"): (["{out}"], []),
+    ("ablate", "--variants"): (["FULL,NO_EA"], []),
+    **{("ablate", flag): ([value], []) for flag, value in MODEL_FLAG_VALUES.items()},
+    ("finetune", "--fraction"): (["0.6"], []),
+    **{("finetune", flag): ([value], []) for flag, value in MODEL_FLAG_VALUES.items()},
+    # a one-step run trains at lr_init alone
+    ("finetune", "--lr-max"): (["1e-3"], ["--epochs", "2"]),
+}
+# Flags that set nothing on purpose, with the reason. Each must keep setting
+# nothing: the second value runs too, and its outputs must equal the first's.
+SETS_NOTHING = {
+    ("preprocess", "--seed"): (["5"], "draws nothing; kept because perfbench/bench.py "
+                                      "passes --seed to every stage"),
+    ("align", "--seed"): (["5"], "draws nothing; kept because perfbench/bench.py passes "
+                                 "--seed to every stage"),
+    ("eval", "--seed"): (["5"], "draws nothing; kept because perfbench/bench.py passes "
+                                "--seed to every stage"),
+    ("eval", "--task"): (["mi"], "checks the checkpoint's task; a matching value "
+                                 "changes nothing"),
+}
+UNTESTED = {"--threads", "--config", "--help"}
+
+
+def optional_flags():
+    """(command, flag) of every optional flag of every command in ``_COMMANDS``."""
+    for command, (_, add_arguments, _) in _COMMANDS.items():
+        parser = argparse.ArgumentParser()
+        add_arguments(parser)
+        for action in parser._actions:
+            flag = max(action.option_strings, key=len, default=None)
+            if flag and not action.required and flag not in UNTESTED:
+                yield command, flag
+
+
+@pytest.fixture(scope="module")
+def option_inputs(tmp_path_factory):
+    """A raw, a preprocessed and an aligned MI set of 2 subjects x 10 trials,
+    a raw set over the eval channel catalogue, a toy checkpoint and config."""
+    root = tmp_path_factory.mktemp("options")
+    paths = {k: str(root / k) for k in ("raw", "pre", "ali", "wide")}
+    paths["config"], paths["ckpt"] = str(root / "toy.json"), str(root / "run" / "model.ckpt")
+    (root / "toy.json").write_text(json.dumps(TOY_MODEL))
+    synth = ["synth", "--task", "mi", "--domains", "2", "--trials", "10", "--trial-len", "1.0"]
+    assert main([*synth, "--out", paths["raw"]]) == 0
+    assert main([*synth, "--channels", "eval", "--out", paths["wide"]]) == 0
+    assert main(["preprocess", "--in", paths["raw"], "--out", paths["pre"]]) == 0
+    assert main(["align", "--in", paths["pre"], "--out", paths["ali"], "--task", "mi"]) == 0
+    assert main(["train", "--data", paths["ali"], "--task", "mi", "--out", paths["ckpt"],
+                 "--config", paths["config"]]) == 0
+    return root, paths
+
+
+def run_outputs(argv, out, paths):
+    """Exit code of ``argv`` run into a fresh ``out``, and every file it wrote
+    there except ``run_config.json``, by relative path."""
+    shutil.rmtree(out, ignore_errors=True)
+    code = main([a.format(out=out, **paths) for a in argv])
+    files = {}
+    for top, _, names in os.walk(out):
+        for name in names:
+            if name != "run_config.json":
+                path = os.path.join(top, name)
+                with open(path, "rb") as f:
+                    files[os.path.relpath(path, out)] = f.read()
+    return code, files
+
+
+def test_every_option_sets_something(option_inputs, capsys):
+    """For each command and each optional flag but ``--threads`` and
+    ``--config``, the command runs with the flag's default and with one other
+    valid value. The second run's outputs, apart from ``run_config.json``,
+    differ from the first's, or it exits 2. A flag in ``SETS_NOTHING`` must
+    instead leave every output as it was."""
+    root, paths = option_inputs
+    flags = set(optional_flags())
+    assert flags == OPTION_VALUES.keys() | SETS_NOTHING.keys()
+    assert not OPTION_VALUES.keys() & SETS_NOTHING.keys()
+    out = str(root / "out")
+    first_runs = {}
+    found = []
+    for command, flag in sorted(flags):
+        if (command, flag) in SETS_NOTHING:
+            value, context = SETS_NOTHING[command, flag][0], []
+        else:
+            value, context = OPTION_VALUES[command, flag]
+        base = [command, *BASE_ARGV[command], *context]
+        if flag in base:            # the base sets it for speed: drop it
+            i = base.index(flag)
+            del base[i:i + 2]
+        key = tuple(base)
+        if key not in first_runs:
+            first_runs[key] = run_outputs(base, out, paths)
+        code, files = first_runs[key]
+        assert code == 0, (base, capsys.readouterr().err)
+        second = run_outputs([*base, flag, *value], out, paths)
+        capsys.readouterr()
+        if (command, flag) in SETS_NOTHING:
+            if second != (0, files):
+                found.append(f"{command} {flag}: listed as setting nothing, but it does")
+        elif second == (0, files):
+            found.append(f"{command} {flag} {' '.join(value)}: sets nothing")
+        elif second[0] not in (0, 2):
+            found.append(f"{command} {flag} {' '.join(value)}: exit {second[0]}")
+    assert found == []

@@ -23,10 +23,10 @@ from afpm.model import (
 )
 from afpm.pipeline import stacked_model_config
 from afpm.training import (
-    OptimizerState, TrainConfig, adamw_step, backward, batch_cross_entropy, train,
+    OptimizerState, TrainConfig, adamw_step, batch_cross_entropy, train,
 )
 
-from conftest import classes, fail_writes_in, named_backward, same_bits
+from conftest import classes, fail_writes_in, named_backward, run_backward, same_bits
 
 
 def small_cfg(m=3, t_prime=64, depth=1, heads=2, dim_head=3, per_channel=False):
@@ -931,7 +931,7 @@ class TestLeanCache:
             _, whole = forward_cached(x, model)
             run_lean(monkeypatch)
             steps = recorded_steps(monkeypatch)
-            backward(x, y, model)
+            run_backward(x, y, model)
             assert len(steps) == 3
             for n, (_, cache) in enumerate(steps):
                 for i in range(cfg.transformer.depth):
@@ -991,7 +991,7 @@ class TestLeanCache:
         monkeypatch.setattr(afpm.training, "backward_cached", checking)
         for form in attention_forms(monkeypatch):
             checked.clear()
-            backward(x, np.array([1, 0, 0, 1]), model)
+            run_backward(x, np.array([1, 0, 0, 1]), model)
             assert checked == ([1, 1, 1, 1] if lean else [4]), form
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1008,12 +1008,12 @@ class TestLeanCache:
         y = np.array([1, 0, 0, 1])
         for form in attention_forms(monkeypatch):
             assert len(micro_batches(model.cfg, 4, model.dtype.itemsize)) == (4 if lean else 1)
-            loss, flat = backward(x, y, model)
-            assert np.isfinite(flat).all(), form
+            loss, grad = run_backward(x, y, model)
+            assert np.isfinite(grad.flat).all(), form
             with monkeypatch.context() as patched:
                 nan_filled_empty(patched)
-                nan_loss, nan_flat = backward(x, y, model)
-            assert nan_loss == loss and same_bits(nan_flat, flat), form
+                nan_loss, nan_grad = run_backward(x, y, model)
+            assert nan_loss == loss and same_bits(nan_grad.flat, grad.flat), form
 
     def test_micro_batches_count_the_attention_cache(self, monkeypatch):
         """A micro-batch holds as many samples as fit their attention caches into
@@ -1040,7 +1040,7 @@ class TestLeanCache:
         assert len(micro_batches(cfg, 64, 4)) == 6
         tracemalloc.start()
         try:
-            backward(x, y, model)
+            run_backward(x, y, model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1178,14 +1178,14 @@ class TestFactoredAttention:
         before = {name: arr.copy() for name, arr in model.params.items()}
         x = rng.standard_normal((4, 3, 64)).astype(np.float32)
         layout = model.layout
-        _, flat = backward(x, np.array([0, 1, 0, 1]), model)
-        grads = layout.views(flat)
+        _, grad = run_backward(x, np.array([0, 1, 0, 1]), model)
+        grads = grad.params
         bk = [name for name in grads if name.endswith(".attn.bk")]
         assert len(bk) == 2
         for name in bk:
             assert grads[name].shape == before[name].shape and not grads[name].any(), name
         stepped = np.empty(layout.size, np.float32)
-        adamw_step(model.flat, flat, OptimizerState.zeros(layout, np.float32),
+        adamw_step(model.flat, grad.flat, OptimizerState.zeros(layout, np.float32),
                    1e-3, TrainConfig(), stepped)
         stepped = layout.views(stepped)
         for name, arr in before.items():

@@ -1,23 +1,25 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import afpm.model
 import afpm.training
 from afpm.errors import ConfigError, DataError, NumericError
 from afpm.model import (FlatLayout, FPEConfig, Model, ModelConfig, TransformerConfig,
-                        forward, init_model, load_checkpoint, param_shapes,
-                        save_checkpoint)
+                        forward, init_model, load_checkpoint, micro_batches,
+                        param_shapes, save_checkpoint)
 from afpm.training import (
-    OptimizerState, TrainConfig, adamw_step, backward, balanced_batches,
-    batch_cross_entropy, chronological_split, onecycle_lr, train,
+    OptimizerState, TrainConfig, adamw_step, balanced_batches, batch_cross_entropy,
+    chronological_split, onecycle_lr, train,
 )
 
-from conftest import classes, named_backward, same_bits
+from conftest import classes, named_backward, run_backward, same_bits
 
 
 def tiny_cfg(m=2, t_prime=32):
@@ -91,12 +93,12 @@ class TestBackward:
         model = init_model(cfg, seed=1, dtype=np.float64)
         x = rng.standard_normal((2, 2, 32))
         y = np.array([0, 1])
-        _, g1 = backward(x, y, model)
+        _, g1 = run_backward(x, y, model)
         x_dup = np.concatenate([x, x], axis=0)
         y_dup = np.concatenate([y, y])
-        _, g2 = backward(x_dup, y_dup, model)
-        assert g1.shape == g2.shape == model.flat.shape
-        assert np.allclose(g1, g2, atol=1e-12)
+        _, g2 = run_backward(x_dup, y_dup, model)
+        assert g1.flat.shape == g2.flat.shape == model.flat.shape
+        assert np.allclose(g1.flat, g2.flat, atol=1e-12)
 
     @pytest.mark.parametrize("micro", [1, 3])
     @pytest.mark.parametrize("per_channel", [False, True])
@@ -115,9 +117,9 @@ class TestBackward:
         rows = np.array([5, 0, 5, 3, 6, 1])
         for dtype in (np.float32, np.float64):
             model = init_model(cfg, seed=2, dtype=dtype)
-            loss, g = backward(x, y, model, rows=rows)
-            ref_loss, ref_g = backward(x[rows], y[rows], model)
-            assert loss == ref_loss and same_bits(g, ref_g), dtype
+            loss, g = run_backward(x, y, model, rows=rows)
+            ref_loss, ref_g = run_backward(x[rows], y[rows], model)
+            assert loss == ref_loss and same_bits(g.flat, ref_g.flat), dtype
 
     def test_batch_loss_matches_single_losses(self, rng):
         logits = rng.standard_normal((4, 3))
@@ -149,7 +151,7 @@ def test_non_finite_gradient_names_its_tensor(micro, bad, rng, monkeypatch):
 
     monkeypatch.setattr(afpm.training, "backward_cached", poisoned)
     with pytest.raises(NumericError, match=f"non-finite gradient for tensor '{bad}'"):
-        backward(x, y, model)
+        run_backward(x, y, model)
     assert calls == [6 // micro] * micro
 
 
@@ -428,9 +430,10 @@ class TestTrain:
         assert not np.array_equal(new.flat, before)
 
     def test_no_step_gathers_or_rebuilds_parameter_views(self, rng, monkeypatch):
-        """``train`` builds layouts and parameter views a number of times that
-        does not depend on the step count; per step, ``backward`` builds at
-        most one set of gradient views and no layout."""
+        """``train`` builds layouts and views a number of times that does not
+        depend on the step count: one of each for its two parameter models and
+        for each gradient model, the second of which only a batch of several
+        micro-batches gets. No step builds either."""
         x, y = separable_toy(rng, n=16)
         cfg = tiny_cfg(m=2, t_prime=64)
         calls = Counter()
@@ -446,17 +449,64 @@ class TestTrain:
 
         monkeypatch.setattr(FlatLayout, "views", counted(FlatLayout.views))
         monkeypatch.setattr(FlatLayout, "of", classmethod(counted(FlatLayout.of.__func__)))
-        per_run = []
-        for epochs in (2, 4):
-            model = init_model(cfg, seed=0)
-            calls.clear()
-            result = train(x, y, model, TrainConfig(epochs=epochs, batch_size=8, seed=0))
-            steps = len(result.history)
-            assert steps == 2 * epochs and not result.diverged
-            assert calls["views", "backward"] <= steps, calls
-            per_run.append({k: n for k, n in calls.items() if k != ("views", "backward")})
-        # the two models of ``train``: one layout and one set of views each
-        assert per_run == [{("of", "__post_init__"): 2, ("views", "__post_init__"): 2}] * 2
+        for split in (False, True):
+            if split:       # micro-batches of one sample
+                monkeypatch.setattr(afpm.model, "MICRO_BATCH_BYTES", 0)
+            assert len(micro_batches(cfg, 8, 4)) == (8 if split else 1)
+            per_run = []
+            for epochs in (2, 4):
+                model = init_model(cfg, seed=0)
+                calls.clear()
+                result = train(x, y, model, TrainConfig(epochs=epochs, batch_size=8, seed=0))
+                assert len(result.history) == 2 * epochs and not result.diverged
+                per_run.append(dict(calls))
+            models = 4 if split else 3
+            assert per_run == [{("of", "__post_init__"): models,
+                                ("views", "__post_init__"): models}] * 2, split
+
+    def test_steps_allocate_no_parameter_sized_memory(self, rng, monkeypatch):
+        """Every vector a step writes is built before the first step. With
+        per-channel patches and batches of eight micro-batches, the blocks of
+        at least the parameter vector's size that ``training.py`` allocated and
+        still holds at the end of each ``backward`` and each ``adamw_step``
+        (at their finite checks, while all they allocated is alive) are the
+        blocks it held before the first step."""
+        x, y = separable_toy(rng, n=16)
+        cfg = dataclasses.replace(tiny_cfg(m=2, t_prime=64), per_channel_patches=True)
+        monkeypatch.setattr(afpm.model, "MICRO_BATCH_BYTES", 0)
+        assert len(micro_batches(cfg, 8, 4)) == 8
+        model = init_model(cfg, seed=0)
+        only = [tracemalloc.Filter(True, afpm.training.__file__)]
+        held = []
+
+        def record():
+            traces = tracemalloc.take_snapshot().filter_traces(only).traces
+            held.append(sorted((t.traceback[0].lineno, t.size) for t in traces
+                               if t.size >= model.flat.nbytes))
+
+        def batches(*args, real=afpm.training.balanced_batches):
+            record()
+            return real(*args)
+
+        def first_nonfinite(self, flat, real=FlatLayout.first_nonfinite):
+            record()
+            return real(self, flat)
+
+        monkeypatch.setattr(afpm.training, "balanced_batches", batches)
+        monkeypatch.setattr(FlatLayout, "first_nonfinite", first_nonfinite)
+        tracemalloc.start()
+        try:
+            result = train(x, y, model, TrainConfig(epochs=2, batch_size=8, seed=0))
+        finally:
+            tracemalloc.stop()
+        assert len(result.history) == 4 and not result.diverged
+        before, *steps = held
+        assert len(steps) == 2 * 4
+        for k, step in enumerate(steps):
+            assert step == before, (k // 2 + 1, step)
+        # two parameter vectors, two gradient vectors, m, v and the two AdamW
+        # run rows (the decay mask is allocated in numpy's ``np.repeat`` frame)
+        assert len(before) == 7, before
 
     def test_epoch_zero_returns_input(self, rng):
         x, y = separable_toy(rng, n=8)
