@@ -295,9 +295,8 @@ def _cmd_eval(args) -> int:
     model, _, _ = load_checkpoint(args.ckpt)
     cfg = model.cfg
     if args.task and args.task != cfg.task:
-        raise ConfigError(
-            f"--task {args.task} does not match the checkpoint's task {cfg.task!r}"
-        )
+        raise ConfigError(f"--task {args.task} does not match the checkpoint's task "
+                          f"{cfg.task!r}")
     manifest = load_manifest(args.data)
     report = evaluate_dataset(model, manifest)
     doc = json.dumps(report.to_dict(), indent=1, sort_keys=True)
@@ -322,10 +321,8 @@ def _cmd_ablate(args) -> int:
     from .data_model import atomic_open, echo_config
 
     cfg = resolve_config(args.task, args.config, _overrides_from(args))
-    if args.variants == "all":
-        variants = VARIANTS
-    else:
-        variants = tuple(v.strip().upper() for v in args.variants.split(","))
+    variants = (VARIANTS if args.variants == "all"
+                else tuple(v.strip().upper() for v in args.variants.split(",")))
     results = run_ablation(cfg, variants, args.train_dirs, args.eval_dirs,
                            os.path.join(args.out, "work"))
     os.makedirs(args.out, exist_ok=True)

@@ -1,39 +1,39 @@
 """Frame-patch encoder and transformer classifier: forward ops, analytic backward, checkpoints.
 
-The forward chain for a batch of template inputs [B x M x T']:
+``extract_patches`` cuts a batch of templates [B x M x T'] into G windows over
+all channels (flattened channel-major), and ``STAGES``, one ordered table,
+takes them to logits:
 
-    patches (G windows over all channels, flattened channel-major)
-    -> shared two-layer MLP to per-patch embeddings (length L)
-    -> sliding-window averaging (P window, h shift) to K embeddings, one
-       product with a K x G window matrix
-    -> projection to token width L', class token, positional embeddings
-    -> pre-norm transformer encoder (depth blocks)
-    -> final layer norm, linear head on the class token.
+    patch     shared two-layer MLP to per-patch embeddings (length L)
+    average   sliding-window averaging (P window, h shift) to K embeddings,
+              one product with a K x G window matrix
+    tokens    projection to token width L', class token, positional embeddings
+    block{i}  one pre-norm transformer block each, depth of them
+    head      final layer norm, linear head on the class token.
 
-Attention takes one of two forms over the same parameters. Per head, a block
-projects its normed input to q, k and v. When heads are wider than tokens
-(``factored_attention``: the MI preset and its per-channel ablation, not the
-ERP preset) it runs factored instead: each head's q·kᵀ and att·v·Wo go
-through D x D products of the normed input, the QK/OV-circuit view of Elhage
-et al. 2021, "A Mathematical Framework for Transformer Circuits". Softmax
-cancels the key bias there, so its gradient is zero; it stays a parameter so
-that checkpoints keep one layout. Both forms build their scores key-major,
-keys on axis 1, so softmax and its backward reduce across long contiguous
-runs of queries and heads rather than along rows of a few keys.
+Each stage declares its parameters' shapes beside the forward that maps its
+input to its output and its cache and the backward that writes its
+parameters' gradients and returns its input gradient. ``param_shapes`` is
+their shapes in table order, so each stage's parameters are one contiguous
+run of ``FlatLayout``. ``forward_cached`` is one loop over the table and
+``backward_cached`` one loop over it in reverse; the cache holds one entry per
+stage instance. A harness times or inspects stages by swapping ``STAGES``.
+
+A block's attention runs per head, or, when heads are wider than tokens
+(``factored_attention``: the MI preset and its per-channel ablation), through
+D x D products of its normed input, the QK/OV-circuit view of Elhage et al.
+2021, "A Mathematical Framework for Transformer Circuits". Softmax cancels the
+key bias there, so its gradient is zero; it stays a parameter so that
+checkpoints keep one layout. Both forms build their scores key-major.
 
 Everything is plain numpy in the parameter dtype (float32 for training,
-float64 for gradient checks). ``forward_cached``/``backward_cached`` are the
-one batched path, and the cache keeps every block's attention items for the
-batch it is given. ``micro_batches`` bounds that memory: it splits a batch
-into runs whose caches fit MICRO_BATCH_BYTES, which ``forward`` (inference)
-and ``training.backward`` take one at a time.
-
-``FlatLayout``, built from ``param_shapes``, is the one description of the
-parameters as a vector. A ``Model`` is its config and one such vector, with
-its layout and read-only mapping of per-tensor views built once: a
-checkpoint's payload is that vector in float32, ``backward_cached`` writes
-every gradient into the views of a gradient model, and training builds its
-parameter, gradient and AdamW vectors in the same layout once per run.
+float64 for gradient checks). ``micro_batches`` bounds the cache's memory: it
+splits a batch into runs whose caches fit MICRO_BATCH_BYTES, which
+``forward`` (inference) and ``training.backward`` take one at a time. A
+``Model`` is its config and one vector in the layout, with read-only
+per-tensor views built once: a checkpoint's payload is that vector in
+float32, ``backward_cached`` writes every gradient into the views of a
+gradient model, and training builds its vectors in the same layout once per run.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -183,9 +184,7 @@ def patch_count(template_len: int, stride: int) -> int:
 def averaged_count(n_embeddings: int, window: int, shift: int) -> int:
     """Number of averaging windows: floor((G - P) / h) + 1."""
     if window > n_embeddings:
-        raise ConfigError(
-            f"averaging window {window} exceeds embedding count {n_embeddings}"
-        )
+        raise ConfigError(f"averaging window {window} exceeds embedding count {n_embeddings}")
     return (n_embeddings - window) // shift + 1
 
 
@@ -203,43 +202,15 @@ def model_dims(cfg: ModelConfig) -> ModelDims:
     g = patch_count(cfg.template_len, f.frame_stride)
     k = averaged_count(g, f.avg_window, f.avg_shift)
     m = cfg.n_channels
-    if cfg.per_channel_patches:
-        return ModelDims(patch_in=f.frame_window, n_patches=g, n_avg=k,
-                         n_seq=m * k, n_tokens=m * k + 1)
-    return ModelDims(patch_in=m * f.frame_window, n_patches=g, n_avg=k,
-                     n_seq=k, n_tokens=k + 1)
+    seq = m * k if cfg.per_channel_patches else k
+    patch_in = f.frame_window if cfg.per_channel_patches else m * f.frame_window
+    return ModelDims(patch_in=patch_in, n_patches=g, n_avg=k, n_seq=seq, n_tokens=seq + 1)
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
-    """Name -> shape table in manifest (serialization) order."""
-    dims = model_dims(cfg)
-    f, t = cfg.fpe, cfg.transformer
-    width = t.heads * t.dim_head
-    shapes: dict[str, tuple] = {
-        "patch.w1": (dims.patch_in, f.mlp_hidden),
-        "patch.b1": (f.mlp_hidden,),
-        "patch.w2": (f.mlp_hidden, f.embed_dim),
-        "patch.b2": (f.embed_dim,),
-        "proj.e0": (f.embed_dim, f.token_dim),
-        "cls": (f.token_dim,),
-        "pos": (dims.n_tokens, f.token_dim),
-    }
-    for i in range(t.depth):
-        b = f"block{i}"
-        shapes.update({
-            f"{b}.ln1.g": (f.token_dim,), f"{b}.ln1.b": (f.token_dim,),
-            f"{b}.attn.wq": (f.token_dim, width), f"{b}.attn.bq": (width,),
-            f"{b}.attn.wk": (f.token_dim, width), f"{b}.attn.bk": (width,),
-            f"{b}.attn.wv": (f.token_dim, width), f"{b}.attn.bv": (width,),
-            f"{b}.attn.wo": (width, f.token_dim), f"{b}.attn.bo": (f.token_dim,),
-            f"{b}.ln2.g": (f.token_dim,), f"{b}.ln2.b": (f.token_dim,),
-            f"{b}.mlp.w1": (f.token_dim, t.dim_mlp), f"{b}.mlp.b1": (t.dim_mlp,),
-            f"{b}.mlp.w2": (t.dim_mlp, f.token_dim), f"{b}.mlp.b2": (f.token_dim,),
-        })
-    shapes["final_ln.g"] = (f.token_dim,)
-    shapes["final_ln.b"] = (f.token_dim,)
-    shapes["head.w"] = (f.token_dim, cfg.n_classes)
-    return shapes
+    """Name -> shape table in manifest (serialization) order: each stage's
+    ``shapes``, in the order of ``stages(cfg)``."""
+    return {k: v for name, stage in stages(cfg) for k, v in stage.shapes(cfg, name).items()}
 
 
 @dataclass(frozen=True)
@@ -302,8 +273,7 @@ class Model:
 def init_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
     """Gaussian(0, 0.02) weights and embeddings, zero biases, unit norm scales,
     drawn tensor by tensor in ``param_shapes`` order."""
-    size = sum(math.prod(shape) for shape in param_shapes(cfg).values())
-    model = Model(cfg, np.empty(size, dtype))
+    model = Model(cfg, np.empty(FlatLayout.of(param_shapes(cfg)).size, dtype))
     rng = np.random.default_rng(seed)
     for name, p in model.params.items():
         leaf = name.rsplit(".", 1)[-1]
@@ -314,11 +284,6 @@ def init_model(cfg: ModelConfig, seed: int, dtype=np.float32) -> Model:
         else:
             p[...] = rng.standard_normal(p.shape) * INIT_SIGMA
     return model
-
-
-def decayed_param(name: str, shape: tuple) -> bool:
-    """Weight decay applies to matrices only; embeddings, biases, norms are exempt."""
-    return len(shape) == 2 and name != "pos"
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +339,7 @@ def extract_patches(x: np.ndarray, cfg: FPEConfig, per_channel: bool = False,
     return out.reshape(b, m * g, width) if per_channel else out.reshape(b, g, m * width)
 
 
-def window_matrix(n_patches: int, window: int, shift: int,
-                  dtype=np.float64) -> np.ndarray:
+def window_matrix(n_patches: int, window: int, shift: int, dtype=np.float64) -> np.ndarray:
     """K x G 0/1 matrix whose row j marks embeddings [j*h, j*h + P).
 
     Window averaging is ``(W @ e) / P`` and its gradient ``W.T @ (d / P)``.
@@ -403,9 +367,7 @@ def assemble_tokens(tilde_e: np.ndarray, params: dict[str, np.ndarray]) -> np.nd
     pos = params["pos"]
     b, k, _ = tilde_e.shape
     if k + 1 != pos.shape[0]:
-        raise DataError(
-            f"{k} embeddings do not fit positional table with {pos.shape[0]} rows"
-        )
+        raise DataError(f"{k} embeddings do not fit positional table with {pos.shape[0]} rows")
     cls = np.broadcast_to(params["cls"], (b, 1, pos.shape[1]))
     return np.concatenate([cls, tilde_e @ params["proj.e0"]], axis=1) + pos
 
@@ -419,12 +381,12 @@ def _layernorm(x, g, b):
     return xhat * g + b, (xhat, inv)
 
 
-def _layernorm_backward(dy, cache, g, dg, db):
-    """d(loss)/dx of a layer norm; writes the gain and bias gradients into ``dg`` and ``db``."""
+def _layernorm_backward(dy, cache, p, grads, prefix):
+    """d(loss)/dx of layer norm ``prefix``; writes its gain and bias gradients into ``grads``."""
     xhat, inv = cache
-    dg[...] = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
-    db[...] = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
+    grads[f"{prefix}.g"][...] = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
+    grads[f"{prefix}.b"][...] = np.sum(dy, axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * p[f"{prefix}.g"]
     m1 = dxhat.mean(axis=-1, keepdims=True)
     m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
     return (dxhat - m1 - xhat * m2) * inv
@@ -470,12 +432,6 @@ def _split_heads(w, heads):
     return w.reshape(d, heads, hd // heads).transpose(1, 0, 2)
 
 
-def _merge_heads(w):
-    """Merged [D x H*dh] weight of a per-head [H x D x dh] one (inverse of ``_split_heads``)."""
-    h, d, dh = w.shape
-    return w.transpose(1, 0, 2).reshape(d, h * dh)
-
-
 def _circuits(p, prefix, t_cfg):
     """The effective QK and OV matrices of one block's heads, s = 1/√dh.
 
@@ -489,7 +445,7 @@ def _circuits(p, prefix, t_cfg):
     wq, wk, wv = (_split_heads(p[f"{prefix}.attn.w{n}"], h) for n in "qkv")
     wo = p[f"{prefix}.attn.wo"]
     wk_t = wk.transpose(0, 2, 1)
-    qk = _merge_heads((wq @ wk_t) * scale)
+    qk = ((wq @ wk_t) * scale).transpose(1, 0, 2).reshape(d, h * d)
     qk_bias = ((p[f"{prefix}.attn.bq"].reshape(h, 1, -1) @ wk_t) * scale).reshape(h * d)
     ov = (wv @ wo.reshape(h, -1, d)).reshape(h * d, d)
     out_bias = p[f"{prefix}.attn.bv"] @ wo + p[f"{prefix}.attn.bo"]
@@ -546,18 +502,83 @@ def _factored_attention(x, u, p, prefix, t_cfg):
     return x1, dict(y=y, att=att, qk=qk, qk_bias=qk_bias, ov=ov)
 
 
-def _block_forward(x, p, prefix, t_cfg, cache):
-    """One pre-norm block: x += attention(LN(x)); x += mlp(LN(x)).
+def _weight_grad(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """Gradient of ``y = a @ w``: sum over all leading axes of a^T dy, as one
+    GEMM, into ``out`` when given."""
+    return np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
 
-    Attention takes one of two forms, chosen by ``factored_attention``.
-    Per head, it projects ``u`` to q, k and v and mixes ctx = att·v through
-    Wo. When heads are wider than tokens it runs factored (the QK/OV-circuit
-    view of Elhage et al. 2021): each head's scores are (u M_h + c_h) uᵀ and
-    its output att·u·(Wv_h Wo_h), with D x D matrices built once per forward
-    by ``_circuits`` and kept in the cache for backward. The two agree up to
-    rounding; the key bias drops out of the factored form, so its gradient
-    there is exactly zero.
-    """
+
+# ---------------------------------------------------------------------------
+# the stages, each with its parameters' shapes beside the code that reads them
+
+
+def _patch_shapes(cfg, name):
+    f = cfg.fpe
+    return {"patch.w1": (model_dims(cfg).patch_in, f.mlp_hidden), "patch.b1": (f.mlp_hidden,),
+            "patch.w2": (f.mlp_hidden, f.embed_dim), "patch.b2": (f.embed_dim,)}
+
+
+def _patch_forward(patches, p, cfg, name):
+    """The shared two-layer GELU MLP: per-patch embeddings [B x G x L]."""
+    h1 = patches @ p["patch.w1"] + p["patch.b1"]
+    h1_term = _gelu_term(h1)
+    e = (0.5 * h1 * h1_term) @ p["patch.w2"] + p["patch.b2"]
+    return e, dict(patches=patches, h1=h1, h1_term=h1_term)
+
+
+def _patch_backward(de, p, cfg, name, c, grads):
+    """The patch MLP's gradients; the patches need none, so it returns None."""
+    h1, h1_term = c["h1"], c["h1_term"]
+    _weight_grad(0.5 * h1 * h1_term, de, out=grads["patch.w2"])
+    grads["patch.b2"][...] = de.sum(axis=(0, 1))
+    dh1 = (de @ p["patch.w2"].T) * dgelu(h1, h1_term)
+    _weight_grad(c["patches"], dh1, out=grads["patch.w1"])
+    grads["patch.b1"][...] = dh1.sum(axis=(0, 1))
+
+
+def _average_forward(e, p, cfg, name):
+    """Window averaging: one product with the K x G window matrix, which it caches."""
+    f = cfg.fpe
+    win = window_matrix(model_dims(cfg).n_patches, f.avg_window, f.avg_shift, dtype=e.dtype)
+    return _window_map(win, e) / f.avg_window, win
+
+
+def _average_backward(dtilde, p, cfg, name, win, grads):
+    """Scatter each window's gradient back onto its embeddings."""
+    return _window_map(win.T, dtilde / cfg.fpe.avg_window)
+
+
+def _token_shapes(cfg, name):
+    f = cfg.fpe
+    return {"proj.e0": (f.embed_dim, f.token_dim), "cls": (f.token_dim,),
+            "pos": (model_dims(cfg).n_tokens, f.token_dim)}
+
+
+def _token_backward(dxs, p, cfg, name, tilde, grads):
+    grads["pos"][...] = dxs.sum(axis=0)
+    grads["cls"][...] = dxs[:, 0, :].sum(axis=0)
+    dtok = dxs[:, 1:, :]
+    _weight_grad(tilde, dtok, out=grads["proj.e0"])
+    return dtok @ p["proj.e0"].T
+
+
+def _block_shapes(cfg, b):
+    d, t = cfg.fpe.token_dim, cfg.transformer
+    width = t.heads * t.dim_head
+    return {f"{b}.ln1.g": (d,), f"{b}.ln1.b": (d,),
+            f"{b}.attn.wq": (d, width), f"{b}.attn.bq": (width,),
+            f"{b}.attn.wk": (d, width), f"{b}.attn.bk": (width,),
+            f"{b}.attn.wv": (d, width), f"{b}.attn.bv": (width,),
+            f"{b}.attn.wo": (width, d), f"{b}.attn.bo": (d,),
+            f"{b}.ln2.g": (d,), f"{b}.ln2.b": (d,),
+            f"{b}.mlp.w1": (d, t.dim_mlp), f"{b}.mlp.b1": (t.dim_mlp,),
+            f"{b}.mlp.w2": (t.dim_mlp, d), f"{b}.mlp.b2": (d,)}
+
+
+def _block_forward(x, p, cfg, prefix):
+    """One pre-norm block: x += attention(LN(x)); x += mlp(LN(x)), the
+    attention in the form ``factored_attention`` picks, looked up per call."""
+    t_cfg = cfg.transformer
     u, ln1c = _layernorm(x, p[f"{prefix}.ln1.g"], p[f"{prefix}.ln1.b"])
     attention = (_factored_attention if factored_attention(t_cfg, x.shape[-1])
                  else _head_attention)
@@ -567,32 +588,21 @@ def _block_forward(x, p, prefix, t_cfg, cache):
     m1 = u2 @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"]
     m1_term = _gelu_term(m1)
     x2 = x1 + (0.5 * m1 * m1_term) @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
-    if cache is not None:
-        cache[prefix] = dict(u=u, ln1c=ln1c, u2=u2, ln2c=ln2c, m1=m1, m1_term=m1_term,
-                             **kept)
-    return x2
+    return x2, dict(u=u, ln1c=ln1c, u2=u2, ln2c=ln2c, m1=m1, m1_term=m1_term, **kept)
 
 
-def _weight_grad(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """Gradient of ``y = a @ w``: sum over all leading axes of a^T dy, as one
-    GEMM, into ``out`` when given."""
-    return np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
-
-
-def _block_backward(dx2, p, prefix, t_cfg, c, grads):
+def _block_backward(dx2, p, cfg, prefix, c, grads):
+    t_cfg = cfg.transformer
     u, u2, m1, m1_term = c["u"], c["u2"], c["m1"], c["m1_term"]
 
     # MLP sub-block
-    dm2 = dx2
-    _weight_grad(0.5 * m1 * m1_term, dm2, out=grads[f"{prefix}.mlp.w2"])
-    grads[f"{prefix}.mlp.b2"][...] = dm2.sum(axis=(0, 1))
-    dg1 = dm2 @ p[f"{prefix}.mlp.w2"].T
-    dm1 = dg1 * dgelu(m1, m1_term)
+    _weight_grad(0.5 * m1 * m1_term, dx2, out=grads[f"{prefix}.mlp.w2"])
+    grads[f"{prefix}.mlp.b2"][...] = dx2.sum(axis=(0, 1))
+    dm1 = (dx2 @ p[f"{prefix}.mlp.w2"].T) * dgelu(m1, m1_term)
     _weight_grad(u2, dm1, out=grads[f"{prefix}.mlp.w1"])
     grads[f"{prefix}.mlp.b1"][...] = dm1.sum(axis=(0, 1))
     du2 = dm1 @ p[f"{prefix}.mlp.w1"].T
-    dx1 = dx2 + _layernorm_backward(du2, c["ln2c"], p[f"{prefix}.ln2.g"],
-                                    grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"])
+    dx1 = dx2 + _layernorm_backward(du2, c["ln2c"], p, grads, f"{prefix}.ln2")
 
     # attention sub-block; every buffer written in place is fresh
     grads[f"{prefix}.attn.bo"][...] = dx1.sum(axis=(0, 1))
@@ -600,8 +610,7 @@ def _block_backward(dx2, p, prefix, t_cfg, c, grads):
                           if factored_attention(t_cfg, dx1.shape[-1])
                           else _head_attention_backward)
     du = attention_backward(dx1, u, p, prefix, t_cfg, c, grads)
-    return dx1 + _layernorm_backward(du, c["ln1c"], p[f"{prefix}.ln1.g"],
-                                     grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"])
+    return dx1 + _layernorm_backward(du, c["ln1c"], p, grads, f"{prefix}.ln1")
 
 
 def _head_attention_backward(do, u, p, prefix, t_cfg, c, grads):
@@ -676,6 +685,56 @@ def _factored_attention_backward(do, u, p, prefix, t_cfg, c, grads):
     return du
 
 
+def _head_shapes(cfg, name):
+    d = cfg.fpe.token_dim
+    return {"final_ln.g": (d,), "final_ln.b": (d,), "head.w": (d, cfg.n_classes)}
+
+
+def _head_forward(x, p, cfg, name):
+    """The final layer norm, then the linear head on the class token: logits [B x c]."""
+    normed, lnc = _layernorm(x, p["final_ln.g"], p["final_ln.b"])
+    return normed[:, 0, :] @ p["head.w"], dict(x=x, lnc=lnc, normed_cls=normed[:, 0, :])
+
+
+def _head_backward(dlogits, p, cfg, name, c, grads):
+    np.matmul(c["normed_cls"].T, dlogits, out=grads["head.w"])
+    dxs = np.zeros_like(c["x"])
+    dxs[:, 0, :] = dlogits @ p["head.w"].T
+    return _layernorm_backward(dxs, c["lnc"], p, grads, "final_ln")
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One entry of ``STAGES``; a ``per_block`` one runs once per block, as
+    ``{name}{i}``. Each function takes the config and the instance's name:
+    ``shapes(cfg, name)`` gives its parameters, ``forward(x, p, cfg, name)``
+    its output and cache, and ``backward(dy, p, cfg, name, cache, grads)``
+    writes its parameters' gradients into ``grads`` and returns d(loss)/dx."""
+
+    name: str
+    shapes: Callable
+    forward: Callable
+    backward: Callable
+    per_block: bool = False
+
+
+# The decoder, input first: the patches of ``extract_patches`` in, logits out.
+STAGES = (
+    Stage("patch", _patch_shapes, _patch_forward, _patch_backward),
+    Stage("average", lambda cfg, name: {}, _average_forward, _average_backward),
+    Stage("tokens", _token_shapes, lambda x, p, cfg, name: (assemble_tokens(x, p), x),
+          _token_backward),
+    Stage("block", _block_shapes, _block_forward, _block_backward, per_block=True),
+    Stage("head", _head_shapes, _head_forward, _head_backward),
+)
+
+
+def stages(cfg: ModelConfig) -> list[tuple[str, Stage]]:
+    """``(name, stage)`` of every stage instance of ``cfg``, in ``STAGES`` order."""
+    return [(f"{s.name}{i}" if s.per_block else s.name, s) for s in STAGES
+            for i in range(cfg.transformer.depth if s.per_block else 1)]
+
+
 def micro_batches(cfg: ModelConfig, batch: int, itemsize: int) -> list[tuple[int, int]]:
     """``(start, stop)`` runs of a batch, as even as can be, whose attention
     caches fit MICRO_BATCH_BYTES (one sample per run at least).
@@ -696,9 +755,8 @@ def micro_batches(cfg: ModelConfig, batch: int, itemsize: int) -> list[tuple[int
 
 
 def forward(x_batch: np.ndarray, model: Model) -> np.ndarray:
-    """Logits [B x c] of a batch [B x M x T'], without a backward cache:
-    EVAL_BATCH trials at a time, each chunk one micro-batch
-    (``micro_batches``) at a time."""
+    """Logits [B x c] of a batch [B x M x T'], without a backward cache: EVAL_BATCH
+    trials at a time, each chunk one micro-batch (``micro_batches``) at a time."""
     n, itemsize = len(x_batch), model.dtype.itemsize
     runs = [(i + j, i + k) for i in range(0, n, EVAL_BATCH)
             for j, k in micro_batches(model.cfg, min(EVAL_BATCH, n - i), itemsize)]
@@ -708,88 +766,41 @@ def forward(x_batch: np.ndarray, model: Model) -> np.ndarray:
 
 def forward_cached(x_batch: np.ndarray, model: Model, want_cache: bool = True,
                    rows=None) -> tuple[np.ndarray, dict | None]:
-    """Batched forward returning logits [B x c] and the backward cache.
+    """Logits [B x c] of a batch and the backward cache: each stage instance's
+    cache under its name, for the whole batch (``micro_batches`` sizes batches).
 
     With ``rows`` (an index array), ``x_batch`` is a stack [N x M x T'] and
     the batch is its rows ``rows``: ``extract_patches`` reads them straight
     into the patch array, the batch's only copy of its input. A stack in
     another dtype than the model's is gathered and converted first.
-
-    The cache holds every block's attention items for the whole batch;
-    ``micro_batches`` sizes batches whose cache fits MICRO_BATCH_BYTES.
     """
-    cfg, p = model.cfg, model.params
+    cfg = model.cfg
     x = np.asarray(x_batch)
     if x.dtype != model.dtype:
         x, rows = (x if rows is None else x[rows]).astype(model.dtype), None
     if x.ndim != 3 or x.shape[1] != cfg.n_channels or x.shape[2] != cfg.template_len:
-        raise DataError(
-            f"expected batch [B x {cfg.n_channels} x {cfg.template_len}], "
-            f"got {x.shape}"
-        )
-    f = cfg.fpe
-    patches = extract_patches(x, f, cfg.per_channel_patches, cfg.input_scale, rows)
-    h1 = patches @ p["patch.w1"] + p["patch.b1"]
-    h1_term = _gelu_term(h1)
-    e = (0.5 * h1 * h1_term) @ p["patch.w2"] + p["patch.b2"]
-    win = window_matrix(model_dims(cfg).n_patches, f.avg_window, f.avg_shift,
-                        dtype=model.dtype)
-    tilde = _window_map(win, e) / f.avg_window
-    tokens = assemble_tokens(tilde, p)
-
-    cache: dict = ({"patches": patches, "h1": h1, "h1_term": h1_term, "win": win,
-                    "tilde": tilde}
-                   if want_cache else {})
-    t = cfg.transformer
-    xs = tokens
-    for i in range(t.depth):
-        xs = _block_forward(xs, p, f"block{i}", t, cache if want_cache else None)
-        if not np.all(np.isfinite(xs)):
-            raise NumericError(f"non-finite activations after transformer block {i}")
-    normed, lnfc = _layernorm(xs, p["final_ln.g"], p["final_ln.b"])
-    logits = normed[:, 0, :] @ p["head.w"]
-    if want_cache:
-        cache.update(x_blocks_out=xs, final_lnc=lnfc, normed_cls=normed[:, 0, :])
-        return logits, cache
-    return logits, None
+        raise DataError(f"expected batch [B x {cfg.n_channels} x {cfg.template_len}], "
+                        f"got {x.shape}")
+    y = extract_patches(x, cfg.fpe, cfg.per_channel_patches, cfg.input_scale, rows)
+    cache = {}
+    for name, stage in stages(cfg):
+        y, cache[name] = stage.forward(y, model.params, cfg, name)
+        if not want_cache:
+            del cache[name]     # free it before the next stage
+        if stage.per_block and not np.all(np.isfinite(y)):
+            raise NumericError("non-finite activations after transformer block "
+                               f"{name.removeprefix(stage.name)}")
+    return y, cache if want_cache else None
 
 
 def backward_cached(dlogits: np.ndarray, model: Model, cache: dict,
                     grads: dict[str, np.ndarray]) -> None:
-    """Gradients of every parameter given d(loss)/d(logits) for the cached
-    batch, written into ``grads``, one array of the parameter's shape and
-    dtype per name (the ``params`` of a gradient model). Every item of every
-    array is written, so they may start as uninitialized memory."""
-    cfg, p = model.cfg, model.params
-
-    np.matmul(cache["normed_cls"].T, dlogits, out=grads["head.w"])
-    dxs = np.zeros_like(cache["x_blocks_out"])
-    dxs[:, 0, :] = dlogits @ p["head.w"].T
-    dxs = _layernorm_backward(dxs, cache["final_lnc"], p["final_ln.g"],
-                              grads["final_ln.g"], grads["final_ln.b"])
-
-    for i in reversed(range(cfg.transformer.depth)):
-        dxs = _block_backward(dxs, p, f"block{i}", cfg.transformer,
-                              cache[f"block{i}"], grads)
-
-    # token assembly
-    grads["pos"][...] = dxs.sum(axis=0)
-    grads["cls"][...] = dxs[:, 0, :].sum(axis=0)
-    dtok = dxs[:, 1:, :]
-    _weight_grad(cache["tilde"], dtok, out=grads["proj.e0"])
-    dtilde = dtok @ p["proj.e0"].T
-
-    # averaging: scatter each window's gradient back onto its embeddings
-    de = _window_map(cache["win"].T, dtilde / cfg.fpe.avg_window)
-
-    # patch MLP
-    h1, h1_term, patches = cache["h1"], cache["h1_term"], cache["patches"]
-    _weight_grad(0.5 * h1 * h1_term, de, out=grads["patch.w2"])
-    grads["patch.b2"][...] = de.sum(axis=(0, 1))
-    da1 = de @ p["patch.w2"].T
-    dh1 = da1 * dgelu(h1, h1_term)
-    _weight_grad(patches, dh1, out=grads["patch.w1"])
-    grads["patch.b1"][...] = dh1.sum(axis=(0, 1))
+    """Writes every parameter's gradient for the cached batch, given
+    d(loss)/d(logits), into ``grads`` (a gradient model's ``params``), stage by
+    stage in reverse. Every item is written, so ``grads`` may start uninitialized."""
+    dy = dlogits
+    for name, stage in reversed(stages(model.cfg)):
+        dy = stage.backward(dy, model.params, model.cfg, name, cache[name], grads)
 
 
 # ---------------------------------------------------------------------------
@@ -823,18 +834,10 @@ def _entries(layout: FlatLayout) -> list[dict]:
 
 
 def save_checkpoint(model: Model, path: str, extra: dict | None = None) -> None:
-    """Write config + named parameter manifest + ``model.flat`` as
-    little-endian float32.
-
-    A checkpoint holds no optimizer state: fine-tuning starts fresh AdamW
-    moments on the stored parameters.
-    """
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "config": asdict(model.cfg),
-        "entries": _entries(model.layout),
-        "extra": extra or {},
-    }
+    """Write config + named parameter manifest + ``model.flat`` as little-endian
+    float32. No optimizer state: fine-tuning starts fresh AdamW moments."""
+    header = {"format": CHECKPOINT_FORMAT, "config": asdict(model.cfg),
+              "entries": _entries(model.layout), "extra": extra or {}}
     with atomic_open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
@@ -846,9 +849,8 @@ def load_checkpoint(path: str) -> tuple[Model, None, dict]:
 
     The model's ``flat`` is the payload, one read-only float32 vector in the
     layout of ``param_shapes``: training copies it and never writes into it.
-    The middle element is always None: a checkpoint holds parameters only.
-    The 3-tuple stays because ``perfbench/checks.py`` unpacks ``model, opt, extra``.
-    """
+    The middle element is always None (a checkpoint holds parameters only);
+    the 3-tuple stays because ``perfbench/checks.py`` unpacks ``model, opt, extra``."""
     try:
         with open(path, "rb") as fh:
             header_line = fh.readline()
@@ -871,16 +873,13 @@ def load_checkpoint(path: str) -> tuple[Model, None, dict]:
         cfg = _cfg_from_json(header["config"])
         layout = FlatLayout.of(param_shapes(cfg))
     except (ConfigError, KeyError, TypeError, ValueError) as e:
-        raise DataError(
-            f"checkpoint config in {path} is malformed ({type(e).__name__}: {e})"
-        ) from e
+        raise DataError(f"checkpoint config in {path} is malformed "
+                        f"({type(e).__name__}: {e})") from e
     if header["entries"] != _entries(layout):
         raise DataError(f"checkpoint entries in {path} do not match its config")
     if 4 * layout.size != len(blob):
-        raise DataError(
-            f"checkpoint payload size mismatch: {len(blob)} bytes, "
-            f"expected {4 * layout.size}"
-        )
+        raise DataError(f"checkpoint payload size mismatch: {len(blob)} bytes, "
+                        f"expected {4 * layout.size}")
     flat = np.frombuffer(blob, dtype="<f4")
     bad = layout.first_nonfinite(flat)
     if bad is not None:

@@ -99,11 +99,15 @@ def stack_aligned(manifests: list[DatasetManifest], task: str
 
 
 def active_rms_scale(x: np.ndarray) -> float:
-    """Reciprocal RMS of the nonzero (non-padding) samples of a trial stack."""
-    active = x[x != 0]
-    if active.size == 0:
+    """Reciprocal RMS of the nonzero (non-padding) samples of a trial stack, filled
+    trial by trial into one float64 vector in ``x[x != 0]`` order: no stack-sized mask."""
+    a, i = np.empty(np.count_nonzero(x)), 0
+    if a.size == 0:
         return 1.0
-    a = active.astype(np.float64)
+    for trial in x:
+        active = trial[trial != 0]
+        a[i:i + active.size] = active
+        i += active.size
     rms = float(np.sqrt(np.mean(np.square(a, out=a))))
     return 1.0 / rms if rms > 0 else 1.0
 

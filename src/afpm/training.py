@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .model import (
-    FlatLayout, Model, backward_cached, decayed_param, forward_cached, micro_batches,
+    FlatLayout, Model, backward_cached, forward_cached, micro_batches,
     require_int, require_number,
 )
 
@@ -135,9 +135,9 @@ def backward(x: np.ndarray, labels: np.ndarray, model: Model, grad: Model,
 @dataclass
 class OptimizerState:
     """AdamW moments ``m`` and ``v`` as two vectors in the parameters'
-    ``layout``; ``decay`` holds 1 over the items of decayed tensors
-    (``decayed_param``) and 0 elsewhere, and ``runs`` the two scratch rows of
-    an update run, all in the parameter dtype."""
+    ``layout``; ``decay`` holds 1 over the items of decayed tensors (weight
+    matrices; embeddings, biases and norms are exempt) and 0 elsewhere, and
+    ``runs`` the two scratch rows of an update run, all in the parameter dtype."""
 
     layout: FlatLayout
     decay: np.ndarray
@@ -148,7 +148,8 @@ class OptimizerState:
 
     @classmethod
     def zeros(cls, layout: FlatLayout, dtype) -> "OptimizerState":
-        flags = [decayed_param(name, shape) for name, shape in zip(layout.names, layout.shapes)]
+        flags = [len(shape) == 2 and name != "pos"
+                 for name, shape in zip(layout.names, layout.shapes)]
         decay = np.repeat(np.array(flags, dtype=dtype), np.diff(layout.offsets))
         return cls(layout=layout, decay=decay, m=np.zeros(layout.size, dtype=dtype),
                    v=np.zeros(layout.size, dtype=dtype),
@@ -250,10 +251,9 @@ class TrainResult:
     diverged: bool = False
 
     def history_csv(self) -> str:
-        lines = ["step,epoch,lr,loss"]
-        for row in self.history:
-            lines.append(f"{row['step']},{row['epoch']},{row['lr']:.10g},{row['loss']:.10g}")
-        return "\n".join(lines) + "\n"
+        return "".join(["step,epoch,lr,loss\n"] + [
+            f"{row['step']},{row['epoch']},{row['lr']:.10g},{row['loss']:.10g}\n"
+            for row in self.history])
 
 
 def train(x: np.ndarray, labels: np.ndarray, model: Model, cfg: TrainConfig,

@@ -57,3 +57,26 @@ def test_unknown_revision_exits_2_and_adds_no_worktree(tool, tmp_path, monkeypat
     assert worktrees().stdout == before.stdout
     assert "cannot check out 'no-such-rev'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_changed_step_digest_is_listed(tool, tmp_path, monkeypatch):
+    """A toy model's step digest repeats bit for bit, and a change of rounding
+    in the step (a different layer-norm epsilon) makes ``step_digests.json``
+    differ between the two trees."""
+    import afpm.model
+    from afpm.model import FPEConfig, ModelConfig, TransformerConfig
+
+    fpe = FPEConfig(embed_dim=4, frame_window=8, frame_stride=8, avg_window=2,
+                    avg_shift=2, token_dim=8, mlp_hidden=8)
+    cfg = ModelConfig(task="erp", template_channels=("C0", "C1", "C2"), template_len=64,
+                      fpe=fpe, transformer=TransformerConfig(depth=2, heads=2, dim_head=3,
+                                                             dim_mlp=6),
+                      class_names=("a", "b"))
+    rev, work = tmp_path / "rev", tmp_path / "work"
+    for tree in (rev, work):
+        tree.mkdir()
+        tool.write_step_digests(str(tree / "step_digests.json"), {"toy": cfg})
+    assert tool.compare(str(rev), str(work)) == (1, [])
+    monkeypatch.setattr(afpm.model, "LN_EPS", 2 * afpm.model.LN_EPS)
+    tool.write_step_digests(str(work / "step_digests.json"), {"toy": cfg})
+    assert tool.compare(str(rev), str(work)) == (1, ["differs: step_digests.json"])

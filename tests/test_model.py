@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +15,11 @@ import afpm.model
 import afpm.training
 from afpm.config import resolve_config
 from afpm.data_model import task_template
-from afpm.errors import ConfigError, DataError
+from afpm.errors import ConfigError, DataError, NumericError
 from afpm.model import (
     EVAL_BATCH, INIT_SIGMA, FlatLayout, FPEConfig, Model, ModelConfig, TransformerConfig,
-    _block_forward, _window_map, assemble_tokens, averaged_count, backward_cached, decayed_param,
-    extract_patches, factored_attention, forward, forward_cached, init_model,
+    _block_backward, _block_forward, _window_map, assemble_tokens, averaged_count,
+    backward_cached, extract_patches, factored_attention, forward, forward_cached, init_model,
     load_checkpoint, micro_batches, model_dims, param_shapes, patch_count, save_checkpoint,
     window_matrix,
 )
@@ -245,8 +247,8 @@ class TestEmbedPatches:
         model = patch_model(np.zeros((3, 2)), np.array([0.5, -0.5]),
                             np.zeros((2, 2)), np.array([1.0, 2.0]), t_prime=6, window=3)
         _, cache = forward_cached(np.ones((5, 1, 6)), model)
-        assert cache["tilde"].shape == (5, 3, 2)
-        assert np.allclose(cache["tilde"], [1.0, 2.0])
+        assert cache["tokens"].shape == (5, 3, 2)
+        assert np.allclose(cache["tokens"], [1.0, 2.0])
 
     def test_identical_patches_identical_embeddings(self, rng):
         model = patch_model(rng.standard_normal((4, 3)), rng.standard_normal(3),
@@ -255,8 +257,8 @@ class TestEmbedPatches:
         p = rng.standard_normal(4)
         _, cache = forward_cached(np.concatenate([p, p])[None, None], model)
         for key in ("h1", "h1_term"):
-            assert np.array_equal(cache[key][0, 0], cache[key][0, 1]), key
-        assert np.array_equal(cache["tilde"][0, 0], cache["tilde"][0, 1])
+            assert np.array_equal(cache["patch"][key][0, 0], cache["patch"][key][0, 1]), key
+        assert np.array_equal(cache["tokens"][0, 0], cache["tokens"][0, 1])
 
     def test_hand_computed_toy(self):
         # patch [1, 0]; W1 = [[1, 2], [3, 4]], b1 = [0.1, -0.2];
@@ -264,9 +266,9 @@ class TestEmbedPatches:
         model = patch_model(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.1, -0.2]),
                             np.eye(2), np.zeros(2), t_prime=2)
         _, cache = forward_cached(np.array([[[1.0, 0.0]]]), model)
-        assert np.allclose(cache["h1"][0, 0], [1.1, 1.8], atol=1e-12)
+        assert np.allclose(cache["patch"]["h1"][0, 0], [1.1, 1.8], atol=1e-12)
         expected = np.array([erf_gelu(1.1), erf_gelu(1.8)])
-        assert np.allclose(cache["tilde"][0, 0], expected, atol=1e-12)
+        assert np.allclose(cache["tokens"][0, 0], expected, atol=1e-12)
 
     def test_wrong_patch_length_rejected(self):
         # one channel too many would make every patch one frame too long
@@ -382,8 +384,8 @@ class TestTransformerForward:
         model = init_model(cfg, seed=0, dtype=np.float64)
         zero_residual_branches(model)
         _, cache = forward_cached(rng.standard_normal((2, 3, 64)), model)
-        tokens = assemble_tokens(cache["tilde"], model.params)
-        assert np.allclose(cache["x_blocks_out"], tokens)
+        tokens = assemble_tokens(cache["tokens"], model.params)
+        assert np.allclose(cache["head"]["x"], tokens)
 
     def test_permutation_equivariance_without_positions(self, rng):
         # disjoint frames and no averaging: token 1 + j is frame j, and the last
@@ -403,7 +405,7 @@ class TestTransformerForward:
         x_perm = x.reshape(2, 3, 5, 8)[:, :, perm, :].reshape(2, 3, 40)
         _, cache = forward_cached(x, model)
         _, cache_perm = forward_cached(x_perm, model)
-        out, out_perm = cache["x_blocks_out"], cache_perm["x_blocks_out"]
+        out, out_perm = cache["head"]["x"], cache_perm["head"]["x"]
         assert np.allclose(out_perm[:, 1:6], out[:, 1 + perm], atol=1e-10)
         assert np.allclose(out_perm[:, [0, 6]], out[:, [0, 6]], atol=1e-10)
 
@@ -426,7 +428,8 @@ class TestTransformerForward:
             "block0.mlp.w1": np.zeros((2, 2)), "block0.mlp.b1": np.zeros(2),
             "block0.mlp.w2": np.zeros((2, 2)), "block0.mlp.b2": np.zeros(2),
         }
-        out = _block_forward(tokens[None], params, "block0", t_cfg, cache=None)[0]
+        cfg = SimpleNamespace(transformer=t_cfg)
+        out = _block_forward(tokens[None], params, cfg, "block0")[0][0]
 
         # independent spreadsheet-style computation
         def ln(v):
@@ -1234,15 +1237,14 @@ def query_major_attention_backward(do, u, p, prefix, t_cfg, c, grads):
         + dv_m @ p[f"{prefix}.attn.wv"].T
 
 
-def per_head_block_run(p, t_cfg, x, dx2):
+def per_head_block_run(p, cfg, x, dx2):
     """One per-head block's output, attention weights, input gradient and
     parameter gradients."""
-    cache = {}
-    out = _block_forward(x, p, "block0", t_cfg, cache)
+    out, cache = _block_forward(x, p, cfg, "block0")
     layout = FlatLayout.of({n: a.shape for n, a in p.items() if n.startswith("block0.")})
     grads = layout.views(np.empty(layout.size, x.dtype))
-    dx = afpm.model._block_backward(dx2, p, "block0", t_cfg, cache["block0"], grads)
-    return {"out": out, "att": cache["block0"]["att"], "dx": dx, **grads}
+    dx = _block_backward(dx2, p, cfg, "block0", cache, grads)
+    return {"out": out, "att": cache["att"], "dx": dx, **grads}
 
 
 class TestKeyMajorHeadAttention:
@@ -1262,12 +1264,12 @@ class TestKeyMajorHeadAttention:
         p = perturbed_model(cfg, dtype, rng).params
         x = rng.standard_normal((4, tokens, cfg.fpe.token_dim)).astype(dtype)
         dx2 = rng.standard_normal(x.shape).astype(dtype)
-        got = per_head_block_run(p, cfg.transformer, x, dx2)
+        got = per_head_block_run(p, cfg, x, dx2)
         assert got["att"].shape == (4, 3, tokens, tokens)
         monkeypatch.setattr(afpm.model, "_head_attention", query_major_attention)
         monkeypatch.setattr(afpm.model, "_head_attention_backward",
                             query_major_attention_backward)
-        ref = per_head_block_run(p, cfg.transformer, x, dx2)
+        ref = per_head_block_run(p, cfg, x, dx2)
         assert got.keys() == ref.keys()
         for name, want in ref.items():
             assert got[name].dtype == want.dtype == dtype, name
@@ -1281,8 +1283,11 @@ class TestKeyMajorHeadAttention:
 
 
 def test_decay_mask_exempts_embeddings_norms_biases():
+    """AdamW's decay vector is 1 over every item of a decayed tensor, 0 over the rest."""
     model = init_model(small_cfg(), seed=0)
-    decayed = {k for k, v in model.params.items() if decayed_param(k, v.shape)}
+    mask = model.layout.views(OptimizerState.zeros(model.layout, np.float32).decay)
+    assert all(m.all() or not m.any() for m in mask.values())
+    decayed = {k for k, m in mask.items() if m.all()}
     assert "pos" not in decayed
     assert "cls" not in decayed
     assert not any(".ln" in k for k in decayed)
@@ -1300,3 +1305,93 @@ def test_per_channel_token_count(rng):
     model = init_model(cfg, seed=0)
     x = rng.standard_normal((1, 3, 64)).astype(np.float32)
     assert forward(x, model).shape == (1, 2)
+
+
+class Recording(Mapping):
+    """A read-through view of a mapping that adds every key read to ``seen``."""
+
+    def __init__(self, inner, seen: set):
+        self.inner, self.seen = inner, seen
+
+    def __getitem__(self, key):
+        self.seen.add(key)
+        return self.inner[key]
+
+    def __iter__(self):
+        return iter(self.inner)
+
+    def __len__(self):
+        return len(self.inner)
+
+
+# Toy configs in the attention forms and patch modes of the presets: MI runs
+# factored, ERP per head, NO_FPE factored with per-channel patches.
+STAGE_CONFIGS = {"mi": dict(dim_head=9), "erp": {},
+                 "no_fpe": dict(dim_head=9, per_channel=True)}
+
+
+@pytest.mark.parametrize("preset", sorted(STAGE_CONFIGS))
+def test_wrapped_stage_table_runs_each_stage_once_on_its_own_parameters(preset, rng,
+                                                                        monkeypatch):
+    """With ``STAGES`` swapped for wrapped entries, one ``forward_cached`` and
+    one ``backward_cached`` call every stage instance's forward once, in table
+    order, and its backward once, in reverse; logits and gradient keep every
+    bit of the unwrapped run; and each stage reads and writes only its own
+    parameters, which are one contiguous run of the layout, in table order."""
+    cfg = small_cfg(depth=2, **STAGE_CONFIGS[preset])
+    model = perturbed_model(cfg, np.float32, rng)
+    x = rng.standard_normal((4, 3, 64)).astype(np.float32)
+    dlogits = rng.standard_normal((4, 2)).astype(np.float32)
+
+    def run():
+        logits, cache = forward_cached(x, model)
+        grad = Model(cfg, np.full(model.flat.size, np.nan, np.float32))
+        backward_cached(dlogits, model, cache, grad.params)
+        return logits, grad.flat
+
+    ref_logits, ref_grad = run()
+    calls, read, written = [], {}, {}
+
+    def wrapped(stage):
+        def forward(x, p, cfg, name):
+            calls.append(("forward", name))
+            return stage.forward(x, Recording(p, read.setdefault(name, set())), cfg, name)
+
+        def backward(dy, p, cfg, name, cache, grads):
+            calls.append(("backward", name))
+            return stage.backward(dy, Recording(p, read.setdefault(name, set())), cfg, name,
+                                  cache, Recording(grads, written.setdefault(name, set())))
+        return dataclasses.replace(stage, forward=forward, backward=backward)
+
+    monkeypatch.setattr(afpm.model, "STAGES", tuple(map(wrapped, afpm.model.STAGES)))
+    logits, grad = run()
+    instances = afpm.model.stages(cfg)
+    names = [name for name, _ in instances]
+    assert names == ["patch", "average", "tokens", "block0", "block1", "head"]
+    assert calls == [("forward", n) for n in names] + [("backward", n) for n in names[::-1]]
+    assert same_bits(logits, ref_logits) and same_bits(grad, ref_grad)
+    start = 0
+    for name, stage in instances:
+        own = list(stage.shapes(cfg, name))
+        assert list(model.layout.names[start:start + len(own)]) == own, name
+        assert written.get(name, set()) == set(own), name
+        assert read[name] <= set(own), name
+        start += len(own)
+    assert start == len(model.layout.names)
+
+
+@pytest.mark.parametrize("want_cache", [True, False])
+def test_non_finite_block_output_names_the_block(want_cache, rng, monkeypatch):
+    """An inf in block k's ``mlp.w2`` stops ``forward_cached`` right after
+    block k with the per-block guard's error, for the first and the last
+    block, in both attention forms."""
+    cfg = small_cfg(depth=3)
+    x = rng.standard_normal((2, 3, 64)).astype(np.float32)
+    for form in attention_forms(monkeypatch):
+        for k in (0, cfg.transformer.depth - 1):
+            model = init_model(cfg, seed=0)
+            model.params[f"block{k}.mlp.w2"][...] = np.inf
+            with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+                    NumericError,
+                    match=f"^non-finite activations after transformer block {k}$"):
+                forward_cached(x, model, want_cache=want_cache)
