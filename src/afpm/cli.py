@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+from .errors import ConfigError, DataError, NumericError
+
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_CONFIG = 2
@@ -180,19 +182,15 @@ def _cmd_synth(args) -> int:
     from dataclasses import asdict
 
     from .data_model import echo_config
-    from .errors import ConfigError
     from .synth import SynthSpec, default_subsets, generate_dataset
 
     if args.task == "mi" and args.class_ratio is not None:
         raise ConfigError("--class-ratio sets the ERP target fraction; "
                           "MI labels are always split half and half")
-    trial_len = args.trial_len
-    if trial_len is None:
-        trial_len = 3.0 if args.task == "mi" else 1.0
     spec = SynthSpec(
         task=args.task, n_domains=args.domains, trials_per_domain=args.trials,
         channel_subsets=default_subsets(args.task, args.domains, args.channels),
-        rate_hz=args.rate, trial_len_s=trial_len,
+        rate_hz=args.rate, trial_len_s=args.trial_len,
         snr_db=args.snr, domain_gain=args.domain_gain,
         class_ratio=SynthSpec.class_ratio if args.class_ratio is None else args.class_ratio,
         name=args.name or f"synth_{args.task}",
@@ -207,7 +205,6 @@ def _cmd_preprocess(args) -> int:
     from dataclasses import asdict, replace
 
     from .data_model import TEMPLATE_RATE_HZ, echo_config, load_manifest
-    from .errors import ConfigError
     from .preprocessing import default_config, preprocess_dataset
 
     edges = {}
@@ -230,7 +227,6 @@ def _cmd_preprocess(args) -> int:
 def _cmd_align(args) -> int:
     from .alignment import align_dataset, union_template
     from .data_model import echo_config, load_manifest, task_template
-    from .errors import ConfigError
 
     if args.union_from is not None and not args.no_select:
         raise ConfigError("--union-from defines the --no-select union; it needs --no-select")
@@ -252,7 +248,6 @@ def _cmd_align(args) -> int:
 def _cmd_train(args) -> int:
     from .config import resolve_config
     from .data_model import atomic_open, echo_config, load_manifest
-    from .errors import NumericError
     from .model import init_model, save_checkpoint
     from .pipeline import stack_aligned, stacked_model_config
     from .training import train
@@ -288,7 +283,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     from .data_model import atomic_open, echo_config, load_manifest
-    from .errors import ConfigError
     from .evaluation import evaluate_dataset
     from .model import load_checkpoint
 
@@ -345,7 +339,6 @@ def _cmd_finetune(args) -> int:
     import numpy as np
 
     from .data_model import atomic_open, echo_config, load_manifest
-    from .errors import DataError
     from .evaluation import (
         compute_metrics, model_inputs, subject_groups, task_metrics, undefined_metrics,
     )
@@ -422,7 +415,6 @@ def _finetune_config(model_cfg, args: argparse.Namespace):
     from dataclasses import asdict, replace
 
     from .config import load_config_file, resolve_config
-    from .errors import ConfigError
 
     file_doc = load_config_file(args.config) if args.config is not None else {}
     overrides = _overrides_from(args)
@@ -443,8 +435,6 @@ def _finetune_config(model_cfg, args: argparse.Namespace):
 def _require_out_kind(args: argparse.Namespace) -> None:
     """Refuse an existing ``--out`` of the wrong kind before any work: a
     directory as ``train``'s checkpoint, a file as any other command's directory."""
-    from .errors import DataError
-
     if args.command == "train" and os.path.isdir(args.out):
         raise DataError(f"--out {args.out} is a directory; train writes a checkpoint file")
     if args.command != "train" and args.out and os.path.isfile(args.out):
@@ -475,8 +465,6 @@ def main(argv: list[str] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     _set_thread_env(max(1, args.threads))
-
-    from .errors import ConfigError, DataError, NumericError
 
     _, _, handler = _COMMANDS[args.command]
     try:

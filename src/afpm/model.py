@@ -4,7 +4,7 @@
 all channels (flattened channel-major), and ``STAGES``, one ordered table,
 takes them to logits:
 
-    patch     shared two-layer MLP to per-patch embeddings (length L)
+    patch     shared two-layer GELU MLP to per-patch embeddings (length L)
     average   sliding-window averaging (P window, h shift) to K embeddings,
               one product with a K x G window matrix
     tokens    projection to token width L', class token, positional embeddings
@@ -18,6 +18,8 @@ their shapes in table order, so each stage's parameters are one contiguous
 run of ``FlatLayout``. ``forward_cached`` is one loop over the table and
 ``backward_cached`` one loop over it in reverse; the cache holds one entry per
 stage instance. A harness times or inspects stages by swapping ``STAGES``.
+The patch MLP and every block's MLP sub-layer share one feed-forward pair,
+``_mlp`` and ``_mlp_backward``, whose cache keeps the GELU activation.
 
 A block's attention runs per head, or, when heads are wider than tokens
 (``factored_attention``: the MI preset and its per-channel ablation), through
@@ -73,17 +75,6 @@ EVAL_BATCH = 256
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _gelu_term(x: np.ndarray) -> np.ndarray:
-    """``1 + erf(x/√2)``: GELU is ``0.5 * x * term``, and ``dgelu`` reuses the term."""
-    return 1.0 + erf(x * _INV_SQRT2)
-
-
-def dgelu(x: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """GELU'(x) from ``x`` and its forward ``_gelu_term(x)``."""
-    phi = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-    return 0.5 * term + x * phi
 
 
 def require_int(config, name: str, minimum: int) -> None:
@@ -508,6 +499,28 @@ def _weight_grad(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return np.matmul(a.reshape(-1, a.shape[-1]).T, b.reshape(-1, b.shape[-1]), out=out)
 
 
+def _mlp(x, p, prefix):
+    """Feed-forward ``prefix`` less its output bias, GELU(x @ W1 + b1) @ W2, and
+    its cache (x, h, term, gelu): h = x @ W1 + b1, term = 1 + erf(h/√2), gelu = h·term/2."""
+    h = x @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"]
+    term = 1.0 + erf(h * _INV_SQRT2)
+    gelu = 0.5 * h * term
+    return gelu @ p[f"{prefix}.w2"], (x, h, term, gelu)
+
+
+def _mlp_backward(dy, p, grads, prefix, cache):
+    """Gradients of ``prefix``'s w1, b1, w2 and b2 into ``grads``, from d(loss)/d(output)
+    ``dy``; returns d(loss)/dh. GELU'(h) = term/2 + h·φ(h) reuses the cached term."""
+    x, h, term, gelu = cache
+    _weight_grad(gelu, dy, out=grads[f"{prefix}.w2"])
+    grads[f"{prefix}.b2"][...] = dy.sum(axis=(0, 1))
+    dh = dy @ p[f"{prefix}.w2"].T
+    dh *= 0.5 * term + h * (np.exp(-0.5 * h * h) * _INV_SQRT2PI)
+    _weight_grad(x, dh, out=grads[f"{prefix}.w1"])
+    grads[f"{prefix}.b1"][...] = dh.sum(axis=(0, 1))
+    return dh
+
+
 # ---------------------------------------------------------------------------
 # the stages, each with its parameters' shapes beside the code that reads them
 
@@ -520,20 +533,13 @@ def _patch_shapes(cfg, name):
 
 def _patch_forward(patches, p, cfg, name):
     """The shared two-layer GELU MLP: per-patch embeddings [B x G x L]."""
-    h1 = patches @ p["patch.w1"] + p["patch.b1"]
-    h1_term = _gelu_term(h1)
-    e = (0.5 * h1 * h1_term) @ p["patch.w2"] + p["patch.b2"]
-    return e, dict(patches=patches, h1=h1, h1_term=h1_term)
+    y, cache = _mlp(patches, p, "patch")
+    return y + p["patch.b2"], cache
 
 
 def _patch_backward(de, p, cfg, name, c, grads):
     """The patch MLP's gradients; the patches need none, so it returns None."""
-    h1, h1_term = c["h1"], c["h1_term"]
-    _weight_grad(0.5 * h1 * h1_term, de, out=grads["patch.w2"])
-    grads["patch.b2"][...] = de.sum(axis=(0, 1))
-    dh1 = (de @ p["patch.w2"].T) * dgelu(h1, h1_term)
-    _weight_grad(c["patches"], dh1, out=grads["patch.w1"])
-    grads["patch.b1"][...] = dh1.sum(axis=(0, 1))
+    _mlp_backward(de, p, grads, "patch", c)
 
 
 def _average_forward(e, p, cfg, name):
@@ -585,23 +591,16 @@ def _block_forward(x, p, cfg, prefix):
     x1, kept = attention(x, u, p, prefix, t_cfg)
 
     u2, ln2c = _layernorm(x1, p[f"{prefix}.ln2.g"], p[f"{prefix}.ln2.b"])
-    m1 = u2 @ p[f"{prefix}.mlp.w1"] + p[f"{prefix}.mlp.b1"]
-    m1_term = _gelu_term(m1)
-    x2 = x1 + (0.5 * m1 * m1_term) @ p[f"{prefix}.mlp.w2"] + p[f"{prefix}.mlp.b2"]
-    return x2, dict(u=u, ln1c=ln1c, u2=u2, ln2c=ln2c, m1=m1, m1_term=m1_term, **kept)
+    y, mlpc = _mlp(u2, p, f"{prefix}.mlp")
+    return x1 + y + p[f"{prefix}.mlp.b2"], dict(u=u, ln1c=ln1c, ln2c=ln2c, mlp=mlpc, **kept)
 
 
 def _block_backward(dx2, p, cfg, prefix, c, grads):
     t_cfg = cfg.transformer
-    u, u2, m1, m1_term = c["u"], c["u2"], c["m1"], c["m1_term"]
+    u = c["u"]
 
     # MLP sub-block
-    _weight_grad(0.5 * m1 * m1_term, dx2, out=grads[f"{prefix}.mlp.w2"])
-    grads[f"{prefix}.mlp.b2"][...] = dx2.sum(axis=(0, 1))
-    dm1 = (dx2 @ p[f"{prefix}.mlp.w2"].T) * dgelu(m1, m1_term)
-    _weight_grad(u2, dm1, out=grads[f"{prefix}.mlp.w1"])
-    grads[f"{prefix}.mlp.b1"][...] = dm1.sum(axis=(0, 1))
-    du2 = dm1 @ p[f"{prefix}.mlp.w1"].T
+    du2 = _mlp_backward(dx2, p, grads, f"{prefix}.mlp", c["mlp"]) @ p[f"{prefix}.mlp.w1"].T
     dx1 = dx2 + _layernorm_backward(du2, c["ln2c"], p, grads, f"{prefix}.ln2")
 
     # attention sub-block; every buffer written in place is fresh

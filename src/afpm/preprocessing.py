@@ -11,12 +11,12 @@ trial alone. ``preprocess_dataset`` relies on that to filter a dataset in
 chunks.
 
 ``preprocess_dataset`` settles every per-dataset decision before its first
-chunk, in one ``resample_plans`` call: the rate ratio, one Kaiser filter, and
-one plan per trial length. A plan is the identity (equal rates), M (the
-filter applied to the identity, so a chunk takes one matrix product), or, for
-trials whose M or identity would pass ``OPERATOR_SAMPLES`` entries,
-``resample_poly`` with the shared filter. Data it would refuse mid-run is
-refused before anything is written.
+chunk: the band-pass design and, in one ``resample_plans`` call, the rate
+ratio, one Kaiser filter, and one plan per trial length. A plan is the
+identity (equal rates), M (the filter applied to the identity, so a chunk
+takes one matrix product), or, for trials whose M or identity would pass
+``OPERATOR_SAMPLES`` entries, ``resample_poly`` with the shared filter. Data
+it would refuse mid-run is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -84,11 +84,17 @@ def _require_filterable(rate_hz: float, n_samples: float, cfg: PreprocessConfig)
                         f"need more than {PAD_LEN}")
 
 
-def bandpass(data: np.ndarray, rate_hz: float, cfg: PreprocessConfig) -> np.ndarray:
-    """Zero-phase Butterworth band-pass of every row of ``data`` [rows x T]."""
+def _bandpass_sos(rate_hz: float, cfg: PreprocessConfig) -> np.ndarray:
+    """Second-order sections of the Butterworth band-pass at ``rate_hz``."""
+    return butter(FILTER_ORDER, [cfg.band_lo_hz, cfg.band_hi_hz],
+                  btype="bandpass", fs=rate_hz, output="sos")
+
+
+def bandpass(data: np.ndarray, rate_hz: float, cfg: PreprocessConfig, sos=None) -> np.ndarray:
+    """Zero-phase Butterworth band-pass of every row of ``data`` [rows x T], by
+    the sections ``sos`` (``_bandpass_sos(rate_hz, cfg)``, designed here if None)."""
     _require_filterable(rate_hz, data.shape[1], cfg)
-    sos = butter(FILTER_ORDER, [cfg.band_lo_hz, cfg.band_hi_hz],
-                 btype="bandpass", fs=rate_hz, output="sos")
+    sos = _bandpass_sos(rate_hz, cfg) if sos is None else sos
     return sosfiltfilt(sos, np.asarray(data, dtype=np.float64), axis=1,
                        padtype="odd", padlen=PAD_LEN)
 
@@ -194,7 +200,7 @@ def preprocess_dataset(manifest: DatasetManifest, cfg: PreprocessConfig,
     ``_chunks``): the rows of a chunk's trials are stacked into one matrix,
     filtered in one pass, and written back trial by trial in manifest order.
     The output manifest's unit_scale is 1.0: trials are in 0.1 mV units.
-    One ``resample_plans`` call settles the plans before the first chunk. An
+    One band-pass design and one ``resample_plans`` call precede the first chunk. An
     aligned dataset, a rate or trial the band-pass refuses, or a factor above
     ``MAX_FACTOR`` is refused, in that order, before ``out_dir`` is touched.
     """
@@ -206,13 +212,14 @@ def preprocess_dataset(manifest: DatasetManifest, cfg: PreprocessConfig,
         plans = resample_plans(manifest.rate_hz, lengths)
     except DataError as e:
         raise DataError(f"dataset {manifest.name!r}: {e}") from None
+    sos = _bandpass_sos(manifest.rate_hz, cfg)
     writer = DatasetWriter(
         out_dir=out_dir, name=manifest.name, task=manifest.task,
         rate_hz=TEMPLATE_RATE_HZ, class_names=manifest.class_names,
     )
     for chunk in _chunks(manifest):
         x = np.concatenate([load_trial(manifest, i) for i in chunk], dtype=np.float64)
-        x = bandpass(x, manifest.rate_hz, cfg)
+        x = bandpass(x, manifest.rate_hz, cfg, sos)
         x = resample(x, plans[manifest.trials[chunk[0]].n_samples])
         x = rescale(x, manifest.unit_scale)
         row = 0

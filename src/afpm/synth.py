@@ -119,7 +119,7 @@ class SynthSpec:
     trials_per_domain: int
     channel_subsets: tuple[tuple[str, ...], ...] = ()
     rate_hz: float = 256.0
-    trial_len_s: float | tuple[float, ...] = 3.0
+    trial_len_s: float | tuple[float, ...] | None = None   # None: 3 s MI, 1 s ERP
     snr_db: float = 6.0
     domain_gain: float = 0.3        # sigma of log-normal per-channel gains
     domain_scale: float = 0.8       # sigma of the shared per-domain amplitude factor
@@ -131,6 +131,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.task not in ("mi", "erp"):
             raise ConfigError(f"unknown task {self.task!r}")
+        if self.trial_len_s is None:
+            object.__setattr__(self, "trial_len_s", 3.0 if self.task == "mi" else 1.0)
         if self.n_domains < 1 or self.trials_per_domain < 1:
             raise ConfigError("need at least one domain and one trial per domain")
         subsets = self.channel_subsets or tuple(default_subsets(self.task, self.n_domains))

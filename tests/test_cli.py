@@ -993,13 +993,16 @@ def test_readme_commands_parse():
 
 
 def test_readme_names_only_flags_that_exist(capsys):
-    """Every option README names, in prose too, belongs to an afpm command or
-    to the benchmark runner, so a removed flag cannot linger in the docs."""
+    """Every option README names, in prose too, belongs to an afpm command, to
+    the benchmark runner or to a script under ``tools/``, so a removed flag
+    cannot linger in the docs."""
     root = Path(__file__).parents[1]
     option = r"(?<![\w-])--[a-z][a-z-]*"
     named = set(re.findall(option, (root / "README.md").read_text(encoding="utf-8")))
-    known = set(re.findall(r'add_argument\("(--[a-z-]+)"',
-                           (root / "perfbench" / "run.py").read_text(encoding="utf-8")))
+    known = set()
+    for script in [root / "perfbench" / "run.py", *sorted((root / "tools").glob("*.py"))]:
+        known |= set(re.findall(r'add_argument\("(--[a-z-]+)"',
+                                script.read_text(encoding="utf-8")))
     for command in afpm.cli._COMMANDS:
         with pytest.raises(SystemExit):
             afpm.cli.build_parser().parse_args([command, "--help"])

@@ -256,8 +256,9 @@ class TestEmbedPatches:
                             t_prime=8, window=4)
         p = rng.standard_normal(4)
         _, cache = forward_cached(np.concatenate([p, p])[None, None], model)
-        for key in ("h1", "h1_term"):
-            assert np.array_equal(cache["patch"][key][0, 0], cache["patch"][key][0, 1]), key
+        _, h, term, gelu = cache["patch"]
+        for key, a in {"h": h, "term": term, "gelu": gelu}.items():
+            assert np.array_equal(a[0, 0], a[0, 1]), key
         assert np.array_equal(cache["tokens"][0, 0], cache["tokens"][0, 1])
 
     def test_hand_computed_toy(self):
@@ -266,8 +267,10 @@ class TestEmbedPatches:
         model = patch_model(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.1, -0.2]),
                             np.eye(2), np.zeros(2), t_prime=2)
         _, cache = forward_cached(np.array([[[1.0, 0.0]]]), model)
-        assert np.allclose(cache["patch"]["h1"][0, 0], [1.1, 1.8], atol=1e-12)
+        _, h, _, gelu = cache["patch"]
+        assert np.allclose(h[0, 0], [1.1, 1.8], atol=1e-12)
         expected = np.array([erf_gelu(1.1), erf_gelu(1.8)])
+        assert np.allclose(gelu[0, 0], expected, atol=1e-12)
         assert np.allclose(cache["tokens"][0, 0], expected, atol=1e-12)
 
     def test_wrong_patch_length_rejected(self):
@@ -1378,6 +1381,40 @@ def test_wrapped_stage_table_runs_each_stage_once_on_its_own_parameters(preset, 
         assert read[name] <= set(own), name
         start += len(own)
     assert start == len(model.layout.names)
+
+
+@pytest.mark.parametrize("preset", sorted(STAGE_CONFIGS))
+def test_one_feed_forward_serves_the_patch_stage_and_every_block(preset, rng, monkeypatch):
+    """One step runs ``_mlp`` forward and ``_mlp_backward`` depth + 1 times
+    each: for ``patch`` and then each block's ``mlp``, in reverse on the way
+    back. The forward evaluates ``erf`` once per feed-forward and
+    ``backward_cached`` never, and logits and gradient keep every bit."""
+    cfg = small_cfg(depth=3, **STAGE_CONFIGS[preset])
+    model = perturbed_model(cfg, np.float32, rng)
+    x = rng.standard_normal((4, 3, 64)).astype(np.float32)
+    dlogits = rng.standard_normal((4, 2)).astype(np.float32)
+
+    def run():
+        logits, cache = forward_cached(x, model)
+        erfs.append("backward")
+        grad = Model(cfg, np.full(model.flat.size, np.nan, np.float32))
+        backward_cached(dlogits, model, cache, grad.params)
+        return logits, grad.flat
+
+    erfs, calls = [], []
+    ref_logits, ref_grad = run()
+    mlp, mlp_backward, erf = afpm.model._mlp, afpm.model._mlp_backward, afpm.model.erf
+    monkeypatch.setattr(afpm.model, "_mlp", lambda x, p, prefix: (
+        calls.append(("forward", prefix)) or mlp(x, p, prefix)))
+    monkeypatch.setattr(afpm.model, "_mlp_backward", lambda dy, p, grads, prefix, cache: (
+        calls.append(("backward", prefix)) or mlp_backward(dy, p, grads, prefix, cache)))
+    monkeypatch.setattr(afpm.model, "erf", lambda a: erfs.append("erf") or erf(a))
+    erfs.clear()
+    logits, grad = run()
+    prefixes = ["patch"] + [f"block{i}.mlp" for i in range(cfg.transformer.depth)]
+    assert calls == [("forward", n) for n in prefixes] + [("backward", n) for n in prefixes[::-1]]
+    assert erfs == ["erf"] * len(prefixes) + ["backward"]
+    assert same_bits(logits, ref_logits) and same_bits(grad, ref_grad)
 
 
 @pytest.mark.parametrize("want_cache", [True, False])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.signal import firwin, resample_poly
+from scipy.signal import butter, firwin, resample_poly
 
 from afpm import preprocessing
 from afpm.data_model import TEMPLATE_RATE_HZ, DatasetWriter, load_manifest, load_trial
@@ -209,14 +209,17 @@ class TestPreprocessDataset:
         # 8 runs of equal length; the small budget splits some of them.
         assert len(chunks) > 8 if budget is not None else len(chunks) == 8
 
-        designs, calls = [], []
+        designs, calls, bands = [], [], []
         monkeypatch.setattr(preprocessing, "firwin",
                             lambda *a, **k: designs.append(a) or firwin(*a, **k))
+        monkeypatch.setattr(preprocessing, "butter",
+                            lambda *a, **k: bands.append(a) or butter(*a, **k))
         monkeypatch.setattr(preprocessing, "resample_plans",
                             lambda *a: calls.append(resample_plans(*a)) or calls[-1])
         out = preprocess_dataset(raw, MI_CFG, str(tmp_path / "out"))
-        # One planning call and one filter design, shared by every length and chunk.
-        assert len(calls) == 1
+        # One planning call, one resampling filter and one band-pass design,
+        # shared by every length and chunk.
+        assert len(calls) == 1 and len(bands) == 1
         assert len(designs) == (0 if rate == TEMPLATE_RATE_HZ else 1)
         plans = calls[0]
         paths = {n: (p.operator is not None, p.taps is not None) for n, p in plans.items()}

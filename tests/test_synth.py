@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import ttest_ind
 
-from afpm.data_model import MI_TEMPLATE_CHANNELS
+from afpm.alignment import align_dataset
+from afpm.data_model import MI_TEMPLATE_CHANNELS, task_template
 from afpm.errors import ConfigError
 from afpm.synth import (
     ERP_EVAL_SUBSETS, ERP_SIGNAL_CHANNELS, ERP_TRAIN_SUBSETS, MI_EVAL_SUBSETS,
@@ -183,3 +184,17 @@ class TestHeterogeneityAndSpec:
         assert aurocs[0] < aurocs[1] <= aurocs[2]
         assert aurocs[2] > 0.95
         assert aurocs[2] - aurocs[0] > 0.3
+
+
+@pytest.mark.parametrize("task", ["mi", "erp"])
+def test_default_spec_synthesizes_and_aligns(task, tmp_path):
+    """A spec that leaves the trial length at its default gets its task's
+    (3 s MI, 1 s ERP), which fits the task template: the corpus it
+    synthesizes aligns, every trial filling the template."""
+    spec = SynthSpec(task=task, n_domains=2, trials_per_domain=4)
+    assert spec.trial_len_s == {"mi": 3.0, "erp": 1.0}[task]
+    raw = generate_dataset(spec, seed=0, out_dir=str(tmp_path / "raw"))
+    assert {t.n_samples for t in raw.trials} == {round(spec.trial_len_s * spec.rate_hz)}
+    aligned = align_dataset(raw, str(tmp_path / "al"))
+    assert len(aligned.trials) == 8
+    assert {t.n_samples for t in aligned.trials} == {task_template(task).template_len}
