@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .config import RunConfig
 from .alignment import align_dataset, union_template
 from .data_model import DatasetManifest, load_manifest, require_template_fit, task_template
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evaluation import EvalReport, evaluate_dataset
 from .model import Model, init_model
 from .pipeline import stack_aligned, stacked_model_config
@@ -85,6 +85,8 @@ def run_ablation(cfg: RunConfig, variants: tuple[str, ...], train_paths: list[st
     """Train and evaluate every variant with identical seeds and budgets.
 
     Returns each variant's reports by eval set name (``AblationResult.reports``).
+    Aligned sets are written under their dataset names too, so two training
+    sets, or two eval sets, that share a name are refused before any work.
     A variant's model is let go as soon as it is evaluated, so one model is
     alive at a time, not one per finished variant.
     """
@@ -98,6 +100,14 @@ def run_ablation(cfg: RunConfig, variants: tuple[str, ...], train_paths: list[st
         raise ConfigError(f"ablation variants listed more than once: {repeated}")
     train_manifests = [load_manifest(p) for p in train_paths]
     eval_manifests = [load_manifest(p) for p in eval_paths]
+    for kind, paths, manifests in (("training", train_paths, train_manifests),
+                                   ("eval", eval_paths, eval_manifests)):
+        seen: dict[str, str] = {}
+        for path, m in zip(paths, manifests):
+            if m.name in seen:
+                raise DataError(f"{kind} datasets {seen[m.name]} and {path} are both named "
+                                f"{m.name!r}; ablation keys its work and reports by name")
+            seen[m.name] = path
     require_template_fit(train_manifests + eval_manifests, cfg.task)
     return {variant: run_variant(variant, cfg, train_manifests, eval_manifests,
                                  workdir).reports

@@ -464,10 +464,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
-    _set_thread_env(max(1, args.threads))
 
     _, _, handler = _COMMANDS[args.command]
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        _set_thread_env(args.threads)
         _require_out_kind(args)
         return handler(args)
     except ConfigError as e:

@@ -229,8 +229,10 @@ def _positive(value, where: str) -> float:
 def _check_alignment(align) -> None:
     """The alignment section's fields that loading and stacking read."""
     _require(isinstance(align, dict), "manifest.alignment", "must be an object")
+    channels = align.get("template_channels")
     for key, ok in (("task", align.get("task") in TASKS),
-                    ("template_channels", _is_strings(align.get("template_channels"))),
+                    ("template_channels", _is_strings(channels)
+                     and 0 < len(set(channels)) == len(channels)),
                     ("template_len", _is_int(align.get("template_len"))
                      and align.get("template_len") > 0),
                     ("mapped", isinstance(align.get("mapped"), bool))):
@@ -274,7 +276,8 @@ def load_manifest(path: str) -> DatasetManifest:
     _require(_is_strings(raw["class_names"]), "manifest.class_names",
              "must be a list of strings")
     class_names = tuple(raw["class_names"])
-    _require(len(class_names) >= 2, "manifest.class_names", "need at least 2 classes")
+    _require(len(set(class_names)) == len(class_names) >= 2, "manifest.class_names",
+             f"need at least 2 distinct classes, got {list(class_names)}")
     if raw.get("alignment") is not None:
         _check_alignment(raw["alignment"])
 
@@ -311,6 +314,8 @@ def load_manifest(path: str) -> DatasetManifest:
         _require(_is_int(n_samples) and n_samples > 0, f"{where}.n_samples",
                  f"must be a positive integer, got {n_samples!r}")
         rel = t["path"]
+        _require(not (os.path.isabs(rel) or os.path.normpath(rel).split(os.sep)[0] == ".."),
+                 f"{where}.path", f"{rel!r} is not a path inside the dataset")
         try:
             st = os.stat(os.path.join(root, rel))
         except (OSError, ValueError):

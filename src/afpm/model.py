@@ -32,17 +32,19 @@ Everything is plain numpy in the parameter dtype (float32 for training,
 float64 for gradient checks). ``micro_batches`` bounds the cache's memory: it
 splits a batch into runs whose caches fit MICRO_BATCH_BYTES, which
 ``forward`` (inference) and ``training.backward`` take one at a time. A
-``Model`` is its config and one vector in the layout, with read-only
-per-tensor views built once: a checkpoint's payload is that vector in
-float32, ``backward_cached`` writes every gradient into the views of a
-gradient model, and training builds its vectors in the same layout once per run.
+``Model`` is its config, which checks every field when it is built and
+carries the dimensions the stages' shapes read (``n_patches``, ``n_tokens``,
+``patch_in``), and one vector in the layout, with read-only per-tensor views
+built once: a checkpoint's payload is that vector in float32,
+``backward_cached`` writes every gradient into the views of a gradient model,
+and training builds its vectors in the same layout once per run.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import accumulate
 from types import MappingProxyType
 from typing import Callable
@@ -87,12 +89,13 @@ def require_int(config, name: str, minimum: int) -> None:
         raise ConfigError(f"{type(config).__name__}.{name} must be at least {minimum}")
 
 
-def require_number(config, name: str) -> None:
-    """ConfigError unless field ``name`` of ``config`` is a finite int or float (not a bool)."""
+def require_number(config, name: str, positive: bool = False) -> None:
+    """ConfigError unless ``name`` is a finite int or float (no bool); > 0 if ``positive``."""
     value = getattr(config, name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) < math.inf:
-        raise ConfigError(f"{type(config).__name__}.{name} must be a finite number, "
-                          f"got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) < math.inf or positive and not value > 0):
+        raise ConfigError(f"{type(config).__name__}.{name} must be a finite "
+                          f"{'positive ' * positive}number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +111,8 @@ class FPEConfig:
     mlp_hidden: int         # hidden width of the patch MLP
 
     def __post_init__(self):
-        for name in ("embed_dim", "frame_window", "frame_stride",
-                     "avg_window", "avg_shift", "token_dim", "mlp_hidden"):
-            require_int(self, name, 1)
+        for f in fields(self):
+            require_int(self, f.name, 1)
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,14 @@ class TransformerConfig:
     dim_mlp: int
 
     def __post_init__(self):
-        for name in ("depth", "heads", "dim_head", "dim_mlp"):
-            require_int(self, name, 1)
+        for f in fields(self):
+            require_int(self, f.name, 1)
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Everything needed to build or rebuild a model deterministically.
+    """Everything needed to build or rebuild a model deterministically. Construction
+    checks every field, so every config builds a model.
 
     ``class_names`` come from the training data; the head has one column per
     name, and label ``i`` means ``class_names[i]``.
@@ -151,10 +154,21 @@ class ModelConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown model task {self.task!r}, expected one of {TASKS}")
-        names = self.class_names
-        if not (isinstance(names, tuple) and len(names) >= 2
-                and all(isinstance(c, str) for c in names) and len(set(names)) == len(names)):
-            raise ConfigError(f"class_names must be at least 2 distinct strings, got {names!r}")
+        for name, least in (("template_channels", 1), ("class_names", 2)):
+            names = getattr(self, name)
+            if not (isinstance(names, tuple) and all(isinstance(c, str) for c in names)
+                    and len(set(names)) == len(names) >= least):
+                raise ConfigError(f"{name} must be a tuple of at least {least} distinct "
+                                  f"strings, got {names!r}")
+        require_int(self, "template_len", 1)
+        require_number(self, "input_scale", positive=True)
+        for name, kind in (("fpe", FPEConfig), ("transformer", TransformerConfig),
+                           ("per_channel_patches", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"ModelConfig.{name} must be a {kind.__name__}")
+        if self.fpe.avg_window > self.n_patches:
+            raise ConfigError(f"averaging window {self.fpe.avg_window} exceeds the "
+                              f"{self.n_patches} patches of a {self.template_len}-sample template")
 
     @property
     def n_classes(self) -> int:
@@ -163,6 +177,19 @@ class ModelConfig:
     @property
     def n_channels(self) -> int:
         return len(self.template_channels)
+
+    @property
+    def n_patches(self) -> int:    # G, frame windows over the template
+        return patch_count(self.template_len, self.fpe.frame_stride)
+
+    @property
+    def n_tokens(self) -> int:     # K averaged embeddings (M*K per channel), class token
+        k = averaged_count(self.n_patches, self.fpe.avg_window, self.fpe.avg_shift)
+        return k * (self.n_channels if self.per_channel_patches else 1) + 1
+
+    @property
+    def patch_in(self) -> int:     # flattened patch length fed to the patch MLP
+        return self.fpe.frame_window * (1 if self.per_channel_patches else self.n_channels)
 
 
 def patch_count(template_len: int, stride: int) -> int:
@@ -177,25 +204,6 @@ def averaged_count(n_embeddings: int, window: int, shift: int) -> int:
     if window > n_embeddings:
         raise ConfigError(f"averaging window {window} exceeds embedding count {n_embeddings}")
     return (n_embeddings - window) // shift + 1
-
-
-@dataclass(frozen=True)
-class ModelDims:
-    patch_in: int    # flattened patch length fed to the MLP
-    n_patches: int   # G
-    n_avg: int       # K
-    n_seq: int       # token positions carrying signal (K, or M*K per-channel)
-    n_tokens: int    # n_seq + 1 (class token)
-
-
-def model_dims(cfg: ModelConfig) -> ModelDims:
-    f = cfg.fpe
-    g = patch_count(cfg.template_len, f.frame_stride)
-    k = averaged_count(g, f.avg_window, f.avg_shift)
-    m = cfg.n_channels
-    seq = m * k if cfg.per_channel_patches else k
-    patch_in = f.frame_window if cfg.per_channel_patches else m * f.frame_window
-    return ModelDims(patch_in=patch_in, n_patches=g, n_avg=k, n_seq=seq, n_tokens=seq + 1)
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple]:
@@ -527,7 +535,7 @@ def _mlp_backward(dy, p, grads, prefix, cache):
 
 def _patch_shapes(cfg, name):
     f = cfg.fpe
-    return {"patch.w1": (model_dims(cfg).patch_in, f.mlp_hidden), "patch.b1": (f.mlp_hidden,),
+    return {"patch.w1": (cfg.patch_in, f.mlp_hidden), "patch.b1": (f.mlp_hidden,),
             "patch.w2": (f.mlp_hidden, f.embed_dim), "patch.b2": (f.embed_dim,)}
 
 
@@ -545,7 +553,7 @@ def _patch_backward(de, p, cfg, name, c, grads):
 def _average_forward(e, p, cfg, name):
     """Window averaging: one product with the K x G window matrix, which it caches."""
     f = cfg.fpe
-    win = window_matrix(model_dims(cfg).n_patches, f.avg_window, f.avg_shift, dtype=e.dtype)
+    win = window_matrix(cfg.n_patches, f.avg_window, f.avg_shift, dtype=e.dtype)
     return _window_map(win, e) / f.avg_window, win
 
 
@@ -555,9 +563,8 @@ def _average_backward(dtilde, p, cfg, name, win, grads):
 
 
 def _token_shapes(cfg, name):
-    f = cfg.fpe
-    return {"proj.e0": (f.embed_dim, f.token_dim), "cls": (f.token_dim,),
-            "pos": (model_dims(cfg).n_tokens, f.token_dim)}
+    d = cfg.fpe.token_dim
+    return {"proj.e0": (cfg.fpe.embed_dim, d), "cls": (d,), "pos": (cfg.n_tokens, d)}
 
 
 def _token_backward(dxs, p, cfg, name, tilde, grads):
@@ -743,8 +750,7 @@ def micro_batches(cfg: ModelConfig, batch: int, itemsize: int) -> list[tuple[int
     all blocks, in items of ``itemsize`` bytes. The factored circuit matrices
     it also keeps are parameter-sized, the same for any batch, and not counted.
     """
-    t, d = cfg.transformer, cfg.fpe.token_dim
-    s = model_dims(cfg).n_tokens
+    t, d, s = cfg.transformer, cfg.fpe.token_dim, cfg.n_tokens
     per_token = (t.heads * (d + s) if factored_attention(t, d)
                  else 4 * t.heads * t.dim_head + t.heads * s)
     size = max(1, MICRO_BATCH_BYTES // (s * per_token * itemsize * t.depth))
@@ -807,23 +813,16 @@ def backward_cached(dlogits: np.ndarray, model: Model, cache: dict,
 
 
 def _cfg_from_json(d: dict) -> ModelConfig:
-    """Rebuild a config from its JSON form. Every key is required (the writer
-    writes them all), and fields of the wrong type raise rather than coerce: a
-    damaged header must not load as a different model."""
-    fpe, transformer = FPEConfig(**d["fpe"]), TransformerConfig(**d["transformer"])
-    channels, scale = d["template_channels"], d["input_scale"]
-    classes, per_channel = d["class_names"], d["per_channel_patches"]
-    if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)
-            and len(set(channels)) == len(channels) and isinstance(d["template_len"], int)
-            and isinstance(classes, list) and isinstance(per_channel, bool)):
-        raise TypeError("template_channels must be distinct strings, template_len "
-                        "an integer, class_names a list and the flag a boolean")
-    if not (type(scale) in (int, float) and math.isfinite(scale) and scale > 0):
-        raise ValueError("input_scale must be a finite positive number")
-    return ModelConfig(task=d["task"], template_channels=tuple(channels),
-                       template_len=d["template_len"], fpe=fpe, transformer=transformer,
-                       class_names=tuple(classes), per_channel_patches=per_channel,
-                       input_scale=float(scale))
+    """Rebuild a config from its JSON form: every key is required (the writer writes
+    them all), the name lists become tuples, and ``ModelConfig`` checks every value,
+    so a damaged header raises rather than loading as a different model."""
+    names = {key: d[key] for key in ("template_channels", "class_names")}
+    if not all(isinstance(v, list) for v in names.values()):
+        raise TypeError("template_channels and class_names must be lists")
+    return ModelConfig(task=d["task"], template_len=d["template_len"], fpe=FPEConfig(**d["fpe"]),
+                       transformer=TransformerConfig(**d["transformer"]),
+                       per_channel_patches=d["per_channel_patches"],
+                       input_scale=d["input_scale"], **{k: tuple(v) for k, v in names.items()})
 
 
 def _entries(layout: FlatLayout) -> list[dict]:
@@ -870,10 +869,10 @@ def load_checkpoint(path: str) -> tuple[Model, None, dict]:
         raise DataError(f"checkpoint header in {path} lacks {', '.join(missing)}")
     try:
         cfg = _cfg_from_json(header["config"])
-        layout = FlatLayout.of(param_shapes(cfg))
-    except (ConfigError, KeyError, TypeError, ValueError) as e:
+    except (ConfigError, KeyError, TypeError) as e:
         raise DataError(f"checkpoint config in {path} is malformed "
                         f"({type(e).__name__}: {e})") from e
+    layout = FlatLayout.of(param_shapes(cfg))
     if header["entries"] != _entries(layout):
         raise DataError(f"checkpoint entries in {path} do not match its config")
     if 4 * layout.size != len(blob):

@@ -1,5 +1,8 @@
 """Tiny-scale ablation machinery tests; directional claims live in acceptance."""
 
+import json
+import re
+import shutil
 import weakref
 
 import numpy as np
@@ -10,9 +13,9 @@ from afpm.ablation import VARIANTS, ablation_csv, run_ablation, run_variant
 from afpm.alignment import union_template
 from afpm.config import resolve_config
 from afpm.data_model import load_manifest, task_template
-from afpm.errors import ConfigError
+from afpm.errors import ConfigError, DataError
 from afpm.evaluation import evaluate_dataset
-from afpm.model import model_dims
+from afpm.model import load_checkpoint, save_checkpoint
 from afpm.pipeline import stack_aligned
 from afpm.preprocessing import default_config, preprocess_dataset
 from afpm.synth import SynthSpec, generate_dataset
@@ -64,6 +67,27 @@ def test_plan_requires_full_baseline(tmp_path):
         run_ablation(tiny_run_cfg(), ("FULL", "NO_THING"), missing, missing,
                      str(tmp_path / "w"))
     assert not (tmp_path / "w").exists()
+
+
+def test_datasets_sharing_a_name_within_a_list_are_refused(tiny_sets, tmp_path):
+    """Aligned sets and reports are kept by dataset name: a second set of one
+    name in --train or in --eval is refused before any work, while a training
+    and an eval set may share one."""
+    _, tr, ev = tiny_sets
+    tr_copy, ev_copy = str(tmp_path / "tr_copy"), str(tmp_path / "ev_copy")
+    shutil.copytree(tr.root, tr_copy)
+    shutil.copytree(ev.root, ev_copy)
+    work = tmp_path / "work"
+    for train_paths, eval_paths, kind, first, second in (
+            ([tr.root, tr_copy], [ev.root], "training", tr.root, tr_copy),
+            ([tr.root], [ev.root, ev_copy], "eval", ev.root, ev_copy)):
+        with pytest.raises(DataError, match=re.escape(f"{kind} datasets {first} and "
+                                                      f"{second} are both named")):
+            run_ablation(tiny_run_cfg(), ("FULL",), train_paths, eval_paths, str(work))
+        assert not work.exists()
+    assert json.loads((tmp_path / "tr_copy" / "manifest.json").read_text())["name"] == tr.name
+    results = run_ablation(tiny_run_cfg(), ("FULL",), [tr.root], [tr_copy], str(work))
+    assert list(results["FULL"]) == [tr.name]
 
 
 def test_union_template_covers_all_channels(tiny_sets):
@@ -130,11 +154,19 @@ def test_no_fpe_token_count_formula(tiny_sets):
     res = run_variant("NO_FPE", tiny_run_cfg(), [tr], [ev], str(root / "w3"))
     cfg = res.model.cfg
     assert cfg.per_channel_patches
-    dims = model_dims(cfg)
     g = -(-cfg.template_len // cfg.fpe.frame_stride) + 1
     k = (g - cfg.fpe.avg_window) // cfg.fpe.avg_shift + 1
-    assert dims.n_seq == cfg.n_channels * k
-    assert dims.n_tokens == cfg.n_channels * k + 1
+    assert cfg.n_patches == g
+    assert cfg.n_tokens == cfg.n_channels * k + 1
+
+
+def test_every_variant_config_saves_and_loads_unchanged(tiny_sets, tmp_path):
+    _, tr, ev = tiny_sets
+    for variant in VARIANTS:
+        model = run_variant(variant, tiny_run_cfg(), [tr], [ev], str(tmp_path / "w")).model
+        path = str(tmp_path / f"{variant}.ckpt")
+        save_checkpoint(model, path)
+        assert load_checkpoint(path)[0].cfg == model.cfg
 
 
 def test_no_map_pads_to_template(tiny_sets):

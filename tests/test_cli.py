@@ -876,12 +876,69 @@ def test_threads_are_parsed_with_the_other_arguments(monkeypatch, capsys):
     pinned = []
     monkeypatch.setattr(afpm.cli, "_set_thread_env", pinned.append)
     bad_band = ["preprocess", "--in", "d", "--out", "o", "--band", "x"]
-    assert main(bad_band + ["--threads", "0"]) == EXIT_CONFIG
     assert main(bad_band + ["--threads=2"]) == EXIT_CONFIG
     with pytest.raises(SystemExit) as e:
         main(bad_band + ["--threads", "abc"])
     assert e.value.code == EXIT_CONFIG
-    assert pinned == [1, 2]
+    assert pinned == [2]
+
+
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_are_refused(threads, tmp_path, capsys):
+    out = tmp_path / "raw"
+    assert main(["synth", "--task", "mi", "--domains", "1", "--trials", "2", "--out", str(out),
+                 "--threads", threads]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: --threads must be at least 1, got {threads}\n"
+    assert not out.exists()
+
+
+def edited_copy(src: str, dst: Path, edit) -> str:
+    """A copy of dataset ``src`` at ``dst`` whose manifest ``edit`` changed in place."""
+    shutil.copytree(src, dst)
+    doc = json.loads((dst / "manifest.json").read_text())
+    edit(doc)
+    (dst / "manifest.json").write_text(json.dumps(doc))
+    return str(dst)
+
+
+@pytest.mark.parametrize("defect", ["absolute", "climbing", "classes", "template"])
+def test_manifest_refusals_are_one_line_data_errors(defect, pipeline_dirs, tmp_path, capsys):
+    """A trial path outside its dataset and a repeated class name or template
+    channel: train exits 3 with one line and writes no checkpoint."""
+    _, _, _, ali, _ = pipeline_dirs
+    outside = tmp_path / "outside.f32"
+    shutil.copy(Path(ali) / "trials" / "000000.f32", outside)
+
+    def repeat_a_template_channel(doc):
+        channels = doc["alignment"]["template_channels"]
+        channels[1] = channels[0]
+
+    edits = {
+        "absolute": lambda d: d["trials"][0].update(path=str(outside)),
+        "climbing": lambda d: d["trials"][0].update(path="../outside.f32"),
+        "classes": lambda d: d.update(class_names=[d["class_names"][0]] * 2),
+        "template": repeat_a_template_channel,
+    }
+    data = edited_copy(ali, tmp_path / "ali", edits[defect])
+    ckpt = tmp_path / "run" / "model.ckpt"
+    assert main(toy_train(data, str(ckpt)) + ["--epochs", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    where = "trials[0].path" if defect in ("absolute", "climbing") else (
+        "class_names" if defect == "classes" else "alignment.template_channels")
+    assert len(err) == 1 and err[0].startswith(f"data error: manifest.{where}: "), err
+    assert not ckpt.exists()
+
+
+def test_ablate_refuses_two_training_sets_of_one_name(pipeline_dirs, tmp_path, capsys):
+    _, _, pre, _, _ = pipeline_dirs
+    twin = edited_copy(pre, tmp_path / "twin", lambda d: None)
+    out = tmp_path / "abl"
+    assert main(["ablate", "--train", pre, twin, "--eval", pre, "--task", "mi",
+                 "--variants", "FULL", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"training datasets {pre} and {twin} are both named" in err[0], err
+    assert not out.exists()
 
 
 def test_commands_load_only_the_stages_they_run(pipeline_dirs, tmp_path):

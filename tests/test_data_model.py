@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -174,6 +175,27 @@ class TestManifestRoundTrip:
         doc["surprise"] = 1
         (tmp_path / "manifest.json").write_text(json.dumps(doc))
         with pytest.raises(DataError, match="surprise"):
+            load_manifest(str(tmp_path))
+
+    @pytest.mark.parametrize("form", ["absolute", "climbing"])
+    def test_trial_path_outside_the_dataset_is_refused(self, form, tmp_path):
+        """A payload of the right size at the target: only where it lies is wrong."""
+        write_toy_dataset(tmp_path / "ds", n_trials=1)
+        outside = tmp_path / "outside.f32"
+        shutil.copy(tmp_path / "ds" / "trials" / "000000.f32", outside)
+        doc = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+        climbing = "trials/../../outside.f32"
+        doc["trials"][0]["path"] = str(outside) if form == "absolute" else climbing
+        (tmp_path / "ds" / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"trials\[0\]\.path: .* not a path inside"):
+            load_manifest(str(tmp_path / "ds"))
+
+    def test_repeated_class_name_is_refused(self, tmp_path):
+        write_toy_dataset(tmp_path, n_trials=1)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        doc["class_names"] = ["class_a", "class_a"]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="class_names: need at least 2 distinct"):
             load_manifest(str(tmp_path))
 
     def test_missing_manifest(self, tmp_path):
@@ -365,6 +387,13 @@ class TestManifestFuzz:
         text, path = aligned_manifest
         key_path = data.draw(st.sampled_from(_manifest_keys(text)))
         _load_or_data_error(path, _edit(text, key_path, value))
+
+    @pytest.mark.parametrize("channels", [["C3", "C3", "C4"], []])
+    def test_repeated_or_no_template_channels_are_refused(self, aligned_manifest, channels):
+        text, path = aligned_manifest
+        path.write_text(_edit(text, ("alignment", "template_channels"), channels))
+        with pytest.raises(DataError, match="alignment.template_channels"):
+            load_manifest(str(path))
 
     @pytest.mark.parametrize("key_path, value", [
         (("rate_hz",), "abc"), (("channel_sets",), [["C3"]]), (("trials", 0, "label"), None),

@@ -20,7 +20,7 @@ from afpm.model import (
     EVAL_BATCH, INIT_SIGMA, FlatLayout, FPEConfig, Model, ModelConfig, TransformerConfig,
     _block_backward, _block_forward, _window_map, assemble_tokens, averaged_count,
     backward_cached, extract_patches, factored_attention, forward, forward_cached, init_model,
-    load_checkpoint, micro_batches, model_dims, param_shapes, patch_count, save_checkpoint,
+    load_checkpoint, micro_batches, param_shapes, patch_count, save_checkpoint,
     window_matrix,
 )
 from afpm.pipeline import stacked_model_config
@@ -80,6 +80,41 @@ class TestPatchCount:
     def test_avg_window_too_large(self):
         with pytest.raises(ConfigError):
             averaged_count(4, 5, 1)
+
+
+# ModelConfig field -> a value it refuses, one row per rule of its __post_init__
+BAD_MODEL_FIELDS = [
+    ("task", "xx"),
+    ("template_channels", ()),
+    ("template_channels", ["C0", "C1", "C2"]),
+    ("template_channels", ("C0", "C0", "C2")),
+    ("template_channels", ("C0", 1, "C2")),
+    ("class_names", ("class_0",)),
+    ("class_names", ("class_0", "class_0")),
+    ("template_len", 0),
+    ("template_len", True),
+    ("template_len", 64.0),
+    ("fpe", None),
+    ("fpe", TransformerConfig(depth=1, heads=2, dim_head=3, dim_mlp=6)),
+    ("transformer", {"depth": 1, "heads": 2, "dim_head": 3, "dim_mlp": 6}),
+    ("per_channel_patches", 1),
+    ("per_channel_patches", "yes"),
+    ("input_scale", 0.0),
+    ("input_scale", -1.0),
+    ("input_scale", math.nan),
+    ("input_scale", math.inf),
+    ("input_scale", True),
+    ("input_scale", "1.0"),
+    # 10 averaged patches, of the 9 that small_cfg's stride 8 cuts from 64 samples
+    ("fpe", dataclasses.replace(small_cfg().fpe, avg_window=10)),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_MODEL_FIELDS,
+                         ids=[f"{f}-{i}" for i, (f, _) in enumerate(BAD_MODEL_FIELDS)])
+def test_model_config_refuses_bad_field(field, value):
+    with pytest.raises(ConfigError):
+        dataclasses.replace(small_cfg(), **{field: value})
 
 
 class TestExtractPatches:
@@ -363,10 +398,9 @@ class TestAssembleTokens:
                           transformer=TransformerConfig(depth=6, heads=8, dim_head=64,
                                                         dim_mlp=40),
                           class_names=classes())
-        dims = model_dims(cfg)
-        assert dims.n_patches == 53
-        assert dims.n_avg == 6
-        assert dims.n_tokens == 7
+        assert cfg.n_patches == 53
+        assert averaged_count(cfg.n_patches, 25, 5) == 6
+        assert cfg.n_tokens == 7
 
     def test_k_mismatch_rejected(self, rng):
         params = {"proj.e0": np.eye(2), "cls": np.zeros(2), "pos": np.zeros((3, 2))}
@@ -557,7 +591,7 @@ class TestForward:
         cfg = small_cfg(depth=2)
         model = init_model(cfg, seed=2, dtype=np.float64)
         x = rng.standard_normal((2, 3, 64))
-        s = model_dims(cfg).n_tokens
+        s = cfg.n_tokens
         for _ in attention_forms(monkeypatch):
             _, cache = forward_cached(x, model, want_cache=True)
             for i in range(cfg.transformer.depth):
@@ -592,7 +626,7 @@ def test_shape_chain_property(t_prime, d, m, p, h, channels):
     patches = extract_patches(x, fpe)
     assert patches.shape == (1, g, channels * m)
     k = averaged_count(g, p, h)
-    assert model_dims(cfg).n_tokens == k + 1
+    assert cfg.n_tokens == k + 1
     logits = forward(x, model)
     assert logits.shape == (1, 2)
 
@@ -832,7 +866,7 @@ class TestCheckpointFuzz:
         # a string or list loads only where it spells the saved value, or as
         # another set of distinct channel names or class names
         expected = fuzz_cfg()
-        if key_path == ("config", "template_channels") and isinstance(value, list):
+        if key_path == ("config", "template_channels") and model is not None:
             expected = dataclasses.replace(expected, template_channels=tuple(value))
         if key_path == ("config", "class_names") and model is not None:
             expected = dataclasses.replace(expected, class_names=tuple(value))
@@ -1063,8 +1097,7 @@ class TestLeanCache:
         x = rng.standard_normal((64, 48, layout["template_len"])).astype(np.float32)
         model = init_model(stacked_model_config(run, x, layout, False), seed=0)
         assert model.cfg.input_scale != 1.0
-        dims = model_dims(model.cfg)
-        patch_bytes = 64 * dims.n_patches * dims.patch_in * 4
+        patch_bytes = 64 * model.cfg.n_patches * model.cfg.patch_in * 4
         assert patch_bytes > x.nbytes
         tracemalloc.start()
         try:
@@ -1089,8 +1122,7 @@ class TestLeanCache:
         x = rng.standard_normal((n, 48, layout["template_len"])).astype(np.float32)
         y = np.arange(n) % 2
         model = init_model(stacked_model_config(run, x, layout, False), seed=0)
-        dims = model_dims(model.cfg)
-        patch_bytes = n * dims.n_patches * dims.patch_in * 4
+        patch_bytes = n * model.cfg.n_patches * model.cfg.patch_in * 4
         param_bytes = model.flat.size * 4
         assert x.nbytes > 0.9 * patch_bytes
         tracemalloc.start()
@@ -1300,11 +1332,11 @@ def test_decay_mask_exempts_embeddings_norms_biases():
 
 def test_per_channel_token_count(rng):
     cfg = small_cfg(per_channel=True)
-    dims = model_dims(cfg)
     g = patch_count(64, 8)
     k = averaged_count(g, 2, 2)
-    assert dims.n_seq == 3 * k
-    assert dims.n_tokens == 3 * k + 1
+    assert cfg.n_patches == g
+    assert cfg.patch_in == 8
+    assert cfg.n_tokens == 3 * k + 1
     model = init_model(cfg, seed=0)
     x = rng.standard_normal((1, 3, 64)).astype(np.float32)
     assert forward(x, model).shape == (1, 2)

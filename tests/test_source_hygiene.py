@@ -1,20 +1,24 @@
-"""Source hygiene of ``src/afpm``, read from the syntax tree of each module.
+"""Source hygiene of ``src/afpm`` and ``tools``, read from the syntax tree of each module.
 
 Two things that a deletion tends to leave behind fail here: an import that
 its scope no longer uses, and a module-level private function, class or
-constant that nothing in the package references any more.
+constant that nothing in its directory (the package, or the tools) references
+any more.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).parents[1] / "src" / "afpm"
+ROOT = Path(__file__).parents[1]
+DIRECTORIES = (ROOT / "src" / "afpm", ROOT / "tools")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def modules() -> dict[str, ast.Module]:
-    return {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            for path in sorted(PACKAGE.glob("*.py"))}
+def modules(directory: Path) -> dict[str, ast.Module]:
+    """Each module of ``directory`` by its path from the repository root."""
+    return {str(path.relative_to(ROOT)): ast.parse(path.read_text(encoding="utf-8"),
+                                                   filename=str(path))
+            for path in sorted(directory.glob("*.py"))}
 
 
 def own_imports(scope: ast.AST):
@@ -42,7 +46,7 @@ def loaded_names(tree: ast.AST) -> set[str]:
 
 def test_every_import_is_used_in_its_scope():
     unused = []
-    for name, tree in modules().items():
+    for name, tree in (item for d in DIRECTORIES for item in modules(d).items()):
         scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, FUNCTIONS)]
         for scope in scopes:
             used = loaded_names(scope)
@@ -56,8 +60,8 @@ def test_every_import_is_used_in_its_scope():
     assert unused == []
 
 
-def test_every_private_module_name_is_referenced():
-    trees = modules()
+def private_orphans(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level private names of ``trees`` that none of them reads or imports."""
     referenced = set()
     for tree in trees.values():
         referenced |= loaded_names(tree)
@@ -77,4 +81,8 @@ def test_every_private_module_name_is_referenced():
             orphans += [f"{name}:{node.lineno} {d}" for d in defined
                         if d.startswith("_") and not d.startswith("__")
                         and d not in referenced]
-    assert orphans == []
+    return orphans
+
+
+def test_every_private_module_name_is_referenced():
+    assert [name for d in DIRECTORIES for name in private_orphans(modules(d))] == []

@@ -173,7 +173,7 @@ def measure(preset: str, steps: int, toy: bool) -> dict:
                 series.setdefault(name, []).append(1e3 * value)
     step(plain)     # leave the module as it was
     return {"series": series, "environment": environment(),
-            "config": {"tokens": afpm.model.model_dims(cfg).n_tokens,
+            "config": {"tokens": model.params["pos"].shape[0],
                        "factored_attention": afpm.model.factored_attention(
                            cfg.transformer, cfg.fpe.token_dim),
                        "micro_batches": len(afpm.model.micro_batches(cfg, BATCH, 4)),
